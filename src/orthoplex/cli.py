@@ -89,10 +89,6 @@ def analysis_doc(s: sx.Simplex, policy: TolerancePolicy) -> dict:
     when applicable, Euler-line and mid-face sphere data, facet radii."""
     report = centers.center_report(s, policy)
     shape = sx.shape_predicates(s, policy)
-    facet_radii = [
-        centers.circumcenter(sx.face(s, sx.facet_indices(s, i), policy))[1]
-        for i in range(s.n)
-    ]
     doc = {
         "dim": s.dim,
         "volume": sx.volume(s),
@@ -113,7 +109,7 @@ def analysis_doc(s: sx.Simplex, policy: TolerancePolicy) -> dict:
             "is_equiradial": shape.is_equiradial,
             "has_well_distributed_edges": shape.has_well_distributed_edges,
         },
-        "facet_circumradii": facet_radii,
+        "facet_circumradii": sx.facet_circumradii(s),
         "orthocentric": report.orthocenter is not None,
         "ortho_params": None,
         "euler": None,

@@ -279,18 +279,13 @@ def rect_centers_distinct(
     s = rectangular(spec, policy)
     report = centers.center_report(s, policy)
     assert not report.coincident_pairs, "rectangular centers can never coincide"
-    bary = _barycentric(s, report.circumcenter)
+    bary = sx.barycentric(s, report.circumcenter)
     expected = np.full(spec.d + 1, 0.5)
     expected[-1] = (2 - spec.d) / 2.0
     assert np.max(np.abs(bary - expected)) <= policy.rel * max(spec.d, 1.0), (
         "circumcenter barycentrics must be (1/2, ..., 1/2, (2-d)/2)"
     )
     return report
-
-
-def _barycentric(s: sx.Simplex, point) -> np.ndarray:
-    m = np.vstack([s.vertices.T, np.ones(s.n)])
-    return np.linalg.solve(m, np.concatenate([np.asarray(point, float), [1.0]]))
 
 
 def lift_to_rectangular(

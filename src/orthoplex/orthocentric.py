@@ -19,7 +19,6 @@ off its factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -185,13 +184,15 @@ def _validate_bary(a: np.ndarray, policy: TolerancePolicy) -> int:
         raise ParametrizationError(
             f"{pos} positive coordinates out of {n}: need all positive or exactly one"
         )
-    # no nonempty proper subset may sum to 0 or 1 (margin = rel)
-    sums = _subset_masks(n) @ a
-    gap = np.minimum(np.abs(sums), np.abs(sums - 1.0))
-    if float(np.min(gap)) <= policy.rel:
-        offender = float(sums[int(np.argmin(gap))])
+    # no nonempty proper subset may sum to 0 or 1 (margin = rel).  For an
+    # admissible sign pattern the closest subset sum misses by min |a_i|:
+    # acute, singletons and their complements are extreme; obtuse, sums
+    # without the positive entry are <= -min |a_i| and sums with it are
+    # >= 1 + min |a_i|.
+    k = int(np.argmin(np.abs(a)))
+    if abs(float(a[k])) <= policy.rel:
         raise ParametrizationError(
-            f"subset sum {offender!r} too close to the forbidden values 0/1"
+            f"subset sum {float(a[k])!r} too close to the forbidden values 0/1"
         )
     return sign
 
@@ -226,16 +227,10 @@ def params_of(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> OrthoP
         return OrthoParams(
             dim=s.dim, bary=bary, obtuseness=0.0, kind=RECTANGULAR, rect_vertex=corner
         )
-    bary = _barycentric(s, h)
+    bary = sx.barycentric(s, h)
     kind = ACUTE if c < 0 else OBTUSE
     _validate_bary(bary, policy)
     return OrthoParams(dim=s.dim, bary=bary, obtuseness=c, kind=kind)
-
-
-def _barycentric(s: sx.Simplex, point) -> np.ndarray:
-    m = np.vstack([s.vertices.T, np.ones(s.n)])
-    rhs = np.concatenate([np.asarray(point, float), [1.0]])
-    return np.linalg.solve(m, rhs)
 
 
 def construct(
@@ -391,28 +386,15 @@ def orthocentric_system_check(
     return True
 
 
-@lru_cache(maxsize=None)
-def _subset_masks(n: int) -> np.ndarray:
-    """(2^n - 2, n) selection matrix of the nonempty proper subsets."""
-    rows = [
-        [mask >> i & 1 for i in range(n)] for mask in range(1, 2**n - 1)
-    ]
-    return np.array(rows, dtype=float)
-
-
-def _margins_ok(a: np.ndarray, margin: float) -> bool:
-    sums = _subset_masks(a.size) @ a
-    return bool(np.all(np.abs(sums) > margin) and np.all(np.abs(sums - 1.0) > margin))
-
-
 def sample_params(d: int, kind: str, seed: int) -> OrthoParams:
     """Deterministic random shape parameters of the requested class.
 
-    Acute: uniform on the open coordinate simplex.  Obtuse: d coordinates
-    drawn in (-1, -0.05), the last set to one minus their sum.  Samples
-    closer than 0.01 to a vanishing coordinate or to a subset sum of 0 or 1
-    are rejected, keeping the numerics well away from the degenerate
-    hyperplanes.
+    Acute: uniform on the open coordinate simplex, rejecting draws with a
+    coordinate below min(0.01, 2/(d+1)^2).  The margin keeps the numerics
+    away from the degenerate hyperplanes (subset sums of 0 or 1 come no
+    closer than the smallest coordinate) while the acceptance rate stays
+    near exp(-2) at large d.  Obtuse: d coordinates drawn in (-1, -0.05),
+    the last set to one minus their sum.
     """
     if kind not in (ACUTE, OBTUSE):
         raise InputError(f"kind must be '{ACUTE}' or '{OBTUSE}', got {kind!r}")
@@ -422,16 +404,12 @@ def sample_params(d: int, kind: str, seed: int) -> OrthoParams:
         raise InputError(f"seed must be non-negative, got {seed}")
     code = 0 if kind == ACUTE else 1
     rng = np.random.default_rng(np.random.SeedSequence([17, d, code, int(seed)]))
-    margin = 0.01
+    if kind == OBTUSE:
+        u = rng.uniform(0.05, 1.0, size=d)
+        a = np.concatenate([-u, [1.0 + float(u.sum())]])
+        return OrthoParams(dim=d, bary=a, obtuseness=1.0, kind=kind)
+    margin = min(0.01, 2.0 / (d + 1) ** 2)
     while True:
-        if kind == ACUTE:
-            a = rng.dirichlet(np.ones(d + 1))
-            if float(np.min(a)) < margin:
-                continue
-        else:
-            u = rng.uniform(0.05, 1.0, size=d)
-            a = np.concatenate([-u, [1.0 + float(u.sum())]])
-        if not _margins_ok(a, margin):
-            continue
-        c = -1.0 if kind == ACUTE else 1.0
-        return OrthoParams(dim=d, bary=a, obtuseness=c, kind=kind)
+        a = rng.dirichlet(np.ones(d + 1))
+        if float(np.min(a)) >= margin:
+            return OrthoParams(dim=d, bary=a, obtuseness=-1.0, kind=kind)

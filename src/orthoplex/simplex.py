@@ -37,7 +37,10 @@ __all__ = [
     "facet_indices",
     "subset_volume",
     "facet_volumes",
+    "facet_circumradii",
+    "facet_sq_edge_sums",
     "facet_normals",
+    "barycentric",
     "project_to_affine_hull",
     "edge_perpendicularity_residual",
 ]
@@ -159,6 +162,39 @@ def facet_volumes(s: Simplex) -> np.ndarray:
     return np.array([subset_volume(s, facet_indices(s, i)) for i in range(s.n)])
 
 
+def facet_circumradii(s: Simplex) -> np.ndarray:
+    """Circumradii of all d+1 facets, facet i opposite vertex i.
+
+    Each comes from the facet's squared-edge table E_F through the bordered
+    system [[E_F, 1], [1^T, 0]] [w; -2 R_F^2] = [0; 1], w being the
+    circumcenter barycentrics.  E is scaled to unit diameter first so the
+    solve is equally conditioned at every scale.
+    """
+    sq = squared_edge_table(s)
+    scale = float(np.max(sq))
+    keep = np.array([facet_indices(s, i) for i in range(s.n)])
+    bordered = np.ones((s.n, s.n, s.n))
+    bordered[:, :-1, :-1] = sq[keep[:, :, None], keep[:, None, :]] / scale
+    bordered[:, -1, -1] = 0.0
+    rhs = np.zeros((s.n, s.n, 1))
+    rhs[:, -1] = 1.0
+    r_sq = -np.linalg.solve(bordered, rhs)[:, -1, 0] / 2.0 * scale
+    return np.sqrt(r_sq)
+
+
+def facet_sq_edge_sums(s: Simplex) -> np.ndarray:
+    """Sum of squared edge lengths of each facet, facet i opposite vertex i:
+    the total over all edges minus the edges at vertex i."""
+    sq = squared_edge_table(s)
+    return sq.sum() / 2.0 - sq.sum(axis=1)
+
+
+def barycentric(s: Simplex, point) -> np.ndarray:
+    """Barycentric coordinates of ``point`` with respect to the vertices."""
+    m = np.vstack([s.vertices.T, np.ones(s.n)])
+    return np.linalg.solve(m, np.concatenate([np.asarray(point, float), [1.0]]))
+
+
 def metrics(s: Simplex) -> Metrics:
     from . import centers  # circumradius/inradius live there
 
@@ -239,25 +275,11 @@ def shape_predicates(s: Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> Sh
     All four compare per-facet (or per-edge) quantities with max-relative
     scaling, so the flags are invariant under similarity.
     """
-    from . import centers
-
-    edges = edge_lengths(s)
-    sq = squared_edge_table(s)
-
-    facet_radii = []
-    facet_sq_sums = []
-    for i in range(s.n):
-        idx = facet_indices(s, i)
-        f = face(s, idx, policy)
-        _, r = centers.circumcenter(f)
-        facet_radii.append(r)
-        facet_sq_sums.append(sum(sq[a][b] for a, b in combinations(idx, 2)))
-
     return ShapeFlags(
-        is_regular=policy.all_close(edges),
+        is_regular=policy.all_close(edge_lengths(s)),
         is_equiareal=policy.all_close(facet_volumes(s)),
-        is_equiradial=policy.all_close(facet_radii),
-        has_well_distributed_edges=policy.all_close(facet_sq_sums),
+        is_equiradial=policy.all_close(facet_circumradii(s)),
+        has_well_distributed_edges=policy.all_close(facet_sq_edge_sums(s)),
     )
 
 
@@ -267,13 +289,11 @@ def edge_perpendicularity_residual(s: Simplex) -> float:
     Zero residual characterizes orthocentric simplices; for d = 2 there
     are no disjoint pairs and the residual is 0.
     """
-    v = s.vertices
-    worst = 0.0
-    for (i, j), (k, l) in combinations(combinations(range(s.n), 2), 2):
-        if {i, j} & {k, l}:
-            continue
-        e1 = v[i] - v[j]
-        e2 = v[k] - v[l]
-        res = abs(float(e1 @ e2)) / (np.linalg.norm(e1) * np.linalg.norm(e2))
-        worst = max(worst, res)
-    return worst
+    i, j = np.triu_indices(s.n, 1)
+    e = s.vertices[i] - s.vertices[j]
+    u = e / np.linalg.norm(e, axis=1)[:, None]
+    disjoint = (
+        (i[:, None] != i[None, :]) & (i[:, None] != j[None, :])
+        & (j[:, None] != i[None, :]) & (j[:, None] != j[None, :])
+    )
+    return float(np.max(np.abs(u @ u.T), where=disjoint, initial=0.0))

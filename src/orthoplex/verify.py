@@ -139,7 +139,10 @@ class _Recorder:
 
     def check(self, label: str, residual: float, allowed: float,
               simplex: sx.Simplex | None = None, **extra):
-        ratio = float(residual) / float(allowed)
+        if allowed:
+            ratio = float(residual) / float(allowed)
+        else:  # exact coincidence in a separation check
+            ratio = float("inf") if residual > 0 else 0.0
         self.max_ratio = max(self.max_ratio, ratio)
         if residual > allowed and self.counterexample is None:
             payload = {
@@ -252,19 +255,9 @@ def _check_equivalences(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, tol
     ]
 
     areas_spread = pol.spread(sx.facet_volumes(s))
-    sq = sx.squared_edge_table(s)
-    wde_spread = pol.spread(
-        [
-            sum(sq[a][b] for a, b in combinations(sx.facet_indices(s, k), 2))
-            for k in range(s.n)
-        ]
-    )
-    radii_spread = pol.spread(
-        [centers.circumcenter(sx.face(s, sx.facet_indices(s, k), pol))[1] for k in range(s.n)]
-    )
-    m = np.vstack([s.vertices.T, np.ones(s.n)])
-    cc_bary = np.linalg.solve(m, np.concatenate([c, [1.0]]))
-    bary_min = float(np.min(cc_bary))
+    wde_spread = pol.spread(sx.facet_sq_edge_sums(s))
+    radii_spread = pol.spread(sx.facet_circumradii(s))
+    bary_min = float(np.min(sx.barycentric(s, c)))
 
     scal = dict(d_ig=d_ig, d_gc=d_gc, d_ci=d_ci, areas_spread=areas_spread,
                 wde_spread=wde_spread, radii_spread=radii_spread, cc_bary_min=bary_min)

@@ -112,9 +112,24 @@ class TestConstruct:
             op.construct(bad, 1.0)
 
     def test_subset_sum_guard(self):
-        # a_1 + a_2 = 1 exactly: forbidden hyperplane
-        with pytest.raises(ParametrizationError):
-            op.construct([0.7, 0.3, 0.6, -0.6], 1.0)
+        # admissible sign patterns that fail only the subset-sum margin
+        for bad in (
+            [0.5, 0.5 - 5e-10, 5e-10],    # acute: a_3 near 0, a_1 + a_2 near 1
+            [-5e-10, -0.5, 1.5 + 5e-10],  # obtuse: a_1 near 0, a_2 + a_3 near 1
+        ):
+            with pytest.raises(ParametrizationError, match="subset sum"):
+                op.construct(bad, 1.0)
+
+    @pytest.mark.parametrize("kind", ["acute", "obtuse"])
+    def test_margin_closed_form_matches_subset_scan(self, kind):
+        for d in range(2, 11):
+            for seed in range(5):
+                a = op.sample_params(d, kind, seed).bary
+                n = a.size
+                masks = (np.arange(1, 2**n - 1)[:, None] >> np.arange(n)) & 1
+                sums = masks @ a
+                gap = np.min(np.minimum(np.abs(sums), np.abs(sums - 1.0)))
+                assert gap == pytest.approx(np.min(np.abs(a)), abs=1e-14)
 
     def test_scale_sets_obtuseness_magnitude(self):
         p = op.params_of(op.construct([0.25, 0.25, 0.25, 0.25], 2.5))
@@ -308,6 +323,14 @@ class TestSampleParams:
         a = op.sample_params(4, "acute", 123)
         b = op.sample_params(4, "acute", 123)
         assert np.array_equal(a.bary, b.bary)
+
+    @pytest.mark.parametrize("d", [40, 64])
+    @pytest.mark.parametrize("kind", ["acute", "obtuse"])
+    def test_large_dimension_round_trip(self, d, kind):
+        p = op.sample_params(d, kind, 0)
+        q = op.params_of(op.construct(p.bary, 1.0))
+        assert q.kind == kind
+        assert np.max(np.abs(q.bary - p.bary)) <= 1e-8
 
     def test_bad_inputs(self):
         with pytest.raises(InputError):

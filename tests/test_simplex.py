@@ -186,3 +186,54 @@ class TestPerpendicularityResidual:
         rng = np.random.default_rng(1)
         s = op.from_vertices(3, rng.normal(size=(4, 3)))
         assert sx.edge_perpendicularity_residual(s) > 1e-3
+
+
+def pair_loop_residual(s):
+    v = s.vertices
+    worst = 0.0
+    for (i, j), (k, l) in combinations(combinations(range(s.n), 2), 2):
+        if {i, j} & {k, l}:
+            continue
+        e1, e2 = v[i] - v[j], v[k] - v[l]
+        worst = max(worst, abs(float(e1 @ e2)) / (np.linalg.norm(e1) * np.linalg.norm(e2)))
+    return worst
+
+
+def closed_form_fixtures():
+    rng = np.random.default_rng(12)
+    out = [op.regular(4, 1.3), op.kite(op.KiteSpec(5, 1.0, 1.4)), right_corner(0.5, 1.0, 2.0)]
+    for d in (2, 3, 5, 8):
+        out.append(op.from_vertices(d, rng.normal(size=(d + 1, d))))
+        for kind in ("acute", "obtuse"):
+            out.append(op.construct(op.sample_params(d, kind, d).bary, 1.0))
+    thin = rng.normal(size=(7, 6))
+    thin[:, -1] *= 1e-3
+    out.append(op.from_vertices(6, thin))
+    return out
+
+
+class TestFacetClosedForms:
+    @pytest.mark.parametrize("s", closed_form_fixtures(), ids=repr)
+    def test_circumradii_match_face_embedding(self, s):
+        want = [op.circumcenter(sx.face(s, sx.facet_indices(s, i)))[1] for i in range(s.n)]
+        assert np.allclose(sx.facet_circumradii(s), want, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("s", closed_form_fixtures(), ids=repr)
+    def test_sq_edge_sums_match_pair_sums(self, s):
+        sq = sx.squared_edge_table(s)
+        want = [
+            sum(sq[a, b] for a, b in combinations(sx.facet_indices(s, i), 2))
+            for i in range(s.n)
+        ]
+        assert np.allclose(sx.facet_sq_edge_sums(s), want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("s", closed_form_fixtures(), ids=repr)
+    def test_perpendicularity_matches_pair_loop(self, s):
+        assert sx.edge_perpendicularity_residual(s) == pytest.approx(
+            pair_loop_residual(s), rel=1e-12, abs=1e-15
+        )
+
+    def test_barycentric_reproduces_point(self):
+        s = op.from_vertices(4, np.random.default_rng(3).normal(size=(5, 4)))
+        w = np.array([0.1, 0.4, -0.2, 0.3, 0.4])
+        assert np.allclose(sx.barycentric(s, w @ s.vertices), w, atol=1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 import orthoplex as op
 from orthoplex import InputError, SuiteConfig, run_all
-from orthoplex import centers
+from orthoplex import DEFAULT_POLICY, centers, families
 from orthoplex import simplex as sx
 from orthoplex import verify as vf
 
@@ -64,6 +64,21 @@ class TestSuites:
         assert all(r["elapsed_ms"] == 0 for r in doc["suites"])
         doc_t = report.to_json_dict(timings=True)
         assert all(isinstance(r["elapsed_ms"], int) for r in doc_t["suites"])
+
+
+class TestRecorder:
+    def test_exact_coincidence_is_a_counterexample(self):
+        rec = vf._Recorder("regularity")
+        vf._check_separation(rec, families.regular(3, 1.0), DEFAULT_POLICY)
+        result = rec.result(0)
+        assert not result.passed
+        assert result.counterexample["check"].startswith("separated: ")
+        assert result.max_residual > 1.0
+
+    def test_zero_over_zero_ratio(self):
+        rec = vf._Recorder("x")
+        rec.check("tie", 0.0, 0.0)
+        assert rec.result(0).passed and rec.max_ratio == 0.0
 
 
 class TestMutationSelfTest:

@@ -44,6 +44,7 @@ from .centers import (
     circumcenter,
     euler_line,
     feuerbach_sphere,
+    feuerbach_spheres,
     incenter,
     monge_point,
     orthocenter,

@@ -10,7 +10,7 @@ coincides with the orthocenter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "is_orthocentric",
     "euler_line",
     "feuerbach_sphere",
+    "feuerbach_spheres",
     "center_report",
 ]
 
@@ -149,8 +150,38 @@ def euler_line(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> Euler
 
 
 def _k_face_centroids(s: sx.Simplex, k: int) -> np.ndarray:
-    return np.array(
-        [s.vertices[list(idx)].mean(axis=0) for idx in combinations(range(s.n), k + 1)]
+    """Centroids of all k-faces, in ``combinations`` order.
+
+    The gathered rows are summed column by column, the same addition order
+    as ``mean(axis=0)`` on each face, so the result is bit-identical to it.
+    """
+    idx = np.fromiter(
+        chain.from_iterable(combinations(range(s.n), k + 1)), np.intp
+    ).reshape(-1, k + 1)
+    v = s.vertices
+    acc = v[idx[:, 0]]
+    for j in range(1, k + 1):
+        acc = acc + v[idx[:, j]]
+    return acc / (k + 1)
+
+
+def _sphere(
+    s: sx.Simplex, k: int, g: np.ndarray, c: np.ndarray | None, h: np.ndarray | None
+) -> FeuerbachSphere:
+    """The k-level sphere from the centroid G and, at the facet level, the
+    circumcenter C, below it the orthocenter H (the other may be None)."""
+    d = s.dim
+    if k == d - 1:
+        center = ((d + 1) * g - c) / d
+    else:
+        center = h + (d + 1) / (2.0 * (k + 1)) * (g - h)
+    dists = np.linalg.norm(_k_face_centroids(s, k) - center, axis=1)
+    radius = float(dists.mean())
+    return FeuerbachSphere(
+        k=k,
+        center=center,
+        radius=radius,
+        max_residual=float(np.max(np.abs(dists - radius))),
     )
 
 
@@ -171,23 +202,26 @@ def feuerbach_sphere(
         raise InputError(f"k must lie in [0, {d - 1}], got {k}")
     g = centroid(s)
     if k == d - 1:
-        c, _ = circumcenter(s)
-        center = ((d + 1) * g - c) / d
-    else:
-        h = orthocenter(s, policy)
-        if h is None:
-            raise NotOrthocentricError(
-                "mid-face spheres below the facet level require an orthocentric simplex"
-            )
-        center = h + (d + 1) / (2.0 * (k + 1)) * (g - h)
-    dists = np.linalg.norm(_k_face_centroids(s, k) - center, axis=1)
-    radius = float(dists.mean())
-    return FeuerbachSphere(
-        k=k,
-        center=center,
-        radius=radius,
-        max_residual=float(np.max(np.abs(dists - radius))),
-    )
+        return _sphere(s, k, g, circumcenter(s)[0], None)
+    h = orthocenter(s, policy)
+    if h is None:
+        raise NotOrthocentricError(
+            "mid-face spheres below the facet level require an orthocentric simplex"
+        )
+    return _sphere(s, k, g, None, h)
+
+
+def feuerbach_spheres(s: sx.Simplex, report: CenterReport) -> list[FeuerbachSphere]:
+    """Every mid-face sphere that exists, from centers already computed:
+    k = 0..d-1 when ``report`` has an orthocenter, else only k = d-1.
+
+    Equal, bit for bit, to :func:`feuerbach_sphere` for each of those k;
+    the orthocentricity decision is the one ``report`` carries.
+    """
+    ks = range(s.dim) if report.orthocenter is not None else [s.dim - 1]
+    return [
+        _sphere(s, k, report.centroid, report.circumcenter, report.orthocenter) for k in ks
+    ]
 
 
 def center_report(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> CenterReport:

@@ -22,10 +22,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .errors import InputError, OrthoplexError
-from .numerics import TolerancePolicy
+from .numerics import TolerancePolicy, _plain
 from . import centers
 from . import families
 from . import orthocentric as oc
@@ -46,26 +44,10 @@ def _policy_from_env(tol: float | None = None) -> TolerancePolicy:
     return TolerancePolicy(rel=tol) if tol is not None else TolerancePolicy()
 
 
-def _pyify(obj):
-    if isinstance(obj, dict):
-        return {k: _pyify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _pyify(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _dump(doc, compact: bool = False) -> str:
     if compact:
-        return json.dumps(_pyify(doc), sort_keys=True, separators=(",", ":"))
-    return json.dumps(_pyify(doc), sort_keys=True, indent=2)
+        return json.dumps(_plain(doc), sort_keys=True, separators=(",", ":"))
+    return json.dumps(_plain(doc), sort_keys=True, indent=2)
 
 
 def simplex_to_doc(s: sx.Simplex, label: str | None = None) -> dict:
@@ -113,7 +95,10 @@ def analysis_doc(s: sx.Simplex, policy: TolerancePolicy) -> dict:
         "orthocentric": report.orthocenter is not None,
         "ortho_params": None,
         "euler": None,
-        "feuerbach": None,
+        "feuerbach": [
+            {"k": sphere.k, "radius": sphere.radius, "max_residual": sphere.max_residual}
+            for sphere in centers.feuerbach_spheres(s, report)
+        ],
     }
     if report.orthocenter is not None:
         try:
@@ -132,17 +117,6 @@ def analysis_doc(s: sx.Simplex, policy: TolerancePolicy) -> dict:
             "collinearity_residual": euler.collinearity_residual,
             "coincident": euler.coincident,
         }
-        ks = range(s.dim)
-    else:
-        ks = [s.dim - 1]
-    doc["feuerbach"] = [
-        {
-            "k": sphere.k,
-            "radius": sphere.radius,
-            "max_residual": sphere.max_residual,
-        }
-        for sphere in (centers.feuerbach_sphere(s, k, policy) for k in ks)
-    ]
     return doc
 
 

@@ -26,6 +26,7 @@ from .errors import (
     DegenerateKiteError,
     InputError,
     NotLiftableError,
+    NumericError,
 )
 from .numerics import DEFAULT_POLICY, TolerancePolicy
 from . import centers
@@ -278,13 +279,15 @@ def rect_centers_distinct(
     (barycentrics (1/2, ..., 1/2, (2-d)/2))."""
     s = rectangular(spec, policy)
     report = centers.center_report(s, policy)
-    assert not report.coincident_pairs, "rectangular centers can never coincide"
+    if report.coincident_pairs:
+        raise NumericError(
+            f"rectangular centers can never coincide, got {report.coincident_pairs}"
+        )
     bary = sx.barycentric(s, report.circumcenter)
     expected = np.full(spec.d + 1, 0.5)
     expected[-1] = (2 - spec.d) / 2.0
-    assert np.max(np.abs(bary - expected)) <= policy.rel * max(spec.d, 1.0), (
-        "circumcenter barycentrics must be (1/2, ..., 1/2, (2-d)/2)"
-    )
+    if np.max(np.abs(bary - expected)) > policy.rel * max(spec.d, 1.0):
+        raise NumericError("circumcenter barycentrics must be (1/2, ..., 1/2, (2-d)/2)")
     return report
 
 
@@ -388,7 +391,8 @@ def equiradial_general(
     p = d * d - 3 * d + 4 - 2 * mn
     q = mn * (mn - d)
     disc = p * p - 4.0 * q
-    assert disc > 0, "admissibility guarantees distinct real roots"
+    if not disc > 0:
+        raise NumericError(f"admissibility guarantees distinct real roots, got disc={disc}")
     root_hi = (p + math.sqrt(disc)) / 2.0
     root_lo = (p - math.sqrt(disc)) / 2.0
     xi, eta = (root_hi, root_lo) if branch == 1 else (root_lo, root_hi)
@@ -398,12 +402,20 @@ def equiradial_general(
     b = -1.0 / y
     sol = EquiradialSolution(xi=xi, eta=eta, x=x, y=y, a=a, b=b)
 
-    assert xi > 0 and eta > 0
-    assert x + m < 0 and y + n < 0
     scale = abs(x * y)
-    assert abs(x * y + n * x + m * y) <= policy.rel * scale
-    assert abs(x * y + x + y - (d - 3) * (d - 1)) <= policy.rel * scale
-    assert abs(m * a + n * b - 1.0) <= policy.rel
+    for holds, what in (
+        (xi > 0 and eta > 0, "positive roots"),
+        (x + m < 0 and y + n < 0, "x + m < 0 and y + n < 0"),
+        (abs(x * y + n * x + m * y) <= policy.rel * scale, "xy + nx + my = 0"),
+        (abs(x * y + x + y - (d - 3) * (d - 1)) <= policy.rel * scale,
+         "xy + x + y = (d-3)(d-1)"),
+        (abs(m * a + n * b - 1.0) <= policy.rel, "m a + n b = 1"),
+    ):
+        if not holds:
+            raise NumericError(
+                f"equiradial ({d}, {m}, branch {branch}) solution violates {what} "
+                f"at rel={policy.rel:g}"
+            )
 
     bary = np.concatenate([np.full(m, a), np.full(n, b)])
     return oc.construct(bary, scale=1.0, policy=policy), sol

@@ -159,3 +159,22 @@ def gram_embed(g: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> np.nda
     r = int(np.count_nonzero(keep))
     pts = vecs[:, keep] * np.sqrt(np.clip(vals[keep], 0.0, None))
     return pts
+
+
+def _plain(obj):
+    """``obj`` with numpy arrays and scalars turned into Python lists and
+    scalars, recursing into dicts, lists and tuples (tuples become lists),
+    so the result is JSON-plain.  Shared by the CLI and the verify reports."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    return obj

@@ -24,6 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (
+    DegenerateSimplexError,
     InputError,
     NotOrthocentricError,
     ParametrizationError,
@@ -253,7 +254,10 @@ def construct(
     d = a.size - 1
     form = OrthoGramForm(scale=scale, sign=sign, x=-1.0 / a)
     pts = gram_embed(SymMatrix(form.matrix(), policy), policy)
-    assert pts.shape[1] == d, "admissible sign pattern must embed at full rank"
+    if pts.shape[1] != d:
+        raise DegenerateSimplexError(
+            f"parameters embed at rank {pts.shape[1]} < {d} at rank_cut={policy.rank_cut:g}"
+        )
     pts = _canonical_pose(pts)
     return sx.from_vertices(d, pts, policy)
 
@@ -329,7 +333,8 @@ def restrict_to_face(p: OrthoParams, index_set) -> OrthoParams:
     if len(set(idx)) != len(idx) or any(i < 0 or i > p.dim for i in idx):
         raise InputError(f"bad face index set {idx}")
     s = float(p.bary[list(idx)].sum())
-    assert abs(s) > 0.0, "coordinate subset sums cannot vanish for valid parameters"
+    if s == 0.0:
+        raise ParametrizationError(f"coordinate sum over face {idx} vanishes")
     a = p.bary[list(idx)] / s
     c = p.obtuseness / s
     kind = ACUTE if c < 0 else OBTUSE

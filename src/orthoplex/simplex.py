@@ -218,7 +218,10 @@ def face(s: Simplex, index_set, policy: TolerancePolicy = DEFAULT_POLICY) -> Sim
     centered = pts - pts.mean(axis=0)
     emb = gram_embed(SymMatrix(centered @ centered.T, policy), policy)
     k = len(idx) - 1
-    assert emb.shape[1] == k, "face of a valid simplex cannot be degenerate"
+    if emb.shape[1] != k:
+        raise DegenerateSimplexError(
+            f"face {idx} embeds at rank {emb.shape[1]} < {k} at rank_cut={policy.rank_cut:g}"
+        )
     return from_vertices(k, emb, policy)
 
 

@@ -22,8 +22,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateSimplexError, InputError, NotLiftableError
-from .numerics import DEFAULT_POLICY, TolerancePolicy
+from .errors import DegenerateSimplexError, InputError, NotLiftableError, NumericError
+from .numerics import DEFAULT_POLICY, TolerancePolicy, _plain
 from . import centers
 from . import families
 from . import orthocentric as oc
@@ -170,16 +170,6 @@ class _Recorder:
             counterexample=self.counterexample,
             elapsed_ms=elapsed_ms,
         )
-
-
-def _plain(v):
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    return v
 
 
 def _sub_seed(config: SuiteConfig, *parts: int) -> int:
@@ -394,8 +384,10 @@ def suite_euler_feuerbach(config: SuiteConfig) -> SuiteResult:
 def _check_euler_feuerbach(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
     d = s.dim
     diam = sx.diameter(s)
-    h = centers.orthocenter(s, pol)
-    assert h is not None, "fixtures are orthocentric by construction"
+    report = centers.center_report(s, pol)
+    h, c, big_r = report.orthocenter, report.circumcenter, report.circumradius
+    if h is None:
+        raise NumericError(f"euler_feuerbach fixture is not orthocentric at rel={pol.rel:g}")
     euler = centers.euler_line(s, pol)
     if not euler.coincident:
         rec.check("euler collinearity", euler.collinearity_residual, pol.rel * diam, s,
@@ -404,13 +396,11 @@ def _check_euler_feuerbach(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
         rec.check("euler ratio (d-1):2", abs(euler.ratio - target), 10 * pol.rel * target,
                   s, ratio=euler.ratio)
 
-    g = centers.centroid(s)
-    c, big_r = centers.circumcenter(s)
     vec = (s.vertices - c).sum(axis=0) - (d - 1) * (h - c)
     rec.check("vertex sum identity", float(np.linalg.norm(vec)), pol.rel * diam, s)
 
-    for k in range(d):
-        sphere = centers.feuerbach_sphere(s, k, pol)
+    for sphere in centers.feuerbach_spheres(s, report):
+        k = sphere.k
         rec.check(f"feuerbach k={k} equidistance", sphere.max_residual,
                   10 * pol.rel * sphere.radius, s, k=k, radius=sphere.radius)
         if k == 0:

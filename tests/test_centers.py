@@ -6,6 +6,7 @@ import pytest
 
 import orthoplex as op
 from orthoplex import NotOrthocentricError
+from orthoplex import centers
 from orthoplex import simplex as sx
 
 
@@ -205,6 +206,57 @@ class TestFeuerbachSphere:
             op.feuerbach_sphere(s, 1)
         with pytest.raises(op.InputError):
             op.feuerbach_sphere(s, 4)
+
+
+
+def _sphere_fixtures():
+    rng = np.random.default_rng(21)
+    acute = op.sample_params(5, "acute", 3)
+    obtuse = op.sample_params(4, "obtuse", 4)
+    return {
+        "acute": op.construct(acute.bary, 1.0),
+        "obtuse": op.construct(obtuse.bary, 2.0),
+        "rectangular": right_corner(1.0, 1.5, 2.0, 0.7),
+        "regular": op.regular(5, 1.3),
+        "triangle": op.from_vertices(2, rng.normal(size=(3, 2))),
+    }
+
+
+class TestFeuerbachSpheres:
+    @pytest.mark.parametrize("name", sorted(_sphere_fixtures()))
+    def test_matches_single_k_bit_exactly(self, name):
+        s = _sphere_fixtures()[name]
+        report = op.center_report(s)
+        assert report.orthocenter is not None
+        family = op.feuerbach_spheres(s, report)
+        singles = [op.feuerbach_sphere(s, k) for k in range(s.dim)]
+        assert [sp.k for sp in family] == list(range(s.dim))
+        for got, want in zip(family, singles):
+            assert np.array_equal(got.center, want.center)
+            assert got.radius == want.radius
+            assert got.max_residual == want.max_residual
+
+    def test_general_simplex_only_facet_sphere(self):
+        rng = np.random.default_rng(6)
+        s = op.from_vertices(4, rng.normal(size=(5, 4)))
+        report = op.center_report(s)
+        assert report.orthocenter is None
+        (sphere,) = op.feuerbach_spheres(s, report)
+        want = op.feuerbach_sphere(s, 3)
+        assert sphere.k == 3
+        assert np.array_equal(sphere.center, want.center)
+        assert sphere.radius == want.radius
+        assert sphere.max_residual == want.max_residual
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_face_centroids_match_explicit_loop(self, d):
+        rng = np.random.default_rng(d)
+        s = op.from_vertices(d, rng.normal(size=(d + 1, d)))
+        for k in range(d + 1):
+            want = np.array(
+                [s.vertices[list(idx)].mean(axis=0) for idx in combinations(range(d + 1), k + 1)]
+            )
+            assert np.array_equal(centers._k_face_centroids(s, k), want)
 
 
 class TestCenterReport:

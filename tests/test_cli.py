@@ -1,5 +1,10 @@
+import ast
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,3 +263,65 @@ class TestTolEnv:
         monkeypatch.setenv("ORTHOPLEX_TOL", "1e-2")
         code, a, _ = run_json(capsys, "analyze", stdin=json.dumps(doc), monkeypatch=monkeypatch)
         assert a["orthocentric"] is True
+
+
+class TestWorkPerAnalysis:
+    """Gate on work done, not on time: orthocentricity is decided once per
+    center report, params_of and Euler line, never once per sphere."""
+
+    @staticmethod
+    def residual_calls(monkeypatch, s):
+        calls = []
+        original = sx.edge_perpendicularity_residual
+
+        def counting(simplex):
+            calls.append(simplex.dim)
+            return original(simplex)
+
+        monkeypatch.setattr(sx, "edge_perpendicularity_residual", counting)
+        cli.analysis_doc(s, op.TolerancePolicy())
+        return len(calls)
+
+    @pytest.mark.parametrize("d", [4, 8])
+    @pytest.mark.parametrize("kind", ["acute", "obtuse"])
+    def test_orthocentric_decides_three_times(self, monkeypatch, d, kind):
+        p = op.sample_params(d, kind, d)
+        assert self.residual_calls(monkeypatch, op.construct(p.bary, 1.0)) == 3
+
+    def test_general_decides_once(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        s = op.from_vertices(8, rng.normal(size=(9, 8)))
+        assert self.residual_calls(monkeypatch, s) == 1
+
+
+SRC = Path(op.__file__).resolve().parent
+
+
+class TestValidationWithoutAsserts:
+    """Validation must not rely on assert statements, which python -O drops."""
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_equiradial_below_round_off_is_a_json_error(self, flags):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC.parent), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        env.pop("ORTHOPLEX_TOL", None)
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "orthoplex.cli", "construct", "equiradial",
+             "--dim", "9", "--m", "2", "--tol", "1e-16"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "equiradial" in json.loads(proc.stderr)["error"]
+
+    def test_no_assert_statements_in_src(self):
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []

@@ -10,6 +10,8 @@ from orthoplex import (
     DegenerateKiteError,
     InputError,
     NotLiftableError,
+    NumericError,
+    TolerancePolicy,
 )
 from orthoplex import simplex as sx
 
@@ -199,6 +201,10 @@ class TestRectangular:
         bary = np.linalg.solve(m, np.concatenate([c, [1.0]]))
         assert bary[-1] == pytest.approx(0.0, abs=1e-12)
 
+    def test_coincidence_at_coarse_tolerance_is_a_numeric_error(self):
+        with pytest.raises(NumericError, match="never coincide"):
+            op.rect_centers_distinct(op.RectSpec(3, (3.0, 4.0, 5.0)), TolerancePolicy(rel=0.5))
+
     def test_incenter_never_centroid(self):
         # I = G would need b_i = (d+1) r for all i, forcing d+1 = d+sqrt(d)
         for d in (2, 3, 5):
@@ -303,6 +309,10 @@ class TestEquiradialGeneral:
         assert not cd.interior
         rep = op.center_report(s)
         assert rep.coincident_pairs == ()
+
+    def test_residual_checks_below_round_off_raise_numeric_error(self):
+        with pytest.raises(NumericError, match=r"equiradial \(9, 2, branch 1\)"):
+            op.equiradial_general(9, 2, 1, TolerancePolicy(rel=1e-16))
 
     def test_branches_not_similar(self):
         s1, _ = op.equiradial_general(9, 2, 1)

@@ -6,6 +6,7 @@ import pytest
 
 import orthoplex as op
 from orthoplex import (
+    DegenerateSimplexError,
     InputError,
     NotOrthocentricError,
     ParametrizationError,
@@ -131,6 +132,11 @@ class TestConstruct:
                 gap = np.min(np.minimum(np.abs(sums), np.abs(sums - 1.0)))
                 assert gap == pytest.approx(np.min(np.abs(a)), abs=1e-14)
 
+    def test_rank_deficient_embedding_is_degenerate(self):
+        pol = op.TolerancePolicy(rel=1e-12, rank_cut=1e-3)
+        with pytest.raises(DegenerateSimplexError, match="rank 1 < 2"):
+            op.construct([1e-4, 0.5, 0.5 - 1e-4], 1.0, pol)
+
     def test_scale_sets_obtuseness_magnitude(self):
         p = op.params_of(op.construct([0.25, 0.25, 0.25, 0.25], 2.5))
         assert p.obtuseness == pytest.approx(-2.5, rel=1e-9)
@@ -216,6 +222,12 @@ class TestRestrictToFace:
         p = op.params_of(op.construct([0.4, 0.3, 0.2, 0.1], 1.0))
         with pytest.raises(InputError):
             op.restrict_to_face(p, (0, 1))
+
+    def test_vanishing_face_sum_rejected(self):
+        p = op.OrthoParams(dim=3, bary=np.array([0.5, -0.5, 0.0, 1.0]),
+                           obtuseness=1.0, kind=op.OBTUSE)
+        with pytest.raises(ParametrizationError, match="vanishes"):
+            op.restrict_to_face(p, (0, 1, 2))
 
 
 class TestCircumData:

@@ -113,6 +113,12 @@ class TestFace:
             sorted(sx.edge_lengths(inner)), sorted(sx.edge_lengths(direct)), rtol=1e-10
         )
 
+    def test_face_below_rank_cut_is_degenerate(self):
+        rng = np.random.default_rng(0)
+        s = op.from_vertices(3, rng.normal(size=(4, 3)))
+        with pytest.raises(DegenerateSimplexError, match="embeds at rank 1 < 2"):
+            op.face(s, (0, 1, 2), op.TolerancePolicy(rank_cut=0.99))
+
     def test_bad_index_sets(self):
         s = op.regular(3, 1.0)
         with pytest.raises(InputError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import orthoplex as op
-from orthoplex import InputError, SuiteConfig, run_all
+from orthoplex import InputError, NumericError, SuiteConfig, run_all
 from orthoplex import DEFAULT_POLICY, centers, families
 from orthoplex import simplex as sx
 from orthoplex import verify as vf
@@ -79,6 +79,12 @@ class TestRecorder:
         rec = vf._Recorder("x")
         rec.check("tie", 0.0, 0.0)
         assert rec.result(0).passed and rec.max_ratio == 0.0
+
+    def test_non_orthocentric_euler_fixture_is_a_numeric_error(self):
+        rng = np.random.default_rng(6)
+        s = op.from_vertices(4, rng.normal(size=(5, 4)))
+        with pytest.raises(NumericError, match="not orthocentric"):
+            vf._check_euler_feuerbach(vf._Recorder("euler_feuerbach"), s, DEFAULT_POLICY)
 
 
 class TestMutationSelfTest:

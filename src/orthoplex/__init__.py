@@ -22,16 +22,12 @@ from .errors import (
     ParametrizationError,
     RectangularParamsError,
 )
-from .numerics import DEFAULT_POLICY, SymMatrix, TolerancePolicy, det_structured, gram_embed, sym_eigen
+from .numerics import DEFAULT_POLICY, SymMatrix, TolerancePolicy, gram_embed, sym_eigen
 from .simplex import (
-    Metrics,
     ShapeFlags,
     Simplex,
-    dihedral_cosines,
     face,
     from_vertices,
-    gram,
-    metrics,
     shape_predicates,
     volume,
 )

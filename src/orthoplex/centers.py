@@ -65,10 +65,12 @@ class EulerLineData:
     coincident: bool
 
 
+@sx._per_simplex
 def centroid(s: sx.Simplex) -> np.ndarray:
     return s.vertices.mean(axis=0)
 
 
+@sx._per_simplex
 def circumcenter(s: sx.Simplex) -> tuple[np.ndarray, float]:
     """Center and radius of the sphere through all vertices.
 
@@ -85,6 +87,7 @@ def circumcenter(s: sx.Simplex) -> tuple[np.ndarray, float]:
     return c, r
 
 
+@sx._per_simplex
 def incenter(s: sx.Simplex) -> tuple[np.ndarray, float]:
     """Center and radius of the sphere touching all facet hyperplanes.
 
@@ -97,6 +100,7 @@ def incenter(s: sx.Simplex) -> tuple[np.ndarray, float]:
     return center, float(r)
 
 
+@sx._per_simplex
 def monge_point(s: sx.Simplex) -> np.ndarray:
     """Common point of the hyperplanes through each edge-complement
     centroid perpendicular to that edge: ((d+1) G - 2 C) / (d - 1)."""

@@ -264,8 +264,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (OrthoplexError, OSError) as exc:

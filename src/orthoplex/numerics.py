@@ -2,10 +2,9 @@
 
 Everything geometric in this package funnels its floating-point decisions
 through a single :class:`TolerancePolicy`, so that no predicate carries a
-private epsilon.  The other kernels are a symmetric eigensolver wrapper, a
-rank-revealing embedding of positive semidefinite Gram matrices into
-coordinates, and the closed-form determinant of the "constant rows plus
-diagonal" matrix that drives the orthocentric sign analysis.
+private epsilon.  The other kernels are a symmetric eigensolver wrapper and
+a rank-revealing embedding of positive semidefinite Gram matrices into
+coordinates.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ __all__ = [
     "DEFAULT_POLICY",
     "SymMatrix",
     "sym_eigen",
-    "det_structured",
     "gram_embed",
 ]
 
@@ -112,29 +110,6 @@ def sym_eigen(m: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericError(f"symmetric eigensolve failed to converge: {exc}") from exc
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
-
-
-def det_structured(a, b) -> float:
-    """Determinant of the n x n matrix with row-constant entries a_i off the
-    diagonal and a_i + b_i on it.
-
-    Evaluates the polynomial form  prod(b) + sum_i a_i * prod_{j != i} b_j,
-    which equals (b_1 ... b_n) (1 + sum a_i / b_i) away from zeros of b and
-    extends it continuously onto them.  Total: never raises.
-    """
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    if av.shape != bv.shape or av.ndim != 1:
-        raise InputError("a and b must be 1-d sequences of equal length")
-    n = av.size
-    if n == 0:
-        return 1.0
-    # prefix[i] = b_0 ... b_{i-1}, suffix[i] = b_{i+1} ... b_{n-1}
-    prefix = np.concatenate(([1.0], np.cumprod(bv)[:-1]))
-    suffix = np.concatenate((np.cumprod(bv[::-1])[:-1][::-1], [1.0]))
-    prod_except = prefix * suffix
-    full = prefix[-1] * bv[-1]
-    return float(full + np.dot(av, prod_except))
 
 
 def gram_embed(g: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

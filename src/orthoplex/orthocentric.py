@@ -19,7 +19,6 @@ off its factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -212,9 +211,10 @@ def params_of(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> OrthoP
     h = centers.monge_point(s)
     diam = sx.diameter(s)
     rel_h = s.vertices - h
-    prods = [float(rel_h[i] @ rel_h[j]) for i, j in combinations(range(s.n), 2)]
+    i, j = np.triu_indices(s.n, 1)
+    prods = np.matmul(rel_h[i][:, None, :], rel_h[j][:, :, None])[:, 0, 0]
     c = float(np.mean(prods))
-    dev = float(np.max(np.abs(np.asarray(prods) - c)))
+    dev = float(np.max(np.abs(prods - c)))
     # the edge-perpendicularity gate at residual rel admits pair deviations
     # up to ~rel * diam^2, so the consistency allowance matches that scale
     if dev > max(policy.rel * abs(c), policy.rel * diam**2):
@@ -308,9 +308,7 @@ def edge_and_altitude_data(
 
     feet = h + (a / (a - 1.0))[:, None] * (s.vertices - h)
     lengths = np.sqrt(c / (a * (a - 1.0)))
-    for i in range(s.n):
-        facet_pts = s.vertices[list(sx.facet_indices(s, i))]
-        geometric = sx.project_to_affine_hull(s.vertices[i], facet_pts)
+    for i, geometric in enumerate(sx.altitude_feet(s)):
         if np.linalg.norm(feet[i] - geometric) > max(policy.rel * diam, policy.abs):
             raise NotOrthocentricError("altitude-foot formula check failed")
     measured_len = np.linalg.norm(s.vertices - feet, axis=1)

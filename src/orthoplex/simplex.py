@@ -11,8 +11,8 @@ Vertex indices are 0-based everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from functools import wraps
 from math import factorial
 
 import numpy as np
@@ -22,15 +22,11 @@ from .numerics import DEFAULT_POLICY, SymMatrix, TolerancePolicy, gram_embed, sy
 
 __all__ = [
     "Simplex",
-    "Metrics",
     "ShapeFlags",
     "from_vertices",
-    "gram",
     "volume",
-    "metrics",
     "face",
     "shape_predicates",
-    "dihedral_cosines",
     "edge_lengths",
     "squared_edge_table",
     "diameter",
@@ -39,19 +35,25 @@ __all__ = [
     "facet_volumes",
     "facet_circumradii",
     "facet_sq_edge_sums",
-    "facet_normals",
     "barycentric",
     "project_to_affine_hull",
+    "altitude_feet",
     "edge_perpendicularity_residual",
 ]
 
 
 @dataclass(frozen=True)
 class Simplex:
-    """d+1 affinely independent vertices in d-space (d >= 1)."""
+    """d+1 affinely independent vertices in d-space (d >= 1).
+
+    Tables derived from the vertices alone are computed once per simplex
+    and stored in ``_memo`` (see :func:`_per_simplex`); the vertices are
+    read-only, so a stored table cannot go stale.
+    """
 
     dim: int
     vertices: np.ndarray  # shape (dim+1, dim), read-only
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -59,14 +61,6 @@ class Simplex:
 
     def __repr__(self):
         return f"Simplex(dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class Metrics:
-    volume: float
-    circumradius: float
-    inradius: float
-    diameter: float
 
 
 @dataclass(frozen=True)
@@ -109,15 +103,30 @@ def from_vertices(dim, vertices, policy: TolerancePolicy = DEFAULT_POLICY) -> Si
     return Simplex(dim=dim, vertices=arr)
 
 
-def gram(s: Simplex, origin) -> SymMatrix:
-    """Gram matrix of the vertices relative to ``origin``."""
-    o = np.asarray(origin, dtype=float)
-    if o.shape != (s.dim,):
-        raise InputError(f"origin must have length {s.dim}")
-    p = s.vertices - o
-    return SymMatrix(p @ p.T)
+def _read_only(value):
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    return value
 
 
+def _per_simplex(fn):
+    """Run ``fn(s)`` once per simplex: the result is stored in ``s._memo``
+    with every array in it (also inside a tuple) made read-only, and later
+    calls return that same object."""
+
+    @wraps(fn)
+    def memoized(s: Simplex):
+        if fn not in s._memo:
+            s._memo[fn] = _read_only(fn(s))
+        return s._memo[fn]
+
+    return memoized
+
+
+@_per_simplex
 def volume(s: Simplex) -> float:
     """d-volume via the edge-vector Gram determinant."""
     return subset_volume(s, range(s.n))
@@ -135,12 +144,19 @@ def subset_volume(s: Simplex, index_set) -> float:
     return float(np.sqrt(max(det, 0.0))) / factorial(k)
 
 
+@_per_simplex
 def edge_lengths(s: Simplex) -> np.ndarray:
-    """All C(d+1, 2) edge lengths, in lexicographic (i < j) order."""
-    v = s.vertices
-    return np.array([np.linalg.norm(v[i] - v[j]) for i, j in combinations(range(s.n), 2)])
+    """All C(d+1, 2) edge lengths, in lexicographic (i < j) order.
+
+    Each is the square root of one stacked 1 x d by d x 1 product, which
+    gives the same bits as ``np.linalg.norm`` of each edge vector.
+    """
+    i, j = np.triu_indices(s.n, 1)
+    e = s.vertices[i] - s.vertices[j]
+    return np.sqrt(np.matmul(e[:, None, :], e[:, :, None])[:, 0, 0])
 
 
+@_per_simplex
 def squared_edge_table(s: Simplex) -> np.ndarray:
     """(d+1) x (d+1) table of squared distances, zero diagonal."""
     v = s.vertices
@@ -148,6 +164,7 @@ def squared_edge_table(s: Simplex) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+@_per_simplex
 def diameter(s: Simplex) -> float:
     return float(np.max(edge_lengths(s)))
 
@@ -157,11 +174,13 @@ def facet_indices(s: Simplex, i: int) -> tuple[int, ...]:
     return tuple(j for j in range(s.n) if j != i)
 
 
+@_per_simplex
 def facet_volumes(s: Simplex) -> np.ndarray:
     """(d-1)-volumes of all d+1 facets, facet i opposite vertex i."""
     return np.array([subset_volume(s, facet_indices(s, i)) for i in range(s.n)])
 
 
+@_per_simplex
 def facet_circumradii(s: Simplex) -> np.ndarray:
     """Circumradii of all d+1 facets, facet i opposite vertex i.
 
@@ -193,19 +212,6 @@ def barycentric(s: Simplex, point) -> np.ndarray:
     """Barycentric coordinates of ``point`` with respect to the vertices."""
     m = np.vstack([s.vertices.T, np.ones(s.n)])
     return np.linalg.solve(m, np.concatenate([np.asarray(point, float), [1.0]]))
-
-
-def metrics(s: Simplex) -> Metrics:
-    from . import centers  # circumradius/inradius live there
-
-    _, big_r = centers.circumcenter(s)
-    _, small_r = centers.incenter(s)
-    return Metrics(
-        volume=volume(s),
-        circumradius=big_r,
-        inradius=small_r,
-        diameter=diameter(s),
-    )
 
 
 def face(s: Simplex, index_set, policy: TolerancePolicy = DEFAULT_POLICY) -> Simplex:
@@ -245,31 +251,13 @@ def project_to_affine_hull(point, pts) -> np.ndarray:
     return base + coeff @ basis
 
 
-def facet_normals(s: Simplex) -> np.ndarray:
-    """Outward unit normals, row i for the facet opposite vertex i.
-
-    The outward direction is from the vertex toward its altitude foot.
-    """
-    normals = np.empty_like(s.vertices)
-    for i in range(s.n):
-        pts = s.vertices[list(facet_indices(s, i))]
-        foot = project_to_affine_hull(s.vertices[i], pts)
-        v = foot - s.vertices[i]
-        normals[i] = v / np.linalg.norm(v)
-    return normals
-
-
-def dihedral_cosines(s: Simplex) -> np.ndarray:
-    """Cosines of the interior dihedral angles, cos(phi_ij) = -n_i . n_j.
-
-    Diagonal entries are NaN (unused).
-    """
-    if s.dim < 2:
-        raise InputError("dihedral angles need dimension >= 2")
-    n = facet_normals(s)
-    table = -(n @ n.T)
-    np.fill_diagonal(table, np.nan)
-    return table
+def altitude_feet(s: Simplex) -> np.ndarray:
+    """Row i: the foot of the altitude from vertex i, the projection of
+    A_i onto the hull of the facet opposite it."""
+    return np.array([
+        project_to_affine_hull(s.vertices[i], s.vertices[list(facet_indices(s, i))])
+        for i in range(s.n)
+    ])
 
 
 def shape_predicates(s: Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> ShapeFlags:
@@ -286,6 +274,7 @@ def shape_predicates(s: Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> Sh
     )
 
 
+@_per_simplex
 def edge_perpendicularity_residual(s: Simplex) -> float:
     """Worst normalized |(A_i - A_j) . (A_k - A_l)| over disjoint edge pairs.
 

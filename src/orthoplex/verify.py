@@ -409,13 +409,7 @@ def _check_euler_feuerbach(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
             rec.check("feuerbach k=0 radius is circumradius",
                       abs(sphere.radius - big_r), pol.rel * big_r, s)
         if k == d - 1:
-            feet = np.array([
-                sx.project_to_affine_hull(
-                    s.vertices[i], s.vertices[list(sx.facet_indices(s, i))]
-                )
-                for i in range(s.n)
-            ])
-            dist = np.linalg.norm(feet - sphere.center, axis=1)
+            dist = np.linalg.norm(sx.altitude_feet(s) - sphere.center, axis=1)
             rec.check("altitude feet on facet-centroid sphere",
                       float(np.max(np.abs(dist - sphere.radius))),
                       10 * pol.rel * sphere.radius, s)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import orthoplex as op
+from orthoplex import centers
 from orthoplex import cli
 from orthoplex import simplex as sx
 
@@ -270,28 +271,44 @@ class TestWorkPerAnalysis:
     center report, params_of and Euler line, never once per sphere."""
 
     @staticmethod
-    def residual_calls(monkeypatch, s):
-        calls = []
-        original = sx.edge_perpendicularity_residual
+    def results(monkeypatch, module, name, s):
+        """What ``module.name`` returned on each call in one analysis_doc."""
+        returned = []
+        original = getattr(module, name)
 
-        def counting(simplex):
-            calls.append(simplex.dim)
-            return original(simplex)
+        def recording(simplex):
+            returned.append(original(simplex))
+            return returned[-1]
 
-        monkeypatch.setattr(sx, "edge_perpendicularity_residual", counting)
+        monkeypatch.setattr(module, name, recording)
         cli.analysis_doc(s, op.TolerancePolicy())
-        return len(calls)
+        return returned
 
     @pytest.mark.parametrize("d", [4, 8])
     @pytest.mark.parametrize("kind", ["acute", "obtuse"])
     def test_orthocentric_decides_three_times(self, monkeypatch, d, kind):
         p = op.sample_params(d, kind, d)
-        assert self.residual_calls(monkeypatch, op.construct(p.bary, 1.0)) == 3
+        s = op.construct(p.bary, 1.0)
+        residuals = self.results(monkeypatch, sx, "edge_perpendicularity_residual", s)
+        assert len(residuals) == 3
+        # the residual itself is computed once, the other calls read it back
+        assert all(r is residuals[0] for r in residuals)
 
     def test_general_decides_once(self, monkeypatch):
         rng = np.random.default_rng(8)
         s = op.from_vertices(8, rng.normal(size=(9, 8)))
-        assert self.residual_calls(monkeypatch, s) == 1
+        assert len(self.results(monkeypatch, sx, "edge_perpendicularity_residual", s)) == 1
+
+    @pytest.mark.parametrize("orthocentric", [True, False])
+    def test_circumcenter_solved_once(self, monkeypatch, orthocentric):
+        rng = np.random.default_rng(5)
+        if orthocentric:
+            s = op.construct(op.sample_params(6, "acute", 6).bary, 1.0)
+        else:
+            s = op.from_vertices(6, rng.normal(size=(7, 6)))
+        found = self.results(monkeypatch, centers, "circumcenter", s)
+        assert len(found) >= 2
+        assert all(c is found[0] for c in found)
 
 
 SRC = Path(op.__file__).resolve().parent

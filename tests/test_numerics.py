@@ -6,18 +6,9 @@ from orthoplex import (
     NotPSDError,
     SymMatrix,
     TolerancePolicy,
-    det_structured,
     gram_embed,
     sym_eigen,
 )
-
-
-def structured_matrix(a, b):
-    """Explicit matrix for the determinant oracle: a_i off the diagonal of
-    row i, a_i + b_i on it."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    return np.tile(a[:, None], (1, a.size)) + np.diag(b)
 
 
 class TestTolerancePolicy:
@@ -83,44 +74,6 @@ class TestSymEigen:
             for lam, v in zip(vals, vecs.T):
                 assert np.linalg.norm(m @ v - lam * v) <= 1e-9 * norm
             assert np.all(np.diff(vals) <= 1e-12)  # descending
-
-
-class TestDetStructured:
-    def test_uniform_case(self):
-        # b^{n-1} (b + n a) at a = b = 1, n = 3
-        assert det_structured([1, 1, 1], [1, 1, 1]) == pytest.approx(4.0)
-
-    def test_one_by_one(self):
-        assert det_structured([5.0], [2.0]) == pytest.approx(7.0)
-
-    def test_worked_three_by_three(self):
-        # cofactor oracle on the explicit matrix
-        a, b = (1.0, 2.0, 3.0), (4.0, 5.0, 6.0)
-        oracle = np.linalg.det(structured_matrix(a, b))
-        assert oracle == pytest.approx(258.0)
-        assert det_structured(a, b) == pytest.approx(258.0, rel=1e-12)
-
-    def test_total_on_zero_entries(self):
-        # single zero: limit form keeps the matching product term
-        a, b = (2.0, 3.0), (0.0, 5.0)
-        oracle = np.linalg.det(structured_matrix(a, b))
-        assert det_structured(a, b) == pytest.approx(oracle, rel=1e-12)
-        # all-zero b: determinant of the rank-1 matrix is 0 for n >= 2
-        assert det_structured([1.0, 2.0], [0.0, 0.0]) == pytest.approx(0.0)
-
-    def test_against_lu_on_random_instances(self):
-        rng = np.random.default_rng(11)
-        for _ in range(1000):
-            n = int(rng.integers(1, 9))
-            a = rng.uniform(-2, 2, n)
-            b = rng.uniform(-2, 2, n)
-            oracle = float(np.linalg.det(structured_matrix(a, b)))
-            got = det_structured(a, b)
-            assert abs(got - oracle) <= 1e-9 * max(abs(oracle), 1e-6)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InputError):
-            det_structured([1.0, 2.0], [1.0])
 
 
 class TestGramEmbed:

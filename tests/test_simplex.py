@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import orthoplex as op
 from orthoplex import DegenerateSimplexError, InputError
+from orthoplex import centers
 from orthoplex import simplex as sx
 from conftest import random_rotation
 
@@ -36,25 +37,6 @@ class TestFromVertices:
         s = op.from_vertices(2, [[0, 0], [1, 0], [0, 1]])
         with pytest.raises(ValueError):
             s.vertices[0, 0] = 5.0
-
-
-class TestGram:
-    def test_regular_triangle_about_center(self):
-        s = op.regular(2, math.sqrt(6.0))
-        g = op.gram(s, np.zeros(2)).a
-        assert np.allclose(np.diag(g), 2.0)
-        off = g[~np.eye(3, dtype=bool)]
-        assert np.allclose(off, -1.0)
-
-    def test_origin_at_vertex_zeroes_row(self):
-        s = right_corner(3, 4)
-        g = op.gram(s, s.vertices[0]).a
-        assert np.allclose(g[0], 0.0) and np.allclose(g[:, 0], 0.0)
-
-    def test_rectangular_about_corner(self):
-        s = right_corner(3, 4)
-        g = op.gram(s, s.vertices[-1]).a
-        assert np.allclose(g, np.diag([9.0, 16.0, 0.0]))
 
 
 class TestVolume:
@@ -129,14 +111,6 @@ class TestFace:
             op.face(s, (0, 0, 1))
 
 
-class TestMetrics:
-    def test_fields_positive_and_ordered(self):
-        m = op.metrics(op.regular(4, 2.0))
-        assert 0 < m.inradius < m.circumradius
-        assert m.diameter == pytest.approx(2.0)
-        assert m.volume > 0
-
-
 class TestShapePredicates:
     @pytest.mark.parametrize("d", range(2, 11))
     def test_regular_all_true(self, d):
@@ -155,31 +129,6 @@ class TestShapePredicates:
             [flags.is_regular, flags.is_equiareal, flags.is_equiradial,
              flags.has_well_distributed_edges]
         )
-
-
-class TestDihedralCosines:
-    def test_equilateral_triangle(self):
-        t = op.dihedral_cosines(op.regular(2, 1.0))
-        off = t[~np.eye(3, dtype=bool)]
-        assert np.allclose(off, 0.5)
-
-    def test_regular_tetrahedron(self):
-        t = op.dihedral_cosines(op.regular(3, 1.0))
-        off = t[~np.eye(4, dtype=bool)]
-        assert np.allclose(off, 1 / 3)
-
-    def test_right_corner_leg_facets_perpendicular(self):
-        t = op.dihedral_cosines(right_corner(1, 1, 1))
-        # facets opposite the leg vertices are the coordinate planes
-        for i, j in combinations(range(3), 2):
-            assert t[i, j] == pytest.approx(0.0, abs=1e-12)
-
-    def test_minkowski_closure_of_normals(self):
-        rng = np.random.default_rng(9)
-        for d in (2, 3, 4, 6):
-            s = op.from_vertices(d, rng.normal(size=(d + 1, d)))
-            weighted = sx.facet_volumes(s)[:, None] * sx.facet_normals(s)
-            assert np.linalg.norm(weighted.sum(axis=0)) <= 1e-10 * sx.diameter(s) ** (d - 1)
 
 
 class TestPerpendicularityResidual:
@@ -243,3 +192,49 @@ class TestFacetClosedForms:
         s = op.from_vertices(4, np.random.default_rng(3).normal(size=(5, 4)))
         w = np.array([0.1, 0.4, -0.2, 0.3, 0.4])
         assert np.allclose(sx.barycentric(s, w @ s.vertices), w, atol=1e-12)
+
+
+PER_SIMPLEX = [
+    sx.edge_lengths,
+    sx.squared_edge_table,
+    sx.diameter,
+    sx.volume,
+    sx.facet_volumes,
+    sx.facet_circumradii,
+    sx.edge_perpendicularity_residual,
+    centers.centroid,
+    centers.circumcenter,
+    centers.incenter,
+    centers.monge_point,
+]
+
+
+class TestPerSimplexTables:
+    @pytest.mark.parametrize("fn", PER_SIMPLEX, ids=lambda fn: fn.__name__)
+    def test_computed_once_and_read_only(self, fn):
+        s = op.from_vertices(4, np.random.default_rng(6).normal(size=(5, 4)))
+        first = fn(s)
+        assert fn(s) is first
+        assert fn(op.from_vertices(4, 2.0 * s.vertices)) is not first
+        parts = first if isinstance(first, tuple) else (first,)
+        for arr in (p for p in parts if isinstance(p, np.ndarray)):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+
+    @pytest.mark.parametrize("d", range(2, 41))
+    def test_edge_lengths_match_norm_loop(self, d):
+        s = op.from_vertices(d, np.random.default_rng(d).normal(size=(d + 1, d)))
+        v = s.vertices
+        want = np.array([np.linalg.norm(v[i] - v[j]) for i, j in combinations(range(s.n), 2)])
+        assert np.array_equal(sx.edge_lengths(s), want)
+
+    def test_altitude_feet_are_projections(self):
+        s = op.from_vertices(5, np.random.default_rng(4).normal(size=(6, 5)))
+        feet = sx.altitude_feet(s)
+        for i in range(s.n):
+            others = s.vertices[list(sx.facet_indices(s, i))]
+            # the altitude is perpendicular to every edge of the opposite facet
+            assert np.allclose((others - others[0]) @ (s.vertices[i] - feet[i]), 0.0, atol=1e-10)
+            # and the foot lies in that facet's hull
+            w = sx.barycentric(s, feet[i])
+            assert abs(w[i]) <= 1e-10

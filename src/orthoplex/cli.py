@@ -173,7 +173,11 @@ def _floats(text: str) -> list[float]:
 
 
 def _read_doc(path: str | None) -> dict:
-    raw = sys.stdin.read() if path in (None, "-") else open(path, encoding="utf-8").read()
+    if path in (None, "-"):
+        raw = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read()
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:

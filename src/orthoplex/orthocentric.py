@@ -155,7 +155,7 @@ class CircumData:
         4 R_F^2 / sigma = (k-1)^2 / s - sum_{i in I} 1/a_i, s = sum_{i in I} a_i."""
         idx = tuple(int(i) for i in index_set)
         p = self._params
-        if len(set(idx)) != len(idx) or any(i < 0 or i > p.dim for i in idx):
+        if not idx or len(set(idx)) != len(idx) or any(i < 0 or i > p.dim for i in idx):
             raise InputError(f"bad face index set {idx}")
         k = len(idx) - 1
         s = float(p.bary[list(idx)].sum())
@@ -211,7 +211,7 @@ def params_of(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> OrthoP
     h = centers.monge_point(s)
     diam = sx.diameter(s)
     rel_h = s.vertices - h
-    i, j = np.triu_indices(s.n, 1)
+    i, j = sx._pairs(s)[:2]
     prods = np.matmul(rel_h[i][:, None, :], rel_h[j][:, :, None])[:, 0, 0]
     c = float(np.mean(prods))
     dev = float(np.max(np.abs(prods - c)))
@@ -308,9 +308,9 @@ def edge_and_altitude_data(
 
     feet = h + (a / (a - 1.0))[:, None] * (s.vertices - h)
     lengths = np.sqrt(c / (a * (a - 1.0)))
-    for i, geometric in enumerate(sx.altitude_feet(s)):
-        if np.linalg.norm(feet[i] - geometric) > max(policy.rel * diam, policy.abs):
-            raise NotOrthocentricError("altitude-foot formula check failed")
+    foot_err = np.linalg.norm(feet - sx.altitude_feet(s), axis=1)
+    if np.max(foot_err) > max(policy.rel * diam, policy.abs):
+        raise NotOrthocentricError("altitude-foot formula check failed")
     measured_len = np.linalg.norm(s.vertices - feet, axis=1)
     if np.max(np.abs(lengths - measured_len)) > max(policy.rel * diam, policy.abs):
         raise NotOrthocentricError("altitude-length formula check failed")

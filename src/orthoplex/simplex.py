@@ -31,7 +31,6 @@ __all__ = [
     "squared_edge_table",
     "diameter",
     "facet_indices",
-    "subset_volume",
     "facet_volumes",
     "facet_circumradii",
     "facet_sq_edge_sums",
@@ -126,42 +125,42 @@ def _per_simplex(fn):
     return memoized
 
 
+def _gram_volume(edges: np.ndarray):
+    """k-volume of the simplex spanned by k edge vectors from one vertex,
+    over any leading axes: sqrt(det(E E^T)) / k!."""
+    k = edges.shape[-2]
+    det = np.linalg.det(edges @ np.swapaxes(edges, -1, -2))
+    return np.sqrt(np.maximum(det, 0.0)) / factorial(k)
+
+
 @_per_simplex
 def volume(s: Simplex) -> float:
     """d-volume via the edge-vector Gram determinant."""
-    return subset_volume(s, range(s.n))
+    return float(_gram_volume(s.vertices[:-1] - s.vertices[-1]))
 
 
-def subset_volume(s: Simplex, index_set) -> float:
-    """k-volume of the face spanned by the selected vertices (k = |I|-1)."""
-    idx = _check_indices(s, index_set)
-    pts = s.vertices[list(idx)]
-    k = len(idx) - 1
-    if k == 0:
-        return 1.0  # counting measure of a point
-    edges = pts[:-1] - pts[-1]
-    det = float(np.linalg.det(edges @ edges.T))
-    return float(np.sqrt(max(det, 0.0))) / factorial(k)
+@_per_simplex
+def _pairs(s: Simplex):
+    """Vertex pairs i < j (lexicographic), e = A_i - A_j and |e|^2, the last as
+    stacked 1 x d by d x 1 products (rooted, the bits of ``np.linalg.norm``)."""
+    i, j = np.triu_indices(s.n, 1)
+    e = s.vertices[i] - s.vertices[j]
+    return i, j, e, np.matmul(e[:, None, :], e[:, :, None])[:, 0, 0]
 
 
 @_per_simplex
 def edge_lengths(s: Simplex) -> np.ndarray:
-    """All C(d+1, 2) edge lengths, in lexicographic (i < j) order.
-
-    Each is the square root of one stacked 1 x d by d x 1 product, which
-    gives the same bits as ``np.linalg.norm`` of each edge vector.
-    """
-    i, j = np.triu_indices(s.n, 1)
-    e = s.vertices[i] - s.vertices[j]
-    return np.sqrt(np.matmul(e[:, None, :], e[:, :, None])[:, 0, 0])
+    """All C(d+1, 2) edge lengths, in lexicographic (i < j) order."""
+    return np.sqrt(_pairs(s)[3])
 
 
 @_per_simplex
 def squared_edge_table(s: Simplex) -> np.ndarray:
     """(d+1) x (d+1) table of squared distances, zero diagonal."""
-    v = s.vertices
-    diff = v[:, None, :] - v[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    i, j, _, sq = _pairs(s)
+    table = np.zeros((s.n, s.n))
+    table[i, j] = table[j, i] = sq
+    return table
 
 
 @_per_simplex
@@ -169,15 +168,18 @@ def diameter(s: Simplex) -> float:
     return float(np.max(edge_lengths(s)))
 
 
-def facet_indices(s: Simplex, i: int) -> tuple[int, ...]:
-    """Index set of the facet opposite vertex i."""
-    return tuple(j for j in range(s.n) if j != i)
+@_per_simplex
+def facet_indices(s: Simplex) -> np.ndarray:
+    """(d+1) x d vertex-index table; row i is the facet opposite vertex i."""
+    c = np.arange(s.dim)
+    return c + (c >= np.arange(s.n)[:, None])
 
 
 @_per_simplex
 def facet_volumes(s: Simplex) -> np.ndarray:
     """(d-1)-volumes of all d+1 facets, facet i opposite vertex i."""
-    return np.array([subset_volume(s, facet_indices(s, i)) for i in range(s.n)])
+    pts = s.vertices[facet_indices(s)]
+    return _gram_volume(pts[:, :-1] - pts[:, -1:])
 
 
 @_per_simplex
@@ -191,7 +193,7 @@ def facet_circumradii(s: Simplex) -> np.ndarray:
     """
     sq = squared_edge_table(s)
     scale = float(np.max(sq))
-    keep = np.array([facet_indices(s, i) for i in range(s.n)])
+    keep = facet_indices(s)
     bordered = np.ones((s.n, s.n, s.n))
     bordered[:, :-1, :-1] = sq[keep[:, :, None], keep[:, None, :]] / scale
     bordered[:, -1, -1] = 0.0
@@ -241,23 +243,20 @@ def _check_indices(s: Simplex, index_set) -> tuple[int, ...]:
 
 
 def project_to_affine_hull(point, pts) -> np.ndarray:
-    """Orthogonal projection of ``point`` onto the affine hull of ``pts``."""
-    base = pts[0]
-    basis = pts[1:] - base
-    if basis.shape[0] == 0:
-        return np.array(base, dtype=float)
-    g = basis @ basis.T
-    coeff = np.linalg.solve(g, basis @ (np.asarray(point, float) - base))
-    return base + coeff @ basis
+    """Orthogonal projection of ``point`` onto the affine hull of ``pts``;
+    leading axes broadcast, points (..., d) onto hulls (..., m, d)."""
+    base = pts[..., 0, :]
+    basis = pts[..., 1:, :] - base[..., None, :]
+    rel = np.asarray(point, float) - base
+    g = basis @ np.swapaxes(basis, -1, -2)
+    coeff = np.linalg.solve(g, basis @ rel[..., None])
+    return base + (np.swapaxes(coeff, -1, -2) @ basis)[..., 0, :]
 
 
 def altitude_feet(s: Simplex) -> np.ndarray:
     """Row i: the foot of the altitude from vertex i, the projection of
     A_i onto the hull of the facet opposite it."""
-    return np.array([
-        project_to_affine_hull(s.vertices[i], s.vertices[list(facet_indices(s, i))])
-        for i in range(s.n)
-    ])
+    return project_to_affine_hull(s.vertices, s.vertices[facet_indices(s)])
 
 
 def shape_predicates(s: Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> ShapeFlags:
@@ -281,9 +280,8 @@ def edge_perpendicularity_residual(s: Simplex) -> float:
     Zero residual characterizes orthocentric simplices; for d = 2 there
     are no disjoint pairs and the residual is 0.
     """
-    i, j = np.triu_indices(s.n, 1)
-    e = s.vertices[i] - s.vertices[j]
-    u = e / np.linalg.norm(e, axis=1)[:, None]
+    i, j, e, _ = _pairs(s)
+    u = e / edge_lengths(s)[:, None]
     disjoint = (
         (i[:, None] != i[None, :]) & (i[:, None] != j[None, :])
         & (j[:, None] != i[None, :]) & (j[:, None] != j[None, :])

@@ -237,12 +237,9 @@ def _check_equivalences(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, tol
     # implementations (the equivalence implications alone are blind to
     # mutations that preserve symmetric fixtures)
     vertex_dists = np.linalg.norm(s.vertices - c, axis=1)
-    facet_dists = [
-        np.linalg.norm(
-            i - sx.project_to_affine_hull(i, s.vertices[list(sx.facet_indices(s, k))])
-        )
-        for k in range(s.n)
-    ]
+    facet_dists = np.linalg.norm(
+        i - sx.project_to_affine_hull(i, s.vertices[sx.facet_indices(s)]), axis=1
+    )
 
     areas_spread = pol.spread(sx.facet_volumes(s))
     wde_spread = pol.spread(sx.facet_sq_edge_sums(s))
@@ -255,7 +252,7 @@ def _check_equivalences(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, tol
     rec.check("circumcenter equidistance contract",
               float(np.max(np.abs(vertex_dists - big_r))), tol * diam, s, **scal)
     rec.check("incenter facet-distance contract",
-              float(np.max(np.abs(np.asarray(facet_dists) - inr))), tol * diam, s, **scal)
+              float(np.max(np.abs(facet_dists - inr))), tol * diam, s, **scal)
 
     if d_ig <= tol / 10:
         rec.check("incenter=centroid => equiareal", areas_spread, tol, s, **scal)
@@ -466,10 +463,9 @@ def _check_rectangular(rec: _Recorder, spec: families.RectSpec, pol: TolerancePo
     scale = max(spec.legs)
 
     rec.check("legs volume", abs(m.volume - sx.volume(s)), pol.rel * m.volume, s)
-    hyp = tuple(range(d))
     rec.check("hypotenuse facet volume",
-              abs(m.hyp_volume - sx.subset_volume(s, hyp)), pol.rel * m.hyp_volume, s)
-    foot = sx.project_to_affine_hull(s.vertices[d], s.vertices[list(hyp)])
+              abs(m.hyp_volume - sx.facet_volumes(s)[d]), pol.rel * m.hyp_volume, s)
+    foot = sx.altitude_feet(s)[d]
     rec.check("corner altitude", abs(m.altitude - float(np.linalg.norm(foot - s.vertices[d]))),
               pol.rel * m.altitude, s)
     i, r = centers.incenter(s)
@@ -491,7 +487,7 @@ def _check_rectangular(rec: _Recorder, spec: families.RectSpec, pol: TolerancePo
                   float(np.linalg.norm(a - b)), s, pair=f"{na}-{nb}")
 
     if d >= 3:  # the d = 2 hypotenuse facet is a segment, below the lift's domain
-        facet = sx.face(s, hyp, pol)
+        facet = sx.face(s, sx.facet_indices(s)[d], pol)
         lifted_spec, _ = families.lift_to_rectangular(facet, pol)
         rec.check("lift round trip",
                   float(np.max(np.abs(np.asarray(lifted_spec.legs) - np.asarray(spec.legs)))),

@@ -24,7 +24,7 @@ def announce(number, text):
 
 def facet_circumradii(s):
     return np.array(
-        [op.circumcenter(sx.face(s, sx.facet_indices(s, i)))[1] for i in range(s.n)]
+        [op.circumcenter(sx.face(s, sx.facet_indices(s)[i]))[1] for i in range(s.n)]
     )
 
 
@@ -180,7 +180,7 @@ def test_criterion_4_survey_facts():
         sphere = op.feuerbach_sphere(s, d - 1)
         feet = np.array([
             sx.project_to_affine_hull(
-                s.vertices[i], s.vertices[list(sx.facet_indices(s, i))]
+                s.vertices[i], s.vertices[list(sx.facet_indices(s)[i])]
             )
             for i in range(s.n)
         ])

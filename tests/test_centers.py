@@ -84,7 +84,7 @@ class TestIncenter:
             s = op.from_vertices(d, rng.normal(size=(d + 1, d)))
             i, r = op.incenter(s)
             for k in range(s.n):
-                pts = s.vertices[list(sx.facet_indices(s, k))]
+                pts = s.vertices[list(sx.facet_indices(s)[k])]
                 foot = sx.project_to_affine_hull(i, pts)
                 assert np.linalg.norm(i - foot) == pytest.approx(r, rel=1e-9)
 

@@ -1,9 +1,11 @@
 import ast
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +63,7 @@ class TestConstruct:
         assert v.shape == (10, 9)
         s = op.from_vertices(9, v)
         radii = [
-            op.circumcenter(sx.face(s, sx.facet_indices(s, i)))[1] for i in range(10)
+            op.circumcenter(sx.face(s, sx.facet_indices(s)[i]))[1] for i in range(10)
         ]
         assert max(radii) - min(radii) <= 1e-8 * max(radii)
 
@@ -148,6 +150,19 @@ class TestAnalyze:
         doc = {"dim": 1, "vertices": [[0.0], [1.0]]}
         code, _, err = run_json(capsys, "analyze", stdin=json.dumps(doc), monkeypatch=monkeypatch)
         assert code == 1
+
+    def test_input_file_is_closed(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": [[3.0, 0.0], [0.0, 4.0], [0.0, 0.0]]}))
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            code = cli.main(["analyze", str(path)])
+            gc.collect()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["orthocentric"] is True
+        assert unraisable == []
 
     def test_sorted_keys(self, capsys, monkeypatch):
         doc = {"dim": 2, "vertices": [[3.0, 0.0], [0.0, 4.0], [0.0, 0.0]]}
@@ -309,6 +324,20 @@ class TestWorkPerAnalysis:
         found = self.results(monkeypatch, centers, "circumcenter", s)
         assert len(found) >= 2
         assert all(c is found[0] for c in found)
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_pair_table_and_volumes_built_once(self, monkeypatch, d):
+        s = op.construct(op.sample_params(d, "acute", d).bary, 1.0)
+        calls = {"triu_indices": 0, "det": 0}
+        for module, name in ((np, "triu_indices"), (np.linalg, "det")):
+            def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        cli.analysis_doc(s, op.TolerancePolicy())
+        # one pair table; one determinant for the volume, one batch for the facets
+        assert calls == {"triu_indices": 1, "det": 2}
 
 
 SRC = Path(op.__file__).resolve().parent

@@ -18,7 +18,7 @@ from orthoplex import simplex as sx
 
 def facet_circumradii(s):
     return np.array(
-        [op.circumcenter(sx.face(s, sx.facet_indices(s, i)))[1] for i in range(s.n)]
+        [op.circumcenter(sx.face(s, sx.facet_indices(s)[i]))[1] for i in range(s.n)]
     )
 
 

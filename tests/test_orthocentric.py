@@ -184,7 +184,7 @@ class TestEdgeAltitudeData:
         s = op.construct([0.4, 0.3, 0.2, 0.1], 1.0)
         data = op.edge_and_altitude_data(op.params_of(s), s)
         for i in range(s.n):
-            pts = s.vertices[list(sx.facet_indices(s, i))]
+            pts = s.vertices[list(sx.facet_indices(s)[i])]
             proj = sx.project_to_affine_hull(data.altitudes.feet[i], pts)
             assert np.allclose(proj, data.altitudes.feet[i], atol=1e-10)
 
@@ -192,6 +192,15 @@ class TestEdgeAltitudeData:
         s = op.rectangular(op.RectSpec(3, (1.0, 1.0, 1.0)))
         with pytest.raises(RectangularParamsError):
             op.edge_and_altitude_data(op.params_of(s), s)
+
+    def test_wrong_feet_rejected(self, monkeypatch):
+        s = op.construct([0.4, 0.3, 0.2, 0.1], 1.0)
+        p = op.params_of(s)
+        feet = sx.altitude_feet(s).copy()
+        feet[2, 1] += 1e-6
+        monkeypatch.setattr(sx, "altitude_feet", lambda simplex: feet)
+        with pytest.raises(NotOrthocentricError, match="altitude-foot formula check failed"):
+            op.edge_and_altitude_data(p, s)
 
 
 class TestRestrictToFace:
@@ -254,6 +263,12 @@ class TestCircumData:
         assert got == pytest.approx(2.430555555555556, rel=1e-9)
         _, r = op.circumcenter(sx.face(s, (0, 1, 2)))
         assert got == pytest.approx(r**2, rel=1e-9)
+
+    def test_empty_face_rejected(self):
+        s = op.construct([0.4, 0.3, 0.2, 0.1], 1.0)
+        cd = op.circum_data(op.params_of(s), s)
+        with pytest.raises(InputError):
+            cd.face_r_squared(())
 
 
 class TestLambdaParams:

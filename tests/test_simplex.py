@@ -170,14 +170,14 @@ def closed_form_fixtures():
 class TestFacetClosedForms:
     @pytest.mark.parametrize("s", closed_form_fixtures(), ids=repr)
     def test_circumradii_match_face_embedding(self, s):
-        want = [op.circumcenter(sx.face(s, sx.facet_indices(s, i)))[1] for i in range(s.n)]
+        want = [op.circumcenter(sx.face(s, sx.facet_indices(s)[i]))[1] for i in range(s.n)]
         assert np.allclose(sx.facet_circumradii(s), want, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("s", closed_form_fixtures(), ids=repr)
     def test_sq_edge_sums_match_pair_sums(self, s):
         sq = sx.squared_edge_table(s)
         want = [
-            sum(sq[a, b] for a, b in combinations(sx.facet_indices(s, i), 2))
+            sum(sq[a, b] for a, b in combinations(sx.facet_indices(s)[i], 2))
             for i in range(s.n)
         ]
         assert np.allclose(sx.facet_sq_edge_sums(s), want, rtol=1e-12, atol=0.0)
@@ -195,6 +195,8 @@ class TestFacetClosedForms:
 
 
 PER_SIMPLEX = [
+    sx._pairs,
+    sx.facet_indices,
     sx.edge_lengths,
     sx.squared_edge_table,
     sx.diameter,
@@ -232,9 +234,62 @@ class TestPerSimplexTables:
         s = op.from_vertices(5, np.random.default_rng(4).normal(size=(6, 5)))
         feet = sx.altitude_feet(s)
         for i in range(s.n):
-            others = s.vertices[list(sx.facet_indices(s, i))]
+            others = s.vertices[list(sx.facet_indices(s)[i])]
             # the altitude is perpendicular to every edge of the opposite facet
             assert np.allclose((others - others[0]) @ (s.vertices[i] - feet[i]), 0.0, atol=1e-10)
             # and the foot lies in that facet's hull
             w = sx.barycentric(s, feet[i])
             assert abs(w[i]) <= 1e-10
+
+
+def gram_loop_facet_volumes(s):
+    """Reference: one Gram determinant per facet, the facet's last vertex
+    as the base; a facet of a segment is a point, of measure 1."""
+    out = []
+    for i in range(s.n):
+        pts = s.vertices[[j for j in range(s.n) if j != i]]
+        edges = pts[:-1] - pts[-1]
+        if len(edges) == 0:
+            out.append(1.0)
+            continue
+        det = float(np.linalg.det(edges @ edges.T))
+        out.append(float(np.sqrt(max(det, 0.0))) / math.factorial(len(edges)))
+    return np.array(out)
+
+
+class TestPairAndFacetTables:
+    @pytest.mark.parametrize("d", range(1, 19))
+    def test_facet_volumes_match_gram_loop(self, d):
+        s = op.from_vertices(d, np.random.default_rng(d).normal(size=(d + 1, d)))
+        assert np.array_equal(sx.facet_volumes(s), gram_loop_facet_volumes(s))
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 9])
+    def test_stacked_projection_matches_single_hulls(self, d):
+        rng = np.random.default_rng(30 + d)
+        for m in range(1, d + 2):  # a point, up to d+1 points
+            hulls = rng.normal(size=(4, m, d))
+            points = rng.normal(size=(4, d))
+            want = [sx.project_to_affine_hull(p, h) for p, h in zip(points, hulls)]
+            assert np.array_equal(sx.project_to_affine_hull(points, hulls), want)
+
+    def test_one_point_hull_is_that_point(self):
+        pts = np.array([[1.5, -2.0, 0.25]])
+        assert np.array_equal(sx.project_to_affine_hull([3.0, 1.0, 2.0], pts), pts[0])
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 7])
+    def test_facet_indices_rows(self, d):
+        s = op.from_vertices(d, np.random.default_rng(d).normal(size=(d + 1, d)))
+        table = sx.facet_indices(s)
+        assert table.shape == (s.n, d)
+        for i in range(s.n):
+            assert table[i].tolist() == [j for j in range(s.n) if j != i]
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+    @pytest.mark.parametrize("d", [2, 5, 12])
+    def test_squared_edge_table_matches_edge_lengths(self, d):
+        s = op.from_vertices(d, np.random.default_rng(d).normal(size=(d + 1, d)))
+        sq = sx.squared_edge_table(s)
+        assert np.array_equal(sq, sq.T)
+        assert np.all(np.diag(sq) == 0.0)
+        assert np.array_equal(np.sqrt(sq[np.triu_indices(s.n, 1)]), sx.edge_lengths(s))

@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import orthoplex as op
 from orthoplex import InputError, NumericError, SuiteConfig, run_all
-from orthoplex import DEFAULT_POLICY, centers, families
+from orthoplex import DEFAULT_POLICY, centers, cli, families
 from orthoplex import simplex as sx
 from orthoplex import verify as vf
 
@@ -131,3 +132,20 @@ class TestMutationSelfTest:
         payload = revived["suites"][0]["counterexample"]
         assert payload["residual"] > payload["allowed"]
         assert len(payload["simplex"]["vertices"]) == payload["simplex"]["dim"] + 1
+
+
+GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
+
+
+class TestGoldenReports:
+    """``orthoplex verify --seed S --dim-max 10 --samples 60 --json`` output,
+    pinned byte for byte.  A change meant to alter these reports rewrites
+    the file from that command's output and says so."""
+
+    @pytest.mark.parametrize("seed", ["42", "7", "1234"])
+    def test_seeded_report_bytes(self, capsys, monkeypatch, seed):
+        monkeypatch.delenv("ORTHOPLEX_TOL", raising=False)
+        want = json.loads(GOLDEN.read_text(encoding="utf-8"))[seed]
+        argv = ["verify", "--seed", seed, "--dim-max", "10", "--samples", "60", "--json"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want + "\n"

@@ -10,7 +10,7 @@ coincides with the orthocenter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
 
 #: names used in coincidence pairs, in canonical order
 CENTER_NAMES = ("centroid", "circumcenter", "incenter", "monge")
+_CENTER_PAIRS = tuple(combinations(CENTER_NAMES, 2))
 
 
 @dataclass(frozen=True)
@@ -153,40 +154,72 @@ def euler_line(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> Euler
     return EulerLineData(ratio=ratio, collinearity_residual=residual, coincident=False)
 
 
-def _k_face_centroids(s: sx.Simplex, k: int) -> np.ndarray:
-    """Centroids of all k-faces, in ``combinations`` order.
-
-    The gathered rows are summed column by column, the same addition order
-    as ``mean(axis=0)`` on each face, so the result is bit-identical to it.
-    """
-    idx = np.fromiter(
-        chain.from_iterable(combinations(range(s.n), k + 1)), np.intp
-    ).reshape(-1, k + 1)
-    v = s.vertices
-    acc = v[idx[:, 0]]
-    for j in range(1, k + 1):
-        acc = acc + v[idx[:, j]]
-    return acc / (k + 1)
+def _round_off(s: sx.Simplex, center: np.ndarray):
+    """Round-off a face centroid and its distance to ``center`` (centers
+    along the last axis) can carry in these coordinates: n eps times the
+    largest vertex norm plus the center norm."""
+    reach = np.max(np.linalg.norm(s.vertices, axis=1))
+    return s.n * np.finfo(float).eps * (reach + np.linalg.norm(center, axis=-1))
 
 
-def _sphere(
-    s: sx.Simplex, k: int, g: np.ndarray, c: np.ndarray | None, h: np.ndarray | None
-) -> FeuerbachSphere:
-    """The k-level sphere from the centroid G and, at the facet level, the
-    circumcenter C, below it the orthocenter H (the other may be None)."""
+def _facet_sphere(s: sx.Simplex, g: np.ndarray, c: np.ndarray) -> FeuerbachSphere:
+    """The k = d-1 sphere of any simplex, measured on its d+1 facet
+    centroids (n G - A_j) / d."""
     d = s.dim
-    if k == d - 1:
-        center = ((d + 1) * g - c) / d
-    else:
-        center = h + (d + 1) / (2.0 * (k + 1)) * (g - h)
-    dists = np.linalg.norm(_k_face_centroids(s, k) - center, axis=1)
-    radius = float(dists.mean())
+    center = ((d + 1) * g - c) / d
+    dists = np.linalg.norm((s.n * g - s.vertices) / d - center, axis=1)
+    radius = float(np.sqrt(np.mean(dists**2)))
     return FeuerbachSphere(
-        k=k,
+        k=d - 1,
         center=center,
         radius=radius,
-        max_residual=float(np.max(np.abs(dists - radius))),
+        max_residual=float(np.max(np.abs(dists - radius)) + _round_off(s, center)),
     )
+
+
+def _mid_face_spheres(s: sx.Simplex, g: np.ndarray, h: np.ndarray) -> list[FeuerbachSphere]:
+    """The spheres k = 0..d-2 of an orthocentric simplex, from the Gram
+    matrix B = (A - H)(A - H)^T without visiting a face.
+
+    With m = k+1, t = (d+1) / (2m), P = H + t (G - H), beta_i = (A_i - H).(G - H)
+    and sigma the mean off-diagonal entry of B, the k-face I has
+    |F_I - P|^2 = (sum_{i in I} w_i + m(m-1) q) / m^2, where
+    w_i = B_ii - 2tm beta_i + t^2 |G - H|^2 and q = sigma + t^2 |G - H|^2.
+    The extremes over all faces are the sums of the m smallest and m
+    largest w_i, the mean over all faces uses (m/n) sum w.  Off-diagonal
+    entries that deviate from sigma by up to R (round-off, or a nearly
+    orthocentric input) move a squared distance by at most (m-1)/m R, so
+    max_residual, with :func:`_round_off` added, bounds the deviation of
+    every face centroid.
+    """
+    n, d = s.n, s.dim
+    a = s.vertices - h
+    b = g - h
+    gram = a @ a.T
+    off = gram[~np.eye(n, dtype=bool)]
+    sigma = float(off.mean())
+    slack = float(np.max(np.abs(off - sigma)))
+    m = np.arange(1, d)
+    t = n / (2.0 * m)
+    # w_i less t^2 |G - H|^2, which is the same for every i and goes into
+    # ``fixed``; 2tm = n at every level, so one sort orders w for every k
+    w = np.sort(np.diag(gram) - n * (a @ b))
+    tail = t * t * float(b @ b)
+    fixed = m * tail + m * (m - 1) * (sigma + tail)
+    lo = (np.cumsum(w)[: d - 1] + fixed) / m**2
+    hi = (np.cumsum(w[::-1])[: d - 1] + fixed) / m**2
+    radius = np.sqrt((m / n * w.sum() + fixed) / m**2)
+    pad = (m - 1) / m * slack
+    spheres = h + t[:, None] * b
+    residual = np.maximum(
+        np.sqrt(hi + pad) - radius, radius - np.sqrt(np.maximum(lo - pad, 0.0))
+    ) + _round_off(s, spheres)
+    return [
+        FeuerbachSphere(
+            k=k, center=spheres[k], radius=float(radius[k]), max_residual=float(residual[k])
+        )
+        for k in range(d - 1)
+    ]
 
 
 def feuerbach_sphere(
@@ -197,22 +230,25 @@ def feuerbach_sphere(
     For any simplex the facet-centroid sphere (k = d-1) exists, centered at
     ((d+1) G - C) / d with radius R/d.  For orthocentric simplices the whole
     family 0 <= k <= d-1 exists, centered on the Euler line at
-    H + (d+1) / (2 (k+1)) * (G - H).  The radius is reported as the mean
-    distance to the k-face centroids and max_residual as the worst
-    deviation from it.
+    H + (d+1) / (2 (k+1)) * (G - H).  The radius is reported as the square
+    root of the mean squared distance to the k-face centroids.  Below the
+    facet level it and max_residual, a closed-form upper bound on the
+    deviation of any k-face centroid from the radius, come from the Gram
+    matrix about H; the facet level measures its d+1 centroids.  All k
+    together cost O(d^2 log d).
     """
     d = s.dim
     if not (0 <= k <= d - 1):
         raise InputError(f"k must lie in [0, {d - 1}], got {k}")
     g = centroid(s)
     if k == d - 1:
-        return _sphere(s, k, g, circumcenter(s)[0], None)
+        return _facet_sphere(s, g, circumcenter(s)[0])
     h = orthocenter(s, policy)
     if h is None:
         raise NotOrthocentricError(
             "mid-face spheres below the facet level require an orthocentric simplex"
         )
-    return _sphere(s, k, g, None, h)
+    return _mid_face_spheres(s, g, h)[k]
 
 
 def feuerbach_spheres(s: sx.Simplex, report: CenterReport) -> list[FeuerbachSphere]:
@@ -222,10 +258,10 @@ def feuerbach_spheres(s: sx.Simplex, report: CenterReport) -> list[FeuerbachSphe
     Equal, bit for bit, to :func:`feuerbach_sphere` for each of those k;
     the orthocentricity decision is the one ``report`` carries.
     """
-    ks = range(s.dim) if report.orthocenter is not None else [s.dim - 1]
-    return [
-        _sphere(s, k, report.centroid, report.circumcenter, report.orthocenter) for k in ks
-    ]
+    below = []
+    if report.orthocenter is not None:
+        below = _mid_face_spheres(s, report.centroid, report.orthocenter)
+    return below + [_facet_sphere(s, report.centroid, report.circumcenter)]
 
 
 def center_report(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> CenterReport:
@@ -240,7 +276,7 @@ def center_report(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> Ce
     points = dict(zip(CENTER_NAMES, (g, c, i, m)))
     pairs = tuple(
         (x, y)
-        for x, y in combinations(CENTER_NAMES, 2)
+        for x, y in _CENTER_PAIRS
         if np.linalg.norm(points[x] - points[y]) <= policy.rel * diam
     )
     return CenterReport(

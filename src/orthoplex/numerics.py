@@ -131,7 +131,6 @@ def gram_embed(g: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> np.nda
             min_ratio=ratio,
         )
     keep = vals > cut
-    r = int(np.count_nonzero(keep))
     pts = vecs[:, keep] * np.sqrt(np.clip(vals[keep], 0.0, None))
     return pts
 

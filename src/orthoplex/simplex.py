@@ -226,11 +226,13 @@ def face(s: Simplex, index_set, policy: TolerancePolicy = DEFAULT_POLICY) -> Sim
     centered = pts - pts.mean(axis=0)
     emb = gram_embed(SymMatrix(centered @ centered.T, policy), policy)
     k = len(idx) - 1
+    # the embedding's rank is the degeneracy test, so from_vertices need not solve again
     if emb.shape[1] != k:
         raise DegenerateSimplexError(
             f"face {idx} embeds at rank {emb.shape[1]} < {k} at rank_cut={policy.rank_cut:g}"
         )
-    return from_vertices(k, emb, policy)
+    emb.flags.writeable = False
+    return Simplex(dim=k, vertices=emb)
 
 
 def _check_indices(s: Simplex, index_set) -> tuple[int, ...]:
@@ -273,17 +275,27 @@ def shape_predicates(s: Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> Sh
     )
 
 
+#: entries of the pair Gram matrix formed at a time, so memory stays O(d^2)
+#: (one block, the plain u @ u.T, up to d = 44)
+_PAIR_BLOCK = 1 << 20
+
+
 @_per_simplex
 def edge_perpendicularity_residual(s: Simplex) -> float:
     """Worst normalized |(A_i - A_j) . (A_k - A_l)| over disjoint edge pairs.
 
     Zero residual characterizes orthocentric simplices; for d = 2 there
-    are no disjoint pairs and the residual is 0.
+    are no disjoint pairs and the residual is 0.  The C(d+1, 2)^2 pair
+    Gram matrix of unit edge vectors is formed in blocks of rows.
     """
     i, j, e, _ = _pairs(s)
     u = e / edge_lengths(s)[:, None]
-    disjoint = (
-        (i[:, None] != i[None, :]) & (i[:, None] != j[None, :])
-        & (j[:, None] != i[None, :]) & (j[:, None] != j[None, :])
-    )
-    return float(np.max(np.abs(u @ u.T), where=disjoint, initial=0.0))
+    step = max(1, _PAIR_BLOCK // len(u))
+    worst = 0.0
+    for lo in range(0, len(u), step):
+        rows = slice(lo, lo + step)
+        bi, bj = i[rows, None], j[rows, None]
+        disjoint = (bi != i) & (bi != j) & (bj != i) & (bj != j)
+        block = np.abs(u[rows] @ u.T)
+        worst = max(worst, float(np.max(block, where=disjoint, initial=0.0)))
+    return worst

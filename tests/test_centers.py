@@ -6,7 +6,8 @@ import pytest
 
 import orthoplex as op
 from orthoplex import NotOrthocentricError
-from orthoplex import centers
+from orthoplex import DEFAULT_POLICY, centers
+from orthoplex import verify as vf
 from orthoplex import simplex as sx
 
 
@@ -256,7 +257,60 @@ class TestFeuerbachSpheres:
             want = np.array(
                 [s.vertices[list(idx)].mean(axis=0) for idx in combinations(range(d + 1), k + 1)]
             )
-            assert np.array_equal(centers._k_face_centroids(s, k), want)
+            assert np.array_equal(vf._k_face_centroids(s, k), want)
+
+
+def _closed_form_fixtures(d):
+    """Orthocentric fixtures of dimension d, keyed by kind; "near" moves an
+    acute simplex off orthocentricity by far more than round-off and far
+    less than the tolerance, so the off-diagonal slack R matters."""
+    rng = np.random.default_rng(40 + d)
+    acute = op.construct(op.sample_params(d, "acute", d).bary, 1.0)
+    v = acute.vertices + 1e-11 * rng.normal(size=acute.vertices.shape)
+    out = {
+        "acute": acute,
+        "obtuse": op.construct(op.sample_params(d, "obtuse", d).bary, 2.0),
+        "rectangular": right_corner(*np.linspace(0.6, 1.8, d)),
+        "regular": op.regular(d, 1.3),
+        "near": op.from_vertices(d, v),
+    }
+    if d >= 4:
+        out["kite"] = op.kite(op.equiradial_kite(d))
+    return out
+
+
+class TestFeuerbachClosedForm:
+    """The closed-form spheres against the enumerated k-face centroids."""
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_matches_enumerated_centroids(self, d):
+        for name, s in _closed_form_fixtures(d).items():
+            report = op.center_report(s)
+            assert report.orthocenter is not None, name
+            g, c, h = report.centroid, report.circumcenter, report.orthocenter
+            spheres = op.feuerbach_spheres(s, report)
+            assert [sp.k for sp in spheres] == list(range(d))
+            for sp in spheres:
+                k = sp.k
+                if k == d - 1:
+                    want = ((d + 1) * g - c) / d
+                else:
+                    want = h + (d + 1) / (2.0 * (k + 1)) * (g - h)
+                assert np.array_equal(sp.center, want), (name, k)
+                dist = np.linalg.norm(vf._k_face_centroids(s, k) - sp.center, axis=1)
+                rms = float(np.sqrt(np.mean(dist**2)))
+                assert sp.radius == pytest.approx(rms, rel=1e-13, abs=0), (name, k)
+                assert sp.radius == pytest.approx(dist.mean(), rel=1e-13, abs=0), (name, k)
+                worst = max(np.max(np.abs(dist - dist.mean())), np.max(np.abs(dist - sp.radius)))
+                assert sp.max_residual >= worst, (name, k)
+                assert sp.max_residual <= 10 * DEFAULT_POLICY.rel * sp.radius, (name, k)
+
+    def test_general_facet_residual_is_measured(self):
+        rng = np.random.default_rng(9)
+        s = op.from_vertices(6, rng.normal(size=(7, 6)))
+        sphere = op.feuerbach_sphere(s, 5)
+        dist = np.linalg.norm(vf._k_face_centroids(s, 5) - sphere.center, axis=1)
+        assert sphere.max_residual >= np.max(np.abs(dist - sphere.radius))
 
 
 class TestCenterReport:

@@ -1,5 +1,6 @@
 import ast
 import gc
+import itertools
 import json
 import math
 import os
@@ -338,6 +339,39 @@ class TestWorkPerAnalysis:
         cli.analysis_doc(s, op.TolerancePolicy())
         # one pair table; one determinant for the volume, one batch for the facets
         assert calls == {"triu_indices": 1, "det": 2}
+
+    @pytest.mark.parametrize("kind", ["acute", "obtuse"])
+    def test_no_face_enumeration(self, monkeypatch, kind):
+        s = op.construct(op.sample_params(8, kind, 8).bary, 1.0)
+        original = itertools.combinations
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name == "itertools" or name.startswith("orthoplex"):
+                if getattr(module, "combinations", None) is original:
+                    monkeypatch.setattr(module, "combinations", counting)
+        doc = cli.analysis_doc(s, op.TolerancePolicy())
+        assert len(doc["feuerbach"]) == 8
+        assert calls == []
+
+
+class TestLargeDimensionAnalysis:
+    """Every mid-face sphere at dimensions whose faces cannot be enumerated."""
+
+    @pytest.mark.parametrize("d", [40, 64])
+    @pytest.mark.parametrize("kind", ["acute", "obtuse"])
+    def test_all_spheres(self, d, kind):
+        policy = op.TolerancePolicy()
+        s = op.construct(op.sample_params(d, kind, d).bary, 1.0)
+        doc = cli.analysis_doc(s, policy)
+        assert doc["orthocentric"] is True
+        assert [sp["k"] for sp in doc["feuerbach"]] == list(range(d))
+        for sp in doc["feuerbach"]:
+            assert sp["max_residual"] <= 10 * policy.rel * sp["radius"], sp
 
 
 SRC = Path(op.__file__).resolve().parent

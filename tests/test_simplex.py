@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import orthoplex as op
 from orthoplex import DegenerateSimplexError, InputError
-from orthoplex import centers
+from orthoplex import centers, numerics
 from orthoplex import simplex as sx
 from conftest import random_rotation
 
@@ -101,6 +102,25 @@ class TestFace:
         with pytest.raises(DegenerateSimplexError, match="embeds at rank 1 < 2"):
             op.face(s, (0, 1, 2), op.TolerancePolicy(rank_cut=0.99))
 
+    @pytest.mark.parametrize("index_set", [(0, 1), (0, 2, 3), (0, 1, 2, 3), (1, 2, 3, 4, 5)])
+    def test_one_eigensolve_per_face(self, monkeypatch, index_set):
+        rng = np.random.default_rng(3)
+        s = op.from_vertices(5, rng.normal(size=(6, 5)))
+        calls = []
+        original = numerics.sym_eigen
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(numerics, "sym_eigen", counting)
+        monkeypatch.setattr(sx, "sym_eigen", counting)
+        f = op.face(s, index_set)
+        assert len(calls) == 1
+        assert f.dim == len(index_set) - 1 and not f.vertices.flags.writeable
+        want = np.linalg.norm(s.vertices[index_set[0]] - s.vertices[index_set[-1]])
+        assert np.linalg.norm(f.vertices[0] - f.vertices[-1]) == pytest.approx(want, rel=1e-12)
+
     def test_bad_index_sets(self):
         s = op.regular(3, 1.0)
         with pytest.raises(InputError):
@@ -141,6 +161,51 @@ class TestPerpendicularityResidual:
         rng = np.random.default_rng(1)
         s = op.from_vertices(3, rng.normal(size=(4, 3)))
         assert sx.edge_perpendicularity_residual(s) > 1e-3
+
+
+def unblocked_residual(s):
+    """The residual from the whole C(d+1, 2)^2 pair Gram matrix at once."""
+    i, j, e, _ = sx._pairs(s)
+    u = e / sx.edge_lengths(s)[:, None]
+    disjoint = (
+        (i[:, None] != i[None, :]) & (i[:, None] != j[None, :])
+        & (j[:, None] != i[None, :]) & (j[:, None] != j[None, :])
+    )
+    return float(np.max(np.abs(u @ u.T), where=disjoint, initial=0.0))
+
+
+class TestResidualBlocks:
+    @pytest.mark.parametrize("d", range(2, 41))
+    def test_equals_unblocked(self, d):
+        rng = np.random.default_rng(d)
+        for s in (
+            op.from_vertices(d, rng.normal(size=(d + 1, d))),
+            op.construct(op.sample_params(d, "obtuse", d).bary, 1.0),
+        ):
+            assert sx.edge_perpendicularity_residual(s) == unblocked_residual(s)
+
+    @pytest.mark.parametrize("d", [5, 12, 24])
+    def test_many_blocks(self, monkeypatch, d):
+        """Blocks of a few rows reach the same max up to the round-off of a
+        dot product of two unit d-vectors (BLAS may order the sum differently)."""
+        rng = np.random.default_rng(d)
+        s = op.from_vertices(d, rng.normal(size=(d + 1, d)))
+        pairs = d * (d + 1) // 2
+        monkeypatch.setattr(sx, "_PAIR_BLOCK", 3 * pairs)
+        got = sx.edge_perpendicularity_residual(s)
+        assert abs(got - unblocked_residual(s)) <= 2 * d * np.finfo(float).eps
+        assert got > 1e-3
+
+    def test_round_trip_memory_at_d100(self):
+        p = op.sample_params(100, "acute", 1)
+        tracemalloc.start()
+        try:
+            q = op.params_of(op.construct(p.bary, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.allclose(q.bary, p.bary, rtol=1e-8)
+        assert peak < 100e6
 
 
 def pair_loop_residual(s):

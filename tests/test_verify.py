@@ -134,6 +134,25 @@ class TestMutationSelfTest:
         assert len(payload["simplex"]["vertices"]) == payload["simplex"]["dim"] + 1
 
 
+class TestFaceCentroidOracle:
+    def test_equidistance_check_measures_the_centroids(self, monkeypatch):
+        """A sphere whose closed form says nothing is wrong must still fail
+        the equidistance check when its center is off."""
+        s = op.construct(op.sample_params(5, "acute", 5).bary, 1.0)
+        original = centers.feuerbach_spheres
+
+        def shifted(simplex, report):
+            return [
+                centers.FeuerbachSphere(sp.k, sp.center + 1e-6, sp.radius, 0.0)
+                for sp in original(simplex, report)
+            ]
+
+        monkeypatch.setattr(centers, "feuerbach_spheres", shifted)
+        rec = vf._Recorder("euler_feuerbach")
+        vf._check_euler_feuerbach(rec, s, DEFAULT_POLICY)
+        assert rec.counterexample["check"] == "feuerbach k=0 equidistance"
+
+
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
 
 

@@ -114,7 +114,18 @@ def monge_point(s: sx.Simplex) -> np.ndarray:
 
 def is_orthocentric(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """True when all pairs of non-intersecting edges are perpendicular
-    within tolerance (vacuously true for triangles)."""
+    within tolerance (vacuously true for triangles): when
+    ``sx.edge_perpendicularity_residual(s) <= policy.rel``.
+
+    The decision reads O(d^2) bounds on the residual from the squared-edge
+    table and computes the O(d^5) residual itself only when ``policy.rel``
+    lies between them.
+    """
+    lo, hi = sx._perpendicularity_bounds(s)
+    if hi <= policy.rel:
+        return True
+    if lo > policy.rel:
+        return False
     return sx.edge_perpendicularity_residual(s) <= policy.rel
 
 

@@ -23,7 +23,7 @@ import os
 import sys
 
 from .errors import InputError, OrthoplexError
-from .numerics import TolerancePolicy, _plain
+from .numerics import TolerancePolicy, _json_default
 from . import centers
 from . import families
 from . import orthocentric as oc
@@ -46,8 +46,8 @@ def _policy_from_env(tol: float | None = None) -> TolerancePolicy:
 
 def _dump(doc, compact: bool = False) -> str:
     if compact:
-        return json.dumps(_plain(doc), sort_keys=True, separators=(",", ":"))
-    return json.dumps(_plain(doc), sort_keys=True, indent=2)
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_default)
+    return json.dumps(doc, sort_keys=True, indent=2, default=_json_default)
 
 
 def simplex_to_doc(s: sx.Simplex, label: str | None = None) -> dict:

@@ -138,7 +138,7 @@ def gram_embed(g: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> np.nda
 def _plain(obj):
     """``obj`` with numpy arrays and scalars turned into Python lists and
     scalars, recursing into dicts, lists and tuples (tuples become lists),
-    so the result is JSON-plain.  Shared by the CLI and the verify reports."""
+    so the result is JSON-plain (for the verify reports)."""
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -152,3 +152,11 @@ def _plain(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
+
+
+def _json_default(obj):
+    """``default`` hook for ``json.dumps``: numpy arrays become lists and
+    numpy scalars Python scalars (``np.float64`` is a ``float`` already)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

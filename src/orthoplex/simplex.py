@@ -143,7 +143,8 @@ def volume(s: Simplex) -> float:
 def _pairs(s: Simplex):
     """Vertex pairs i < j (lexicographic), e = A_i - A_j and |e|^2, the last as
     stacked 1 x d by d x 1 products (rooted, the bits of ``np.linalg.norm``)."""
-    i, j = np.triu_indices(s.n, 1)
+    r = np.arange(s.n)
+    i, j = np.nonzero(r[:, None] < r)
     e = s.vertices[i] - s.vertices[j]
     return i, j, e, np.matmul(e[:, None, :], e[:, :, None])[:, 0, 0]
 
@@ -299,3 +300,37 @@ def edge_perpendicularity_residual(s: Simplex) -> float:
         block = np.abs(u[rows] @ u.T)
         worst = max(worst, float(np.max(block, where=disjoint, initial=0.0)))
     return worst
+
+
+@_per_simplex
+def _perpendicularity_bounds(s: Simplex) -> tuple[float, float]:
+    """(lo, hi) with lo <= edge_perpendicularity_residual(s) <= hi, from the
+    squared-edge table E in O(d^2).
+
+    Least squares fits E_ij ~ l_i + l_j, which holds exactly when opposite
+    edges are perpendicular (then, unless the simplex is rectangular, the
+    l_i are the ``orthocentric.lambda_params``): with row sums r_i, L = sum(r) / (2 (n-1)) and
+    l_i = (r_i - L) / (n-2), the misfit D_ij = E_ij - l_i - l_j has zero row
+    sums; delta = max |D|.  Since e_ij . e_kl = (D_il + D_jk - D_ik - D_jl) / 2,
+    the residual is at most 2 delta / min E.  Since D_ij is the sum of
+    -2 e_ik . e_jl / ((n-1)(n-2)) over the (n-2)(n-3) ordered pairs k != l
+    outside {i, j}, it is at least (n-1) delta / (2 (n-3) max E).
+
+    delta is widened by 8 n eps max E, against a round-off of up to about
+    0.6 n eps max E on the test fixtures.  Carried through, the same slack
+    moves each bound by at least 4 n eps, which covers the round-off of the
+    residual itself (about 0.2 n eps).  Without two disjoint edges (d <= 2)
+    both bounds are 0.
+    """
+    n = s.n
+    if n <= 3:
+        return 0.0, 0.0
+    i, j, _, sq = _pairs(s)
+    r = squared_edge_table(s).sum(axis=1)
+    lam = (r - r.sum() / (2 * (n - 1))) / (n - 2)
+    e_min, e_max = float(np.min(sq)), float(np.max(sq))
+    delta = float(np.max(np.abs(sq - lam[i] - lam[j])))
+    slack = 8 * n * float(np.finfo(float).eps) * e_max
+    lo = (n - 1) * (delta - slack) / (2 * (n - 3) * e_max)
+    hi = 2 * (delta + slack) / e_min
+    return max(lo, 0.0), hi

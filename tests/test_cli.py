@@ -175,6 +175,30 @@ class TestAnalyze:
         assert list(parsed.keys()) == sorted(parsed.keys())
 
 
+class TestDump:
+    DOC = {
+        "array": np.array([[1.0, -0.1], [1e-300, np.inf]]),
+        "flags": [np.bool_(True), False, np.bool_(False)],
+        "ints": (np.int64(3), np.intp(-2), 7),
+        "floats": [np.float64(0.1), np.float32(0.25), 1.5, np.float64(np.nan)],
+        "nested": {"b": (np.array([1, 2]), None), "a": "text"},
+    }
+
+    @pytest.mark.parametrize("compact", [True, False])
+    def test_numpy_values_encode_like_plain_values(self, compact):
+        from orthoplex.numerics import _plain
+
+        if compact:
+            want = json.dumps(_plain(self.DOC), sort_keys=True, separators=(",", ":"))
+        else:
+            want = json.dumps(_plain(self.DOC), sort_keys=True, indent=2)
+        assert cli._dump(self.DOC, compact=compact) == want
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._dump({"x": object()})
+
+
 class TestLiftRect:
     def test_equilateral_sqrt2(self, capsys, monkeypatch):
         t = op.regular(2, math.sqrt(2.0))
@@ -284,11 +308,13 @@ class TestTolEnv:
 
 class TestWorkPerAnalysis:
     """Gate on work done, not on time: orthocentricity is decided once per
-    center report, params_of and Euler line, never once per sphere."""
+    center report, params_of and Euler line, never once per sphere, and
+    each decision reads the one O(d^2) bounds pair of the simplex."""
 
     @staticmethod
-    def results(monkeypatch, module, name, s):
-        """What ``module.name`` returned on each call in one analysis_doc."""
+    def record(monkeypatch, module, name):
+        """Patch ``module.name`` so each of its return values is appended to
+        the list returned here."""
         returned = []
         original = getattr(module, name)
 
@@ -297,23 +323,32 @@ class TestWorkPerAnalysis:
             return returned[-1]
 
         monkeypatch.setattr(module, name, recording)
+        return returned
+
+    def results(self, monkeypatch, module, name, s):
+        """What ``module.name`` returned on each call in one analysis_doc."""
+        returned = self.record(monkeypatch, module, name)
         cli.analysis_doc(s, op.TolerancePolicy())
         return returned
 
-    @pytest.mark.parametrize("d", [4, 8])
+    @pytest.mark.parametrize("d", [4, 8, 64])
     @pytest.mark.parametrize("kind", ["acute", "obtuse"])
     def test_orthocentric_decides_three_times(self, monkeypatch, d, kind):
         p = op.sample_params(d, kind, d)
         s = op.construct(p.bary, 1.0)
-        residuals = self.results(monkeypatch, sx, "edge_perpendicularity_residual", s)
-        assert len(residuals) == 3
-        # the residual itself is computed once, the other calls read it back
-        assert all(r is residuals[0] for r in residuals)
+        exact = self.record(monkeypatch, sx, "edge_perpendicularity_residual")
+        bounds = self.results(monkeypatch, sx, "_perpendicularity_bounds", s)
+        assert len(bounds) == 3
+        # the bounds are computed once, the other decisions read them back
+        assert all(b is bounds[0] for b in bounds)
+        assert exact == []
 
     def test_general_decides_once(self, monkeypatch):
         rng = np.random.default_rng(8)
         s = op.from_vertices(8, rng.normal(size=(9, 8)))
-        assert len(self.results(monkeypatch, sx, "edge_perpendicularity_residual", s)) == 1
+        exact = self.record(monkeypatch, sx, "edge_perpendicularity_residual")
+        assert len(self.results(monkeypatch, sx, "_perpendicularity_bounds", s)) == 1
+        assert exact == []
 
     @pytest.mark.parametrize("orthocentric", [True, False])
     def test_circumcenter_solved_once(self, monkeypatch, orthocentric):
@@ -329,16 +364,25 @@ class TestWorkPerAnalysis:
     @pytest.mark.parametrize("d", [4, 8])
     def test_pair_table_and_volumes_built_once(self, monkeypatch, d):
         s = op.construct(op.sample_params(d, "acute", d).bary, 1.0)
-        calls = {"triu_indices": 0, "det": 0}
-        for module, name in ((np, "triu_indices"), (np.linalg, "det")):
-            def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        builds = []
 
-            monkeypatch.setattr(module, name, counting)
+        def building(simplex, _build=sx._pairs.__wrapped__):
+            builds.append(simplex)
+            return _build(simplex)
+
+        monkeypatch.setattr(sx, "_pairs", sx._per_simplex(building))
+        dets = []
+        original_det = np.linalg.det
+
+        def counting(*args, **kwargs):
+            dets.append(args)
+            return original_det(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "det", counting)
         cli.analysis_doc(s, op.TolerancePolicy())
         # one pair table; one determinant for the volume, one batch for the facets
-        assert calls == {"triu_indices": 1, "det": 2}
+        assert len(builds) == 1 and builds[0] is s
+        assert len(dets) == 2
 
     @pytest.mark.parametrize("kind", ["acute", "obtuse"])
     def test_no_face_enumeration(self, monkeypatch, kind):

@@ -137,6 +137,18 @@ class TestConstruct:
         with pytest.raises(DegenerateSimplexError, match="rank 1 < 2"):
             op.construct([1e-4, 0.5, 0.5 - 1e-4], 1.0, pol)
 
+    def test_full_rank_embedding_can_still_be_degenerate(self):
+        """gram_embed's rank test passes here (rank 4), but the edge-vector
+        Gram matrix of the embedded vertices has eigenvalue ratio 2.3e-11,
+        below rank_cut: from_vertices' own eigensolve is what rejects it."""
+        bary = [
+            -0.39402046949341246, -9.077039410674308, -2.0998658645398247e-09,
+            -1.112645077196455e-06, 10.471060994912662,
+        ]
+        with pytest.raises(DegenerateSimplexError, match="affinely dependent") as info:
+            op.construct(bary, 1.0)
+        assert info.value.eigen_ratio < op.TolerancePolicy().rank_cut
+
     def test_scale_sets_obtuseness_magnitude(self):
         p = op.params_of(op.construct([0.25, 0.25, 0.25, 0.25], 2.5))
         assert p.obtuseness == pytest.approx(-2.5, rel=1e-9)

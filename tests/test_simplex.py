@@ -163,6 +163,68 @@ class TestPerpendicularityResidual:
         assert sx.edge_perpendicularity_residual(s) > 1e-3
 
 
+def bound_fixtures(d):
+    """Gaussian, regular, rectangular, kite and thin simplices, and acute and
+    obtuse orthocentric ones rotated, translated, scaled by 1e-3..1e3 and
+    moved off orthocentricity by 0..1e-5 of their size."""
+    rng = np.random.default_rng(100 + d)
+    out = [op.from_vertices(d, rng.normal(size=(d + 1, d))) for _ in range(2)]
+    out += [op.regular(d, 1.3), right_corner(*rng.uniform(0.2, 3.0, d))]
+    if d >= 3:
+        out.append(op.kite(op.KiteSpec(d, 1.0, 1.4)))
+    thin = rng.normal(size=(d + 1, d))
+    thin[:, -1] *= 1e-3
+    out.append(op.from_vertices(d, thin))
+    for kind in ("acute", "obtuse"):
+        base = op.construct(op.sample_params(d, kind, d).bary, 1.0).vertices
+        for move in (0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-5):
+            scale = 10.0 ** rng.uniform(-3, 3)
+            v = base @ random_rotation(d, rng) * scale + rng.normal(size=d) * 10 * scale
+            out.append(op.from_vertices(d, v + move * scale * rng.normal(size=v.shape)))
+    return out
+
+
+class TestPerpendicularityBounds:
+    @pytest.mark.parametrize("d", range(2, 21))
+    def test_bounds_bracket_the_residual(self, d):
+        for s in bound_fixtures(d):
+            lo, hi = sx._perpendicularity_bounds(s)
+            assert lo <= sx.edge_perpendicularity_residual(s) <= hi, (s, lo, hi)
+
+    @pytest.mark.parametrize("d", range(2, 21))
+    def test_decision_equals_residual_test(self, d):
+        for s in bound_fixtures(d):
+            residual = sx.edge_perpendicularity_residual(s)
+            for rel in (1e-12, 1e-9, 1e-6):
+                policy = op.TolerancePolicy(rel=rel)
+                assert op.is_orthocentric(s, policy) == (residual <= rel), (s, rel)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_no_disjoint_edges(self, d):
+        s = op.from_vertices(d, np.random.default_rng(d).normal(size=(d + 1, d)))
+        assert sx._perpendicularity_bounds(s) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("seed, orthocentric", [(2, True), (3, False)])
+    def test_near_threshold_takes_the_exact_residual(self, monkeypatch, seed, orthocentric):
+        base = op.construct(op.sample_params(6, "acute", 6).bary, 1.0).vertices
+        move = 1e-9 * np.random.default_rng(seed).normal(size=base.shape)
+        s = op.from_vertices(6, base + move)
+        policy = op.TolerancePolicy()
+        lo, hi = sx._perpendicularity_bounds(s)
+        assert lo <= policy.rel < hi
+        calls = []
+        original = sx.edge_perpendicularity_residual
+
+        def counting(simplex):
+            calls.append(simplex)
+            return original(simplex)
+
+        monkeypatch.setattr(sx, "edge_perpendicularity_residual", counting)
+        assert op.is_orthocentric(s, policy) is orthocentric
+        assert len(calls) == 1 and calls[0] is s
+        assert (original(s) <= policy.rel) is orthocentric
+
+
 def unblocked_residual(s):
     """The residual from the whole C(d+1, 2)^2 pair Gram matrix at once."""
     i, j, e, _ = sx._pairs(s)
@@ -269,6 +331,7 @@ PER_SIMPLEX = [
     sx.facet_volumes,
     sx.facet_circumradii,
     sx.edge_perpendicularity_residual,
+    sx._perpendicularity_bounds,
     centers.centroid,
     centers.circumcenter,
     centers.incenter,

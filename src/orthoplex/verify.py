@@ -158,6 +158,14 @@ class _Recorder:
                 }
             self.counterexample = payload
 
+    def check_pairs(self, label: str, residuals: np.ndarray, allowed: float,
+                    simplex: sx.Simplex, a: np.ndarray, b: np.ndarray):
+        """:meth:`check` on each residual in turn, the one for pair (a[k], b[k])
+        as ``pair``: records the largest ratio and the first violation."""
+        first = np.flatnonzero(residuals > allowed)[:1].tolist()
+        for k in first + [int(np.argmax(residuals))]:
+            self.check(label, residuals[k], allowed, simplex, pair=(a[k], b[k]))
+
     def fail(self, label: str, simplex: sx.Simplex | None = None, **extra):
         self.check(label, 1.0, 0.5, simplex=simplex, **extra)
 
@@ -436,11 +444,11 @@ def _check_euler_feuerbach(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
                   100 * pol.abs, s)
         pts = np.vstack([h, s.vertices])
         vals = lam.all_values
-        for a, b in combinations(range(d + 2), 2):
-            want = vals[a] + vals[b]
-            got = float(np.sum((pts[a] - pts[b]) ** 2))
-            rec.check("lambda pairwise distances", abs(want - got), pol.rel * diam**2, s,
-                      pair=(a, b))
+        r = np.arange(d + 2)
+        a, b = np.nonzero(r[:, None] < r)  # combinations order
+        got = ((pts[a] - pts[b]) ** 2).sum(axis=1)
+        rec.check_pairs("lambda pairwise distances", np.abs(vals[a] + vals[b] - got),
+                        pol.rel * diam**2, s, a, b)
 
 
 # ---------------------------------------------------------------------------

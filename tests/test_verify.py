@@ -81,6 +81,17 @@ class TestRecorder:
         rec.check("tie", 0.0, 0.0)
         assert rec.result(0).passed and rec.max_ratio == 0.0
 
+    @pytest.mark.parametrize("residuals", [[0.1, 0.9, 0.5], [0.1, 2.0, 0.3, 5.0, 1.5]])
+    def test_check_pairs_equals_check_in_turn(self, residuals):
+        s = op.regular(3, 1.0)
+        a, b = np.arange(len(residuals)), np.arange(len(residuals)) + 10
+        looped, batched = vf._Recorder("x"), vf._Recorder("x")
+        for k, res in enumerate(residuals):
+            looped.check("pairs", res, 1.0, s, pair=(int(a[k]), int(b[k])))
+        batched.check_pairs("pairs", np.array(residuals), 1.0, s, a, b)
+        assert batched.max_ratio == looped.max_ratio
+        assert batched.counterexample == looped.counterexample
+
     def test_non_orthocentric_euler_fixture_is_a_numeric_error(self):
         rng = np.random.default_rng(6)
         s = op.from_vertices(4, rng.normal(size=(5, 4)))

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InputError, NotOrthocentricError, NumericError
+from .errors import InputError, NotOrthocentricError
 from .numerics import DEFAULT_POLICY, TolerancePolicy
 from . import simplex as sx
 
@@ -73,19 +73,10 @@ def centroid(s: sx.Simplex) -> np.ndarray:
 
 @sx._per_simplex
 def circumcenter(s: sx.Simplex) -> tuple[np.ndarray, float]:
-    """Center and radius of the sphere through all vertices.
-
-    Solves 2 (A_i - A_last) . C = |A_i|^2 - |A_last|^2 for i < d+1.
-    """
-    v = s.vertices
-    a = 2.0 * (v[:-1] - v[-1])
-    b = np.einsum("ij,ij->i", v[:-1], v[:-1]) - float(v[-1] @ v[-1])
-    try:
-        c = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:  # unreachable for a valid simplex
-        raise NumericError(f"circumcenter system is singular: {exc}") from exc
-    r = float(np.linalg.norm(v - c, axis=1).mean())
-    return c, r
+    """Center and radius of the sphere through all vertices: A_b + c and
+    |c|, with c = C - A_b from the edge frame (:func:`simplex._frame`)."""
+    b, *_, c = sx._frame(s)
+    return s.vertices[b] + c, float(np.linalg.norm(c))
 
 
 @sx._per_simplex

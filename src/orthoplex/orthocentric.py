@@ -204,9 +204,11 @@ def params_of(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> OrthoP
     check, since (H - A_i) . (H - A_j) is constant only up to round-off.
     """
     if not is_orthocentric(s, policy):
+        # the decision computed the O(d^5) residual only if lo did not decide
+        lo = sx._perpendicularity_bounds(s)[0]
+        found = f">= {lo:.3e}" if lo > policy.rel else f"{sx.edge_perpendicularity_residual(s):.3e}"
         raise NotOrthocentricError(
-            f"edge perpendicularity residual {sx.edge_perpendicularity_residual(s):.3e} "
-            f"exceeds tolerance"
+            f"edge perpendicularity residual {found} exceeds tolerance {policy.rel:g}"
         )
     h = centers.monge_point(s)
     diam = sx.diameter(s)

@@ -17,7 +17,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import DegenerateSimplexError, InputError
+from .errors import DegenerateSimplexError, InputError, NumericError
 from .numerics import DEFAULT_POLICY, SymMatrix, TolerancePolicy, gram_embed, sym_eigen
 
 __all__ = [
@@ -125,18 +125,10 @@ def _per_simplex(fn):
     return memoized
 
 
-def _gram_volume(edges: np.ndarray):
-    """k-volume of the simplex spanned by k edge vectors from one vertex,
-    over any leading axes: sqrt(det(E E^T)) / k!."""
-    k = edges.shape[-2]
-    det = np.linalg.det(edges @ np.swapaxes(edges, -1, -2))
-    return np.sqrt(np.maximum(det, 0.0)) / factorial(k)
-
-
 @_per_simplex
 def volume(s: Simplex) -> float:
-    """d-volume via the edge-vector Gram determinant."""
-    return float(_gram_volume(s.vertices[:-1] - s.vertices[-1]))
+    """d-volume, |det e| / d! for the edge matrix e of :func:`_frame`."""
+    return float(abs(np.linalg.det(_frame(s)[1]))) / factorial(s.dim)
 
 
 @_per_simplex
@@ -177,31 +169,57 @@ def facet_indices(s: Simplex) -> np.ndarray:
 
 
 @_per_simplex
+def _frame(s: Simplex):
+    """(b, e, normals, sizes, c): the dual basis of the edges e = A_rest - A_b
+    at the base vertex b (least squared-edge row sum, the first on ties, so
+    similarity-invariant), read by every center, volume and facet quantity.
+    Row i of ``normals`` is n_i, the gradient of the i-th barycentric
+    coordinate (rows of e^-T, and minus their sum), |n_i| = ``sizes[i]`` =
+    1 / h_i; c = C - A_b solves 2 e c = |e|^2.
+    """
+    sq = squared_edge_table(s)
+    b = int(np.argmin(sq.sum(axis=1)))
+    rest = facet_indices(s)[b]
+    e = s.vertices[rest] - s.vertices[b]
+    try:
+        inv = np.linalg.inv(e)
+    except np.linalg.LinAlgError as exc:  # unreachable for a valid simplex
+        raise NumericError(f"edge matrix is singular: {exc}") from exc
+    normals = np.empty((s.n, s.dim))
+    normals[rest] = inv.T
+    normals[b] = -inv.sum(axis=1)
+    c = inv @ (sq[b, rest] / 2.0)
+    return b, e, normals, np.linalg.norm(normals, axis=1), c
+
+
+def _weights(s: Simplex, q: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates of A_b + q: n_i . q, and at the base vertex b
+    what makes them sum to 1."""
+    b, _, normals = _frame(s)[:3]
+    w = normals @ q
+    w[b] = 0.0
+    w[b] = 1.0 - w.sum()
+    return w
+
+
+@_per_simplex
 def facet_volumes(s: Simplex) -> np.ndarray:
-    """(d-1)-volumes of all d+1 facets, facet i opposite vertex i."""
-    pts = s.vertices[facet_indices(s)]
-    return _gram_volume(pts[:, :-1] - pts[:, -1:])
+    """(d-1)-volumes of all d+1 facets, facet i opposite vertex i:
+    d V / h_i = d V |n_i|; the facets of a segment are points, of measure 1."""
+    if s.dim == 1:
+        return np.ones(2)
+    return s.dim * volume(s) * _frame(s)[3]
 
 
 @_per_simplex
 def facet_circumradii(s: Simplex) -> np.ndarray:
-    """Circumradii of all d+1 facets, facet i opposite vertex i.
-
-    Each comes from the facet's squared-edge table E_F through the bordered
-    system [[E_F, 1], [1^T, 0]] [w; -2 R_F^2] = [0; 1], w being the
-    circumcenter barycentrics.  E is scaled to unit diameter first so the
-    solve is equally conditioned at every scale.
-    """
-    sq = squared_edge_table(s)
-    scale = float(np.max(sq))
-    keep = facet_indices(s)
-    bordered = np.ones((s.n, s.n, s.n))
-    bordered[:, :-1, :-1] = sq[keep[:, :, None], keep[:, None, :]] / scale
-    bordered[:, -1, -1] = 0.0
-    rhs = np.zeros((s.n, s.n, 1))
-    rhs[:, -1] = 1.0
-    r_sq = -np.linalg.solve(bordered, rhs)[:, -1, 0] / 2.0 * scale
-    return np.sqrt(r_sq)
+    """Circumradii of all d+1 facets, facet i opposite vertex i: the distance
+    from the foot of C on the facet, C - (w_i / |n_i|^2) n_i with w the
+    barycentrics of C, to a facet vertex (A_b, or A_rest[0] opposite b)."""
+    b, e, normals, sizes, c = _frame(s)
+    feet = c - (_weights(s, c) / sizes**2)[:, None] * normals
+    feet[b] -= e[0]
+    return np.linalg.norm(feet, axis=1)
 
 
 def facet_sq_edge_sums(s: Simplex) -> np.ndarray:
@@ -213,8 +231,7 @@ def facet_sq_edge_sums(s: Simplex) -> np.ndarray:
 
 def barycentric(s: Simplex, point) -> np.ndarray:
     """Barycentric coordinates of ``point`` with respect to the vertices."""
-    m = np.vstack([s.vertices.T, np.ones(s.n)])
-    return np.linalg.solve(m, np.concatenate([np.asarray(point, float), [1.0]]))
+    return _weights(s, np.asarray(point, float) - s.vertices[_frame(s)[0]])
 
 
 def face(s: Simplex, index_set, policy: TolerancePolicy = DEFAULT_POLICY) -> Simplex:
@@ -258,8 +275,9 @@ def project_to_affine_hull(point, pts) -> np.ndarray:
 
 def altitude_feet(s: Simplex) -> np.ndarray:
     """Row i: the foot of the altitude from vertex i, the projection of
-    A_i onto the hull of the facet opposite it."""
-    return project_to_affine_hull(s.vertices, s.vertices[facet_indices(s)])
+    A_i onto the hull of the facet opposite it: A_i - n_i / |n_i|^2."""
+    normals, sizes = _frame(s)[2:4]
+    return s.vertices - normals / (sizes**2)[:, None]
 
 
 def shape_predicates(s: Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> ShapeFlags:

@@ -162,8 +162,7 @@ class _Recorder:
                     simplex: sx.Simplex, a: np.ndarray, b: np.ndarray):
         """:meth:`check` on each residual in turn, the one for pair (a[k], b[k])
         as ``pair``: records the largest ratio and the first violation."""
-        first = np.flatnonzero(residuals > allowed)[:1].tolist()
-        for k in first + [int(np.argmax(residuals))]:
+        for k in np.flatnonzero(residuals > allowed)[:1].tolist() + [int(np.argmax(residuals))]:
             self.check(label, residuals[k], allowed, simplex, pair=(a[k], b[k]))
 
     def fail(self, label: str, simplex: sx.Simplex | None = None, **extra):

@@ -371,18 +371,20 @@ class TestWorkPerAnalysis:
             return _build(simplex)
 
         monkeypatch.setattr(sx, "_pairs", sx._per_simplex(building))
-        dets = []
-        original_det = np.linalg.det
+        calls = {"det": [], "inv": [], "solve": []}
+        for name, found in calls.items():
+            def counting(*args, _original=getattr(np.linalg, name), _found=found, **kwargs):
+                _found.append(args)
+                return _original(*args, **kwargs)
 
-        def counting(*args, **kwargs):
-            dets.append(args)
-            return original_det(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "det", counting)
+            monkeypatch.setattr(np.linalg, name, counting)
         cli.analysis_doc(s, op.TolerancePolicy())
-        # one pair table; one determinant for the volume, one batch for the facets
+        # one pair table; one determinant for the volume, one inverse for the
+        # edge frame, which every center and facet quantity reads
         assert len(builds) == 1 and builds[0] is s
-        assert len(dets) == 2
+        assert {name: len(found) for name, found in calls.items()} == {
+            "det": 1, "inv": 1, "solve": 0
+        }
 
     @pytest.mark.parametrize("kind", ["acute", "obtuse"])
     def test_no_face_enumeration(self, monkeypatch, kind):

@@ -61,6 +61,24 @@ class TestParamsOf:
         with pytest.raises(NotOrthocentricError):
             op.params_of(op.from_vertices(3, rng.normal(size=(4, 3))))
 
+    def test_rejects_without_the_exact_residual(self, monkeypatch):
+        s = op.from_vertices(64, np.random.default_rng(64).normal(size=(65, 64)))
+
+        def unreachable(simplex):
+            raise AssertionError("the O(d^2) bounds decide a Gaussian simplex")
+
+        monkeypatch.setattr(sx, "edge_perpendicularity_residual", unreachable)
+        with pytest.raises(NotOrthocentricError, match=r"residual >= \S+ exceeds tolerance 1e-09"):
+            op.params_of(s)
+
+    def test_rejection_near_the_threshold_names_the_residual(self):
+        base = op.construct(op.sample_params(6, "acute", 6).bary, 1.0).vertices
+        s = op.from_vertices(6, base + 1e-9 * np.random.default_rng(3).normal(size=base.shape))
+        assert sx._perpendicularity_bounds(s)[0] <= 1e-9
+        residual = f"{sx.edge_perpendicularity_residual(s):.3e}"
+        with pytest.raises(NotOrthocentricError, match=f"residual {residual} exceeds"):
+            op.params_of(s)
+
 
 class TestConstruct:
     def test_equilateral_from_uniform_coordinates(self):

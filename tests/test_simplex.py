@@ -321,6 +321,31 @@ class TestFacetClosedForms:
         assert np.allclose(sx.barycentric(s, w @ s.vertices), w, atol=1e-12)
 
 
+class TestFrame:
+    @pytest.mark.parametrize("d", [1, 2, 5, 12])
+    def test_normals_are_the_dual_basis(self, d):
+        s = op.from_vertices(d, np.random.default_rng(d).normal(size=(d + 1, d)))
+        b, e, normals, sizes, _ = sx._frame(s)
+        rest = sx.facet_indices(s)[b]
+        assert np.allclose(e @ normals[rest].T, np.eye(d), atol=1e-12)
+        assert np.allclose(normals.sum(axis=0), 0.0, atol=1e-12 * sizes.max())
+        assert np.array_equal(sizes, np.linalg.norm(normals, axis=1))
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_base_vertex_invariant_under_similarity(self, d):
+        rng = np.random.default_rng(40 + d)
+        v = rng.normal(size=(d + 1, d))
+        base = sx._frame(op.from_vertices(d, v))[0]
+        for scale in (1e-3, 0.7, 1e3):
+            moved = op.from_vertices(d, scale * v @ random_rotation(d, rng) + rng.normal(size=d))
+            assert sx._frame(moved)[0] == base
+
+    def test_base_vertex_avoids_a_needle_apex(self):
+        v = 1e-3 * np.random.default_rng(9).normal(size=(5, 4))
+        v[4, 0] += 1.0
+        assert sx._frame(op.from_vertices(4, v))[0] != 4
+
+
 PER_SIMPLEX = [
     sx._pairs,
     sx.facet_indices,
@@ -332,6 +357,7 @@ PER_SIMPLEX = [
     sx.facet_circumradii,
     sx.edge_perpendicularity_residual,
     sx._perpendicularity_bounds,
+    sx._frame,
     centers.centroid,
     centers.circumcenter,
     centers.incenter,
@@ -389,7 +415,10 @@ class TestPairAndFacetTables:
     @pytest.mark.parametrize("d", range(1, 19))
     def test_facet_volumes_match_gram_loop(self, d):
         s = op.from_vertices(d, np.random.default_rng(d).normal(size=(d + 1, d)))
-        assert np.array_equal(sx.facet_volumes(s), gram_loop_facet_volumes(s))
+        got, want = sx.facet_volumes(s), gram_loop_facet_volumes(s)
+        if d == 1:
+            assert got.tolist() == [1.0, 1.0]
+        assert np.allclose(got, want, rtol=1e-11, atol=0.0)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 9])
     def test_stacked_projection_matches_single_hulls(self, d):

@@ -164,11 +164,24 @@ def _round_off(s: sx.Simplex, center: np.ndarray):
     return s.n * np.finfo(float).eps * (reach + np.linalg.norm(center, axis=-1))
 
 
-def _facet_sphere(s: sx.Simplex, g: np.ndarray, c: np.ndarray) -> FeuerbachSphere:
+@sx._per_simplex
+def _monge_gram(s: sx.Simplex):
+    """(a, gram, sigma, spread) about the Monge point M: a = A - M by rows,
+    gram = a a^T, sigma its mean off-diagonal entry (the obtuseness when M
+    is the orthocenter) and spread the largest off-diagonal |gram - sigma|."""
+    a = s.vertices - monge_point(s)
+    gram = a @ a.T
+    off = gram[~np.eye(s.n, dtype=bool)]
+    sigma = float(off.mean())
+    return a, gram, sigma, float(np.max(np.abs(off - sigma)))
+
+
+def _facet_sphere(s: sx.Simplex) -> FeuerbachSphere:
     """The k = d-1 sphere of any simplex, measured on its d+1 facet
     centroids (n G - A_j) / d."""
     d = s.dim
-    center = ((d + 1) * g - c) / d
+    g = centroid(s)
+    center = ((d + 1) * g - circumcenter(s)[0]) / d
     dists = np.linalg.norm((s.n * g - s.vertices) / d - center, axis=1)
     radius = float(np.sqrt(np.mean(dists**2)))
     return FeuerbachSphere(
@@ -179,9 +192,9 @@ def _facet_sphere(s: sx.Simplex, g: np.ndarray, c: np.ndarray) -> FeuerbachSpher
     )
 
 
-def _mid_face_spheres(s: sx.Simplex, g: np.ndarray, h: np.ndarray) -> list[FeuerbachSphere]:
-    """The spheres k = 0..d-2 of an orthocentric simplex, from the Gram
-    matrix B = (A - H)(A - H)^T without visiting a face.
+def _mid_face_spheres(s: sx.Simplex) -> list[FeuerbachSphere]:
+    """The spheres k = 0..d-2 of an orthocentric simplex from the Gram matrix
+    B = (A - H)(A - H)^T of :func:`_monge_gram`, without visiting a face.
 
     With m = k+1, t = (d+1) / (2m), P = H + t (G - H), beta_i = (A_i - H).(G - H)
     and sigma the mean off-diagonal entry of B, the k-face I has
@@ -195,12 +208,9 @@ def _mid_face_spheres(s: sx.Simplex, g: np.ndarray, h: np.ndarray) -> list[Feuer
     every face centroid.
     """
     n, d = s.n, s.dim
-    a = s.vertices - h
-    b = g - h
-    gram = a @ a.T
-    off = gram[~np.eye(n, dtype=bool)]
-    sigma = float(off.mean())
-    slack = float(np.max(np.abs(off - sigma)))
+    h = monge_point(s)
+    a, gram, sigma, slack = _monge_gram(s)
+    b = centroid(s) - h
     m = np.arange(1, d)
     t = n / (2.0 * m)
     # w_i less t^2 |G - H|^2, which is the same for every i and goes into
@@ -242,15 +252,13 @@ def feuerbach_sphere(
     d = s.dim
     if not (0 <= k <= d - 1):
         raise InputError(f"k must lie in [0, {d - 1}], got {k}")
-    g = centroid(s)
     if k == d - 1:
-        return _facet_sphere(s, g, circumcenter(s)[0])
-    h = orthocenter(s, policy)
-    if h is None:
+        return _facet_sphere(s)
+    if not is_orthocentric(s, policy):
         raise NotOrthocentricError(
             "mid-face spheres below the facet level require an orthocentric simplex"
         )
-    return _mid_face_spheres(s, g, h)[k]
+    return _mid_face_spheres(s)[k]
 
 
 def feuerbach_spheres(s: sx.Simplex, report: CenterReport) -> list[FeuerbachSphere]:
@@ -260,10 +268,8 @@ def feuerbach_spheres(s: sx.Simplex, report: CenterReport) -> list[FeuerbachSphe
     Equal, bit for bit, to :func:`feuerbach_sphere` for each of those k;
     the orthocentricity decision is the one ``report`` carries.
     """
-    below = []
-    if report.orthocenter is not None:
-        below = _mid_face_spheres(s, report.centroid, report.orthocenter)
-    return below + [_facet_sphere(s, report.centroid, report.circumcenter)]
+    below = _mid_face_spheres(s) if report.orthocenter is not None else []
+    return below + [_facet_sphere(s)]
 
 
 def center_report(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> CenterReport:

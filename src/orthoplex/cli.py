@@ -173,13 +173,15 @@ def _floats(text: str) -> list[float]:
 
 
 def _read_doc(path: str | None) -> dict:
-    if path in (None, "-"):
-        raw = sys.stdin.read()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
     try:
+        if path in (None, "-"):
+            raw = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                raw = fh.read()
         return json.loads(raw)
+    except UnicodeDecodeError as exc:
+        raise OrthoplexError(f"input is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise OrthoplexError(f"malformed JSON input: {exc}") from exc
 

@@ -210,13 +210,8 @@ def params_of(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> OrthoP
         raise NotOrthocentricError(
             f"edge perpendicularity residual {found} exceeds tolerance {policy.rel:g}"
         )
-    h = centers.monge_point(s)
+    _, gram, c, dev = centers._monge_gram(s)
     diam = sx.diameter(s)
-    rel_h = s.vertices - h
-    i, j = sx._pairs(s)[:2]
-    prods = np.matmul(rel_h[i][:, None, :], rel_h[j][:, :, None])[:, 0, 0]
-    c = float(np.mean(prods))
-    dev = float(np.max(np.abs(prods - c)))
     # the edge-perpendicularity gate at residual rel admits pair deviations
     # up to ~rel * diam^2, so the consistency allowance matches that scale
     if dev > max(policy.rel * abs(c), policy.rel * diam**2):
@@ -224,13 +219,13 @@ def params_of(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> OrthoP
             f"pairwise obtuseness values deviate by {dev:.3e}; not orthocentric"
         )
     if abs(c) <= policy.rank_cut * diam**2:
-        corner = int(np.argmin(np.linalg.norm(rel_h, axis=1)))
+        corner = int(np.argmin(np.diag(gram)))
         bary = np.zeros(s.n)
         bary[corner] = 1.0
         return OrthoParams(
             dim=s.dim, bary=bary, obtuseness=0.0, kind=RECTANGULAR, rect_vertex=corner
         )
-    bary = sx.barycentric(s, h)
+    bary = sx.barycentric(s, centers.monge_point(s))
     kind = ACUTE if c < 0 else OBTUSE
     _validate_bary(bary, policy)
     return OrthoParams(dim=s.dim, bary=bary, obtuseness=c, kind=kind)
@@ -291,15 +286,14 @@ def edge_and_altitude_data(
         raise RectangularParamsError(
             "edge/altitude formulas are undefined for rectangular parameters"
         )
-    h = centers.monge_point(s)
+    rel_h, gram = centers._monge_gram(s)[:2]
     a = p.bary
     c = p.obtuseness
     diam = sx.diameter(s)
     tol = policy.rel * diam**2
 
     sq_vertex = c * (a - 1.0) / a
-    measured_sq_vertex = np.einsum("ij,ij->i", s.vertices - h, s.vertices - h)
-    if np.max(np.abs(sq_vertex - measured_sq_vertex)) > max(tol, policy.abs):
+    if np.max(np.abs(sq_vertex - np.diag(gram))) > max(tol, policy.abs):
         raise NotOrthocentricError("vertex-to-orthocenter formula check failed")
 
     inv = 1.0 / a
@@ -308,7 +302,7 @@ def edge_and_altitude_data(
     if np.max(np.abs(sq_edges - sx.squared_edge_table(s))) > max(tol, policy.abs):
         raise NotOrthocentricError("squared-edge formula check failed")
 
-    feet = h + (a / (a - 1.0))[:, None] * (s.vertices - h)
+    feet = centers.monge_point(s) + (a / (a - 1.0))[:, None] * rel_h
     lengths = np.sqrt(c / (a * (a - 1.0)))
     foot_err = np.linalg.norm(feet - sx.altitude_feet(s), axis=1)
     if np.max(foot_err) > max(policy.rel * diam, policy.abs):

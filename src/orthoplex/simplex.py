@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import wraps
 from math import factorial
+from numbers import Integral
 
 import numpy as np
 
@@ -76,12 +77,12 @@ def from_vertices(dim, vertices, policy: TolerancePolicy = DEFAULT_POLICY) -> Si
     Degeneracy is decided on the eigenvalue ratio of the edge-vector Gram
     matrix, so the test is invariant under similarity.
     """
+    if isinstance(dim, bool) or not isinstance(dim, Integral) or dim < 1:
+        raise InputError(f"dimension must be an integer >= 1, got {dim!r}")
     try:
         arr = np.array(vertices, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"vertices are not a numeric array: {exc}") from exc
-    if dim < 1:
-        raise InputError(f"dimension must be >= 1, got {dim}")
     if arr.ndim != 2 or arr.shape != (dim + 1, dim):
         raise InputError(
             f"expected {dim + 1} vertices of length {dim}, got array of shape {arr.shape}"

@@ -133,6 +133,7 @@ class _Recorder:
         self.samples = 0
         self.max_ratio = 0.0
         self.counterexample: dict | None = None
+        self._t0 = time.perf_counter()
 
     def sample(self):
         self.samples += 1
@@ -142,9 +143,11 @@ class _Recorder:
         if allowed:
             ratio = float(residual) / float(allowed)
         else:  # exact coincidence in a separation check
-            ratio = float("inf") if residual > 0 else 0.0
+            ratio = 0.0 if residual <= 0 else float("inf")
+        if ratio != ratio:  # NaN on either side: infinite, and a violation below
+            ratio = float("inf")
         self.max_ratio = max(self.max_ratio, ratio)
-        if residual > allowed and self.counterexample is None:
+        if not residual <= allowed and self.counterexample is None:
             payload = {
                 "check": label,
                 "residual": float(residual),
@@ -162,20 +165,20 @@ class _Recorder:
                     simplex: sx.Simplex, a: np.ndarray, b: np.ndarray):
         """:meth:`check` on each residual in turn, the one for pair (a[k], b[k])
         as ``pair``: records the largest ratio and the first violation."""
-        for k in np.flatnonzero(residuals > allowed)[:1].tolist() + [int(np.argmax(residuals))]:
+        for k in np.flatnonzero(~(residuals <= allowed))[:1].tolist() + [int(np.argmax(residuals))]:
             self.check(label, residuals[k], allowed, simplex, pair=(a[k], b[k]))
 
     def fail(self, label: str, simplex: sx.Simplex | None = None, **extra):
         self.check(label, 1.0, 0.5, simplex=simplex, **extra)
 
-    def result(self, elapsed_ms: int) -> SuiteResult:
+    def result(self) -> SuiteResult:
         return SuiteResult(
             suite=self.name,
             passed=self.counterexample is None,
             samples=self.samples,
             max_residual=self.max_ratio,
             counterexample=self.counterexample,
-            elapsed_ms=elapsed_ms,
+            elapsed_ms=int((time.perf_counter() - self._t0) * 1000),
         )
 
 
@@ -206,7 +209,6 @@ def suite_center_equivalences(config: SuiteConfig) -> SuiteResult:
     incenter=centroid <-> equiareal; centroid=circumcenter <-> equal
     per-facet squared-edge sums; circumcenter=incenter <-> circumcenter
     interior and equiradial."""
-    t0 = time.perf_counter()
     rec = _Recorder("center_equivalences")
     pol = config.policy
     tol = pol.rel
@@ -228,7 +230,7 @@ def suite_center_equivalences(config: SuiteConfig) -> SuiteResult:
         for s in fixtures:
             rec.sample()
             _check_equivalences(rec, s, pol, tol)
-    return rec.result(int((time.perf_counter() - t0) * 1000))
+    return rec.result()
 
 
 def _check_equivalences(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, tol: float):
@@ -284,7 +286,6 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
     """Non-regular orthocentric simplices must keep all four centers
     pairwise separated, and center separations must shrink along a
     near-regular perturbation sequence."""
-    t0 = time.perf_counter()
     rec = _Recorder("regularity")
     pol = config.policy
     for d in range(config.d_min, config.d_max + 1):
@@ -310,11 +311,7 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
         seps = []
         for delta in (1e-2, 1e-3, 1e-4):
             s = sx.from_vertices(d, base.vertices + delta * dirs, pol)
-            rep = centers.center_report(s, pol)
-            pts = [rep.centroid, rep.circumcenter, rep.incenter, rep.monge]
-            sep = max(
-                float(np.linalg.norm(a - b)) for a, b in combinations(pts, 2)
-            ) / sx.diameter(s)
+            sep = max(_separations(centers.center_report(s, pol)).values()) / sx.diameter(s)
             rec.check(
                 "near-regular separation bounded by perturbation",
                 sep,
@@ -333,25 +330,25 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
                 delta_from=(1e-2, 1e-3, 1e-4)[k],
                 separations=seps,
             )
-    return rec.result(int((time.perf_counter() - t0) * 1000))
+    return rec.result()
+
+
+def _separations(report: centers.CenterReport) -> dict[str, float]:
+    """The six distances between centroid, circumcenter, incenter and Monge
+    point (named orthocenter), keyed "a-b" in ``combinations`` order."""
+    pts = dict(centroid=report.centroid, circumcenter=report.circumcenter,
+               incenter=report.incenter, orthocenter=report.monge)
+    return {
+        f"{na}-{nb}": float(np.linalg.norm(pts[na] - pts[nb]))
+        for na, nb in combinations(pts, 2)
+    }
 
 
 def _check_separation(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
-    rep = centers.center_report(s, pol)
     diam = sx.diameter(s)
-    pts = dict(centroid=rep.centroid, circumcenter=rep.circumcenter,
-               incenter=rep.incenter, orthocenter=rep.monge)
-    for (na, a), (nb, b) in combinations(pts.items(), 2):
-        sep = float(np.linalg.norm(a - b))
+    for pair, sep in _separations(centers.center_report(s, pol)).items():
         # separation must exceed the coincidence threshold: ratio < 1
-        rec.check(
-            f"separated: {na}-{nb}",
-            pol.rel * diam,
-            sep,
-            s,
-            pair=f"{na}-{nb}",
-            separation=sep,
-        )
+        rec.check(f"separated: {pair}", pol.rel * diam, sep, s, pair=pair, separation=sep)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +361,6 @@ def suite_euler_feuerbach(config: SuiteConfig) -> SuiteResult:
     spheres equidistant from the k-face centroids, altitude feet on the
     facet-centroid sphere, the vertex-sum identity, and the reciprocal
     distance parameters of the orthocentric system."""
-    t0 = time.perf_counter()
     rec = _Recorder("euler_feuerbach")
     pol = config.policy
     for d in range(config.d_min, config.d_max + 1):
@@ -382,7 +378,7 @@ def suite_euler_feuerbach(config: SuiteConfig) -> SuiteResult:
         for s in fixtures:
             rec.sample()
             _check_euler_feuerbach(rec, s, pol)
-    return rec.result(int((time.perf_counter() - t0) * 1000))
+    return rec.result()
 
 
 def _k_face_centroids(s: sx.Simplex, k: int) -> np.ndarray:
@@ -458,7 +454,6 @@ def suite_rectangular(config: SuiteConfig) -> SuiteResult:
     """Closed-form leg metrics against coordinate oracles, pairwise-distinct
     centers, hypotenuse-facet lift round trips, and rejection of lifts from
     non-negative obtuseness."""
-    t0 = time.perf_counter()
     rec = _Recorder("rectangular")
     pol = config.policy
     for d in range(max(config.d_min, 2), min(config.d_max, 8) + 1):
@@ -477,7 +472,7 @@ def suite_rectangular(config: SuiteConfig) -> SuiteResult:
                 pass
             else:
                 rec.fail("lift must reject non-negative obtuseness", t)
-    return rec.result(int((time.perf_counter() - t0) * 1000))
+    return rec.result()
 
 
 def _check_rectangular(rec: _Recorder, spec: families.RectSpec, pol: TolerancePolicy):
@@ -504,12 +499,13 @@ def _check_rectangular(rec: _Recorder, spec: families.RectSpec, pol: TolerancePo
     rec.check("hypotenuse orthocenter",
               float(np.linalg.norm(m.hyp_orthocenter - foot)), pol.rel * diam, s)
 
-    report = families.rect_centers_distinct(spec, pol)
-    pts = dict(centroid=report.centroid, circumcenter=report.circumcenter,
-               incenter=report.incenter, orthocenter=report.monge)
-    for (na, a), (nb, b) in combinations(pts.items(), 2):
-        rec.check(f"rect separated: {na}-{nb}", pol.rel * diam,
-                  float(np.linalg.norm(a - b)), s, pair=f"{na}-{nb}")
+    report = centers.center_report(s, pol)
+    for pair, sep in _separations(report).items():
+        rec.check(f"rect separated: {pair}", pol.rel * diam, sep, s, pair=pair)
+    expected = np.append(np.full(d, 0.5), (2 - d) / 2.0)
+    rec.check("rect circumcenter barycentrics (1/2, ..., 1/2, (2-d)/2)",
+              float(np.max(np.abs(sx.barycentric(s, report.circumcenter) - expected))),
+              pol.rel * d, s)
 
     if d >= 3:  # the d = 2 hypotenuse facet is a segment, below the lift's domain
         facet = sx.face(s, sx.facet_indices(s)[d], pol)

@@ -136,6 +136,15 @@ class TestAnalyze:
         assert code == 1
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("command", ["analyze", "lift-rect"])
+    def test_non_utf8_file_exit_1(self, capsys, tmp_path, command):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps({"dim": 2}).encode("utf-16-le"))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "UTF-8" in json.loads(err)["error"]
+        assert "Traceback" not in err
+
     def test_degenerate_exit_1(self, capsys, monkeypatch):
         doc = {"dim": 2, "vertices": [[0, 0], [1, 1], [2, 2]]}
         code, _, err = run_json(capsys, "analyze", stdin=json.dumps(doc), monkeypatch=monkeypatch)
@@ -360,6 +369,24 @@ class TestWorkPerAnalysis:
         found = self.results(monkeypatch, centers, "circumcenter", s)
         assert len(found) >= 2
         assert all(c is found[0] for c in found)
+
+    @pytest.mark.parametrize("orthocentric", [True, False])
+    def test_monge_gram_built_once(self, monkeypatch, orthocentric):
+        if orthocentric:
+            s = op.construct(op.sample_params(6, "obtuse", 6).bary, 1.0)
+        else:
+            s = op.from_vertices(6, np.random.default_rng(5).normal(size=(7, 6)))
+        builds = []
+
+        def building(simplex, _build=centers._monge_gram.__wrapped__):
+            builds.append(simplex)
+            return _build(simplex)
+
+        monkeypatch.setattr(centers, "_monge_gram", sx._per_simplex(building))
+        cli.analysis_doc(s, op.TolerancePolicy())
+        # the spheres below the facet level and params_of share one table;
+        # a Gaussian simplex needs neither
+        assert len(builds) == int(orthocentric) and all(b is s for b in builds)
 
     @pytest.mark.parametrize("d", [4, 8])
     def test_pair_table_and_volumes_built_once(self, monkeypatch, d):

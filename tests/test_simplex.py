@@ -34,6 +34,16 @@ class TestFromVertices:
         with pytest.raises(InputError):
             op.from_vertices(2, [[0, 0], [1, 0], [np.inf, 1]])
 
+    @pytest.mark.parametrize(
+        "dim, vertices", [(2.0, [[0, 0], [1, 0], [0, 1]]), (True, [[0.0], [1.0]])]
+    )
+    def test_non_integer_dim_rejected(self, dim, vertices):
+        with pytest.raises(InputError, match="integer"):
+            op.from_vertices(dim, vertices)
+
+    def test_numpy_integer_dim_accepted(self):
+        assert op.volume(op.from_vertices(np.int64(2), [[0, 0], [1, 0], [0, 1]])) == 0.5
+
     def test_vertices_read_only(self):
         s = op.from_vertices(2, [[0, 0], [1, 0], [0, 1]])
         with pytest.raises(ValueError):
@@ -362,6 +372,7 @@ PER_SIMPLEX = [
     centers.circumcenter,
     centers.incenter,
     centers.monge_point,
+    centers._monge_gram,
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -71,7 +72,7 @@ class TestRecorder:
     def test_exact_coincidence_is_a_counterexample(self):
         rec = vf._Recorder("regularity")
         vf._check_separation(rec, families.regular(3, 1.0), DEFAULT_POLICY)
-        result = rec.result(0)
+        result = rec.result()
         assert not result.passed
         assert result.counterexample["check"].startswith("separated: ")
         assert result.max_residual > 1.0
@@ -79,9 +80,22 @@ class TestRecorder:
     def test_zero_over_zero_ratio(self):
         rec = vf._Recorder("x")
         rec.check("tie", 0.0, 0.0)
-        assert rec.result(0).passed and rec.max_ratio == 0.0
+        assert rec.result().passed and rec.max_ratio == 0.0
 
-    @pytest.mark.parametrize("residuals", [[0.1, 0.9, 0.5], [0.1, 2.0, 0.3, 5.0, 1.5]])
+    @pytest.mark.parametrize(
+        "residual, allowed", [(float("nan"), 1.0), (1.0, float("nan")), (float("nan"), 0.0)]
+    )
+    def test_nan_is_a_violation(self, residual, allowed):
+        rec = vf._Recorder("x")
+        rec.check("x", residual, allowed)
+        result = rec.result()
+        assert not result.passed and result.max_residual == float("inf")
+        assert result.counterexample["check"] == "x"
+
+    @pytest.mark.parametrize(
+        "residuals",
+        [[0.1, 0.9, 0.5], [0.1, 2.0, 0.3, 5.0, 1.5], [0.1, float("nan"), 2.0]],
+    )
     def test_check_pairs_equals_check_in_turn(self, residuals):
         s = op.regular(3, 1.0)
         a, b = np.arange(len(residuals)), np.arange(len(residuals)) + 10
@@ -90,7 +104,26 @@ class TestRecorder:
             looped.check("pairs", res, 1.0, s, pair=(int(a[k]), int(b[k])))
         batched.check_pairs("pairs", np.array(residuals), 1.0, s, a, b)
         assert batched.max_ratio == looped.max_ratio
-        assert batched.counterexample == looped.counterexample
+        # repr, so a NaN residual compares equal to itself
+        assert repr(batched.counterexample) == repr(looped.counterexample)
+
+    @pytest.mark.parametrize("field, check", [("incenter", "rect separated"),
+                                              ("circumcenter", "rect circumcenter barycentrics")])
+    def test_rect_center_faults_are_counterexamples(self, monkeypatch, field, check):
+        real = centers.center_report
+
+        def faulty(s, policy=DEFAULT_POLICY):
+            rep = real(s, policy)
+            if field == "incenter":
+                return dataclasses.replace(
+                    rep, incenter=rep.centroid, coincident_pairs=(("centroid", "incenter"),)
+                )
+            return dataclasses.replace(rep, circumcenter=rep.circumcenter + 0.1)
+
+        monkeypatch.setattr(centers, "center_report", faulty)
+        result = vf.suite_rectangular(SuiteConfig(suites=("rect",), samples=4, seed=0, d_max=3))
+        assert not result.passed
+        assert result.counterexample["check"].startswith(check)
 
     def test_non_orthocentric_euler_fixture_is_a_numeric_error(self):
         rng = np.random.default_rng(6)

@@ -77,7 +77,6 @@ from .families import (
     kite,
     kite_metrics,
     lift_to_rectangular,
-    rect_centers_distinct,
     rect_metrics,
     rectangular,
     regular,

@@ -272,28 +272,29 @@ def feuerbach_spheres(s: sx.Simplex, report: CenterReport) -> list[FeuerbachSphe
     return below + [_facet_sphere(s)]
 
 
+@sx._per_simplex
+def _center_distances(s: sx.Simplex) -> np.ndarray:
+    """The six distances between centroid, circumcenter, incenter and Monge
+    point, in ``_CENTER_PAIRS`` order."""
+    p = dict(zip(CENTER_NAMES, (centroid(s), circumcenter(s)[0], incenter(s)[0], monge_point(s))))
+    return np.array([np.linalg.norm(p[x] - p[y]) for x, y in _CENTER_PAIRS])
+
+
 def center_report(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> CenterReport:
     """All centers plus the coincidence pairs among
     {centroid, circumcenter, incenter, monge} at threshold rel * diameter."""
-    g = centroid(s)
     c, big_r = circumcenter(s)
     i, small_r = incenter(s)
-    m = monge_point(s)
-    h = orthocenter(s, policy)
-    diam = sx.diameter(s)
-    points = dict(zip(CENTER_NAMES, (g, c, i, m)))
-    pairs = tuple(
-        (x, y)
-        for x, y in _CENTER_PAIRS
-        if np.linalg.norm(points[x] - points[y]) <= policy.rel * diam
-    )
+    limit = policy.rel * sx.diameter(s)
     return CenterReport(
-        centroid=g,
+        centroid=centroid(s),
         circumcenter=c,
         circumradius=big_r,
         incenter=i,
         inradius=small_r,
-        monge=m,
-        orthocenter=h,
-        coincident_pairs=pairs,
+        monge=monge_point(s),
+        orthocenter=orthocenter(s, policy),
+        coincident_pairs=tuple(
+            pair for pair, dist in zip(_CENTER_PAIRS, _center_distances(s)) if dist <= limit
+        ),
     )

@@ -29,7 +29,6 @@ from .errors import (
     NumericError,
 )
 from .numerics import DEFAULT_POLICY, TolerancePolicy
-from . import centers
 from . import orthocentric as oc
 from . import simplex as sx
 
@@ -48,7 +47,6 @@ __all__ = [
     "equiradial_kite",
     "rectangular",
     "rect_metrics",
-    "rect_centers_distinct",
     "lift_to_rectangular",
     "equiradial_admissible",
     "equiradial_general",
@@ -269,26 +267,6 @@ def rect_metrics(spec: RectSpec) -> RectMetrics:
         hyp_orthocenter=w @ verts,
         hyp_orthocenter_bary=w,
     )
-
-
-def rect_centers_distinct(
-    spec: RectSpec, policy: TolerancePolicy = DEFAULT_POLICY
-) -> centers.CenterReport:
-    """Center report of a rectangular simplex; its four classical centers
-    are always pairwise distinct and the circumcenter is never interior
-    (barycentrics (1/2, ..., 1/2, (2-d)/2))."""
-    s = rectangular(spec, policy)
-    report = centers.center_report(s, policy)
-    if report.coincident_pairs:
-        raise NumericError(
-            f"rectangular centers can never coincide, got {report.coincident_pairs}"
-        )
-    bary = sx.barycentric(s, report.circumcenter)
-    expected = np.full(spec.d + 1, 0.5)
-    expected[-1] = (2 - spec.d) / 2.0
-    if np.max(np.abs(bary - expected)) > policy.rel * max(spec.d, 1.0):
-        raise NumericError("circumcenter barycentrics must be (1/2, ..., 1/2, (2-d)/2)")
-    return report
 
 
 def lift_to_rectangular(

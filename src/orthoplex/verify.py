@@ -214,11 +214,7 @@ def suite_center_equivalences(config: SuiteConfig) -> SuiteResult:
     tol = pol.rel
     for d in range(config.d_min, config.d_max + 1):
         rng = np.random.default_rng(_sub_seed(config, 1, d))
-        fixtures = [families.regular(d, 1.5, pol)]
-        legs = tuple(rng.uniform(0.5, 2.0, size=d))
-        fixtures.append(families.rectangular(families.RectSpec(d, legs), pol))
-        if d >= 4:
-            fixtures.append(families.kite(families.equiradial_kite(d, pol), pol))
+        fixtures = _family_fixtures(d, rng, pol)
         if d >= 9:
             for branch in (1, 2):
                 try:
@@ -233,14 +229,23 @@ def suite_center_equivalences(config: SuiteConfig) -> SuiteResult:
     return rec.result()
 
 
+def _family_fixtures(d: int, rng, policy: TolerancePolicy) -> list[sx.Simplex]:
+    """The regular d-simplex of edge 1, a rectangular one with legs drawn
+    from ``rng`` and, for d >= 4, the equiradial kite."""
+    legs = tuple(rng.uniform(0.5, 2.0, size=d))
+    fixtures = [families.regular(d, 1.0, policy),
+                families.rectangular(families.RectSpec(d, legs), policy)]
+    if d >= 4:
+        fixtures.append(families.kite(families.equiradial_kite(d, policy), policy))
+    return fixtures
+
+
 def _check_equivalences(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, tol: float):
     diam = sx.diameter(s)
-    g = centers.centroid(s)
     c, big_r = centers.circumcenter(s)
     i, inr = centers.incenter(s)
-    d_ig = float(np.linalg.norm(i - g)) / diam
-    d_gc = float(np.linalg.norm(g - c)) / diam
-    d_ci = float(np.linalg.norm(c - i)) / diam
+    # _CENTER_PAIRS order: G-C, G-I, G-M, C-I, C-M, I-M
+    d_gc, d_ig, _, d_ci = (centers._center_distances(s)[:4] / diam).tolist()
 
     # contract checks keep the suite sensitive to faulty center
     # implementations (the equivalence implications alone are blind to
@@ -311,7 +316,7 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
         seps = []
         for delta in (1e-2, 1e-3, 1e-4):
             s = sx.from_vertices(d, base.vertices + delta * dirs, pol)
-            sep = max(_separations(centers.center_report(s, pol)).values()) / sx.diameter(s)
+            sep = float(np.max(centers._center_distances(s))) / sx.diameter(s)
             rec.check(
                 "near-regular separation bounded by perturbation",
                 sep,
@@ -333,22 +338,13 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
     return rec.result()
 
 
-def _separations(report: centers.CenterReport) -> dict[str, float]:
-    """The six distances between centroid, circumcenter, incenter and Monge
-    point (named orthocenter), keyed "a-b" in ``combinations`` order."""
-    pts = dict(centroid=report.centroid, circumcenter=report.circumcenter,
-               incenter=report.incenter, orthocenter=report.monge)
-    return {
-        f"{na}-{nb}": float(np.linalg.norm(pts[na] - pts[nb]))
-        for na, nb in combinations(pts, 2)
-    }
-
-
-def _check_separation(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
+def _check_separation(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, prefix: str = ""):
     diam = sx.diameter(s)
-    for pair, sep in _separations(centers.center_report(s, pol)).items():
+    for (na, nb), sep in zip(centers._CENTER_PAIRS, centers._center_distances(s).tolist()):
         # separation must exceed the coincidence threshold: ratio < 1
-        rec.check(f"separated: {pair}", pol.rel * diam, sep, s, pair=pair, separation=sep)
+        pair = f"{na}-{nb}"
+        rec.check(f"{prefix}separated: {pair}", pol.rel * diam, sep, s, pair=pair,
+                  separation=sep)
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +360,7 @@ def suite_euler_feuerbach(config: SuiteConfig) -> SuiteResult:
     rec = _Recorder("euler_feuerbach")
     pol = config.policy
     for d in range(config.d_min, config.d_max + 1):
-        rng = np.random.default_rng(_sub_seed(config, 3, d))
-        fixtures = [families.regular(d, 1.0, pol)]
-        legs = tuple(rng.uniform(0.5, 2.0, size=d))
-        fixtures.append(families.rectangular(families.RectSpec(d, legs), pol))
-        if d >= 4:
-            fixtures.append(families.kite(families.equiradial_kite(d, pol), pol))
+        fixtures = _family_fixtures(d, np.random.default_rng(_sub_seed(config, 3, d)), pol)
         per_kind = max(1, _per_dim(config) // 2)
         for kind in (oc.ACUTE, oc.OBTUSE):
             for i in range(per_kind):
@@ -499,13 +490,11 @@ def _check_rectangular(rec: _Recorder, spec: families.RectSpec, pol: TolerancePo
     rec.check("hypotenuse orthocenter",
               float(np.linalg.norm(m.hyp_orthocenter - foot)), pol.rel * diam, s)
 
-    report = centers.center_report(s, pol)
-    for pair, sep in _separations(report).items():
-        rec.check(f"rect separated: {pair}", pol.rel * diam, sep, s, pair=pair)
+    _check_separation(rec, s, pol, "rect ")
+    bary = sx.barycentric(s, centers.center_report(s, pol).circumcenter)
     expected = np.append(np.full(d, 0.5), (2 - d) / 2.0)
     rec.check("rect circumcenter barycentrics (1/2, ..., 1/2, (2-d)/2)",
-              float(np.max(np.abs(sx.barycentric(s, report.circumcenter) - expected))),
-              pol.rel * d, s)
+              float(np.max(np.abs(bary - expected))), pol.rel * d, s)
 
     if d >= 3:  # the d = 2 hypotenuse facet is a segment, below the lift's domain
         facet = sx.face(s, sx.facet_indices(s)[d], pol)

@@ -147,8 +147,9 @@ def test_criterion_3_no_coincidence_for_non_regular():
     for d in range(2, 7):
         for _ in range(10):
             spec = op.RectSpec(d, tuple(rng.uniform(0.5, 2.0, d)))
-            rep = op.rect_centers_distinct(spec)
             s = op.rectangular(spec)
+            rep = op.center_report(s)
+            assert rep.coincident_pairs == ()
             diam = sx.diameter(s)
             pts = [rep.centroid, rep.circumcenter, rep.incenter, rep.monge]
             for a, b in combinations(pts, 2):

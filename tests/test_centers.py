@@ -326,6 +326,23 @@ class TestCenterReport:
         rep = op.center_report(op.kite(op.equiradial_kite(5)))
         assert rep.coincident_pairs == ()
 
+    @pytest.mark.parametrize("rel", [1e-9, 0.05, 0.2, 0.5])
+    def test_pairs_read_the_distance_table(self, rel):
+        policy = op.TolerancePolicy(rel=rel)
+        fixtures = [op.regular(4, 1.0), right_corner(3, 4, 5), op.kite(op.equiradial_kite(5)),
+                    op.from_vertices(4, np.random.default_rng(3).normal(size=(5, 4)))]
+        seen = set()
+        for s in fixtures:
+            rep = op.center_report(s, policy)
+            table = centers._center_distances(s)
+            points = [rep.centroid, rep.circumcenter, rep.incenter, rep.monge]
+            assert table.tolist() == [np.linalg.norm(x - y) for x, y in combinations(points, 2)]
+            want = tuple(pair for pair, dist in zip(centers._CENTER_PAIRS, table)
+                         if dist <= rel * sx.diameter(s))
+            assert rep.coincident_pairs == want
+            seen.add(len(want))
+        assert len(seen) > 1  # each rel splits the fixtures
+
 
 class TestOrthocentricIdentities:
     @pytest.mark.parametrize("d", range(2, 7))

@@ -189,7 +189,8 @@ class TestRectangular:
         assert m2.r_squared == pytest.approx(lam**2 * m1.r_squared, rel=1e-12)
 
     def test_centers_distinct_3_4_5(self):
-        rep = op.rect_centers_distinct(op.RectSpec(3, (3.0, 4.0, 5.0)))
+        rep = op.center_report(op.rectangular(op.RectSpec(3, (3.0, 4.0, 5.0))))
+        assert rep.coincident_pairs == ()
         pts = [rep.centroid, rep.circumcenter, rep.incenter, rep.monge]
         for a, b in combinations(pts, 2):
             assert np.linalg.norm(a - b) > 1e-6 * rep.circumradius
@@ -201,14 +202,10 @@ class TestRectangular:
         bary = np.linalg.solve(m, np.concatenate([c, [1.0]]))
         assert bary[-1] == pytest.approx(0.0, abs=1e-12)
 
-    def test_coincidence_at_coarse_tolerance_is_a_numeric_error(self):
-        with pytest.raises(NumericError, match="never coincide"):
-            op.rect_centers_distinct(op.RectSpec(3, (3.0, 4.0, 5.0)), TolerancePolicy(rel=0.5))
-
     def test_incenter_never_centroid(self):
         # I = G would need b_i = (d+1) r for all i, forcing d+1 = d+sqrt(d)
         for d in (2, 3, 5):
-            rep = op.rect_centers_distinct(op.RectSpec(d, tuple([1.0] * d)))
+            rep = op.center_report(op.rectangular(op.RectSpec(d, tuple([1.0] * d))))
             assert np.linalg.norm(rep.incenter - rep.centroid) > 1e-3
 
 

@@ -373,6 +373,7 @@ PER_SIMPLEX = [
     centers.incenter,
     centers.monge_point,
     centers._monge_gram,
+    centers._center_distances,
 ]
 
 

@@ -110,20 +110,24 @@ class TestRecorder:
     @pytest.mark.parametrize("field, check", [("incenter", "rect separated"),
                                               ("circumcenter", "rect circumcenter barycentrics")])
     def test_rect_center_faults_are_counterexamples(self, monkeypatch, field, check):
-        real = centers.center_report
+        if field == "incenter":  # the incenter moved onto the centroid
+            real = centers._center_distances
+            at = centers._CENTER_PAIRS.index(("centroid", "incenter"))
+            monkeypatch.setattr(centers, "_center_distances",
+                                lambda s: np.where(np.arange(6) == at, 0.0, real(s)))
+        else:  # the reported circumcenter moved off
+            real = centers.center_report
 
-        def faulty(s, policy=DEFAULT_POLICY):
-            rep = real(s, policy)
-            if field == "incenter":
-                return dataclasses.replace(
-                    rep, incenter=rep.centroid, coincident_pairs=(("centroid", "incenter"),)
-                )
-            return dataclasses.replace(rep, circumcenter=rep.circumcenter + 0.1)
+            def faulty(s, policy=DEFAULT_POLICY):
+                rep = real(s, policy)
+                return dataclasses.replace(rep, circumcenter=rep.circumcenter + 0.1)
 
-        monkeypatch.setattr(centers, "center_report", faulty)
+            monkeypatch.setattr(centers, "center_report", faulty)
         result = vf.suite_rectangular(SuiteConfig(suites=("rect",), samples=4, seed=0, d_max=3))
         assert not result.passed
         assert result.counterexample["check"].startswith(check)
+        if field == "incenter":
+            assert result.counterexample["residuals"]["pair"] == "centroid-incenter"
 
     def test_non_orthocentric_euler_fixture_is_a_numeric_error(self):
         rng = np.random.default_rng(6)

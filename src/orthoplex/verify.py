@@ -447,7 +447,7 @@ def suite_rectangular(config: SuiteConfig) -> SuiteResult:
     non-negative obtuseness."""
     rec = _Recorder("rectangular")
     pol = config.policy
-    for d in range(max(config.d_min, 2), min(config.d_max, 8) + 1):
+    for d in range(config.d_min, config.d_max + 1):
         rng = np.random.default_rng(_sub_seed(config, 4, d))
         for _ in range(_per_dim(config)):
             rec.sample()

@@ -60,6 +60,11 @@ class TestSuites:
                                      d_min=2, d_max=4))
         assert [r.suite for r in report.suites] == ["euler_feuerbach"]
 
+    def test_rectangular_covers_the_whole_range(self):
+        result = vf.suite_rectangular(SuiteConfig(suites=("rect",), samples=4, seed=0,
+                                                  d_min=9, d_max=10))
+        assert result.passed and result.samples >= 1
+
     def test_timings_normalized_by_default(self):
         report = run_all(SuiteConfig(suites=("rectangular",), samples=4, seed=0))
         doc = report.to_json_dict()

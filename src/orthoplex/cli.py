@@ -206,7 +206,7 @@ def _cmd_verify(args) -> int:
     policy = _policy_from_env(args.tol)
     names = vf.SUITE_NAMES if args.suite == "all" else (args.suite,)
     config = vf.SuiteConfig(
-        suites=vf.canonical_suites(names),
+        suites=names,
         samples=args.samples,
         seed=args.seed,
         d_min=args.dim_min,

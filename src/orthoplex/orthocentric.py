@@ -153,10 +153,10 @@ class CircumData:
     def face_r_squared(self, index_set) -> float:
         """Squared circumradius of the face on the given vertex indices:
         4 R_F^2 / sigma = (k-1)^2 / s - sum_{i in I} 1/a_i, s = sum_{i in I} a_i."""
-        idx = tuple(int(i) for i in index_set)
         p = self._params
-        if not idx or len(set(idx)) != len(idx) or any(i < 0 or i > p.dim for i in idx):
-            raise InputError(f"bad face index set {idx}")
+        idx = sx._check_indices(p.dim + 1, index_set)
+        if not idx:
+            raise InputError("a face needs at least one vertex")
         k = len(idx) - 1
         s = float(p.bary[list(idx)].sum())
         inv = float(np.sum(1.0 / p.bary[list(idx)]))
@@ -321,11 +321,9 @@ def restrict_to_face(p: OrthoParams, index_set) -> OrthoParams:
     a'_j = a_j / s and sigma' = sigma / s with s the selected coordinate sum."""
     if p.rectangular:
         raise RectangularParamsError("face restriction is undefined for rectangular parameters")
-    idx = tuple(int(i) for i in index_set)
+    idx = sx._check_indices(p.dim + 1, index_set)
     if len(idx) < 3:
         raise InputError("face restriction needs at least 3 vertices (dim >= 2)")
-    if len(set(idx)) != len(idx) or any(i < 0 or i > p.dim for i in idx):
-        raise InputError(f"bad face index set {idx}")
     s = float(p.bary[list(idx)].sum())
     if s == 0.0:
         raise ParametrizationError(f"coordinate sum over face {idx} vanishes")

@@ -238,7 +238,7 @@ def barycentric(s: Simplex, point) -> np.ndarray:
 def face(s: Simplex, index_set, policy: TolerancePolicy = DEFAULT_POLICY) -> Simplex:
     """Face spanned by the selected vertices, re-embedded isometrically
     into (|I|-1)-space.  Vertex order follows the index set."""
-    idx = _check_indices(s, index_set)
+    idx = _check_indices(s.n, index_set)
     if len(idx) < 2:
         raise InputError("a face needs at least 2 vertices")
     pts = s.vertices[list(idx)]
@@ -254,11 +254,16 @@ def face(s: Simplex, index_set, policy: TolerancePolicy = DEFAULT_POLICY) -> Sim
     return Simplex(dim=k, vertices=emb)
 
 
-def _check_indices(s: Simplex, index_set) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in index_set)
+def _check_indices(n: int, index_set) -> tuple[int, ...]:
+    """``index_set`` as a tuple of ints: distinct vertex indices in [0, n).
+    Entries must be integers (numpy integers too), not bools."""
+    idx = tuple(index_set)
+    if any(isinstance(i, bool) or not isinstance(i, Integral) for i in idx):
+        raise InputError(f"vertex indices must be integers, got {idx!r}")
+    idx = tuple(int(i) for i in idx)
     if len(set(idx)) != len(idx):
         raise InputError(f"duplicate vertex indices in {idx}")
-    if any(i < 0 or i >= s.n for i in idx):
+    if any(i < 0 or i >= n for i in idx):
         raise InputError(f"vertex index out of range in {idx}")
     return idx
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain, combinations
+from numbers import Integral
 
 import numpy as np
 
@@ -67,6 +68,10 @@ class SuiteConfig:
     policy: TolerancePolicy = DEFAULT_POLICY
 
     def __post_init__(self):
+        for name in ("samples", "seed", "d_min", "d_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
             raise InputError(f"samples must be >= 1, got {self.samples}")
         if self.seed < 0:
@@ -76,6 +81,8 @@ class SuiteConfig:
                 f"need 2 <= d_min <= d_max <= 10, got [{self.d_min}, {self.d_max}]"
             )
         object.__setattr__(self, "suites", canonical_suites(self.suites))
+        if not self.suites:
+            raise InputError("no suite selected")
 
 
 def canonical_suites(names) -> tuple[str, ...]:

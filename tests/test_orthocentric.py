@@ -233,6 +233,10 @@ class TestEdgeAltitudeData:
             op.edge_and_altitude_data(p, s)
 
 
+# each would pass as (0, 1, 2) or (1, 1, 2) if entries were truncated with int()
+BAD_INDEX_SETS = [(0, 1.7, 2), (0, 1.0, 2), "012", (0, True, 2), (0, 1, 9), (0, 0, 1)]
+
+
 class TestRestrictToFace:
     def test_worked_example(self):
         p = op.params_of(op.construct([0.4, 0.3, 0.2, 0.1], 1.0))
@@ -261,6 +265,11 @@ class TestRestrictToFace:
         p = op.params_of(op.construct([0.4, 0.3, 0.2, 0.1], 1.0))
         with pytest.raises(InputError):
             op.restrict_to_face(p, (0, 1))
+        for bad in BAD_INDEX_SETS:
+            with pytest.raises(InputError):
+                op.restrict_to_face(p, bad)
+        want = op.restrict_to_face(p, (0, 1, 2))
+        assert np.array_equal(op.restrict_to_face(p, np.array([0, 1, 2])).bary, want.bary)
 
     def test_vanishing_face_sum_rejected(self):
         p = op.OrthoParams(dim=3, bary=np.array([0.5, -0.5, 0.0, 1.0]),
@@ -299,6 +308,10 @@ class TestCircumData:
         cd = op.circum_data(op.params_of(s), s)
         with pytest.raises(InputError):
             cd.face_r_squared(())
+        for bad in BAD_INDEX_SETS:
+            with pytest.raises(InputError):
+                cd.face_r_squared(bad)
+        assert cd.face_r_squared(np.array([0, 1, 2])) == cd.face_r_squared((0, 1, 2))
 
 
 class TestLambdaParams:

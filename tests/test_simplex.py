@@ -139,6 +139,11 @@ class TestFace:
             op.face(s, (0, 9))
         with pytest.raises(InputError):
             op.face(s, (0, 0, 1))
+        for bad in [(0, 1.7, 2), (0, 1.0, 2), "012", (True, 2), (0, np.True_, 2), (0, None)]:
+            with pytest.raises(InputError):
+                op.face(s, bad)
+        assert op.face(s, np.array([0, 1, 2])).dim == 2
+        assert op.face(s, (np.int64(3), np.uint8(0))).dim == 1
 
 
 class TestShapePredicates:

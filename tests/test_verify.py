@@ -25,6 +25,14 @@ class TestConfig:
             SuiteConfig(d_min=5, d_max=3)
         with pytest.raises(InputError):
             SuiteConfig(d_max=11)
+        for field in ("samples", "seed", "d_min", "d_max"):
+            for bad in (True, 7.5, 4.0, "4", None):
+                with pytest.raises(InputError, match=field):
+                    SuiteConfig(**{field: bad})
+        with pytest.raises(InputError):
+            SuiteConfig(suites=())
+        cfg = SuiteConfig(samples=np.int64(5), seed=np.uint32(1), d_min=np.int8(2), d_max=3)
+        assert cfg.samples == 5 and cfg.d_min == 2
 
     def test_unknown_suite(self):
         with pytest.raises(InputError):

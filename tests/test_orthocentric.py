@@ -233,7 +233,7 @@ class TestEdgeAltitudeData:
             op.edge_and_altitude_data(p, s)
 
 
-# each would pass as (0, 1, 2) or (1, 1, 2) if entries were truncated with int()
+# int() truncation accepted the first four as (0, 1, 2); the last two are out of range or repeated
 BAD_INDEX_SETS = [(0, 1.7, 2), (0, 1.0, 2), "012", (0, True, 2), (0, 1, 9), (0, 0, 1)]
 
 

@@ -11,9 +11,9 @@ vertex.
 
 With the orthocenter at the origin the Gram matrix of the vertices is
 sigma * G where G has unit off-diagonal entries and diagonal 1 + x_i,
-x_i = -1/a_i.  Construction inverts this: build G from the coordinates,
-embed the positive-semidefinite one of +/- sigma G, and read the vertices
-off its factorization.
+x_i = -1/a_i.  Construction inverts this: sigma G is a diagonal plus a
+rank-one matrix, whose LDL^T factors are closed forms in the suffix sums
+of the coordinates, and the vertices are read off that factorization.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DegenerateSimplexError,
     InputError,
     NotOrthocentricError,
     ParametrizationError,
     RectangularParamsError,
 )
-from .numerics import DEFAULT_POLICY, SymMatrix, TolerancePolicy, gram_embed
+from .numerics import DEFAULT_POLICY, TolerancePolicy
 from . import centers
 from . import simplex as sx
 
@@ -238,9 +237,12 @@ def construct(
     barycentrics and |obtuseness| = scale.
 
     The sign of the obtuseness is forced by the coordinates: negative when
-    all are positive, positive when exactly one is.  The embedding puts the
-    orthocenter at the origin and the first vertex on the positive first
-    axis (canonical pose), so output is reproducible.
+    all are positive, positive when exactly one is.  The vertices come from
+    the closed-form LDL^T factorization of the Gram matrix (no eigensolve):
+    orthocenter at the origin, vertex matrix lower triangular with positive
+    diagonal, so the first vertex lies on the positive first axis (canonical
+    pose) and output is reproducible.  ``from_vertices`` makes the one
+    degeneracy decision.
     """
     a = np.asarray(bary, dtype=float)
     if a.ndim != 1 or a.size < 3:
@@ -248,26 +250,28 @@ def construct(
     if not (scale > 0) or not np.isfinite(scale):
         raise ParametrizationError(f"scale must be a positive number, got {scale!r}")
     sign = _validate_bary(a, policy)
+    return sx.from_vertices(a.size - 1, _ldl_pose(a, sign * scale), policy)
+
+
+def _ldl_pose(a: np.ndarray, sigma: float) -> np.ndarray:
+    """Vertices about the orthocenter whose Gram matrix is sigma (J - diag(1/a)),
+    read off its LDL^T factorization in O(d^2).
+
+    With t_k = sum_{j>k} a_j and t_{-1} = 1, column k (k < d) has the pivot
+    p_k = -sigma t_k / (a_k t_{k-1}) > 0, entry sqrt(p_k) on the diagonal and
+    -(a_k / t_k) sqrt(p_k) below it; above the diagonal it is 0.  The vertex
+    matrix is lower triangular with positive diagonal, the unique such pose.
+    An obtuse tuple's suffix sums before its positive entry would cancel, so
+    there t_k = 1 - sum_{j<=k} a_j, a sum of positive terms.
+    """
     d = a.size - 1
-    form = OrthoGramForm(scale=scale, sign=sign, x=-1.0 / a)
-    pts = gram_embed(SymMatrix(form.matrix(), policy), policy)
-    if pts.shape[1] != d:
-        raise DegenerateSimplexError(
-            f"parameters embed at rank {pts.shape[1]} < {d} at rank_cut={policy.rank_cut:g}"
-        )
-    pts = _canonical_pose(pts)
-    return sx.from_vertices(d, pts, policy)
-
-
-def _canonical_pose(pts: np.ndarray) -> np.ndarray:
-    """Rotate so the vertex matrix is lower triangular with positive
-    diagonal (orthocenter stays at the origin).  Any d of the d+1 position
-    vectors are linearly independent, so the first d rows suffice."""
-    d = pts.shape[1]
-    q, r = np.linalg.qr(pts[:d].T)
-    flip = np.sign(np.diag(r))
-    flip[flip == 0] = 1.0
-    return pts @ (q * flip)
+    t = np.cumsum(a[::-1])[::-1][1:]
+    neg = np.cumsum(a[:d] > 0) == 0
+    t[neg] = 1.0 - np.cumsum(a[:d])[neg]
+    root = np.sqrt(-sigma * t / (a[:d] * np.concatenate(([1.0], t[:-1]))))
+    pts = np.where(np.tri(d + 1, d, -1, dtype=bool), -(a[:d] / t) * root, 0.0)
+    np.fill_diagonal(pts, root)
+    return pts
 
 
 def edge_and_altitude_data(

@@ -19,7 +19,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DegenerateSimplexError, InputError, NumericError
-from .numerics import DEFAULT_POLICY, SymMatrix, TolerancePolicy, gram_embed, sym_eigen
+from .numerics import DEFAULT_POLICY, SymMatrix, TolerancePolicy, gram_embed
 
 __all__ = [
     "Simplex",
@@ -77,7 +77,7 @@ def from_vertices(dim, vertices, policy: TolerancePolicy = DEFAULT_POLICY) -> Si
     Degeneracy is decided on the eigenvalue ratio of the edge-vector Gram
     matrix, so the test is invariant under similarity.
     """
-    if isinstance(dim, bool) or not isinstance(dim, Integral) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise InputError(f"dimension must be an integer >= 1, got {dim!r}")
     try:
         arr = np.array(vertices, dtype=float)
@@ -91,9 +91,14 @@ def from_vertices(dim, vertices, policy: TolerancePolicy = DEFAULT_POLICY) -> Si
         raise InputError("vertex coordinates must be finite")
     edges = arr[:-1] - arr[-1]
     g = edges @ edges.T
-    vals, _ = sym_eigen(SymMatrix(g, policy))
-    lam_max = float(vals[0])
-    ratio = float(vals[-1]) / lam_max if lam_max > 0 else 0.0
+    if not np.all(np.isfinite(g)):
+        raise InputError("vertex coordinates are too large: edge inner products overflow")
+    try:
+        vals = np.linalg.eigvalsh(g)  # ascending
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"symmetric eigensolve failed to converge: {exc}") from exc
+    lam_max = float(vals[-1])
+    ratio = float(vals[0]) / lam_max if lam_max > 0 else 0.0
     if lam_max <= 0 or ratio <= policy.rank_cut:
         raise DegenerateSimplexError(
             f"vertices are affinely dependent (eigenvalue ratio {ratio:.3e})",
@@ -254,11 +259,19 @@ def face(s: Simplex, index_set, policy: TolerancePolicy = DEFAULT_POLICY) -> Sim
     return Simplex(dim=k, vertices=emb)
 
 
+def _is_int(x) -> bool:
+    """True for an integer (numpy integers too), not a bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 def _check_indices(n: int, index_set) -> tuple[int, ...]:
     """``index_set`` as a tuple of ints: distinct vertex indices in [0, n).
     Entries must be integers (numpy integers too), not bools."""
-    idx = tuple(index_set)
-    if any(isinstance(i, bool) or not isinstance(i, Integral) for i in idx):
+    try:
+        idx = tuple(index_set)
+    except TypeError as exc:
+        raise InputError(f"vertex indices must be an iterable, got {index_set!r}") from exc
+    if not all(_is_int(i) for i in idx):
         raise InputError(f"vertex indices must be integers, got {idx!r}")
     idx = tuple(int(i) for i in idx)
     if len(set(idx)) != len(idx):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain, combinations
-from numbers import Integral
 
 import numpy as np
 
@@ -70,7 +69,7 @@ class SuiteConfig:
     def __post_init__(self):
         for name in ("samples", "seed", "d_min", "d_max"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
+            if not sx._is_int(value):
                 raise InputError(f"{name} must be an integer, got {value!r}")
         if self.samples < 1:
             raise InputError(f"samples must be >= 1, got {self.samples}")
@@ -498,7 +497,7 @@ def _check_rectangular(rec: _Recorder, spec: families.RectSpec, pol: TolerancePo
               float(np.linalg.norm(m.hyp_orthocenter - foot)), pol.rel * diam, s)
 
     _check_separation(rec, s, pol, "rect ")
-    bary = sx.barycentric(s, centers.center_report(s, pol).circumcenter)
+    bary = sx.barycentric(s, c)
     expected = np.append(np.full(d, 0.5), (2 - d) / 2.0)
     rec.check("rect circumcenter barycentrics (1/2, ..., 1/2, (2-d)/2)",
               float(np.max(np.abs(bary - expected))), pol.rel * d, s)

@@ -12,6 +12,7 @@ from orthoplex import (
     ParametrizationError,
     RectangularParamsError,
 )
+from orthoplex import numerics
 from orthoplex import simplex as sx
 from orthoplex.orthocentric import OrthoGramForm
 
@@ -108,8 +109,8 @@ class TestConstruct:
         assert np.allclose(op.monge_point(s), 0.0, atol=1e-12)
         assert s.vertices[0, 0] > 0
         assert np.allclose(s.vertices[0, 1:], 0.0, atol=1e-12)
-        # lower-triangular vertex pattern
-        assert abs(s.vertices[1, 2]) < 1e-12
+        # lower-triangular vertex pattern with positive diagonal, zeros exact
+        assert not np.any(np.triu(s.vertices, 1)) and np.all(np.diag(s.vertices) > 0)
 
     def test_pose_reproducible(self):
         a = [0.35, 0.3, 0.2, 0.15]
@@ -152,13 +153,14 @@ class TestConstruct:
 
     def test_rank_deficient_embedding_is_degenerate(self):
         pol = op.TolerancePolicy(rel=1e-12, rank_cut=1e-3)
-        with pytest.raises(DegenerateSimplexError, match="rank 1 < 2"):
+        with pytest.raises(DegenerateSimplexError, match="affinely dependent") as info:
             op.construct([1e-4, 0.5, 0.5 - 1e-4], 1.0, pol)
+        assert info.value.eigen_ratio < pol.rank_cut
 
     def test_full_rank_embedding_can_still_be_degenerate(self):
-        """gram_embed's rank test passes here (rank 4), but the edge-vector
-        Gram matrix of the embedded vertices has eigenvalue ratio 2.3e-11,
-        below rank_cut: from_vertices' own eigensolve is what rejects it."""
+        """The parameter Gram matrix has full rank 4 here, but the edge-vector
+        Gram matrix of the constructed vertices has eigenvalue ratio 2.3e-11,
+        below rank_cut: from_vertices' eigenvalue test is what rejects it."""
         bary = [
             -0.39402046949341246, -9.077039410674308, -2.0998658645398247e-09,
             -1.112645077196455e-06, 10.471060994912662,
@@ -166,6 +168,53 @@ class TestConstruct:
         with pytest.raises(DegenerateSimplexError, match="affinely dependent") as info:
             op.construct(bary, 1.0)
         assert info.value.eigen_ratio < op.TolerancePolicy().rank_cut
+
+    @pytest.mark.parametrize("kind", ["acute", "obtuse"])
+    def test_gram_matches_form_on_skewed_tuples(self, kind):
+        """The closed-form pose reproduces the Gram form to a few ulps of its
+        largest entry, also with the smallest |a_i| last, where solving for
+        the last vertex against the others loses digits."""
+        rng = np.random.default_rng(29)
+        eps = np.finfo(float).eps
+        for d in (2, 3, 4, 6, 9, 16, 31, 64):
+            for pos in sorted({0, 1, d // 2, d}):
+                for tiny in (1e-3, 1e-5):
+                    if kind == "acute":
+                        a = rng.dirichlet(np.ones(d + 1))
+                        a[pos] = 0.0
+                        a *= (1.0 - tiny) / a.sum()
+                        a[pos] = tiny
+                        sign = -1
+                    else:
+                        a = -rng.uniform(0.05, 1.0, size=d + 1)
+                        a[pos] = -tiny
+                        top = (pos + 1 + int(rng.integers(d))) % (d + 1)
+                        a[top] = 0.0
+                        a[top] = 1.0 - a.sum()
+                        sign = 1
+                    scale = float(rng.uniform(0.5, 4.0))
+                    v = op.construct(a, scale).vertices
+                    want = OrthoGramForm(scale, sign, -1.0 / a).matrix()
+                    err = float(np.max(np.abs(v @ v.T - want)))
+                    assert err <= 10 * a.size * eps * float(np.max(np.abs(want))), (d, pos, tiny)
+
+    def test_no_eigensolve_or_qr_in_construct(self, monkeypatch):
+        """construct reads the vertices off the LDL^T factors; the one
+        eigensolve on its path is from_vertices' values-only degeneracy test."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("construct must not call this")
+
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(numerics, "sym_eigen", forbidden)
+        monkeypatch.setattr(numerics, "gram_embed", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "qr", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(g) or eigvalsh(g))
+        for kind in ("acute", "obtuse"):
+            op.construct(op.sample_params(7, kind, 3).bary, 2.0)
+        assert len(calls) == 2
 
     def test_scale_sets_obtuseness_magnitude(self):
         p = op.params_of(op.construct([0.25, 0.25, 0.25, 0.25], 2.5))
@@ -234,7 +283,7 @@ class TestEdgeAltitudeData:
 
 
 # int() truncation accepted the first four as (0, 1, 2); the last two are out of range or repeated
-BAD_INDEX_SETS = [(0, 1.7, 2), (0, 1.0, 2), "012", (0, True, 2), (0, 1, 9), (0, 0, 1)]
+BAD_INDEX_SETS = [(0, 1.7, 2), (0, 1.0, 2), "012", (0, True, 2), (0, 1, 9), (0, 0, 1), 3, None]
 
 
 class TestRestrictToFace:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthoplex as op
-from orthoplex import DegenerateSimplexError, InputError
+from orthoplex import DegenerateSimplexError, InputError, NumericError
 from orthoplex import centers, numerics
 from orthoplex import simplex as sx
 from conftest import random_rotation
@@ -43,6 +43,33 @@ class TestFromVertices:
 
     def test_numpy_integer_dim_accepted(self):
         assert op.volume(op.from_vertices(np.int64(2), [[0, 0], [1, 0], [0, 1]])) == 0.5
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_edge_products_rejected(self):
+        # finite coordinates whose edge-vector inner products overflow
+        with pytest.raises(InputError, match="overflow"):
+            op.from_vertices(2, [[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]])
+
+    def test_values_only_eigensolve(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("from_vertices reads eigenvalues only")
+
+        monkeypatch.setattr(numerics, "sym_eigen", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(g) or eigvalsh(g))
+        s = op.from_vertices(4, np.random.default_rng(8).normal(size=(5, 4)))
+        assert s.dim == 4 and len(calls) == 1
+
+    def test_eigensolve_failure_is_a_numeric_error(self, monkeypatch):
+        def diverging(g):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", diverging)
+        with pytest.raises(NumericError, match="failed to converge"):
+            op.from_vertices(2, [[0, 0], [1, 0], [0, 1]])
 
     def test_vertices_read_only(self):
         s = op.from_vertices(2, [[0, 0], [1, 0], [0, 1]])
@@ -124,7 +151,6 @@ class TestFace:
             return original(m)
 
         monkeypatch.setattr(numerics, "sym_eigen", counting)
-        monkeypatch.setattr(sx, "sym_eigen", counting)
         f = op.face(s, index_set)
         assert len(calls) == 1
         assert f.dim == len(index_set) - 1 and not f.vertices.flags.writeable
@@ -139,7 +165,7 @@ class TestFace:
             op.face(s, (0, 9))
         with pytest.raises(InputError):
             op.face(s, (0, 0, 1))
-        for bad in [(0, 1.7, 2), (0, 1.0, 2), "012", (True, 2), (0, np.True_, 2), (0, None)]:
+        for bad in [(0, 1.7, 2), (0, 1.0, 2), "012", (True, 2), (0, np.True_, 2), (0, None), 3, None]:
             with pytest.raises(InputError):
                 op.face(s, bad)
         assert op.face(s, np.array([0, 1, 2])).dim == 2

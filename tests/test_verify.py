@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 
@@ -128,14 +127,14 @@ class TestRecorder:
             at = centers._CENTER_PAIRS.index(("centroid", "incenter"))
             monkeypatch.setattr(centers, "_center_distances",
                                 lambda s: np.where(np.arange(6) == at, 0.0, real(s)))
-        else:  # the reported circumcenter moved off
-            real = centers.center_report
+        else:  # the circumcenter's barycentrics moved off; params_of's calls untouched
+            real = sx.barycentric
 
-            def faulty(s, policy=DEFAULT_POLICY):
-                rep = real(s, policy)
-                return dataclasses.replace(rep, circumcenter=rep.circumcenter + 0.1)
+            def faulty(s, point):
+                moved = np.array_equal(point, centers.circumcenter(s)[0])
+                return real(s, point) + (0.1 if moved else 0.0)
 
-            monkeypatch.setattr(centers, "center_report", faulty)
+            monkeypatch.setattr(sx, "barycentric", faulty)
         result = vf.suite_rectangular(SuiteConfig(suites=("rect",), samples=4, seed=0, d_max=3))
         assert not result.passed
         assert result.counterexample["check"].startswith(check)

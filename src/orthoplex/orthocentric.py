@@ -266,7 +266,7 @@ def _ldl_pose(a: np.ndarray, sigma: float) -> np.ndarray:
     """
     d = a.size - 1
     t = np.cumsum(a[::-1])[::-1][1:]
-    neg = np.cumsum(a[:d] > 0) == 0
+    neg = np.logical_and.accumulate(a[:d] < 0)
     t[neg] = 1.0 - np.cumsum(a[:d])[neg]
     root = np.sqrt(-sigma * t / (a[:d] * np.concatenate(([1.0], t[:-1]))))
     pts = np.where(np.tri(d + 1, d, -1, dtype=bool), -(a[:d] / t) * root, 0.0)

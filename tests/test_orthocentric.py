@@ -169,13 +169,20 @@ class TestConstruct:
             op.construct(bary, 1.0)
         assert info.value.eigen_ratio < op.TolerancePolicy().rank_cut
 
+    @staticmethod
+    def _assert_gram_matches_form(a, scale):
+        sign = 1 if np.count_nonzero(a > 0) == 1 else -1
+        v = op.construct(a, scale).vertices
+        want = OrthoGramForm(scale, sign, -1.0 / a).matrix()
+        err = float(np.max(np.abs(v @ v.T - want)))
+        assert err <= 10 * a.size * np.finfo(float).eps * float(np.max(np.abs(want))), a
+
     @pytest.mark.parametrize("kind", ["acute", "obtuse"])
     def test_gram_matches_form_on_skewed_tuples(self, kind):
         """The closed-form pose reproduces the Gram form to a few ulps of its
         largest entry, also with the smallest |a_i| last, where solving for
         the last vertex against the others loses digits."""
         rng = np.random.default_rng(29)
-        eps = np.finfo(float).eps
         for d in (2, 3, 4, 6, 9, 16, 31, 64):
             for pos in sorted({0, 1, d // 2, d}):
                 for tiny in (1e-3, 1e-5):
@@ -184,19 +191,25 @@ class TestConstruct:
                         a[pos] = 0.0
                         a *= (1.0 - tiny) / a.sum()
                         a[pos] = tiny
-                        sign = -1
                     else:
                         a = -rng.uniform(0.05, 1.0, size=d + 1)
                         a[pos] = -tiny
                         top = (pos + 1 + int(rng.integers(d))) % (d + 1)
                         a[top] = 0.0
                         a[top] = 1.0 - a.sum()
-                        sign = 1
-                    scale = float(rng.uniform(0.5, 4.0))
-                    v = op.construct(a, scale).vertices
-                    want = OrthoGramForm(scale, sign, -1.0 / a).matrix()
-                    err = float(np.max(np.abs(v @ v.T - want)))
-                    assert err <= 10 * a.size * eps * float(np.max(np.abs(want))), (d, pos, tiny)
+                    self._assert_gram_matches_form(a, float(rng.uniform(0.5, 4.0)))
+
+    def test_gram_matches_form_on_wide_obtuse_tuples(self):
+        """A small negative entry first, large ones after it, the positive one
+        last: the suffix sums t_k before the positive entry would cancel
+        (relative error up to about max |a_i| n eps) unless they are summed
+        as 1 - (prefix), a sum of positive terms."""
+        rng = np.random.default_rng(31)
+        for d in (3, 6, 9, 16, 31, 64):
+            a = np.append(-rng.uniform(100.0, 1000.0, size=d), 0.0)
+            a[0] = -0.05
+            a[-1] = 1.0 - a.sum()
+            self._assert_gram_matches_form(a, 1.0)
 
     def test_no_eigensolve_or_qr_in_construct(self, monkeypatch):
         """construct reads the vertices off the LDL^T factors; the one
@@ -282,7 +295,8 @@ class TestEdgeAltitudeData:
             op.edge_and_altitude_data(p, s)
 
 
-# int() truncation accepted the first four as (0, 1, 2); the last two are out of range or repeated
+# int() truncation accepted the first four as (0, 1, 2); the next two are out of range or
+# repeated; the last two are not iterable
 BAD_INDEX_SETS = [(0, 1.7, 2), (0, 1.0, 2), "012", (0, True, 2), (0, 1, 9), (0, 0, 1), 3, None]
 
 

@@ -83,13 +83,13 @@ def circumcenter(s: sx.Simplex) -> tuple[np.ndarray, float]:
 def incenter(s: sx.Simplex) -> tuple[np.ndarray, float]:
     """Center and radius of the sphere touching all facet hyperplanes.
 
-    Uses facet-volume weights: I = sum(V_i A_i) / sum(V_i), r = d V / sum(V_i).
+    The facet volumes are d V / h_i, so the vertices are weighted by
+    |n_i| = 1 / h_i of :func:`simplex._frame` and V cancels:
+    I = sum(|n_i| A_i) / sum(|n_i|), r = 1 / sum(|n_i|).
     """
-    w = sx.facet_volumes(s)
+    w = sx._frame(s)[3]
     total = float(w.sum())
-    center = (w[:, None] * s.vertices).sum(axis=0) / total
-    r = s.dim * sx.volume(s) / total
-    return center, float(r)
+    return (w[:, None] * s.vertices).sum(axis=0) / total, 1.0 / total
 
 
 @sx._per_simplex
@@ -105,18 +105,9 @@ def monge_point(s: sx.Simplex) -> np.ndarray:
 
 def is_orthocentric(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """True when all pairs of non-intersecting edges are perpendicular
-    within tolerance (vacuously true for triangles): when
-    ``sx.edge_perpendicularity_residual(s) <= policy.rel``.
-
-    The decision reads O(d^2) bounds on the residual from the squared-edge
-    table and computes the O(d^5) residual itself only when ``policy.rel``
-    lies between them.
+    within tolerance (vacuously true for triangles): when the squared-edge
+    misfit ``sx.edge_perpendicularity_residual(s)`` is at most ``policy.rel``.
     """
-    lo, hi = sx._perpendicularity_bounds(s)
-    if hi <= policy.rel:
-        return True
-    if lo > policy.rel:
-        return False
     return sx.edge_perpendicularity_residual(s) <= policy.rel
 
 

@@ -199,20 +199,20 @@ def _validate_bary(a: np.ndarray, policy: TolerancePolicy) -> int:
 def params_of(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> OrthoParams:
     """Recover (barycentrics of H, obtuseness, class) from coordinates.
 
-    The obtuseness is averaged over all vertex pairs with a consistency
-    check, since (H - A_i) . (H - A_j) is constant only up to round-off.
+    A simplex that is not orthocentric (:func:`is_orthocentric`) raises
+    NotOrthocentricError naming its squared-edge misfit.  The obtuseness
+    is averaged over all vertex pairs with a consistency check, since
+    (H - A_i) . (H - A_j) is constant only up to round-off.
     """
     if not is_orthocentric(s, policy):
-        # the decision computed the O(d^5) residual only if lo did not decide
-        lo = sx._perpendicularity_bounds(s)[0]
-        found = f">= {lo:.3e}" if lo > policy.rel else f"{sx.edge_perpendicularity_residual(s):.3e}"
         raise NotOrthocentricError(
-            f"edge perpendicularity residual {found} exceeds tolerance {policy.rel:g}"
+            f"edge perpendicularity residual {sx.edge_perpendicularity_residual(s):.3e}"
+            f" exceeds tolerance {policy.rel:g}"
         )
     _, gram, c, dev = centers._monge_gram(s)
     diam = sx.diameter(s)
-    # the edge-perpendicularity gate at residual rel admits pair deviations
-    # up to ~rel * diam^2, so the consistency allowance matches that scale
+    # the gate admits a squared-edge misfit up to rel * diam^2, so the
+    # consistency allowance matches that scale
     if dev > max(policy.rel * abs(c), policy.rel * diam**2):
         raise NotOrthocentricError(
             f"pairwise obtuseness values deviate by {dev:.3e}; not orthocentric"

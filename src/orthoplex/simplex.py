@@ -89,8 +89,9 @@ def from_vertices(dim, vertices, policy: TolerancePolicy = DEFAULT_POLICY) -> Si
         )
     if not np.all(np.isfinite(arr)):
         raise InputError("vertex coordinates must be finite")
-    edges = arr[:-1] - arr[-1]
-    g = edges @ edges.T
+    with np.errstate(over="ignore"):  # the isfinite test below decides
+        edges = arr[:-1] - arr[-1]
+        g = edges @ edges.T
     if not np.all(np.isfinite(g)):
         raise InputError("vertex coordinates are too large: edge inner products overflow")
     try:
@@ -139,24 +140,24 @@ def volume(s: Simplex) -> float:
 
 @_per_simplex
 def _pairs(s: Simplex):
-    """Vertex pairs i < j (lexicographic), e = A_i - A_j and |e|^2, the last as
+    """Vertex pairs i < j (lexicographic) and |A_i - A_j|^2, the last as
     stacked 1 x d by d x 1 products (rooted, the bits of ``np.linalg.norm``)."""
     r = np.arange(s.n)
     i, j = np.nonzero(r[:, None] < r)
     e = s.vertices[i] - s.vertices[j]
-    return i, j, e, np.matmul(e[:, None, :], e[:, :, None])[:, 0, 0]
+    return i, j, np.matmul(e[:, None, :], e[:, :, None])[:, 0, 0]
 
 
 @_per_simplex
 def edge_lengths(s: Simplex) -> np.ndarray:
     """All C(d+1, 2) edge lengths, in lexicographic (i < j) order."""
-    return np.sqrt(_pairs(s)[3])
+    return np.sqrt(_pairs(s)[2])
 
 
 @_per_simplex
 def squared_edge_table(s: Simplex) -> np.ndarray:
     """(d+1) x (d+1) table of squared distances, zero diagonal."""
-    i, j, _, sq = _pairs(s)
+    i, j, sq = _pairs(s)
     table = np.zeros((s.n, s.n))
     table[i, j] = table[j, i] = sq
     return table
@@ -313,61 +314,22 @@ def shape_predicates(s: Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> Sh
     )
 
 
-#: entries of the pair Gram matrix formed at a time, so memory stays O(d^2)
-#: (one block, the plain u @ u.T, up to d = 44)
-_PAIR_BLOCK = 1 << 20
-
-
 @_per_simplex
 def edge_perpendicularity_residual(s: Simplex) -> float:
-    """Worst normalized |(A_i - A_j) . (A_k - A_l)| over disjoint edge pairs.
+    """Misfit of E_ij = l_i + l_j, the squared-edge form of orthocentricity:
+    max over i < j of |E_ij - l_i - l_j| / max E, in O(d^2).
 
-    Zero residual characterizes orthocentric simplices; for d = 2 there
-    are no disjoint pairs and the residual is 0.  The C(d+1, 2)^2 pair
-    Gram matrix of unit edge vectors is formed in blocks of rows.
-    """
-    i, j, e, _ = _pairs(s)
-    u = e / edge_lengths(s)[:, None]
-    step = max(1, _PAIR_BLOCK // len(u))
-    worst = 0.0
-    for lo in range(0, len(u), step):
-        rows = slice(lo, lo + step)
-        bi, bj = i[rows, None], j[rows, None]
-        disjoint = (bi != i) & (bi != j) & (bj != i) & (bj != j)
-        block = np.abs(u[rows] @ u.T)
-        worst = max(worst, float(np.max(block, where=disjoint, initial=0.0)))
-    return worst
-
-
-@_per_simplex
-def _perpendicularity_bounds(s: Simplex) -> tuple[float, float]:
-    """(lo, hi) with lo <= edge_perpendicularity_residual(s) <= hi, from the
-    squared-edge table E in O(d^2).
-
-    Least squares fits E_ij ~ l_i + l_j, which holds exactly when opposite
-    edges are perpendicular (then, unless the simplex is rectangular, the
-    l_i are the ``orthocentric.lambda_params``): with row sums r_i, L = sum(r) / (2 (n-1)) and
-    l_i = (r_i - L) / (n-2), the misfit D_ij = E_ij - l_i - l_j has zero row
-    sums; delta = max |D|.  Since e_ij . e_kl = (D_il + D_jk - D_ik - D_jl) / 2,
-    the residual is at most 2 delta / min E.  Since D_ij is the sum of
-    -2 e_ik . e_jl / ((n-1)(n-2)) over the (n-2)(n-3) ordered pairs k != l
-    outside {i, j}, it is at least (n-1) delta / (2 (n-3) max E).
-
-    delta is widened by 8 n eps max E, against a round-off of up to about
-    0.6 n eps max E on the test fixtures.  Carried through, the same slack
-    moves each bound by at least 4 n eps, which covers the round-off of the
-    residual itself (about 0.2 n eps).  Without two disjoint edges (d <= 2)
-    both bounds are 0.
+    With row sums r_i of E, l_i = (r_i - sum(r) / (2 (n-1))) / (n-2) is the
+    least-squares fit; for an orthocentric simplex that is not rectangular
+    it is ``orthocentric.lambda_params``.  Since
+    (A_i - A_j) . (A_k - A_l) = (E_il + E_jk - E_ik - E_jl) / 2, a zero
+    misfit makes every pair of disjoint edges perpendicular, and conversely.
+    Without two disjoint edges (d <= 2) the misfit is 0.
     """
     n = s.n
     if n <= 3:
-        return 0.0, 0.0
-    i, j, _, sq = _pairs(s)
+        return 0.0
+    i, j, sq = _pairs(s)
     r = squared_edge_table(s).sum(axis=1)
     lam = (r - r.sum() / (2 * (n - 1))) / (n - 2)
-    e_min, e_max = float(np.min(sq)), float(np.max(sq))
-    delta = float(np.max(np.abs(sq - lam[i] - lam[j])))
-    slack = 8 * n * float(np.finfo(float).eps) * e_max
-    lo = (n - 1) * (delta - slack) / (2 * (n - 3) * e_max)
-    hi = 2 * (delta + slack) / e_min
-    return max(lo, 0.0), hi
+    return float(np.max(np.abs(sq - lam[i] - lam[j]))) / float(np.max(sq))

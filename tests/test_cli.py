@@ -111,6 +111,17 @@ class TestAnalyze:
         assert a["orthocentric"] is True
         assert a["ortho_params"]["class"].startswith("rectangular")
 
+    @pytest.mark.parametrize("d, edge", [(60, "1e-6"), (170, "1")])
+    def test_regular_inradius_without_the_volume(self, capsys, monkeypatch, d, edge):
+        """The volume underflows to 0 here; the inradius s / sqrt(2 d (d+1))
+        does not read it."""
+        code, doc, _ = run_json(capsys, "construct", "regular", "--dim", str(d), "--edge", edge)
+        assert code == 0
+        code, a, _ = run_json(capsys, "analyze", stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        assert code == 0
+        want = float(edge) / math.sqrt(2 * d * (d + 1))
+        assert a["centers"]["inradius"] == pytest.approx(want, rel=1e-12)
+
     def test_regular_4_simplex(self, capsys, monkeypatch):
         s = op.regular(4, 1.0)
         doc = cli.simplex_to_doc(s)
@@ -318,7 +329,7 @@ class TestTolEnv:
 class TestWorkPerAnalysis:
     """Gate on work done, not on time: orthocentricity is decided once per
     center report, params_of and Euler line, never once per sphere, and
-    each decision reads the one O(d^2) bounds pair of the simplex."""
+    each decision reads the one squared-edge misfit of the simplex."""
 
     @staticmethod
     def record(monkeypatch, module, name):
@@ -340,24 +351,33 @@ class TestWorkPerAnalysis:
         cli.analysis_doc(s, op.TolerancePolicy())
         return returned
 
+    def misfits(self, monkeypatch, s):
+        """(the misfit each decision in one analysis_doc read, the simplices
+        it was computed for)."""
+        builds = []
+
+        def building(simplex, _build=sx.edge_perpendicularity_residual.__wrapped__):
+            builds.append(simplex)
+            return _build(simplex)
+
+        monkeypatch.setattr(sx, "edge_perpendicularity_residual", sx._per_simplex(building))
+        return self.results(monkeypatch, sx, "edge_perpendicularity_residual", s), builds
+
     @pytest.mark.parametrize("d", [4, 8, 64])
     @pytest.mark.parametrize("kind", ["acute", "obtuse"])
     def test_orthocentric_decides_three_times(self, monkeypatch, d, kind):
         p = op.sample_params(d, kind, d)
         s = op.construct(p.bary, 1.0)
-        exact = self.record(monkeypatch, sx, "edge_perpendicularity_residual")
-        bounds = self.results(monkeypatch, sx, "_perpendicularity_bounds", s)
-        assert len(bounds) == 3
-        # the bounds are computed once, the other decisions read them back
-        assert all(b is bounds[0] for b in bounds)
-        assert exact == []
+        read, builds = self.misfits(monkeypatch, s)
+        assert len(read) == 3
+        # the misfit is computed once, the other decisions read it back
+        assert builds == [s] and all(m is read[0] for m in read)
 
     def test_general_decides_once(self, monkeypatch):
         rng = np.random.default_rng(8)
         s = op.from_vertices(8, rng.normal(size=(9, 8)))
-        exact = self.record(monkeypatch, sx, "edge_perpendicularity_residual")
-        assert len(self.results(monkeypatch, sx, "_perpendicularity_bounds", s)) == 1
-        assert exact == []
+        read, builds = self.misfits(monkeypatch, s)
+        assert len(read) == 1 and builds == [s]
 
     @pytest.mark.parametrize("orthocentric", [True, False])
     def test_circumcenter_solved_once(self, monkeypatch, orthocentric):

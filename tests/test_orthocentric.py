@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -62,22 +63,25 @@ class TestParamsOf:
         with pytest.raises(NotOrthocentricError):
             op.params_of(op.from_vertices(3, rng.normal(size=(4, 3))))
 
-    def test_rejects_without_the_exact_residual(self, monkeypatch):
+    def test_rejects_without_the_exact_residual(self):
+        """A Gaussian 64-simplex is rejected from its O(d^2) squared-edge
+        table; its pair Gram matrix alone would take 35 MB."""
         s = op.from_vertices(64, np.random.default_rng(64).normal(size=(65, 64)))
-
-        def unreachable(simplex):
-            raise AssertionError("the O(d^2) bounds decide a Gaussian simplex")
-
-        monkeypatch.setattr(sx, "edge_perpendicularity_residual", unreachable)
-        with pytest.raises(NotOrthocentricError, match=r"residual >= \S+ exceeds tolerance 1e-09"):
-            op.params_of(s)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotOrthocentricError, match=r"residual \S+ exceeds tolerance 1e-09"):
+                op.params_of(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_rejection_near_the_threshold_names_the_residual(self):
         base = op.construct(op.sample_params(6, "acute", 6).bary, 1.0).vertices
-        s = op.from_vertices(6, base + 1e-9 * np.random.default_rng(3).normal(size=base.shape))
-        assert sx._perpendicularity_bounds(s)[0] <= 1e-9
-        residual = f"{sx.edge_perpendicularity_residual(s):.3e}"
-        with pytest.raises(NotOrthocentricError, match=f"residual {residual} exceeds"):
+        s = op.from_vertices(6, base + 2e-9 * np.random.default_rng(3).normal(size=base.shape))
+        residual = sx.edge_perpendicularity_residual(s)
+        assert 1e-9 < residual < 2e-9
+        with pytest.raises(NotOrthocentricError, match=f"residual {residual:.3e} exceeds"):
             op.params_of(s)
 
 

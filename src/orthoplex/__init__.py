@@ -51,7 +51,6 @@ from .orthocentric import (
     RECTANGULAR,
     AltitudeData,
     LambdaParams,
-    OrthoGramForm,
     OrthoParams,
     circum_data,
     construct,

@@ -9,7 +9,9 @@ coincides with the orthocenter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -37,6 +39,9 @@ __all__ = [
 #: names used in coincidence pairs, in canonical order
 CENTER_NAMES = ("centroid", "circumcenter", "incenter", "monge")
 _CENTER_PAIRS = tuple(combinations(CENTER_NAMES, 2))
+_EPS = float(np.finfo(float).eps)
+#: ``_CENTER_PAIRS`` as row indices into the stacked centers
+_PAIR_ROWS = sx._pair_index(len(CENTER_NAMES))
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,7 @@ class EulerLineData:
 
 @sx._per_simplex
 def centroid(s: sx.Simplex) -> np.ndarray:
-    return s.vertices.mean(axis=0)
+    return s.vertices.sum(axis=0) / s.n
 
 
 @sx._per_simplex
@@ -76,7 +81,7 @@ def circumcenter(s: sx.Simplex) -> tuple[np.ndarray, float]:
     """Center and radius of the sphere through all vertices: A_b + c and
     |c|, with c = C - A_b from the edge frame (:func:`simplex._frame`)."""
     b, *_, c = sx._frame(s)
-    return s.vertices[b] + c, float(np.linalg.norm(c))
+    return s.vertices[b] + c, sx._norm(c)
 
 
 @sx._per_simplex
@@ -135,24 +140,34 @@ def euler_line(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> Euler
         raise NotOrthocentricError("Euler line requires an orthocentric simplex")
     g = centroid(s)
     c, _ = circumcenter(s)
-    diam = sx.diameter(s)
     ch = h - c
-    if np.linalg.norm(ch) <= policy.rel * diam:
+    length = sx._norm(ch)
+    if length <= policy.rel * sx.diameter(s):
         return EulerLineData(ratio=None, collinearity_residual=0.0, coincident=True)
-    u = ch / np.linalg.norm(ch)
+    u = ch / length
     offset = g - c
-    residual = float(np.linalg.norm(offset - (offset @ u) * u))
-    denom = np.linalg.norm(g - h)
-    ratio = float(np.linalg.norm(c - g) / denom)
+    residual = sx._norm(offset - (offset @ u) * u)
+    ratio = sx._norm(c - g) / sx._norm(g - h)
     return EulerLineData(ratio=ratio, collinearity_residual=residual, coincident=False)
+
+
+@sx._per_simplex
+def _reach(s: sx.Simplex) -> float:
+    """The largest vertex norm."""
+    return float(sx._row_norms(s.vertices).max())
 
 
 def _round_off(s: sx.Simplex, center: np.ndarray):
     """Round-off a face centroid and its distance to ``center`` (centers
     along the last axis) can carry in these coordinates: n eps times the
     largest vertex norm plus the center norm."""
-    reach = np.max(np.linalg.norm(s.vertices, axis=1))
-    return s.n * np.finfo(float).eps * (reach + np.linalg.norm(center, axis=-1))
+    return s.n * _EPS * (_reach(s) + sx._row_norms(center))
+
+
+@lru_cache(maxsize=64)
+def _off_diagonal(n: int) -> np.ndarray:
+    """Read-only n x n mask of the off-diagonal entries, built once per n."""
+    return sx._read_only(~np.eye(n, dtype=bool))
 
 
 @sx._per_simplex
@@ -162,9 +177,9 @@ def _monge_gram(s: sx.Simplex):
     is the orthocenter) and spread the largest off-diagonal |gram - sigma|."""
     a = s.vertices - monge_point(s)
     gram = a @ a.T
-    off = gram[~np.eye(s.n, dtype=bool)]
-    sigma = float(off.mean())
-    return a, gram, sigma, float(np.max(np.abs(off - sigma)))
+    off = gram[_off_diagonal(s.n)]
+    sigma = float(off.sum()) / off.size
+    return a, gram, sigma, float(np.abs(off - sigma).max())
 
 
 def _facet_sphere(s: sx.Simplex) -> FeuerbachSphere:
@@ -173,13 +188,13 @@ def _facet_sphere(s: sx.Simplex) -> FeuerbachSphere:
     d = s.dim
     g = centroid(s)
     center = ((d + 1) * g - circumcenter(s)[0]) / d
-    dists = np.linalg.norm((s.n * g - s.vertices) / d - center, axis=1)
-    radius = float(np.sqrt(np.mean(dists**2)))
+    dists = sx._row_norms((s.n * g - s.vertices) / d - center)
+    radius = math.sqrt((dists**2).sum() / s.n)
     return FeuerbachSphere(
         k=d - 1,
         center=center,
         radius=radius,
-        max_residual=float(np.max(np.abs(dists - radius)) + _round_off(s, center)),
+        max_residual=float(np.abs(dists - radius).max() + _round_off(s, center)),
     )
 
 
@@ -206,11 +221,12 @@ def _mid_face_spheres(s: sx.Simplex) -> list[FeuerbachSphere]:
     t = n / (2.0 * m)
     # w_i less t^2 |G - H|^2, which is the same for every i and goes into
     # ``fixed``; 2tm = n at every level, so one sort orders w for every k
-    w = np.sort(np.diag(gram) - n * (a @ b))
+    w = gram.diagonal() - n * (a @ b)
+    w.sort()
     tail = t * t * float(b @ b)
     fixed = m * tail + m * (m - 1) * (sigma + tail)
-    lo = (np.cumsum(w)[: d - 1] + fixed) / m**2
-    hi = (np.cumsum(w[::-1])[: d - 1] + fixed) / m**2
+    lo = (w.cumsum()[: d - 1] + fixed) / m**2
+    hi = (w[::-1].cumsum()[: d - 1] + fixed) / m**2
     radius = np.sqrt((m / n * w.sum() + fixed) / m**2)
     pad = (m - 1) / m * slack
     spheres = h + t[:, None] * b
@@ -252,23 +268,32 @@ def feuerbach_sphere(
     return _mid_face_spheres(s)[k]
 
 
-def feuerbach_spheres(s: sx.Simplex, report: CenterReport) -> list[FeuerbachSphere]:
-    """Every mid-face sphere that exists, from centers already computed:
-    k = 0..d-1 when ``report`` has an orthocenter, else only k = d-1.
+def feuerbach_spheres(
+    s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY
+) -> list[FeuerbachSphere]:
+    """Every mid-face sphere that exists: k = 0..d-1 when ``s`` is
+    orthocentric (:func:`is_orthocentric`, read from the per-simplex
+    squared-edge misfit), else only k = d-1.
 
-    Equal, bit for bit, to :func:`feuerbach_sphere` for each of those k;
-    the orthocentricity decision is the one ``report`` carries.
+    Equal, bit for bit, to :func:`feuerbach_sphere` for each of those k.
     """
-    below = _mid_face_spheres(s) if report.orthocenter is not None else []
+    return _sphere_family(s, is_orthocentric(s, policy))
+
+
+def _sphere_family(s: sx.Simplex, orthocentric: bool) -> list[FeuerbachSphere]:
+    """:func:`feuerbach_spheres` for a decision already made."""
+    below = _mid_face_spheres(s) if orthocentric else []
     return below + [_facet_sphere(s)]
 
 
 @sx._per_simplex
 def _center_distances(s: sx.Simplex) -> np.ndarray:
     """The six distances between centroid, circumcenter, incenter and Monge
-    point, in ``_CENTER_PAIRS`` order."""
-    p = dict(zip(CENTER_NAMES, (centroid(s), circumcenter(s)[0], incenter(s)[0], monge_point(s))))
-    return np.array([np.linalg.norm(p[x] - p[y]) for x, y in _CENTER_PAIRS])
+    point, in ``_CENTER_PAIRS`` order, as stacked 1 x d by d x 1 products
+    (rooted, the bits of ``np.linalg.norm``)."""
+    p = np.stack((centroid(s), circumcenter(s)[0], incenter(s)[0], monge_point(s)))
+    e = p[_PAIR_ROWS[0]] - p[_PAIR_ROWS[1]]
+    return np.sqrt(np.matmul(e[:, None, :], e[:, :, None])[:, 0, 0])
 
 
 def center_report(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> CenterReport:

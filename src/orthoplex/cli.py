@@ -97,7 +97,7 @@ def analysis_doc(s: sx.Simplex, policy: TolerancePolicy) -> dict:
         "euler": None,
         "feuerbach": [
             {"k": sphere.k, "radius": sphere.radius, "max_residual": sphere.max_residual}
-            for sphere in centers.feuerbach_spheres(s, report)
+            for sphere in centers._sphere_family(s, report.orthocenter is not None)
         ],
     }
     if report.orthocenter is not None:

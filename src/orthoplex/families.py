@@ -253,16 +253,16 @@ def rect_metrics(spec: RectSpec) -> RectMetrics:
     """
     b = np.asarray(spec.legs, dtype=float)
     d = spec.d
-    prod = float(np.prod(b))
-    inv2 = float(np.sum(1.0 / b**2))
+    prod = float(b.prod())
+    inv2 = float((1.0 / b**2).sum())
     verts = np.diag(b)
     w = (1.0 / b**2) / inv2
     return RectMetrics(
         volume=prod / math.factorial(d),
         hyp_volume=prod / math.factorial(d - 1) * math.sqrt(inv2),
         altitude=1.0 / math.sqrt(inv2),
-        inradius=1.0 / (float(np.sum(1.0 / b)) + math.sqrt(inv2)),
-        r_squared=float(np.sum(b**2)) / 4.0,
+        inradius=1.0 / (float((1.0 / b).sum()) + math.sqrt(inv2)),
+        r_squared=float((b**2).sum()) / 4.0,
         circumcenter=verts.sum(axis=0) / 2.0,
         hyp_orthocenter=w @ verts,
         hyp_orthocenter_bary=w,
@@ -279,6 +279,12 @@ def lift_to_rectangular(
     barycentrics of the input; the Pythagorean identity
     b_i^2 + b_j^2 = -sigma (1/t_i + 1/t_j) reproduces the edge table.
     """
+    spec = _lift_spec(t, policy)
+    return spec, rectangular(spec, policy)
+
+
+def _lift_spec(t: sx.Simplex, policy: TolerancePolicy) -> RectSpec:
+    """The legs of :func:`lift_to_rectangular`, without building the simplex."""
     p = oc.params_of(t, policy)
     if p.rectangular or p.obtuseness >= 0:
         raise NotLiftableError(
@@ -286,8 +292,7 @@ def lift_to_rectangular(
             f"(the orthocenter must be interior)"
         )
     legs = tuple(float(v) for v in np.sqrt(-p.obtuseness / p.bary))
-    spec = RectSpec(d=t.dim + 1, legs=legs)
-    return spec, rectangular(spec, policy)
+    return RectSpec(d=t.dim + 1, legs=legs)
 
 
 # ---------------------------------------------------------------------------

@@ -48,19 +48,23 @@ class TolerancePolicy:
         """Max-relative closeness: |x-y| <= rel * max(|x|, |y|, abs)."""
         return abs(x - y) <= self.rel * max(abs(x), abs(y), self.abs)
 
-    def all_close(self, values) -> bool:
-        """True when every pairwise gap in ``values`` passes :meth:`isclose`."""
+    def _gap(self, values) -> tuple[float, float]:
+        """(max - min, max(|values|, abs)) of a sample; (0.0, abs) if empty."""
         v = np.asarray(values, dtype=float)
         if v.size == 0:
-            return True
-        scale = max(float(np.max(np.abs(v))), self.abs)
-        return float(np.max(v) - np.min(v)) <= self.rel * scale
+            return 0.0, self.abs
+        return float(v.max() - v.min()), max(float(np.abs(v).max()), self.abs)
+
+    def all_close(self, values) -> bool:
+        """True when every pairwise gap in ``values`` passes :meth:`isclose`."""
+        gap, scale = self._gap(values)
+        return gap <= self.rel * scale
 
     def spread(self, values) -> float:
-        """Relative spread (max - min) / max(|values|, abs) of a sample."""
-        v = np.asarray(values, dtype=float)
-        scale = max(float(np.max(np.abs(v))), self.abs)
-        return float(np.max(v) - np.min(v)) / scale
+        """Relative spread (max - min) / max(|values|, abs) of a sample;
+        0.0 for an empty one."""
+        gap, scale = self._gap(values)
+        return gap / scale
 
 
 DEFAULT_POLICY = TolerancePolicy()

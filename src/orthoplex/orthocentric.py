@@ -34,7 +34,6 @@ from . import simplex as sx
 
 __all__ = [
     "OrthoParams",
-    "OrthoGramForm",
     "LambdaParams",
     "AltitudeData",
     "EdgeAltitudeData",
@@ -89,32 +88,6 @@ class OrthoParams:
 
 
 @dataclass(frozen=True)
-class OrthoGramForm:
-    """Gram data of a non-rectangular orthocentric simplex about its
-    orthocenter: scale |sigma|, its sign, and x_i = -1/a_i.
-
-    The Gram matrix is sign * scale * G with G_ii = 1 + x_i and unit
-    off-diagonal entries; its diagonal sign*scale*(1+x_i) equals
-    |A_i - H|^2.
-    """
-
-    scale: float
-    sign: int
-    x: np.ndarray
-
-    @classmethod
-    def from_params(cls, p: OrthoParams) -> "OrthoGramForm":
-        if p.rectangular:
-            raise RectangularParamsError("Gram form is undefined for rectangular parameters")
-        return cls(scale=abs(p.obtuseness), sign=1 if p.obtuseness > 0 else -1, x=-1.0 / p.bary)
-
-    def matrix(self) -> np.ndarray:
-        n = self.x.size
-        g = np.ones((n, n)) + np.diag(self.x)
-        return self.sign * self.scale * g
-
-
-@dataclass(frozen=True)
 class LambdaParams:
     """Distance parameters of the orthocentric system {H, A_1..A_{d+1}}:
     every squared mutual distance is a sum of two of them and their
@@ -166,13 +139,13 @@ def _validate_bary(a: np.ndarray, policy: TolerancePolicy) -> int:
     """Check the admissible sign pattern; return +1 for the one-positive
     (obtuse) pattern, -1 for the all-positive (acute) pattern."""
     n = a.size
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ParametrizationError("barycentric coordinates must be finite")
-    if abs(float(a.sum()) - 1.0) > policy.abs * n:
-        raise ParametrizationError(
-            f"barycentric coordinates must sum to 1, got {float(a.sum())!r}"
-        )
-    if np.any(np.abs(a) <= policy.abs):
+    total = float(a.sum())
+    if abs(total - 1.0) > policy.abs * n:
+        raise ParametrizationError(f"barycentric coordinates must sum to 1, got {total!r}")
+    size = np.abs(a)
+    if (size <= policy.abs).any():
         raise ParametrizationError("no barycentric coordinate may vanish")
     pos = int(np.count_nonzero(a > 0))
     if pos == n:
@@ -188,7 +161,7 @@ def _validate_bary(a: np.ndarray, policy: TolerancePolicy) -> int:
     # acute, singletons and their complements are extreme; obtuse, sums
     # without the positive entry are <= -min |a_i| and sums with it are
     # >= 1 + min |a_i|.
-    k = int(np.argmin(np.abs(a)))
+    k = int(size.argmin())
     if abs(float(a[k])) <= policy.rel:
         raise ParametrizationError(
             f"subset sum {float(a[k])!r} too close to the forbidden values 0/1"
@@ -297,22 +270,22 @@ def edge_and_altitude_data(
     tol = policy.rel * diam**2
 
     sq_vertex = c * (a - 1.0) / a
-    if np.max(np.abs(sq_vertex - np.diag(gram))) > max(tol, policy.abs):
+    if np.abs(sq_vertex - gram.diagonal()).max() > max(tol, policy.abs):
         raise NotOrthocentricError("vertex-to-orthocenter formula check failed")
 
     inv = 1.0 / a
     sq_edges = -c * (inv[:, None] + inv[None, :])
     np.fill_diagonal(sq_edges, 0.0)
-    if np.max(np.abs(sq_edges - sx.squared_edge_table(s))) > max(tol, policy.abs):
+    if np.abs(sq_edges - sx.squared_edge_table(s)).max() > max(tol, policy.abs):
         raise NotOrthocentricError("squared-edge formula check failed")
 
     feet = centers.monge_point(s) + (a / (a - 1.0))[:, None] * rel_h
     lengths = np.sqrt(c / (a * (a - 1.0)))
-    foot_err = np.linalg.norm(feet - sx.altitude_feet(s), axis=1)
-    if np.max(foot_err) > max(policy.rel * diam, policy.abs):
+    foot_err = sx._row_norms(feet - sx.altitude_feet(s))
+    if foot_err.max() > max(policy.rel * diam, policy.abs):
         raise NotOrthocentricError("altitude-foot formula check failed")
-    measured_len = np.linalg.norm(s.vertices - feet, axis=1)
-    if np.max(np.abs(lengths - measured_len)) > max(policy.rel * diam, policy.abs):
+    measured_len = sx._row_norms(s.vertices - feet)
+    if np.abs(lengths - measured_len).max() > max(policy.rel * diam, policy.abs):
         raise NotOrthocentricError("altitude-length formula check failed")
 
     return EdgeAltitudeData(
@@ -352,8 +325,8 @@ def circum_data(
     h = centers.monge_point(s)
     d = p.dim
     center = s.vertices.sum(axis=0) / 2.0 - (d - 1) / 2.0 * h
-    r2 = p.obtuseness / 4.0 * ((d - 1) ** 2 - float(np.sum(1.0 / p.bary)))
-    interior = bool(np.all(p.bary > 0) and np.all(p.bary < 1.0 / (d - 1)))
+    r2 = p.obtuseness / 4.0 * ((d - 1) ** 2 - float((1.0 / p.bary).sum()))
+    interior = bool((p.bary > 0).all() and (p.bary < 1.0 / (d - 1)).all())
     return CircumData(center=center, r_squared=r2, interior=interior, _params=p)
 
 

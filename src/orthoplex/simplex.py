@@ -12,8 +12,8 @@ Vertex indices are 0-based everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import wraps
-from math import factorial
+from functools import lru_cache, wraps
+from math import factorial, sqrt
 from numbers import Integral
 
 import numpy as np
@@ -87,12 +87,12 @@ def from_vertices(dim, vertices, policy: TolerancePolicy = DEFAULT_POLICY) -> Si
         raise InputError(
             f"expected {dim + 1} vertices of length {dim}, got array of shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError("vertex coordinates must be finite")
     with np.errstate(over="ignore"):  # the isfinite test below decides
         edges = arr[:-1] - arr[-1]
         g = edges @ edges.T
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise InputError("vertex coordinates are too large: edge inner products overflow")
     try:
         vals = np.linalg.eigvalsh(g)  # ascending
@@ -110,18 +110,17 @@ def from_vertices(dim, vertices, policy: TolerancePolicy = DEFAULT_POLICY) -> Si
 
 
 def _read_only(value):
-    if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    elif isinstance(value, tuple):
-        for item in value:
-            _read_only(item)
+    """``value``, an array or a tuple, with every array in it made read-only."""
+    for item in value if isinstance(value, tuple) else (value,):
+        if isinstance(item, np.ndarray):
+            item.flags.writeable = False
     return value
 
 
 def _per_simplex(fn):
     """Run ``fn(s)`` once per simplex: the result is stored in ``s._memo``
-    with every array in it (also inside a tuple) made read-only, and later
-    calls return that same object."""
+    with every array in it (also the items of a tuple) made read-only, and
+    later calls return that same object."""
 
     @wraps(fn)
     def memoized(s: Simplex):
@@ -138,12 +137,20 @@ def volume(s: Simplex) -> float:
     return float(abs(np.linalg.det(_frame(s)[1]))) / factorial(s.dim)
 
 
+@lru_cache(maxsize=64)
+def _pair_index(n: int):
+    """Read-only (i, j): the index pairs i < j of n vertices, lexicographic
+    (``combinations`` order); built once per n and shared."""
+    r = np.arange(n)
+    return _read_only(np.nonzero(r[:, None] < r))
+
+
 @_per_simplex
 def _pairs(s: Simplex):
-    """Vertex pairs i < j (lexicographic) and |A_i - A_j|^2, the last as
-    stacked 1 x d by d x 1 products (rooted, the bits of ``np.linalg.norm``)."""
-    r = np.arange(s.n)
-    i, j = np.nonzero(r[:, None] < r)
+    """Vertex pairs i < j (lexicographic, :func:`_pair_index`) and
+    |A_i - A_j|^2, the last as stacked 1 x d by d x 1 products (rooted, the
+    bits of ``np.linalg.norm``)."""
+    i, j = _pair_index(s.n)
     e = s.vertices[i] - s.vertices[j]
     return i, j, np.matmul(e[:, None, :], e[:, :, None])[:, 0, 0]
 
@@ -165,14 +172,19 @@ def squared_edge_table(s: Simplex) -> np.ndarray:
 
 @_per_simplex
 def diameter(s: Simplex) -> float:
-    return float(np.max(edge_lengths(s)))
+    return float(edge_lengths(s).max())
 
 
-@_per_simplex
+@lru_cache(maxsize=64)
+def _facet_table(n: int) -> np.ndarray:
+    c = np.arange(n - 1)
+    return _read_only(c + (c >= np.arange(n)[:, None]))
+
+
 def facet_indices(s: Simplex) -> np.ndarray:
-    """(d+1) x d vertex-index table; row i is the facet opposite vertex i."""
-    c = np.arange(s.dim)
-    return c + (c >= np.arange(s.n)[:, None])
+    """(d+1) x d vertex-index table; row i is the facet opposite vertex i.
+    Read-only, built once per d and shared by every d-simplex."""
+    return _facet_table(s.n)
 
 
 @_per_simplex
@@ -185,7 +197,7 @@ def _frame(s: Simplex):
     1 / h_i; c = C - A_b solves 2 e c = |e|^2.
     """
     sq = squared_edge_table(s)
-    b = int(np.argmin(sq.sum(axis=1)))
+    b = int(sq.sum(axis=1).argmin())
     rest = facet_indices(s)[b]
     e = s.vertices[rest] - s.vertices[b]
     try:
@@ -196,7 +208,17 @@ def _frame(s: Simplex):
     normals[rest] = inv.T
     normals[b] = -inv.sum(axis=1)
     c = inv @ (sq[b, rest] / 2.0)
-    return b, e, normals, np.linalg.norm(normals, axis=1), c
+    return b, e, normals, _row_norms(normals), c
+
+
+def _norm(v: np.ndarray) -> float:
+    """|v| of a vector, the bits of ``np.linalg.norm`` (its square is v . v)."""
+    return sqrt(v.dot(v))
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """|v| along the last axis, the bits of ``np.linalg.norm(v, axis=-1)``."""
+    return np.sqrt((v * v).sum(axis=-1))
 
 
 def _weights(s: Simplex, q: np.ndarray) -> np.ndarray:
@@ -226,7 +248,7 @@ def facet_circumradii(s: Simplex) -> np.ndarray:
     b, e, normals, sizes, c = _frame(s)
     feet = c - (_weights(s, c) / sizes**2)[:, None] * normals
     feet[b] -= e[0]
-    return np.linalg.norm(feet, axis=1)
+    return _row_norms(feet)
 
 
 def facet_sq_edge_sums(s: Simplex) -> np.ndarray:
@@ -332,4 +354,4 @@ def edge_perpendicularity_residual(s: Simplex) -> float:
     i, j, sq = _pairs(s)
     r = squared_edge_table(s).sum(axis=1)
     lam = (r - r.sum() / (2 * (n - 1))) / (n - 2)
-    return float(np.max(np.abs(sq - lam[i] - lam[j]))) / float(np.max(sq))
+    return float(np.abs(sq - lam[i] - lam[j]).max()) / float(sq.max())

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -256,23 +257,21 @@ def _check_equivalences(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, tol
     # contract checks keep the suite sensitive to faulty center
     # implementations (the equivalence implications alone are blind to
     # mutations that preserve symmetric fixtures)
-    vertex_dists = np.linalg.norm(s.vertices - c, axis=1)
-    facet_dists = np.linalg.norm(
-        i - sx.project_to_affine_hull(i, s.vertices[sx.facet_indices(s)]), axis=1
-    )
+    vertex_dists = sx._row_norms(s.vertices - c)
+    facet_dists = sx._row_norms(i - sx.project_to_affine_hull(i, s.vertices[sx.facet_indices(s)]))
 
     areas_spread = pol.spread(sx.facet_volumes(s))
     wde_spread = pol.spread(sx.facet_sq_edge_sums(s))
     radii_spread = pol.spread(sx.facet_circumradii(s))
-    bary_min = float(np.min(sx.barycentric(s, c)))
+    bary_min = float(sx.barycentric(s, c).min())
 
     scal = dict(d_ig=d_ig, d_gc=d_gc, d_ci=d_ci, areas_spread=areas_spread,
                 wde_spread=wde_spread, radii_spread=radii_spread, cc_bary_min=bary_min)
 
     rec.check("circumcenter equidistance contract",
-              float(np.max(np.abs(vertex_dists - big_r))), tol * diam, s, **scal)
+              float(np.abs(vertex_dists - big_r).max()), tol * diam, s, **scal)
     rec.check("incenter facet-distance contract",
-              float(np.max(np.abs(facet_dists - inr))), tol * diam, s, **scal)
+              float(np.abs(facet_dists - inr).max()), tol * diam, s, **scal)
 
     if d_ig <= tol / 10:
         rec.check("incenter=centroid => equiareal", areas_spread, tol, s, **scal)
@@ -322,7 +321,7 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
         seps = []
         for delta in (1e-2, 1e-3, 1e-4):
             s = sx.from_vertices(d, base.vertices + delta * dirs, pol)
-            sep = float(np.max(centers._center_distances(s))) / sx.diameter(s)
+            sep = float(centers._center_distances(s).max()) / sx.diameter(s)
             rec.check(
                 "near-regular separation bounded by perturbation",
                 sep,
@@ -378,30 +377,36 @@ def suite_euler_feuerbach(config: SuiteConfig) -> SuiteResult:
     return rec.result()
 
 
-def _k_face_centroids(s: sx.Simplex, k: int) -> np.ndarray:
-    """Centroids of all k-faces, in ``combinations`` order: the enumerated
-    oracle the closed-form mid-face spheres are measured against.
+@lru_cache(maxsize=16)
+def _face_table(n: int):
+    """Read-only (weights, level, starts) for the k-faces of n vertices,
+    k = 0..n-2, grouped by k and in ``combinations`` order within a group:
+    row r of ``weights`` holds 1/(k+1) on the k+1 vertices of its face and
+    0 elsewhere, ``level[r]`` = k and ``starts[k]`` is the first row of k.
+    Built once per n; it has 2^n - 2 rows, which the d <= 10 cap keeps small."""
+    faces = [f for m in range(1, n) for f in combinations(range(n), m)]
+    level = np.array([len(f) - 1 for f in faces])
+    weights = np.zeros((len(faces), n))
+    for r, f in enumerate(faces):
+        weights[r, f] = 1.0 / len(f)
+    starts = np.searchsorted(level, np.arange(n - 1))
+    return sx._read_only((weights, level, starts))
 
-    The gathered rows are summed column by column, the same addition order
-    as ``mean(axis=0)`` on each face, so the result is bit-identical to it.
-    """
-    idx = np.fromiter(
-        chain.from_iterable(combinations(range(s.n), k + 1)), np.intp
-    ).reshape(-1, k + 1)
-    v = s.vertices
-    acc = v[idx[:, 0]]
-    for j in range(1, k + 1):
-        acc = acc + v[idx[:, j]]
-    return acc / (k + 1)
+
+def _face_centroids(s: sx.Simplex) -> np.ndarray:
+    """Centroids of every k-face, k = 0..d-1, in :func:`_face_table` row
+    order, from one product: the enumerated oracle the closed-form mid-face
+    spheres are measured against."""
+    return _face_table(s.n)[0] @ s.vertices
 
 
 def _check_euler_feuerbach(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
     d = s.dim
     diam = sx.diameter(s)
-    report = centers.center_report(s, pol)
-    h, c, big_r = report.orthocenter, report.circumcenter, report.circumradius
+    h = centers.orthocenter(s, pol)
     if h is None:
         raise NumericError(f"euler_feuerbach fixture is not orthocentric at rel={pol.rel:g}")
+    c, big_r = centers.circumcenter(s)
     euler = centers.euler_line(s, pol)
     if not euler.coincident:
         rec.check("euler collinearity", euler.collinearity_residual, pol.rel * diam, s,
@@ -411,33 +416,37 @@ def _check_euler_feuerbach(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
                   s, ratio=euler.ratio)
 
     vec = (s.vertices - c).sum(axis=0) - (d - 1) * (h - c)
-    rec.check("vertex sum identity", float(np.linalg.norm(vec)), pol.rel * diam, s)
+    rec.check("vertex sum identity", sx._norm(vec), pol.rel * diam, s)
 
-    for sphere in centers.feuerbach_spheres(s, report):
+    # an orthocentric simplex has every sphere k = 0..d-1: row r of the face
+    # table is measured against the sphere of its level, worst per level
+    spheres = centers.feuerbach_spheres(s, pol)
+    _, level, starts = _face_table(s.n)
+    mid = np.array([sp.center for sp in spheres])
+    radii = np.array([sp.radius for sp in spheres])
+    dists = sx._row_norms(_face_centroids(s) - mid[level])
+    worst = np.maximum.reduceat(np.abs(dists - radii[level]), starts).tolist()
+    for sphere in spheres:
         k = sphere.k
-        dists = np.linalg.norm(_k_face_centroids(s, k) - sphere.center, axis=1)
-        rec.check(f"feuerbach k={k} equidistance", float(np.max(np.abs(dists - sphere.radius))),
+        rec.check(f"feuerbach k={k} equidistance", worst[k],
                   10 * pol.rel * sphere.radius, s, k=k, radius=sphere.radius)
         if k == 0:
             rec.check("feuerbach k=0 center is circumcenter",
-                      float(np.linalg.norm(sphere.center - c)), pol.rel * diam, s)
+                      sx._norm(sphere.center - c), pol.rel * diam, s)
             rec.check("feuerbach k=0 radius is circumradius",
                       abs(sphere.radius - big_r), pol.rel * big_r, s)
         if k == d - 1:
-            dist = np.linalg.norm(sx.altitude_feet(s) - sphere.center, axis=1)
+            dist = sx._row_norms(sx.altitude_feet(s) - sphere.center)
             rec.check("altitude feet on facet-centroid sphere",
-                      float(np.max(np.abs(dist - sphere.radius))),
+                      float(np.abs(dist - sphere.radius).max()),
                       10 * pol.rel * sphere.radius, s)
 
     p = oc.params_of(s, pol)
     if not p.rectangular:
-        lam = oc.lambda_params(p)
-        rec.check("reciprocal lambda sum", abs(float(np.sum(1.0 / lam.all_values))),
-                  100 * pol.abs, s)
+        vals = oc.lambda_params(p).all_values
+        rec.check("reciprocal lambda sum", abs(float((1.0 / vals).sum())), 100 * pol.abs, s)
         pts = np.vstack([h, s.vertices])
-        vals = lam.all_values
-        r = np.arange(d + 2)
-        a, b = np.nonzero(r[:, None] < r)  # combinations order
+        a, b = sx._pair_index(d + 2)
         got = ((pts[a] - pts[b]) ** 2).sum(axis=1)
         rec.check_pairs("lambda pairwise distances", np.abs(vals[a] + vals[b] - got),
                         pol.rel * diam**2, s, a, b)
@@ -464,7 +473,7 @@ def suite_rectangular(config: SuiteConfig) -> SuiteResult:
             p = oc.sample_params(d - 1, oc.OBTUSE, _sub_seed(config, 4, d, 7))
             t = oc.construct(p.bary, 1.0, pol)
             try:
-                families.lift_to_rectangular(t, pol)
+                families._lift_spec(t, pol)
             except NotLiftableError:
                 pass
             else:
@@ -483,30 +492,30 @@ def _check_rectangular(rec: _Recorder, spec: families.RectSpec, pol: TolerancePo
     rec.check("hypotenuse facet volume",
               abs(m.hyp_volume - sx.facet_volumes(s)[d]), pol.rel * m.hyp_volume, s)
     foot = sx.altitude_feet(s)[d]
-    rec.check("corner altitude", abs(m.altitude - float(np.linalg.norm(foot - s.vertices[d]))),
+    rec.check("corner altitude", abs(m.altitude - sx._norm(foot - s.vertices[d])),
               pol.rel * m.altitude, s)
     i, r = centers.incenter(s)
     rec.check("leg inradius", abs(m.inradius - r), pol.rel * r, s)
     rec.check("incenter equals (r, ..., r)",
-              float(np.max(np.abs(i - m.inradius))), pol.rel * diam, s)
+              float(np.abs(i - m.inradius).max()), pol.rel * diam, s)
     c, big_r = centers.circumcenter(s)
     rec.check("leg circumradius", abs(m.r_squared - big_r**2), pol.rel * m.r_squared, s)
     rec.check("circumcenter midpoint form",
-              float(np.linalg.norm(c - m.circumcenter)), pol.rel * diam, s)
+              sx._norm(c - m.circumcenter), pol.rel * diam, s)
     rec.check("hypotenuse orthocenter",
-              float(np.linalg.norm(m.hyp_orthocenter - foot)), pol.rel * diam, s)
+              sx._norm(m.hyp_orthocenter - foot), pol.rel * diam, s)
 
     _check_separation(rec, s, pol, "rect ")
     bary = sx.barycentric(s, c)
     expected = np.append(np.full(d, 0.5), (2 - d) / 2.0)
     rec.check("rect circumcenter barycentrics (1/2, ..., 1/2, (2-d)/2)",
-              float(np.max(np.abs(bary - expected))), pol.rel * d, s)
+              float(np.abs(bary - expected).max()), pol.rel * d, s)
 
     if d >= 3:  # the d = 2 hypotenuse facet is a segment, below the lift's domain
         facet = sx.face(s, sx.facet_indices(s)[d], pol)
-        lifted_spec, _ = families.lift_to_rectangular(facet, pol)
+        lifted_spec = families._lift_spec(facet, pol)
         rec.check("lift round trip",
-                  float(np.max(np.abs(np.asarray(lifted_spec.legs) - np.asarray(spec.legs)))),
+                  float(np.abs(np.subtract(lifted_spec.legs, spec.legs)).max()),
                   10 * pol.rel * scale, s, legs=list(spec.legs),
                   lifted=list(lifted_spec.legs))
 

@@ -11,6 +11,11 @@ from orthoplex import verify as vf
 from orthoplex import simplex as sx
 
 
+def k_face_centroids(s, k):
+    """Centroids of all k-faces in ``combinations`` order, one ``mean`` per face."""
+    return np.array([s.vertices[list(f)].mean(axis=0) for f in combinations(range(s.n), k + 1)])
+
+
 def right_corner(*legs):
     return op.rectangular(op.RectSpec(len(legs), tuple(float(b) for b in legs)))
 
@@ -227,9 +232,8 @@ class TestFeuerbachSpheres:
     @pytest.mark.parametrize("name", sorted(_sphere_fixtures()))
     def test_matches_single_k_bit_exactly(self, name):
         s = _sphere_fixtures()[name]
-        report = op.center_report(s)
-        assert report.orthocenter is not None
-        family = op.feuerbach_spheres(s, report)
+        assert op.center_report(s).orthocenter is not None
+        family = op.feuerbach_spheres(s)
         singles = [op.feuerbach_sphere(s, k) for k in range(s.dim)]
         assert [sp.k for sp in family] == list(range(s.dim))
         for got, want in zip(family, singles):
@@ -240,9 +244,8 @@ class TestFeuerbachSpheres:
     def test_general_simplex_only_facet_sphere(self):
         rng = np.random.default_rng(6)
         s = op.from_vertices(4, rng.normal(size=(5, 4)))
-        report = op.center_report(s)
-        assert report.orthocenter is None
-        (sphere,) = op.feuerbach_spheres(s, report)
+        assert op.center_report(s).orthocenter is None
+        (sphere,) = op.feuerbach_spheres(s)
         want = op.feuerbach_sphere(s, 3)
         assert sphere.k == 3
         assert np.array_equal(sphere.center, want.center)
@@ -251,13 +254,42 @@ class TestFeuerbachSpheres:
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_face_centroids_match_explicit_loop(self, d):
+        """verify's one-product oracle against one ``mean`` per face, within
+        n eps times the largest vertex norm (the sums differ in order)."""
         rng = np.random.default_rng(d)
-        s = op.from_vertices(d, rng.normal(size=(d + 1, d)))
-        for k in range(d + 1):
-            want = np.array(
-                [s.vertices[list(idx)].mean(axis=0) for idx in combinations(range(d + 1), k + 1)]
-            )
-            assert np.array_equal(vf._k_face_centroids(s, k), want)
+        s = op.from_vertices(d, 3.0 * rng.normal(size=(d + 1, d)) + 5.0)
+        _, level, starts = vf._face_table(s.n)
+        got = vf._face_centroids(s)
+        assert got.shape == (2 ** s.n - 2, d)
+        assert np.array_equal(starts, np.append(0, np.cumsum([math.comb(s.n, m) for m in range(1, d)])))
+        bound = s.n * np.finfo(float).eps * np.max(np.linalg.norm(s.vertices, axis=1))
+        ends = np.append(starts[1:], len(got))
+        for k in range(d):
+            rows = slice(starts[k], ends[k])
+            assert np.all(level[rows] == k)
+            assert np.max(np.abs(got[rows] - k_face_centroids(s, k))) <= bound, k
+
+    @pytest.mark.parametrize("name", ["acute", "obtuse", "gaussian", "near"])
+    @pytest.mark.parametrize("rel", [1e-9, 1e-6])
+    def test_decision_matches_center_report(self, name, rel):
+        """The family decides orthocentricity from the misfit itself, bit-equal
+        to the family built from a center report's orthocenter."""
+        rng = np.random.default_rng(12)
+        acute = op.construct(op.sample_params(6, "acute", 2).bary, 1.0)
+        s = {
+            "acute": acute,
+            "obtuse": op.construct(op.sample_params(6, "obtuse", 2).bary, 1.5),
+            "gaussian": op.from_vertices(6, rng.normal(size=(7, 6))),
+            "near": op.from_vertices(6, acute.vertices + 1e-8 * rng.normal(size=(7, 6))),
+        }[name]
+        pol = op.TolerancePolicy(rel=rel)
+        below = range(s.dim - 1) if op.center_report(s, pol).orthocenter is not None else []
+        want = [op.feuerbach_sphere(s, k, pol) for k in [*below, s.dim - 1]]
+        got = op.feuerbach_spheres(s, pol)
+        assert [sp.k for sp in got] == [sp.k for sp in want]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.center, b.center)
+            assert (a.radius, a.max_residual) == (b.radius, b.max_residual)
 
 
 def _closed_form_fixtures(d):
@@ -288,7 +320,7 @@ class TestFeuerbachClosedForm:
             report = op.center_report(s)
             assert report.orthocenter is not None, name
             g, c, h = report.centroid, report.circumcenter, report.orthocenter
-            spheres = op.feuerbach_spheres(s, report)
+            spheres = op.feuerbach_spheres(s)
             assert [sp.k for sp in spheres] == list(range(d))
             for sp in spheres:
                 k = sp.k
@@ -297,7 +329,7 @@ class TestFeuerbachClosedForm:
                 else:
                     want = h + (d + 1) / (2.0 * (k + 1)) * (g - h)
                 assert np.array_equal(sp.center, want), (name, k)
-                dist = np.linalg.norm(vf._k_face_centroids(s, k) - sp.center, axis=1)
+                dist = np.linalg.norm(k_face_centroids(s, k) - sp.center, axis=1)
                 rms = float(np.sqrt(np.mean(dist**2)))
                 assert sp.radius == pytest.approx(rms, rel=1e-13, abs=0), (name, k)
                 assert sp.radius == pytest.approx(dist.mean(), rel=1e-13, abs=0), (name, k)
@@ -309,7 +341,7 @@ class TestFeuerbachClosedForm:
         rng = np.random.default_rng(9)
         s = op.from_vertices(6, rng.normal(size=(7, 6)))
         sphere = op.feuerbach_sphere(s, 5)
-        dist = np.linalg.norm(vf._k_face_centroids(s, 5) - sphere.center, axis=1)
+        dist = np.linalg.norm(k_face_centroids(s, 5) - sphere.center, axis=1)
         assert sphere.max_residual >= np.max(np.abs(dist - sphere.radius))
 
 

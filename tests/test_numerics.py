@@ -29,6 +29,18 @@ class TestTolerancePolicy:
         assert p.isclose(0.0, 1e-22)
         assert not p.isclose(0.0, 1e-13)
 
+    def test_empty_sample(self):
+        p = TolerancePolicy()
+        assert p.all_close([]) is True
+        assert p.spread([]) == 0.0 and p.spread(np.empty(0)) == 0.0
+
+    def test_spread_and_all_close_agree_with_their_formulas(self):
+        p = TolerancePolicy(rel=1e-3)
+        v = np.array([2.0, -3.0, 2.5])
+        assert p.spread(v) == 5.5 / 3.0
+        assert not p.all_close(v) and p.all_close([1.0, 1.0005])
+        assert p.spread([1e-15, 2e-15]) == 1e-15 / p.abs
+
 
 class TestSymMatrix:
     def test_symmetrizes_exactly(self):

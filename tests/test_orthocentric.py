@@ -15,7 +15,11 @@ from orthoplex import (
 )
 from orthoplex import numerics
 from orthoplex import simplex as sx
-from orthoplex.orthocentric import OrthoGramForm
+
+
+def gram_form(a, sigma):
+    """The Gram matrix about the orthocenter, sigma (J - diag(1/a))."""
+    return sigma * (np.ones((a.size, a.size)) - np.diag(1.0 / a))
 
 
 class TestIsOrthocentric:
@@ -177,7 +181,7 @@ class TestConstruct:
     def _assert_gram_matches_form(a, scale):
         sign = 1 if np.count_nonzero(a > 0) == 1 else -1
         v = op.construct(a, scale).vertices
-        want = OrthoGramForm(scale, sign, -1.0 / a).matrix()
+        want = gram_form(a, sign * scale)
         err = float(np.max(np.abs(v @ v.T - want)))
         assert err <= 10 * a.size * np.finfo(float).eps * float(np.max(np.abs(want))), a
 
@@ -240,22 +244,16 @@ class TestConstruct:
 
 class TestGramForm:
     def test_matrix_matches_definition(self):
-        p = op.params_of(op.construct([0.4, 0.3, 0.2, 0.1], 1.0))
-        form = OrthoGramForm.from_params(p)
-        m = form.matrix()
         s = op.construct([0.4, 0.3, 0.2, 0.1], 1.0)
+        p = op.params_of(s)
+        m = gram_form(p.bary, p.obtuseness)
         h = op.monge_point(s)
         g = (s.vertices - h) @ (s.vertices - h).T
         assert np.allclose(m, g, atol=1e-9)
-        # diagonal c (1 + x_i) equals |A_i - H|^2
+        # diagonal sigma (1 - 1/a_i) equals |A_i - H|^2
         assert np.allclose(
             np.diag(m), np.sum((s.vertices - h) ** 2, axis=1), atol=1e-9
         )
-
-    def test_rectangular_rejected(self):
-        p = op.params_of(op.rectangular(op.RectSpec(2, (1.0, 1.0))))
-        with pytest.raises(RectangularParamsError):
-            OrthoGramForm.from_params(p)
 
 
 class TestEdgeAltitudeData:

@@ -11,6 +11,7 @@ import orthoplex as op
 from orthoplex import DegenerateSimplexError, InputError, NumericError
 from orthoplex import centers, numerics
 from orthoplex import simplex as sx
+from orthoplex import verify as vf
 from conftest import random_rotation
 
 
@@ -427,7 +428,6 @@ class TestFrame:
 
 PER_SIMPLEX = [
     sx._pairs,
-    sx.facet_indices,
     sx.edge_lengths,
     sx.squared_edge_table,
     sx.diameter,
@@ -474,6 +474,73 @@ class TestPerSimplexTables:
             # and the foot lies in that facet's hull
             w = sx.barycentric(s, feet[i])
             assert abs(w[i]) <= 1e-10
+
+
+def old_face_rows(n):
+    """The k-faces for k = 0..n-2 in ``combinations`` order, grouped by k:
+    what the Euler oracle enumerated for each k."""
+    return [f for m in range(1, n) for f in combinations(range(n), m)]
+
+
+#: each table built once per vertex count n, with the per-simplex (or per-k)
+#: construction it replaces
+INDEX_TABLES = {
+    "pair_index": (
+        sx._pair_index,
+        lambda n: np.nonzero(np.arange(n)[:, None] < np.arange(n)),
+    ),
+    "facet_table": (
+        sx._facet_table,
+        lambda n: np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None]),
+    ),
+    "off_diagonal": (centers._off_diagonal, lambda n: ~np.eye(n, dtype=bool)),
+    "face_table": (
+        vf._face_table,
+        lambda n: (
+            np.array([[1.0 / len(f) if i in f else 0.0 for i in range(n)]
+                      for f in old_face_rows(n)]),
+            np.array([len(f) - 1 for f in old_face_rows(n)]),
+            np.array([old_face_rows(n).index(f) for f in
+                      (tuple(range(m)) for m in range(1, n))]),
+        ),
+    ),
+}
+
+#: how a simplex reaches each table
+FROM_SIMPLEX = {
+    "pair_index": lambda s: sx._pairs(s)[:2],
+    "facet_indices": sx.facet_indices,
+    "off_diagonal": lambda s: centers._off_diagonal(s.n),
+    "face_table": lambda s: vf._face_table(s.n),
+}
+
+
+class TestIndexTables:
+    @pytest.mark.parametrize("name", INDEX_TABLES)
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_equals_the_construction_it_replaces(self, name, n):
+        cached, old = INDEX_TABLES[name]
+        got, want = cached(n), old(n)
+        got, want = (got, want) if isinstance(want, tuple) else ((got,), (want,))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("name", FROM_SIMPLEX)
+    def test_shared_and_read_only(self, name):
+        rng = np.random.default_rng(11)
+        s, t = (op.from_vertices(5, rng.normal(size=(6, 5))) for _ in range(2))
+        first, second = (FROM_SIMPLEX[name](x) for x in (s, t))
+        first, second = (x if isinstance(x, tuple) else (x,) for x in (first, second))
+        assert len(first) == len(second)
+        for table, other in zip(first, second):
+            assert table is other
+            with pytest.raises(ValueError):
+                table.flat[0] = table.flat[0]
+
+    @pytest.mark.parametrize("name", INDEX_TABLES)
+    def test_cache_is_bounded(self, name):
+        assert INDEX_TABLES[name][0].cache_info().maxsize is not None
 
 
 def gram_loop_facet_volumes(s):

@@ -141,6 +141,34 @@ class TestRecorder:
         if field == "incenter":
             assert result.counterexample["residuals"]["pair"] == "centroid-incenter"
 
+    def test_euler_check_builds_no_center_report(self, monkeypatch):
+        """The Euler check reads the orthocenter and circumcenter it needs, not
+        a whole center report or the six center distances."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Euler check must not call this")
+
+        monkeypatch.setattr(centers, "center_report", forbidden)
+        monkeypatch.setattr(centers, "_center_distances", forbidden)
+        for kind in ("acute", "obtuse"):
+            s = op.construct(op.sample_params(5, kind, 1).bary, 1.0)
+            rec = vf._Recorder("euler_feuerbach")
+            vf._check_euler_feuerbach(rec, s, DEFAULT_POLICY)
+            assert rec.counterexample is None and 0.0 < rec.max_ratio <= 1.0
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_rect_sample_builds_one_simplex(self, monkeypatch, d):
+        """Each rectangular sample validates one simplex: the lift round trip
+        reads the legs without building the lifted simplex."""
+        calls = []
+        real = sx.from_vertices
+        monkeypatch.setattr(sx, "from_vertices", lambda *a, **k: calls.append(a) or real(*a, **k))
+        legs = tuple(np.linspace(0.6, 1.7, d))
+        rec = vf._Recorder("rectangular")
+        vf._check_rectangular(rec, families.RectSpec(d, legs), DEFAULT_POLICY)
+        assert rec.counterexample is None
+        assert len(calls) == 1
+
     def test_non_orthocentric_euler_fixture_is_a_numeric_error(self):
         rng = np.random.default_rng(6)
         s = op.from_vertices(4, rng.normal(size=(5, 4)))

@@ -40,8 +40,6 @@ __all__ = [
 CENTER_NAMES = ("centroid", "circumcenter", "incenter", "monge")
 _CENTER_PAIRS = tuple(combinations(CENTER_NAMES, 2))
 _EPS = float(np.finfo(float).eps)
-#: ``_CENTER_PAIRS`` as row indices into the stacked centers
-_PAIR_ROWS = sx._pair_index(len(CENTER_NAMES))
 
 
 @dataclass(frozen=True)
@@ -292,7 +290,8 @@ def _center_distances(s: sx.Simplex) -> np.ndarray:
     point, in ``_CENTER_PAIRS`` order, as stacked 1 x d by d x 1 products
     (rooted, the bits of ``np.linalg.norm``)."""
     p = np.stack((centroid(s), circumcenter(s)[0], incenter(s)[0], monge_point(s)))
-    e = p[_PAIR_ROWS[0]] - p[_PAIR_ROWS[1]]
+    i, j = sx._pair_index(len(p))  # the rows of each pair, _CENTER_PAIRS order
+    e = p[i] - p[j]
     return np.sqrt(np.matmul(e[:, None, :], e[:, :, None])[:, 0, 0])
 
 

@@ -229,10 +229,10 @@ class TestFaceCentroidOracle:
         s = op.construct(op.sample_params(5, "acute", 5).bary, 1.0)
         original = centers.feuerbach_spheres
 
-        def shifted(simplex, report):
+        def shifted(simplex, policy):
             return [
                 centers.FeuerbachSphere(sp.k, sp.center + 1e-6, sp.radius, 0.0)
-                for sp in original(simplex, report)
+                for sp in original(simplex, policy)
             ]
 
         monkeypatch.setattr(centers, "feuerbach_spheres", shifted)

@@ -48,23 +48,26 @@ class TolerancePolicy:
         """Max-relative closeness: |x-y| <= rel * max(|x|, |y|, abs)."""
         return abs(x - y) <= self.rel * max(abs(x), abs(y), self.abs)
 
-    def _gap(self, values) -> tuple[float, float]:
-        """(max - min, max(|values|, abs)) of a sample; (0.0, abs) if empty."""
+    @staticmethod
+    def _gap(values) -> tuple[float, float]:
+        """(max - min, max |values|) of a sample; (0.0, 0.0) if empty."""
         v = np.asarray(values, dtype=float)
         if v.size == 0:
-            return 0.0, self.abs
-        return float(v.max() - v.min()), max(float(np.abs(v).max()), self.abs)
+            return 0.0, 0.0
+        return float(v.max() - v.min()), float(np.abs(v).max())
 
     def all_close(self, values) -> bool:
-        """True when every pairwise gap in ``values`` passes :meth:`isclose`."""
+        """True when max - min <= rel * max |values|: every pairwise gap is
+        within rel of the sample's own scale, with no absolute floor.  An
+        empty or all-zero sample is close."""
         gap, scale = self._gap(values)
         return gap <= self.rel * scale
 
     def spread(self, values) -> float:
-        """Relative spread (max - min) / max(|values|, abs) of a sample;
-        0.0 for an empty one."""
+        """Relative spread (max - min) / max |values| of a sample; 0.0 for
+        an empty or all-zero one."""
         gap, scale = self._gap(values)
-        return gap / scale
+        return gap / scale if scale > 0.0 else 0.0
 
 
 DEFAULT_POLICY = TolerancePolicy()

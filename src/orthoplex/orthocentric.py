@@ -19,6 +19,8 @@ of the coordinates, and the vertices are read off that factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import ceil
 
 import numpy as np
 
@@ -144,8 +146,9 @@ def _validate_bary(a: np.ndarray, policy: TolerancePolicy) -> int:
     total = float(a.sum())
     if abs(total - 1.0) > policy.abs * n:
         raise ParametrizationError(f"barycentric coordinates must sum to 1, got {total!r}")
-    size = np.abs(a)
-    if (size <= policy.abs).any():
+    # one min |a_i| serves the vanishing test and the subset-sum margin
+    smallest = float(np.abs(a).min())
+    if smallest <= policy.abs:
         raise ParametrizationError("no barycentric coordinate may vanish")
     pos = int(np.count_nonzero(a > 0))
     if pos == n:
@@ -161,8 +164,8 @@ def _validate_bary(a: np.ndarray, policy: TolerancePolicy) -> int:
     # acute, singletons and their complements are extreme; obtuse, sums
     # without the positive entry are <= -min |a_i| and sums with it are
     # >= 1 + min |a_i|.
-    k = int(size.argmin())
-    if abs(float(a[k])) <= policy.rel:
+    if smallest <= policy.rel:
+        k = int(np.abs(a).argmin())
         raise ParametrizationError(
             f"subset sum {float(a[k])!r} too close to the forbidden values 0/1"
         )
@@ -242,9 +245,16 @@ def _ldl_pose(a: np.ndarray, sigma: float) -> np.ndarray:
     neg = np.logical_and.accumulate(a[:d] < 0)
     t[neg] = 1.0 - np.cumsum(a[:d])[neg]
     root = np.sqrt(-sigma * t / (a[:d] * np.concatenate(([1.0], t[:-1]))))
-    pts = np.where(np.tri(d + 1, d, -1, dtype=bool), -(a[:d] / t) * root, 0.0)
-    np.fill_diagonal(pts, root)
+    pts = np.where(_pose_mask(d + 1), -(a[:d] / t) * root, 0.0)
+    pts.flat[:: d + 1] = root
     return pts
+
+
+@lru_cache(maxsize=64)
+def _pose_mask(n: int) -> np.ndarray:
+    """Read-only n x (n-1) mask of the entries below the diagonal of a pose;
+    built once per n and shared."""
+    return sx._read_only(np.tri(n, n - 1, -1, dtype=bool))
 
 
 def edge_and_altitude_data(
@@ -267,25 +277,26 @@ def edge_and_altitude_data(
     a = p.bary
     c = p.obtuseness
     diam = sx.diameter(s)
-    tol = policy.rel * diam**2
+    # both tolerances scale with the simplex: no absolute floor
+    tol_sq = policy.rel * diam**2
+    tol = policy.rel * diam
+    a_less_1 = a - 1.0
 
-    sq_vertex = c * (a - 1.0) / a
-    if np.abs(sq_vertex - gram.diagonal()).max() > max(tol, policy.abs):
+    sq_vertex = c * a_less_1 / a
+    if np.abs(sq_vertex - gram.diagonal()).max() > tol_sq:
         raise NotOrthocentricError("vertex-to-orthocenter formula check failed")
 
     inv = 1.0 / a
     sq_edges = -c * (inv[:, None] + inv[None, :])
-    np.fill_diagonal(sq_edges, 0.0)
-    if np.abs(sq_edges - sx.squared_edge_table(s)).max() > max(tol, policy.abs):
+    sq_edges.flat[:: a.size + 1] = 0.0
+    if np.abs(sq_edges - sx.squared_edge_table(s)).max() > tol_sq:
         raise NotOrthocentricError("squared-edge formula check failed")
 
-    feet = centers.monge_point(s) + (a / (a - 1.0))[:, None] * rel_h
-    lengths = np.sqrt(c / (a * (a - 1.0)))
-    foot_err = sx._row_norms(feet - sx.altitude_feet(s))
-    if foot_err.max() > max(policy.rel * diam, policy.abs):
+    feet = centers.monge_point(s) + (a / a_less_1)[:, None] * rel_h
+    lengths = np.sqrt(c / (a * a_less_1))
+    if sx._row_norms(feet - sx.altitude_feet(s)).max() > tol:
         raise NotOrthocentricError("altitude-foot formula check failed")
-    measured_len = sx._row_norms(s.vertices - feet)
-    if np.abs(lengths - measured_len).max() > max(policy.rel * diam, policy.abs):
+    if np.abs(lengths - sx._row_norms(s.vertices - feet)).max() > tol:
         raise NotOrthocentricError("altitude-length formula check failed")
 
     return EdgeAltitudeData(
@@ -364,11 +375,16 @@ def sample_params(d: int, kind: str, seed: int) -> OrthoParams:
     """Deterministic random shape parameters of the requested class.
 
     Acute: uniform on the open coordinate simplex, rejecting draws with a
-    coordinate below min(0.01, 2/(d+1)^2).  The margin keeps the numerics
-    away from the degenerate hyperplanes (subset sums of 0 or 1 come no
-    closer than the smallest coordinate) while the acceptance rate stays
-    near exp(-2) at large d.  Obtuse: d coordinates drawn in (-1, -0.05),
-    the last set to one minus their sum.
+    coordinate below the margin m = min(0.01, 2/(d+1)^2), which keeps the
+    numerics away from the degenerate hyperplanes (subset sums of 0 or 1
+    come no closer than the smallest coordinate).  A uniform draw clears
+    the margin with probability P = (1 - (d+1) m)^d, which tends to
+    exp(-2) as d grows.  Draws come in blocks of ceil(2/P) rows from one
+    ``dirichlet`` call, and the first row that clears the margin is
+    returned; numpy fills the rows one after another from the same stream,
+    so this is the draw a one-at-a-time loop would return, and a block
+    succeeds with probability at least 1 - exp(-2).  Obtuse: d coordinates
+    drawn in (-1, -0.05), the last set to one minus their sum.
     """
     if kind not in (ACUTE, OBTUSE):
         raise InputError(f"kind must be '{ACUTE}' or '{OBTUSE}', got {kind!r}")
@@ -383,7 +399,10 @@ def sample_params(d: int, kind: str, seed: int) -> OrthoParams:
         a = np.concatenate([-u, [1.0 + float(u.sum())]])
         return OrthoParams(dim=d, bary=a, obtuseness=1.0, kind=kind)
     margin = min(0.01, 2.0 / (d + 1) ** 2)
+    block = ceil(2.0 / (1.0 - (d + 1) * margin) ** d)
     while True:
-        a = rng.dirichlet(np.ones(d + 1))
-        if float(np.min(a)) >= margin:
-            return OrthoParams(dim=d, bary=a, obtuseness=-1.0, kind=kind)
+        rows = rng.dirichlet(np.ones(d + 1), size=block)
+        hit = rows.min(axis=1) >= margin
+        k = int(hit.argmax())
+        if hit[k]:
+            return OrthoParams(dim=d, bary=rows[k].copy(), obtuseness=-1.0, kind=kind)

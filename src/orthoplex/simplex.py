@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
-from math import factorial, sqrt
+from math import exp, factorial, lgamma, log, sqrt
 from numbers import Integral
+from sys import float_info
 
 import numpy as np
 
@@ -131,10 +132,25 @@ def _per_simplex(fn):
     return memoized
 
 
+_FLOAT_MAX = float_info.max
+_LOG_FLOAT_MAX = log(_FLOAT_MAX)
+# the largest d whose d! is a finite float
+_MAX_FACTORIAL_DIM = 170
+
+
 @_per_simplex
 def volume(s: Simplex) -> float:
-    """d-volume, |det e| / d! for the edge matrix e of :func:`_frame`."""
-    return float(abs(np.linalg.det(_frame(s)[1]))) / factorial(s.dim)
+    """d-volume, |det e| / d! for the edge matrix e of :func:`_frame`, read
+    from ``slogdet`` (``det`` is sign * exp(log|det|) from the same LU).
+    Where |det e| or d! is out of float range it is
+    exp(log|det e| - lgamma(d+1)): 0.0 when the volume underflows, the
+    largest float when it overflows; it never raises."""
+    logdet = float(np.linalg.slogdet(_frame(s)[1])[1])
+    d = s.dim
+    if d <= _MAX_FACTORIAL_DIM and logdet < _LOG_FLOAT_MAX:
+        return exp(logdet) / factorial(d)
+    log_v = logdet - lgamma(d + 1)
+    return _FLOAT_MAX if log_v >= _LOG_FLOAT_MAX else exp(log_v)
 
 
 @lru_cache(maxsize=64)
@@ -234,10 +250,12 @@ def _weights(s: Simplex, q: np.ndarray) -> np.ndarray:
 @_per_simplex
 def facet_volumes(s: Simplex) -> np.ndarray:
     """(d-1)-volumes of all d+1 facets, facet i opposite vertex i:
-    d V / h_i = d V |n_i|; the facets of a segment are points, of measure 1."""
+    d V / h_i = d V |n_i|, at most the largest float (see :func:`volume`);
+    the facets of a segment are points, of measure 1."""
     if s.dim == 1:
         return np.ones(2)
-    return s.dim * volume(s) * _frame(s)[3]
+    with np.errstate(over="ignore"):
+        return np.minimum(s.dim * volume(s) * _frame(s)[3], _FLOAT_MAX)
 
 
 @_per_simplex
@@ -326,11 +344,13 @@ def shape_predicates(s: Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> Sh
     """Regular / equiareal / equiradial / well-distributed-edge tests.
 
     All four compare per-facet (or per-edge) quantities with max-relative
-    scaling, so the flags are invariant under similarity.
+    scaling, so the flags are invariant under similarity.  Equiareal reads
+    |n_i|, to which facet volume i = d V |n_i| is proportional, so it holds
+    also where V is out of float range.
     """
     return ShapeFlags(
         is_regular=policy.all_close(edge_lengths(s)),
-        is_equiareal=policy.all_close(facet_volumes(s)),
+        is_equiareal=policy.all_close(_frame(s)[3]),
         is_equiradial=policy.all_close(facet_circumradii(s)),
         has_well_distributed_edges=policy.all_close(facet_sq_edge_sums(s)),
     )

@@ -260,7 +260,8 @@ def _check_equivalences(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, tol
     vertex_dists = sx._row_norms(s.vertices - c)
     facet_dists = sx._row_norms(i - sx.project_to_affine_hull(i, s.vertices[sx.facet_indices(s)]))
 
-    areas_spread = pol.spread(sx.facet_volumes(s))
+    # facet volume i = d V |n_i|: the spread of |n_i| (shape_predicates' equiareal rule)
+    areas_spread = pol.spread(sx._frame(s)[3])
     wde_spread = pol.spread(sx.facet_sq_edge_sums(s))
     radii_spread = pol.spread(sx.facet_circumradii(s))
     bary_min = float(sx.barycentric(s, c).min())

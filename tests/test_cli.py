@@ -111,16 +111,25 @@ class TestAnalyze:
         assert a["orthocentric"] is True
         assert a["ortho_params"]["class"].startswith("rectangular")
 
-    @pytest.mark.parametrize("d, edge", [(60, "1e-6"), (170, "1")])
+    @pytest.mark.parametrize("d, edge", [(60, "1e-6"), (170, "1"), (171, "1"), (200, "1")])
     def test_regular_inradius_without_the_volume(self, capsys, monkeypatch, d, edge):
-        """The volume underflows to 0 here; the inradius s / sqrt(2 d (d+1))
-        does not read it."""
+        """The volume underflows to 0 here (and d! is no float at d >= 171);
+        the inradius s / sqrt(2 d (d+1)) does not read it."""
         code, doc, _ = run_json(capsys, "construct", "regular", "--dim", str(d), "--edge", edge)
         assert code == 0
         code, a, _ = run_json(capsys, "analyze", stdin=json.dumps(doc), monkeypatch=monkeypatch)
         assert code == 0
         want = float(edge) / math.sqrt(2 * d * (d + 1))
         assert a["centers"]["inradius"] == pytest.approx(want, rel=1e-12)
+
+    def test_acute_200_simplex_not_equiareal(self, capsys, monkeypatch):
+        """Its facet volumes are near 1e-120, under the old absolute floor."""
+        s = op.construct(op.sample_params(200, "acute", 0).bary, 1.0)
+        doc = json.dumps(cli.simplex_to_doc(s))
+        code, a, _ = run_json(capsys, "analyze", stdin=doc, monkeypatch=monkeypatch)
+        assert code == 0
+        assert a["orthocentric"] is True and a["ortho_params"]["class"] == "acute"
+        assert a["shape"]["is_equiareal"] is False and 0.0 < a["volume"] < 1e-100
 
     def test_regular_4_simplex(self, capsys, monkeypatch):
         s = op.regular(4, 1.0)
@@ -418,7 +427,7 @@ class TestWorkPerAnalysis:
             return _build(simplex)
 
         monkeypatch.setattr(sx, "_pairs", sx._per_simplex(building))
-        calls = dict.fromkeys(("det", "inv", "solve"), 0)
+        calls = dict.fromkeys(("det", "slogdet", "inv", "solve"), 0)
         for name in calls:
             def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
                 calls[_name] += 1
@@ -426,10 +435,10 @@ class TestWorkPerAnalysis:
 
             monkeypatch.setattr(np.linalg, name, counting)
         cli.analysis_doc(s, op.TolerancePolicy())
-        # one pair table; one determinant for the volume, one inverse for the
-        # edge frame, which every center and facet quantity reads
+        # one pair table; one log-determinant for the volume, one inverse for
+        # the edge frame, which every center and facet quantity reads
         assert len(builds) == 1 and builds[0] is s
-        assert calls == {"det": 1, "inv": 1, "solve": 0}
+        assert calls == {"det": 0, "slogdet": 1, "inv": 1, "solve": 0}
 
     @pytest.mark.parametrize("kind", ["acute", "obtuse"])
     def test_no_face_enumeration(self, monkeypatch, kind):

@@ -39,7 +39,21 @@ class TestTolerancePolicy:
         v = np.array([2.0, -3.0, 2.5])
         assert p.spread(v) == 5.5 / 3.0
         assert not p.all_close(v) and p.all_close([1.0, 1.0005])
-        assert p.spread([1e-15, 2e-15]) == 1e-15 / p.abs
+        # no absolute floor: a tiny sample is measured on its own scale
+        assert p.spread([1e-15, 2e-15]) == 0.5
+        assert not p.all_close([1e-15, 2e-15]) and p.all_close([1e-300, 1e-300 * (1 + 1e-4)])
+
+    def test_all_zero_sample(self):
+        p = TolerancePolicy()
+        assert p.all_close([0.0, 0.0, -0.0]) is True
+        assert p.spread([0.0, 0.0]) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-6, 1.0, 1e6, 1e200])
+    def test_scale_free(self, scale):
+        p = TolerancePolicy(rel=1e-3)
+        near, far = np.array([1.0, 1.0005]), np.array([1.0, 1.002])
+        assert p.all_close(near * scale) and not p.all_close(far * scale)
+        assert p.spread(far * scale) == pytest.approx(0.002 / 1.002, rel=1e-12)
 
 
 class TestSymMatrix:

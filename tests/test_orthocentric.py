@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from itertools import combinations
@@ -20,6 +21,33 @@ from orthoplex import simplex as sx
 def gram_form(a, sigma):
     """The Gram matrix about the orthocenter, sigma (J - diag(1/a))."""
     return sigma * (np.ones((a.size, a.size)) - np.diag(1.0 / a))
+
+
+def one_draw_at_a_time(d, kind, seed):
+    """Reference sampler: one ``dirichlet`` call per rejection draw."""
+    code = 0 if kind == "acute" else 1
+    rng = np.random.default_rng(np.random.SeedSequence([17, d, code, seed]))
+    if kind == "obtuse":
+        u = rng.uniform(0.05, 1.0, size=d)
+        return np.concatenate([-u, [1.0 + float(u.sum())]])
+    margin = min(0.01, 2.0 / (d + 1) ** 2)
+    while True:
+        a = rng.dirichlet(np.ones(d + 1))
+        if float(np.min(a)) >= margin:
+            return a
+
+
+def tri_pose(a, sigma):
+    """Reference pose: the LDL^T factor with its mask from ``np.tri`` and its
+    diagonal from ``np.fill_diagonal``."""
+    d = a.size - 1
+    t = np.cumsum(a[::-1])[::-1][1:]
+    neg = np.logical_and.accumulate(a[:d] < 0)
+    t[neg] = 1.0 - np.cumsum(a[:d])[neg]
+    root = np.sqrt(-sigma * t / (a[:d] * np.concatenate(([1.0], t[:-1]))))
+    pts = np.where(np.tri(d + 1, d, -1, dtype=bool), -(a[:d] / t) * root, 0.0)
+    np.fill_diagonal(pts, root)
+    return pts
 
 
 class TestIsOrthocentric:
@@ -90,6 +118,13 @@ class TestParamsOf:
 
 
 class TestConstruct:
+    @pytest.mark.parametrize("kind", ["acute", "obtuse"])
+    def test_pose_bits_match_tri_and_fill_diagonal(self, kind):
+        for d in range(2, 41):
+            a = op.sample_params(d, kind, d).bary
+            sigma = 1.7 if kind == "obtuse" else -1.7
+            assert op.construct(a, 1.7).vertices.tobytes() == tri_pose(a, sigma).tobytes(), d
+
     def test_equilateral_from_uniform_coordinates(self):
         s = op.construct([1 / 3, 1 / 3, 1 / 3], 1.0)
         assert np.allclose(sx.edge_lengths(s) ** 2, 6.0, rtol=1e-12)
@@ -287,14 +322,31 @@ class TestEdgeAltitudeData:
         with pytest.raises(RectangularParamsError):
             op.edge_and_altitude_data(op.params_of(s), s)
 
-    def test_wrong_feet_rejected(self, monkeypatch):
-        s = op.construct([0.4, 0.3, 0.2, 0.1], 1.0)
+    @pytest.mark.parametrize("scale", [1.0, 1e-7])
+    def test_wrong_feet_rejected(self, monkeypatch, scale):
+        """A foot moved by 1e-6 of the simplex's size fails at any size (with
+        an absolute floor of 1e-12 it passed at scale 1e-7)."""
+        base = op.construct([0.4, 0.3, 0.2, 0.1], 1.0)
+        s = op.from_vertices(3, base.vertices * scale)
         p = op.params_of(s)
         feet = sx.altitude_feet(s).copy()
-        feet[2, 1] += 1e-6
+        feet[2, 1] += 1e-6 * scale
         monkeypatch.setattr(sx, "altitude_feet", lambda simplex: feet)
         with pytest.raises(NotOrthocentricError, match="altitude-foot formula check failed"):
             op.edge_and_altitude_data(p, s)
+
+    @pytest.mark.parametrize("scale", [10.0**-k for k in range(0, 17, 2)])
+    @pytest.mark.parametrize("kind", ["acute", "obtuse"])
+    def test_wrong_params_rejected_at_every_scale(self, scale, kind):
+        """Obtuseness off by 1e-6 relative is rejected however small the
+        simplex; the right parameters are accepted."""
+        base = op.construct(op.sample_params(6, kind, 6).bary, 1.0)
+        s = op.from_vertices(6, base.vertices * scale)
+        p = op.params_of(s)
+        op.edge_and_altitude_data(p, s)
+        wrong = dataclasses.replace(p, obtuseness=p.obtuseness * (1 + 1e-6))
+        with pytest.raises(NotOrthocentricError, match="formula check failed"):
+            op.edge_and_altitude_data(wrong, s)
 
 
 # int() truncation accepted the first four as (0, 1, 2); the next two are out of range or
@@ -466,6 +518,22 @@ class TestSampleParams:
         q = op.params_of(op.construct(p.bary, 1.0))
         assert q.kind == kind
         assert np.max(np.abs(q.bary - p.bary)) <= 1e-8
+
+    @pytest.mark.parametrize("d", [*range(2, 65), 200])
+    def test_bits_match_one_draw_at_a_time(self, d):
+        """The block draw returns the row the one-draw loop would, as an
+        array of its own."""
+        for kind in ("acute", "obtuse"):
+            for seed in range(30):
+                got = op.sample_params(d, kind, seed).bary
+                want = one_draw_at_a_time(d, kind, seed)
+                assert got.tobytes() == want.tobytes(), (kind, seed)
+                assert got.base is None
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_margin_at_large_dimension(self, seed):
+        p = op.sample_params(200, "acute", seed)
+        assert p.bary.shape == (201,) and p.bary.min() >= 2.0 / 201**2
 
     def test_bad_inputs(self):
         with pytest.raises(InputError):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import orthoplex as op
 from orthoplex import DegenerateSimplexError, InputError, NumericError
 from orthoplex import centers, numerics
+from orthoplex import orthocentric as oc
 from orthoplex import simplex as sx
 from orthoplex import verify as vf
 from conftest import random_rotation
@@ -104,6 +106,28 @@ class TestVolume:
             assert op.volume(moved) == pytest.approx(op.volume(s), rel=1e-10)
 
 
+    @pytest.mark.parametrize("d", [30, 171, 200])
+    def test_out_of_range_is_finite_without_warning(self, d):
+        """Regular d = 30 at edge 1e12 overflows (about 6e323), d >= 171 at
+        edge 1 underflows and d! is no float; with warnings as errors."""
+        s = op.regular(d, 1e12 if d == 30 else 1.0)
+        assert op.volume(s) == (sx._FLOAT_MAX if d == 30 else 0.0)
+        assert np.isfinite(sx.facet_volumes(s)).all()
+
+    def test_large_determinant_in_range(self):
+        """|det e| = 1e400 overflows a float; the volume 1e400/100! does not.
+        Its error is that of slogdet's sum of 100 logs (1.3e-12 here)."""
+        s = op.from_vertices(100, np.eye(101, 100) * 1e4)
+        want = float(Fraction(10**400, math.factorial(100)))
+        assert op.volume(s) == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("d", [2, 5, 9, 17])
+    def test_in_range_bits_are_the_determinant(self, d):
+        s = op.from_vertices(d, np.random.default_rng(d).normal(size=(d + 1, d)))
+        want = float(abs(np.linalg.det(sx._frame(s)[1]))) / math.factorial(d)
+        assert op.volume(s) == want
+
+
 class TestFace:
     def test_facet_of_regular_is_regular(self):
         s = op.regular(4, 1.0)
@@ -190,6 +214,38 @@ class TestShapePredicates:
             [flags.is_regular, flags.is_equiareal, flags.is_equiradial,
              flags.has_well_distributed_edges]
         )
+
+
+def flag_fixtures(d):
+    rng = np.random.default_rng(100 + d)
+    yield "gaussian", rng.normal(size=(d + 1, d))
+    yield "regular", op.regular(d, 1.0).vertices
+    for kind in ("acute", "obtuse"):
+        yield kind, op.construct(op.sample_params(d, kind, d).bary, 1.0).vertices
+
+
+class TestShapeFlagsScaleFree:
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_flags_invariant_under_scaling_and_permutation(self, d):
+        rng = np.random.default_rng(d)
+        for name, v in flag_fixtures(d):
+            want = op.shape_predicates(op.from_vertices(d, v))
+            for scale in (1e-6, 1e6):
+                assert op.shape_predicates(op.from_vertices(d, v * scale)) == want, (name, scale)
+            perm = rng.permutation(d + 1)
+            assert op.shape_predicates(op.from_vertices(d, v[perm])) == want, (name, "perm")
+
+    def test_gaussian_40_simplex_not_equiareal(self):
+        """Its facet volumes are near 4e-23: under an absolute floor of 1e-12
+        they all read as equal."""
+        s = op.from_vertices(40, np.random.default_rng(0).normal(size=(41, 40)))
+        assert not op.shape_predicates(s).is_equiareal
+
+    def test_gaussian_6_simplex_keeps_its_flags_when_small(self):
+        v = np.random.default_rng(0).normal(size=(7, 6))
+        for scale in (1.0, 1e-2, 1e-4, 1e-8):
+            flags = op.shape_predicates(op.from_vertices(6, v * scale))
+            assert not flags.is_equiareal and not flags.is_regular, scale
 
 
 class TestPerpendicularityResidual:
@@ -494,6 +550,7 @@ INDEX_TABLES = {
         lambda n: np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None]),
     ),
     "off_diagonal": (centers._off_diagonal, lambda n: ~np.eye(n, dtype=bool)),
+    "pose_mask": (oc._pose_mask, lambda n: np.tri(n, n - 1, -1, dtype=bool)),
     "face_table": (
         vf._face_table,
         lambda n: (
@@ -511,6 +568,7 @@ FROM_SIMPLEX = {
     "pair_index": lambda s: sx._pairs(s)[:2],
     "facet_indices": sx.facet_indices,
     "off_diagonal": lambda s: centers._off_diagonal(s.n),
+    "pose_mask": lambda s: oc._pose_mask(s.n),
     "face_table": lambda s: vf._face_table(s.n),
 }
 

@@ -322,18 +322,18 @@ class TestEdgeAltitudeData:
         with pytest.raises(RectangularParamsError):
             op.edge_and_altitude_data(op.params_of(s), s)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-7])
-    def test_wrong_feet_rejected(self, monkeypatch, scale):
+    def test_wrong_feet_rejected(self, monkeypatch):
         """A foot moved by 1e-6 of the simplex's size fails at any size (with
         an absolute floor of 1e-12 it passed at scale 1e-7)."""
         base = op.construct([0.4, 0.3, 0.2, 0.1], 1.0)
-        s = op.from_vertices(3, base.vertices * scale)
-        p = op.params_of(s)
-        feet = sx.altitude_feet(s).copy()
-        feet[2, 1] += 1e-6 * scale
-        monkeypatch.setattr(sx, "altitude_feet", lambda simplex: feet)
-        with pytest.raises(NotOrthocentricError, match="altitude-foot formula check failed"):
-            op.edge_and_altitude_data(p, s)
+        for scale in (1.0, 1e-7):
+            s = op.from_vertices(3, base.vertices * scale)
+            p = op.params_of(s)
+            feet = sx.altitude_feet(s).copy()
+            feet[2, 1] += 1e-6 * scale
+            monkeypatch.setattr(sx, "altitude_feet", lambda simplex, feet=feet: feet)
+            with pytest.raises(NotOrthocentricError, match="altitude-foot formula check failed"):
+                op.edge_and_altitude_data(p, s)
 
     @pytest.mark.parametrize("scale", [10.0**-k for k in range(0, 17, 2)])
     @pytest.mark.parametrize("kind", ["acute", "obtuse"])

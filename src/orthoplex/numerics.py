@@ -1,8 +1,10 @@
 """Shared numerical kernels.
 
 Everything geometric in this package funnels its floating-point decisions
-through a single :class:`TolerancePolicy`, so that no predicate carries a
-private epsilon.  The other kernels are a symmetric eigensolver wrapper and
+through a single :class:`TolerancePolicy` of two numbers, ``rel`` and
+``rank_cut``, so that no predicate carries a private epsilon.  Both are
+relative to what they judge, which keeps every decision invariant under
+similarity.  The other kernels are a symmetric eigensolver wrapper and
 a rank-revealing embedding of positive semidefinite Gram matrices into
 coordinates.
 """
@@ -28,25 +30,20 @@ __all__ = [
 class TolerancePolicy:
     """Tolerance bundle used by every geometric predicate.
 
-    rel        relative tolerance for comparisons of like-scaled quantities
-    abs        absolute floor for quantities that may legitimately vanish
+    rel        relative tolerance: every comparison is scaled by the
+               quantity it judges, with no absolute floor
     rank_cut   eigenvalue ratio (lambda / lambda_max) below which an
                eigenvalue counts as zero in rank decisions
     """
 
     rel: float = 1e-9
-    abs: float = 1e-12
     rank_cut: float = 1e-10
 
     def __post_init__(self):
-        for name in ("rel", "abs", "rank_cut"):
+        for name in ("rel", "rank_cut"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise InputError(f"tolerance {name}={v!r} must lie strictly in (0, 1)")
-
-    def isclose(self, x: float, y: float) -> bool:
-        """Max-relative closeness: |x-y| <= rel * max(|x|, |y|, abs)."""
-        return abs(x - y) <= self.rel * max(abs(x), abs(y), self.abs)
 
     @staticmethod
     def _gap(values) -> tuple[float, float]:
@@ -76,8 +73,9 @@ DEFAULT_POLICY = TolerancePolicy()
 class SymMatrix:
     """Real symmetric matrix of small order.
 
-    Input is checked for symmetry within tolerance and then symmetrized
-    exactly, so downstream eigensolves never see an asymmetric residue.
+    Input is checked for symmetry within rel of its largest entry and then
+    symmetrized exactly, so downstream eigensolves never see an asymmetric
+    residue.
     """
 
     __slots__ = ("a",)
@@ -88,9 +86,8 @@ class SymMatrix:
             raise InputError(f"expected a square matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise InputError("matrix entries must be finite")
-        scale = max(float(np.max(np.abs(arr))) if arr.size else 0.0, 1.0)
-        skew = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-        if skew > policy.rel * scale + policy.abs:
+        skew = float(np.abs(arr - arr.T).max(initial=0.0))
+        if skew > policy.rel * float(np.abs(arr).max(initial=0.0)):
             raise InputError(f"matrix is not symmetric (max asymmetry {skew:g})")
         sym = (arr + arr.T) / 2.0
         sym.flags.writeable = False

@@ -144,12 +144,8 @@ def _validate_bary(a: np.ndarray, policy: TolerancePolicy) -> int:
     if not np.isfinite(a).all():
         raise ParametrizationError("barycentric coordinates must be finite")
     total = float(a.sum())
-    if abs(total - 1.0) > policy.abs * n:
+    if abs(total - 1.0) > policy.rel:
         raise ParametrizationError(f"barycentric coordinates must sum to 1, got {total!r}")
-    # one min |a_i| serves the vanishing test and the subset-sum margin
-    smallest = float(np.abs(a).min())
-    if smallest <= policy.abs:
-        raise ParametrizationError("no barycentric coordinate may vanish")
     pos = int(np.count_nonzero(a > 0))
     if pos == n:
         sign = -1
@@ -159,12 +155,12 @@ def _validate_bary(a: np.ndarray, policy: TolerancePolicy) -> int:
         raise ParametrizationError(
             f"{pos} positive coordinates out of {n}: need all positive or exactly one"
         )
-    # no nonempty proper subset may sum to 0 or 1 (margin = rel).  For an
-    # admissible sign pattern the closest subset sum misses by min |a_i|:
-    # acute, singletons and their complements are extreme; obtuse, sums
-    # without the positive entry are <= -min |a_i| and sums with it are
-    # >= 1 + min |a_i|.
-    if smallest <= policy.rel:
+    # no nonempty proper subset may sum to 0 or 1 (margin = rel), so no
+    # coordinate may vanish.  For an admissible sign pattern the closest
+    # subset sum misses by min |a_i|: acute, singletons and their complements
+    # are extreme; obtuse, sums without the positive entry are <= -min |a_i|
+    # and sums with it are >= 1 + min |a_i|.
+    if float(np.abs(a).min()) <= policy.rel:
         k = int(np.abs(a).argmin())
         raise ParametrizationError(
             f"subset sum {float(a[k])!r} too close to the forbidden values 0/1"

@@ -445,7 +445,10 @@ def _check_euler_feuerbach(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
     p = oc.params_of(s, pol)
     if not p.rectangular:
         vals = oc.lambda_params(p).all_values
-        rec.check("reciprocal lambda sum", abs(float((1.0 / vals).sum())), 100 * pol.abs, s)
+        # sum 1/lam = (1 - sum a) / sigma against sum |1/lam| = (1 + sum |a|) / |sigma|
+        inv = 1.0 / vals
+        rec.check("reciprocal lambda sum", abs(float(inv.sum())),
+                  pol.rel * float(np.abs(inv).sum()), s)
         pts = np.vstack([h, s.vertices])
         a, b = sx._pair_index(d + 2)
         got = ((pts[a] - pts[b]) ** 2).sum(axis=1)

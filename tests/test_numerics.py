@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,20 +16,18 @@ from orthoplex import (
 class TestTolerancePolicy:
     def test_defaults(self):
         p = TolerancePolicy()
-        assert p.rel == 1e-9 and p.abs == 1e-12 and p.rank_cut == 1e-10
+        assert p.rel == 1e-9 and p.rank_cut == 1e-10
+
+    def test_fields_are_rel_and_rank_cut(self):
+        assert [f.name for f in dataclasses.fields(TolerancePolicy)] == ["rel", "rank_cut"]
+        with pytest.raises(TypeError):
+            TolerancePolicy(abs=1e-12)
+        assert not hasattr(TolerancePolicy(), "isclose")
 
     @pytest.mark.parametrize("bad", [0.0, -1e-9, 1.0, 2.0])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(InputError):
             TolerancePolicy(rel=bad)
-
-    def test_isclose_scales_with_magnitude(self):
-        p = TolerancePolicy()
-        assert p.isclose(1e6, 1e6 * (1 + 1e-10))
-        assert not p.isclose(1e6, 1e6 * (1 + 1e-8))
-        # abs acts as a scale floor: threshold rel * abs near zero
-        assert p.isclose(0.0, 1e-22)
-        assert not p.isclose(0.0, 1e-13)
 
     def test_empty_sample(self):
         p = TolerancePolicy()
@@ -65,6 +65,24 @@ class TestSymMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(InputError):
             SymMatrix([[1.0, 2.0], [5.0, 3.0]])
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-6, 1.0, 1e6, 1e200])
+    def test_symmetry_tolerance_is_relative(self, scale):
+        # an off-diagonal entry raised by 1e-6 relative is rejected at every
+        # scale (there is no unit floor), one raised by 1e-10 accepted
+        a = np.array([[1.0, 2.0], [2.0, 3.0]]) * scale
+        for bump, ok in ((1e-6, False), (1e-10, True)):
+            b = a.copy()
+            b[0, 1] *= 1.0 + bump
+            if ok:
+                assert np.array_equal(SymMatrix(b).a, (b + b.T) / 2.0)
+            else:
+                with pytest.raises(InputError, match="not symmetric"):
+                    SymMatrix(b)
+
+    def test_zero_and_empty_matrices(self):
+        assert SymMatrix(np.zeros((2, 2))).n == 2
+        assert SymMatrix(np.zeros((0, 0))).n == 0
 
     def test_rejects_non_square_and_nan(self):
         with pytest.raises(InputError):

@@ -174,6 +174,29 @@ class TestConstruct:
         with pytest.raises(ParametrizationError):
             op.construct(bad, 1.0)
 
+    def test_exact_zero_rejected_without_a_vanishing_test(self):
+        # the subset-sum margin and the sign count cover an exact zero
+        with pytest.raises(ParametrizationError, match="subset sum"):
+            op.construct([1.0, 0.0, 0.0], 1.0)
+        with pytest.raises(ParametrizationError, match="positive coordinates"):
+            op.construct([0.5, 0.5, 0.0], 1.0)
+
+    @pytest.mark.parametrize("kind", ["acute", "obtuse"])
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    def test_sum_is_checked_at_rel(self, d, kind):
+        a = op.sample_params(d, kind, 0).bary
+        for off in (5e-10, -5e-10):
+            b = a.copy()
+            b[-1] += off
+            for scale in (1e-6, 1.0, 1e6):
+                q = op.params_of(op.construct(b, scale))
+                assert np.abs(q.bary - b).max() <= 2 * abs(off)
+        for off in (2e-9, -2e-9):
+            b = a.copy()
+            b[-1] += off
+            with pytest.raises(ParametrizationError, match="sum to 1"):
+                op.construct(b, 1.0)
+
     def test_subset_sum_guard(self):
         # admissible sign patterns that fail only the subset-sum margin
         for bad in (

@@ -241,6 +241,34 @@ class TestFaceCentroidOracle:
         assert rec.counterexample["check"] == "feuerbach k=0 equidistance"
 
 
+class TestReciprocalLambdaSum:
+    """The sum of 1/lambda is measured against the sum of |1/lambda|, so the
+    check is scale-free."""
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_valid_simplex_passes_at_every_scale(self, scale):
+        s = op.construct(op.sample_params(6, "acute", 0).bary, scale)
+        rec = vf._Recorder("euler_feuerbach")
+        vf._check_euler_feuerbach(rec, s, DEFAULT_POLICY)
+        assert rec.counterexample is None and rec.max_ratio <= 1.0
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_perturbed_lam_h_fails_at_every_scale(self, monkeypatch, scale):
+        from orthoplex import orthocentric as oc
+
+        original = oc.lambda_params
+
+        def perturbed(p):
+            lam = original(p)
+            return oc.LambdaParams(lam_h=lam.lam_h * (1 + 1e-6), lam=lam.lam)
+
+        monkeypatch.setattr(oc, "lambda_params", perturbed)
+        s = op.construct(op.sample_params(6, "acute", 0).bary, scale)
+        rec = vf._Recorder("euler_feuerbach")
+        vf._check_euler_feuerbach(rec, s, DEFAULT_POLICY)
+        assert rec.counterexample["check"] == "reciprocal lambda sum"
+
+
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"
 
 

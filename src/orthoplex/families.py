@@ -11,7 +11,9 @@ Four families are provided:
   intervening edge length.
 
 Closed-form metrics are exposed next to each constructor so coordinate
-computations can be cross-checked against them.
+computations can be cross-checked against them.  Like ``simplex.volume``,
+their volumes never raise: out of float range they are 0.0 or the largest
+float.
 """
 
 from __future__ import annotations
@@ -97,7 +99,16 @@ def regular_metrics(d: int, s: float) -> RegularMetrics:
         circumradius=s * math.sqrt(d / (2.0 * (d + 1))),
         inradius=s / math.sqrt(2.0 * d * (d + 1)),
         altitude=s * math.sqrt((d + 1) / (2.0 * d)),
-        volume=s**d * math.sqrt((d + 1) / 2.0**d) / math.factorial(d),
+        volume=_power_volume(d, s, d + 1),
+    )
+
+
+def _power_volume(d: int, s: float, c: float) -> float:
+    """s^d sqrt(c / 2^d) / d!, the regular and kite volumes."""
+    return sx._factorial_quotient(
+        d,
+        lambda: float(s) ** d * math.sqrt(c / 2.0**d) / math.factorial(d),
+        d * math.log(s) + (math.log(c) - d * math.log(2.0)) / 2.0 - math.lgamma(d + 1),
     )
 
 
@@ -178,7 +189,7 @@ def kite_metrics(spec: KiteSpec, policy: TolerancePolicy = DEFAULT_POLICY) -> Ki
         * math.sqrt(core)
         / (math.sqrt(2.0) * (math.sqrt(d) + d * math.sqrt(2.0 * e2 * (d - 1) - (d - 2)))),
         altitude=s * math.sqrt(core / (2.0 * d)),
-        volume=s**d * math.sqrt(core / 2.0**d) / math.factorial(d),
+        volume=_power_volume(d, s, core),
         base_circumradius=rho,
         circumcenter_interior=e2 > (d - 1) / d,
         equiradial=(
@@ -253,13 +264,18 @@ def rect_metrics(spec: RectSpec) -> RectMetrics:
     """
     b = np.asarray(spec.legs, dtype=float)
     d = spec.d
-    prod = float(b.prod())
+    with np.errstate(over="ignore"):  # an infinite product takes the log form
+        prod = float(b.prod())
+    log_prod = float(np.log(b).sum())
     inv2 = float((1.0 / b**2).sum())
     verts = np.diag(b)
     w = (1.0 / b**2) / inv2
     return RectMetrics(
-        volume=prod / math.factorial(d),
-        hyp_volume=prod / math.factorial(d - 1) * math.sqrt(inv2),
+        volume=sx._factorial_quotient(
+            d, lambda: prod / math.factorial(d), log_prod - math.lgamma(d + 1)),
+        hyp_volume=sx._factorial_quotient(
+            d - 1, lambda: prod / math.factorial(d - 1) * math.sqrt(inv2),
+            log_prod - math.lgamma(d) + math.log(inv2) / 2.0),
         altitude=1.0 / math.sqrt(inv2),
         inradius=1.0 / (float((1.0 / b).sum()) + math.sqrt(inv2)),
         r_squared=float((b**2).sum()) / 4.0,

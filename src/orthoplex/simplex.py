@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
-from math import exp, factorial, lgamma, log, sqrt
+from math import exp, factorial, inf, isfinite, lgamma, log, sqrt
 from numbers import Integral
 from sys import float_info
 
@@ -138,19 +138,29 @@ _LOG_FLOAT_MAX = log(_FLOAT_MAX)
 _MAX_FACTORIAL_DIM = 170
 
 
+def _factorial_quotient(k: int, direct, log_value: float) -> float:
+    """A positive quotient by k! that never raises or warns: ``direct()``,
+    the formula as written, where k! and its result are finite floats;
+    otherwise exp(log_value), 0.0 where that underflows and the largest
+    float where it overflows (``log_value`` is the log of the quotient)."""
+    if k <= _MAX_FACTORIAL_DIM:
+        try:
+            value = direct()
+        except OverflowError:
+            value = inf
+        if isfinite(value):
+            return value
+    return _FLOAT_MAX if log_value >= _LOG_FLOAT_MAX else exp(log_value)
+
+
 @_per_simplex
 def volume(s: Simplex) -> float:
     """d-volume, |det e| / d! for the edge matrix e of :func:`_frame`, read
-    from ``slogdet`` (``det`` is sign * exp(log|det|) from the same LU).
-    Where |det e| or d! is out of float range it is
-    exp(log|det e| - lgamma(d+1)): 0.0 when the volume underflows, the
-    largest float when it overflows; it never raises."""
+    from ``slogdet`` (``det`` is sign * exp(log|det|) from the same LU),
+    out of float range by :func:`_factorial_quotient`."""
     logdet = float(np.linalg.slogdet(_frame(s)[1])[1])
     d = s.dim
-    if d <= _MAX_FACTORIAL_DIM and logdet < _LOG_FLOAT_MAX:
-        return exp(logdet) / factorial(d)
-    log_v = logdet - lgamma(d + 1)
-    return _FLOAT_MAX if log_v >= _LOG_FLOAT_MAX else exp(log_v)
+    return _factorial_quotient(d, lambda: exp(logdet) / factorial(d), logdet - lgamma(d + 1))
 
 
 @lru_cache(maxsize=64)

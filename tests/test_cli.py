@@ -122,6 +122,16 @@ class TestAnalyze:
         want = float(edge) / math.sqrt(2 * d * (d + 1))
         assert a["centers"]["inradius"] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [171, 200])
+    def test_kite_pipe_above_the_factorial_range(self, capsys, monkeypatch, d):
+        """The kite reads only the altitude of its closed forms; their volume
+        does not raise where d! is no float."""
+        code, doc, _ = run_json(capsys, "construct", "kite", "--dim", str(d),
+                                "--base-edge", "1", "--apex-edge", "1")
+        assert code == 0 and doc["dim"] == d
+        code, a, _ = run_json(capsys, "analyze", stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        assert code == 0 and a["orthocentric"] is True
+
     def test_acute_200_simplex_not_equiareal(self, capsys, monkeypatch):
         """Its facet volumes are near 1e-120, under the old absolute floor."""
         s = op.construct(op.sample_params(200, "acute", 0).bary, 1.0)

@@ -319,6 +319,95 @@ class TestEquiradialGeneral:
         assert not np.allclose(sig1 / sig1.max(), sig2 / sig2.max(), rtol=1e-3)
 
 
+def direct_volumes(d, s, t, legs):
+    """The family volume formulas as written before the out-of-range rule:
+    (regular, kite, rect volume, rect hypotenuse volume), None where one
+    raises or is not a finite float."""
+
+    def finite(f):
+        try:
+            with np.errstate(over="ignore"):
+                v = f()
+        except OverflowError:
+            return None
+        return v if math.isfinite(v) else None
+
+    b = np.asarray(legs, dtype=float)
+    with np.errstate(over="ignore"):
+        prod = float(b.prod())
+    inv2 = float((1.0 / b**2).sum())
+    core = 2.0 * (t / s) ** 2 * d - (d - 1)
+    return (
+        finite(lambda: s**d * math.sqrt((d + 1) / 2.0**d) / math.factorial(d)),
+        finite(lambda: s**d * math.sqrt(core / 2.0**d) / math.factorial(d)),
+        finite(lambda: prod / math.factorial(d)),
+        finite(lambda: prod / math.factorial(d - 1) * math.sqrt(inv2)),
+    )
+
+
+def family_volumes(d, s, t, legs):
+    return (
+        op.regular_metrics(d, s).volume,
+        op.kite_metrics(op.KiteSpec(d, s, t)).volume,
+        op.rect_metrics(op.RectSpec(d, tuple(legs))).volume,
+        op.rect_metrics(op.RectSpec(d, tuple(legs))).hyp_volume,
+    )
+
+
+class TestFamilyVolumesInAnyDimension:
+    """The closed-form volumes never raise or warn (warnings are errors in
+    this suite); in range they keep the bits of the direct formulas."""
+
+    @pytest.mark.parametrize("d", [3, 8, 40, 100, 150, 170])
+    def test_in_range_bits_match_the_direct_formulas(self, d):
+        rng = np.random.default_rng(d)
+        compared = 0
+        for s, t, legs in (
+            (1.0, 1.0, [1.0] * d),
+            (0.7, 0.9, rng.uniform(0.5, 2.0, size=d)),
+            (3.0, 2.5, rng.uniform(1.0, 8.0, size=d)),
+            (1e2, 1e2, [1e3] * d),
+            (1e-3, 2e-3, [1e-3] * d),
+        ):
+            got = family_volumes(d, s, t, legs)
+            for g, want in zip(got, direct_volumes(d, s, t, legs)):
+                if want is not None:
+                    assert g == want
+                    compared += 1
+        assert compared >= 10
+
+    @pytest.mark.parametrize("d", [171, 200, 1100])
+    @pytest.mark.parametrize("s, t, leg", [(1.0, 1.0, 1.0), (1e4, 2e4, 1e3), (1e-4, 1e-4, 1e-3)])
+    def test_out_of_range_is_the_log_form(self, d, s, t, leg):
+        got = family_volumes(d, s, t, [leg] * d)
+        core = 2.0 * (t / s) ** 2 * d - (d - 1)
+        logs = (
+            d * math.log(s) + (math.log(d + 1) - d * math.log(2.0)) / 2 - math.lgamma(d + 1),
+            d * math.log(s) + (math.log(core) - d * math.log(2.0)) / 2 - math.lgamma(d + 1),
+            d * math.log(leg) - math.lgamma(d + 1),
+            d * math.log(leg) - math.lgamma(d) + math.log(d / leg**2) / 2,
+        )
+        for g, lg in zip(got, logs):
+            if lg >= math.log(sx._FLOAT_MAX):
+                assert g == sx._FLOAT_MAX
+            else:
+                assert g == pytest.approx(math.exp(lg), rel=1e-12, abs=0.0)
+
+    def test_examples_that_raised_or_warned(self):
+        assert op.regular_metrics(1024, 1.0).volume == 0.0
+        want = math.exp(100 * math.log(1e4) + (math.log(101) - 100 * math.log(2.0)) / 2
+                        - math.lgamma(101))
+        assert op.regular_metrics(100, 1e4).volume == pytest.approx(want, rel=1e-12)
+        m = op.rect_metrics(op.RectSpec(150, (1e3,) * 150))
+        assert m.volume == pytest.approx(math.exp(450 * math.log(10) - math.lgamma(151)),
+                                         rel=1e-12)
+
+    @pytest.mark.parametrize("d", [171, 200])
+    def test_kite_builds(self, d):
+        k = op.kite(op.KiteSpec(d, 1.0, 1.0))
+        assert k.dim == d and op.is_orthocentric(k)
+
+
 class TestFamilyOrthocentricity:
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_regular(self, d):

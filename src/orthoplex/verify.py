@@ -23,7 +23,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateSimplexError, InputError, NotLiftableError, NumericError
+from .errors import (
+    DegenerateSimplexError,
+    InputError,
+    NotLiftableError,
+    NumericError,
+    OrthoplexError,
+)
 from .numerics import DEFAULT_POLICY, TolerancePolicy, _plain
 from . import centers
 from . import families
@@ -222,12 +228,13 @@ def suite_center_equivalences(config: SuiteConfig) -> SuiteResult:
     for d in range(config.d_min, config.d_max + 1):
         rng = np.random.default_rng(_sub_seed(config, 1, d))
         fixtures = _family_fixtures(d, rng, pol)
-        if d >= 9:
+        if d >= 3 and families.equiradial_admissible(d, 2):
             for branch in (1, 2):
                 try:
                     fixtures.append(families.equiradial_general(d, 2, branch, pol)[0])
-                except InputError:
-                    pass
+                except OrthoplexError as exc:  # an admissible pair must build
+                    rec.fail("admissible equiradial fixture builds",
+                             d=d, m=2, branch=branch, error=f"{type(exc).__name__}: {exc}")
         for _ in range(_per_dim(config)):
             fixtures.append(_random_simplex(d, rng, pol))
         for s in fixtures:

@@ -72,6 +72,27 @@ class TestSuites:
                                                   d_min=9, d_max=10))
         assert result.passed and result.samples >= 1
 
+    def test_admissible_equiradial_fixture_that_fails_to_build_fails(self, monkeypatch):
+        real = families.equiradial_general
+        built = []
+
+        def failing(d, m, branch, policy=DEFAULT_POLICY):
+            built.append((d, m, branch))
+            if d == 9:
+                raise op.ParametrizationError("injected fault")
+            return real(d, m, branch, policy)
+
+        monkeypatch.setattr(families, "equiradial_general", failing)
+        result = vf.suite_center_equivalences(
+            SuiteConfig(suites=("centers",), samples=2, seed=0, d_min=2, d_max=10))
+        # only the admissible pairs (9, 2) and (10, 2) are attempted
+        assert built == [(9, 2, 1), (9, 2, 2), (10, 2, 1), (10, 2, 2)]
+        assert not result.passed
+        ce = result.counterexample
+        assert ce["check"] == "admissible equiradial fixture builds"
+        assert ce["residuals"] == {"d": 9, "m": 2, "branch": 1,
+                                   "error": "ParametrizationError: injected fault"}
+
     def test_timings_normalized_by_default(self):
         report = run_all(SuiteConfig(suites=("rectangular",), samples=4, seed=0))
         doc = report.to_json_dict()

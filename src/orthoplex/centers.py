@@ -255,8 +255,8 @@ def feuerbach_sphere(
     together cost O(d^2 log d).
     """
     d = s.dim
-    if not (0 <= k <= d - 1):
-        raise InputError(f"k must lie in [0, {d - 1}], got {k}")
+    if not (sx._is_int(k) and 0 <= k <= d - 1):
+        raise InputError(f"k must be an integer in [0, {d - 1}], got {k!r}")
     if k == d - 1:
         return _facet_sphere(s)
     if not is_orthocentric(s, policy):

@@ -213,6 +213,19 @@ class TestFeuerbachSphere:
         with pytest.raises(op.InputError):
             op.feuerbach_sphere(s, 4)
 
+    @pytest.mark.parametrize("k", [True, False, 1.5, 2.0, "1", None])
+    def test_k_must_be_an_integer(self, k):
+        s = op.construct(op.sample_params(5, "acute", 0).bary, 1.0)
+        with pytest.raises(op.InputError, match="integer"):
+            op.feuerbach_sphere(s, k)
+
+    def test_numpy_integer_k(self):
+        s = op.construct(op.sample_params(5, "acute", 0).bary, 1.0)
+        for k in (1, 4):
+            got, want = op.feuerbach_sphere(s, np.int64(k)), op.feuerbach_sphere(s, k)
+            assert got.k == want.k and got.radius == want.radius
+            assert np.array_equal(got.center, want.center)
+
 
 
 def _sphere_fixtures():

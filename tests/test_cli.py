@@ -484,6 +484,70 @@ class TestLargeDimensionAnalysis:
             assert sp["max_residual"] <= 10 * policy.rel * sp["radius"], sp
 
 
+def similarity_fixtures(d):
+    rng = np.random.default_rng(300 + d)
+    yield "gaussian", rng.normal(size=(d + 1, d))
+    yield "regular", op.regular(d, 1.0).vertices
+    for kind in ("acute", "obtuse"):
+        yield kind, op.construct(op.sample_params(d, kind, d).bary, 1.0).vertices
+
+
+class TestAnalysisSimilarity:
+    """Every field of an analysis document follows a similarity x -> t (x Q + b)
+    and a vertex permutation: lengths scale by t, the volume by t^d, the
+    obtuseness by t^2, centers move with the points, and every ratio,
+    boolean and label stays as it is."""
+
+    REL = 1e-11
+
+    def close(self, got, want, scale):
+        assert np.abs(np.asarray(got) - np.asarray(want)).max() <= self.REL * scale
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_fields_follow_the_similarity(self, d):
+        from conftest import random_rotation
+
+        policy = op.TolerancePolicy()
+        rng = np.random.default_rng(d)
+        for name, v in similarity_fixtures(d):
+            base = cli.analysis_doc(op.from_vertices(d, v), policy)
+            for t in (1e-6, 1.0, 1e6):
+                q, b = random_rotation(d, rng), rng.normal(size=d)
+                perm = rng.permutation(d + 1)
+                doc = cli.analysis_doc(op.from_vertices(d, (v[perm] @ q + b) * t), policy)
+                diam = doc["diameter"]
+                self.close(doc["diameter"], base["diameter"] * t, diam)
+                assert doc["volume"] == pytest.approx(base["volume"] * t**d, rel=self.REL)
+                for key, value in base["centers"].items():
+                    if key.endswith("radius"):
+                        self.close(doc["centers"][key], value * t, diam)
+                    elif value is None:
+                        assert doc["centers"][key] is None, (name, key)
+                    else:
+                        self.close(doc["centers"][key], (value @ q + b) * t, diam)
+                self.close(doc["facet_circumradii"], base["facet_circumradii"][perm] * t, diam)
+                assert [sp["k"] for sp in doc["feuerbach"]] == [sp["k"] for sp in base["feuerbach"]]
+                self.close([sp["radius"] for sp in doc["feuerbach"]],
+                           [sp["radius"] * t for sp in base["feuerbach"]], diam)
+                assert doc["shape"] == base["shape"], (name, t)
+                assert doc["coincident_pairs"] == base["coincident_pairs"], (name, t)
+                assert doc["orthocentric"] == base["orthocentric"], (name, t)
+                if base["ortho_params"] is None:
+                    assert doc["ortho_params"] is None
+                else:
+                    got, want = doc["ortho_params"], base["ortho_params"]
+                    assert got["class"] == want["class"]
+                    self.close(got["bary"], want["bary"][perm], 1.0)
+                    assert got["obtuseness"] == pytest.approx(want["obtuseness"] * t**2,
+                                                              rel=self.REL)
+                if base["euler"] is None:
+                    assert doc["euler"] is None
+                else:
+                    assert doc["euler"]["coincident"] == base["euler"]["coincident"]
+                    assert doc["euler"]["ratio"] == pytest.approx(base["euler"]["ratio"],
+                                                                  rel=self.REL)
+
+
 SRC = Path(op.__file__).resolve().parent
 
 

@@ -16,6 +16,7 @@ import orthoplex as op
 from orthoplex import centers
 from orthoplex import cli
 from orthoplex import simplex as sx
+from conftest import random_rotation
 
 
 def run_cli(capsys, *argv):
@@ -505,8 +506,6 @@ class TestAnalysisSimilarity:
 
     @pytest.mark.parametrize("d", range(2, 13))
     def test_fields_follow_the_similarity(self, d):
-        from conftest import random_rotation
-
         policy = op.TolerancePolicy()
         rng = np.random.default_rng(d)
         for name, v in similarity_fixtures(d):

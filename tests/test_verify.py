@@ -7,6 +7,7 @@ import pytest
 import orthoplex as op
 from orthoplex import InputError, NumericError, SuiteConfig, run_all
 from orthoplex import DEFAULT_POLICY, centers, cli, families
+from orthoplex import orthocentric as oc
 from orthoplex import simplex as sx
 from orthoplex import verify as vf
 
@@ -275,8 +276,6 @@ class TestReciprocalLambdaSum:
 
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
     def test_perturbed_lam_h_fails_at_every_scale(self, monkeypatch, scale):
-        from orthoplex import orthocentric as oc
-
         original = oc.lambda_params
 
         def perturbed(p):

@@ -9,7 +9,6 @@ coincides with the orthocenter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -71,7 +70,7 @@ class EulerLineData:
 
 @sx._per_simplex
 def centroid(s: sx.Simplex) -> np.ndarray:
-    return s.vertices.sum(axis=0) / s.n
+    return s.vertices.sum(axis=-2) / s.n
 
 
 @sx._per_simplex
@@ -79,7 +78,7 @@ def circumcenter(s: sx.Simplex) -> tuple[np.ndarray, float]:
     """Center and radius of the sphere through all vertices: A_b + c and
     |c|, with c = C - A_b from the edge frame (:func:`simplex._frame`)."""
     b, *_, c = sx._frame(s)
-    return s.vertices[b] + c, sx._norm(c)
+    return s.vertices[sx._at(s, b)] + c, np.sqrt(sx._sq_norms(c))
 
 
 @sx._per_simplex
@@ -91,8 +90,8 @@ def incenter(s: sx.Simplex) -> tuple[np.ndarray, float]:
     I = sum(|n_i| A_i) / sum(|n_i|), r = 1 / sum(|n_i|).
     """
     w = sx._frame(s)[3]
-    total = float(w.sum())
-    return (w[:, None] * s.vertices).sum(axis=0) / total, 1.0 / total
+    total = w.sum(axis=-1)
+    return (w[..., None] * s.vertices).sum(axis=-2) / total[..., None], 1.0 / total
 
 
 @sx._per_simplex
@@ -152,20 +151,21 @@ def euler_line(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> Euler
 @sx._per_simplex
 def _reach(s: sx.Simplex) -> float:
     """The largest vertex norm."""
-    return float(sx._row_norms(s.vertices).max())
+    return sx._row_norms(s.vertices).max(axis=-1)
 
 
-def _round_off(s: sx.Simplex, center: np.ndarray):
-    """Round-off a face centroid and its distance to ``center`` (centers
-    along the last axis) can carry in these coordinates: n eps times the
+def _round_off(s: sx.Simplex, centers: np.ndarray) -> np.ndarray:
+    """Round-off a face centroid and its distance to a center can carry in
+    these coordinates, for rows of ``centers`` (..., m, d): n eps times the
     largest vertex norm plus the center norm."""
-    return s.n * _EPS * (_reach(s) + sx._row_norms(center))
+    return s.n * _EPS * (np.asarray(_reach(s))[..., None] + sx._row_norms(centers))
 
 
 @lru_cache(maxsize=64)
 def _off_diagonal(n: int) -> np.ndarray:
-    """Read-only n x n mask of the off-diagonal entries, built once per n."""
-    return sx._read_only(~np.eye(n, dtype=bool))
+    """Read-only flat indices of the off-diagonal entries of an n x n
+    matrix, in row order; built once per n."""
+    return sx._read_only(np.flatnonzero(~np.eye(n, dtype=bool)))
 
 
 @sx._per_simplex
@@ -173,31 +173,42 @@ def _monge_gram(s: sx.Simplex):
     """(a, gram, sigma, spread) about the Monge point M: a = A - M by rows,
     gram = a a^T, sigma its mean off-diagonal entry (the obtuseness when M
     is the orthocenter) and spread the largest off-diagonal |gram - sigma|."""
-    a = s.vertices - monge_point(s)
-    gram = a @ a.T
-    off = gram[_off_diagonal(s.n)]
-    sigma = float(off.sum()) / off.size
-    return a, gram, sigma, float(np.abs(off - sigma).max())
+    a = s.vertices - monge_point(s)[..., None, :]
+    gram = a @ a.swapaxes(-1, -2)
+    # ``take`` keeps the rows of a stack contiguous, so each sum below is
+    # the one-simplex sum
+    off = gram.reshape(gram.shape[:-2] + (-1,)).take(_off_diagonal(s.n), axis=-1)
+    sigma = off.sum(axis=-1) / off.shape[-1]
+    return a, gram, sigma, np.abs(off - sigma[..., None]).max(axis=-1)
 
 
-def _facet_sphere(s: sx.Simplex) -> FeuerbachSphere:
-    """The k = d-1 sphere of any simplex, measured on its d+1 facet
-    centroids (n G - A_j) / d."""
+@lru_cache(maxsize=64)
+def _levels(n: int):
+    """Read-only (m, t, t^2, m^2, m(m-1), m/n, (m-1)/m) over the levels
+    m = k+1 = 1..n-2 of the spheres below the facets of n vertices, with
+    t = n / (2m); built once per n."""
+    m = np.arange(1.0, n - 1)
+    t = n / (2.0 * m)
+    return sx._read_only((m, t, t * t, m * m, m * (m - 1), m / n, (m - 1) / m))
+
+
+@sx._per_simplex
+def _facet_sphere(s: sx.Simplex):
+    """(center, radius, max_residual) of the k = d-1 sphere of any simplex,
+    measured on its d+1 facet centroids (n G - A_j) / d."""
     d = s.dim
     g = centroid(s)
     center = ((d + 1) * g - circumcenter(s)[0]) / d
-    dists = sx._row_norms((s.n * g - s.vertices) / d - center)
-    radius = math.sqrt((dists**2).sum() / s.n)
-    return FeuerbachSphere(
-        k=d - 1,
-        center=center,
-        radius=radius,
-        max_residual=float(np.abs(dists - radius).max() + _round_off(s, center)),
-    )
+    dists = sx._row_norms((s.n * g[..., None, :] - s.vertices) / d - center[..., None, :])
+    radius = np.sqrt((dists**2).sum(axis=-1) / s.n)
+    residual = np.abs(dists - radius[..., None]).max(axis=-1)
+    return center, radius, residual + _round_off(s, center[..., None, :])[..., 0]
 
 
-def _mid_face_spheres(s: sx.Simplex) -> list[FeuerbachSphere]:
-    """The spheres k = 0..d-2 of an orthocentric simplex from the Gram matrix
+@sx._per_simplex
+def _mid_face_spheres(s: sx.Simplex):
+    """(centers, radii, max_residuals), one row per k = 0..d-2: the spheres
+    of an orthocentric simplex from the Gram matrix
     B = (A - H)(A - H)^T of :func:`_monge_gram`, without visiting a face.
 
     With m = k+1, t = (d+1) / (2m), P = H + t (G - H), beta_i = (A_i - H).(G - H)
@@ -215,28 +226,22 @@ def _mid_face_spheres(s: sx.Simplex) -> list[FeuerbachSphere]:
     h = monge_point(s)
     a, gram, sigma, slack = _monge_gram(s)
     b = centroid(s) - h
-    m = np.arange(1, d)
-    t = n / (2.0 * m)
+    m, t, t2, m2, pairs, share, shrink = _levels(n)
     # w_i less t^2 |G - H|^2, which is the same for every i and goes into
     # ``fixed``; 2tm = n at every level, so one sort orders w for every k
-    w = gram.diagonal() - n * (a @ b)
-    w.sort()
-    tail = t * t * float(b @ b)
-    fixed = m * tail + m * (m - 1) * (sigma + tail)
-    lo = (w.cumsum()[: d - 1] + fixed) / m**2
-    hi = (w[::-1].cumsum()[: d - 1] + fixed) / m**2
-    radius = np.sqrt((m / n * w.sum() + fixed) / m**2)
-    pad = (m - 1) / m * slack
-    spheres = h + t[:, None] * b
+    w = gram.diagonal(0, -2, -1) - n * (a @ b[..., None])[..., 0]
+    w.sort(axis=-1)
+    tail = t2 * sx._sq_norms(b)[..., None]
+    fixed = m * tail + pairs * (np.asarray(sigma)[..., None] + tail)
+    lo = (w.cumsum(axis=-1)[..., : d - 1] + fixed) / m2
+    hi = (w[..., ::-1].cumsum(axis=-1)[..., : d - 1] + fixed) / m2
+    radius = np.sqrt((share * w.sum(axis=-1)[..., None] + fixed) / m2)
+    pad = shrink * np.asarray(slack)[..., None]
+    spheres = h[..., None, :] + t[:, None] * b[..., None, :]
     residual = np.maximum(
         np.sqrt(hi + pad) - radius, radius - np.sqrt(np.maximum(lo - pad, 0.0))
     ) + _round_off(s, spheres)
-    return [
-        FeuerbachSphere(
-            k=k, center=spheres[k], radius=float(radius[k]), max_residual=float(residual[k])
-        )
-        for k in range(d - 1)
-    ]
+    return spheres, radius, residual
 
 
 def feuerbach_sphere(
@@ -258,12 +263,13 @@ def feuerbach_sphere(
     if not (sx._is_int(k) and 0 <= k <= d - 1):
         raise InputError(f"k must be an integer in [0, {d - 1}], got {k!r}")
     if k == d - 1:
-        return _facet_sphere(s)
+        return FeuerbachSphere(d - 1, *_facet_sphere(s))
     if not is_orthocentric(s, policy):
         raise NotOrthocentricError(
             "mid-face spheres below the facet level require an orthocentric simplex"
         )
-    return _mid_face_spheres(s)[k]
+    spheres, radius, residual = _mid_face_spheres(s)
+    return FeuerbachSphere(k, spheres[k], float(radius[k]), float(residual[k]))
 
 
 def feuerbach_spheres(
@@ -280,8 +286,12 @@ def feuerbach_spheres(
 
 def _sphere_family(s: sx.Simplex, orthocentric: bool) -> list[FeuerbachSphere]:
     """:func:`feuerbach_spheres` for a decision already made."""
-    below = _mid_face_spheres(s) if orthocentric else []
-    return below + [_facet_sphere(s)]
+    family = []
+    if orthocentric:
+        spheres, radius, residual = _mid_face_spheres(s)
+        family = [FeuerbachSphere(k, spheres[k], r, x)
+                  for k, (r, x) in enumerate(zip(radius.tolist(), residual.tolist()))]
+    return family + [FeuerbachSphere(s.dim - 1, *_facet_sphere(s))]
 
 
 @sx._per_simplex
@@ -291,8 +301,7 @@ def _center_distances(s: sx.Simplex) -> np.ndarray:
     (rooted, the bits of ``np.linalg.norm``)."""
     p = np.stack((centroid(s), circumcenter(s)[0], incenter(s)[0], monge_point(s)))
     i, j = sx._pair_index(len(p))  # the rows of each pair, _CENTER_PAIRS order
-    e = p[i] - p[j]
-    return np.sqrt(np.matmul(e[:, None, :], e[:, :, None])[:, 0, 0])
+    return np.sqrt(sx._sq_norms(p[i] - p[j]))
 
 
 def center_report(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> CenterReport:

@@ -74,8 +74,8 @@ def regular(d: int, s: float, policy: TolerancePolicy = DEFAULT_POLICY) -> sx.Si
     span onto the first d coordinates, so the output is a closed form with
     no eigensolve involved.
     """
-    if d < 1:
-        raise InputError(f"dimension must be >= 1, got {d}")
+    if not sx._is_int(d) or d < 1:
+        raise InputError(f"dimension must be an integer >= 1, got {d!r}")
     if not (s > 0):
         raise InputError(f"edge length must be positive, got {s}")
     n = d + 1
@@ -93,8 +93,8 @@ def regular_metrics(d: int, s: float) -> RegularMetrics:
         R^2 = s^2 d / (2 (d+1))          h = s sqrt((d+1) / (2d))
         V   = s^d sqrt((d+1) / 2^d) / d!  r = s / sqrt(2 d (d+1))
     """
-    if d < 1 or not (s > 0):
-        raise InputError("need d >= 1 and s > 0")
+    if not sx._is_int(d) or d < 1 or not (s > 0):
+        raise InputError(f"need an integer d >= 1 and s > 0, got d={d!r}, s={s!r}")
     return RegularMetrics(
         circumradius=s * math.sqrt(d / (2.0 * (d + 1))),
         inradius=s / math.sqrt(2.0 * d * (d + 1)),
@@ -125,8 +125,8 @@ class KiteSpec:
     t: float
 
     def __post_init__(self):
-        if self.d < 3:
-            raise InputError(f"kites need dimension >= 3, got {self.d}")
+        if not sx._is_int(self.d) or self.d < 3:
+            raise InputError(f"kites need an integer dimension >= 3, got {self.d!r}")
         if not (self.s > 0 and self.t > 0):
             raise InputError("kite edges must be positive")
         lo = (self.d - 1) / (2.0 * self.d)
@@ -223,8 +223,8 @@ class RectSpec:
     legs: tuple[float, ...]
 
     def __post_init__(self):
-        if self.d < 2:
-            raise InputError(f"dimension must be >= 2, got {self.d}")
+        if not sx._is_int(self.d) or self.d < 2:
+            raise InputError(f"dimension must be an integer >= 2, got {self.d!r}")
         if len(self.legs) != self.d:
             raise InputError(f"need {self.d} legs, got {len(self.legs)}")
         if not all(np.isfinite(b) and b > 0 for b in self.legs):
@@ -251,6 +251,14 @@ def rectangular(spec: RectSpec, policy: TolerancePolicy = DEFAULT_POLICY) -> sx.
     return sx.from_vertices(spec.d, verts, policy)
 
 
+_TINY = float(np.finfo(float).tiny)
+
+
+def _power_of_two_near(x: float) -> float:
+    """A power of two p with x / p in [1, 2), itself a finite float."""
+    return math.ldexp(1.0, math.frexp(x)[1] - 1)
+
+
 def rect_metrics(spec: RectSpec) -> RectMetrics:
     """Closed forms in the legs b_1..b_d:
 
@@ -261,26 +269,38 @@ def rect_metrics(spec: RectSpec) -> RectMetrics:
         R^2    = (sum b_i^2) / 4
         C      = (A_1 + ... + A_d) / 2
         B      = hypotenuse-facet orthocenter, barycentrics prop. to 1/b_i^2
+
+    The sums are formed from the legs over a power of two near the shortest
+    (for 1/b) or the longest leg (for b^2), so that legs of any size give
+    them without a warning, a 0 or an inf: a term that leaves float range
+    there is below the rounding of the sum.  Scaling by a power of two is
+    exact, so these are the bits of the formulas as written wherever those
+    stay in range; B_i = b_i w_i is read as (1/b_i) / sum 1/b^2 where w_i
+    is below the normal floats.  Out of float range, V, V_hyp and R^2 are
+    0.0 or the largest float, as in ``simplex.volume``.
     """
     b = np.asarray(spec.legs, dtype=float)
     d = spec.d
     with np.errstate(over="ignore"):  # an infinite product takes the log form
         prod = float(b.prod())
     log_prod = float(np.log(b).sum())
-    inv2 = float((1.0 / b**2).sum())
-    verts = np.diag(b)
-    w = (1.0 / b**2) / inv2
+    short, long = _power_of_two_near(float(b.min())), _power_of_two_near(float(b.max()))
+    with np.errstate(over="ignore"):  # 1/u^2 -> 0 for a leg far above the shortest
+        inv2_terms = 1.0 / (b / short) ** 2
+    inv2 = float(inv2_terms.sum())  # sum 1/b_i^2 times short^2, in [1/4, d]
+    root = math.sqrt(inv2)
+    w = inv2_terms / inv2
     return RectMetrics(
         volume=sx._factorial_quotient(
             d, lambda: prod / math.factorial(d), log_prod - math.lgamma(d + 1)),
         hyp_volume=sx._factorial_quotient(
-            d - 1, lambda: prod / math.factorial(d - 1) * math.sqrt(inv2),
-            log_prod - math.lgamma(d) + math.log(inv2) / 2.0),
-        altitude=1.0 / math.sqrt(inv2),
-        inradius=1.0 / (float((1.0 / b).sum()) + math.sqrt(inv2)),
-        r_squared=float((b**2).sum()) / 4.0,
-        circumcenter=verts.sum(axis=0) / 2.0,
-        hyp_orthocenter=w @ verts,
+            d - 1, lambda: prod / math.factorial(d - 1) * (root / short),
+            log_prod - math.lgamma(d) + math.log(root) - math.log(short)),
+        altitude=short / root,
+        inradius=short / (float((short / b).sum()) + root),
+        r_squared=min(float(((b / long) ** 2).sum()) / 4.0 * long * long, sx._FLOAT_MAX),
+        circumcenter=b / 2.0,
+        hyp_orthocenter=np.where(w >= _TINY, w * b, short / b * (short / inv2)),
         hyp_orthocenter_bary=w,
     )
 

@@ -49,7 +49,9 @@ class Simplex:
 
     Tables derived from the vertices alone are computed once per simplex
     and stored in ``_memo`` (see :func:`_per_simplex`); the vertices are
-    read-only, so a stored table cannot go stale.
+    read-only, so a stored table cannot go stale.  Privately, ``vertices``
+    may also be a stack (k, d+1, d) of same-dimension simplices, on which
+    the tables run once for all of them (see :func:`_fill`).
     """
 
     dim: int
@@ -111,17 +113,33 @@ def from_vertices(dim, vertices, policy: TolerancePolicy = DEFAULT_POLICY) -> Si
 
 
 def _read_only(value):
-    """``value``, an array or a tuple, with every array in it made read-only."""
-    for item in value if isinstance(value, tuple) else (value,):
-        if isinstance(item, np.ndarray):
-            item.flags.writeable = False
+    """``value``, an array, a number or a tuple of them, as a table stores
+    it: every array read-only, every numpy scalar (or 0-d array) the Python
+    number it holds."""
+    if type(value) is tuple:
+        return tuple([_read_only(item) for item in value])
+    if type(value) is np.ndarray:
+        if value.ndim:
+            value.flags.writeable = False
+            return value
+        value = value[()]
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.integer):
+        return int(value)
     return value
 
 
 def _per_simplex(fn):
     """Run ``fn(s)`` once per simplex: the result is stored in ``s._memo``
-    with every array in it (also the items of a tuple) made read-only, and
-    later calls return that same object."""
+    as :func:`_read_only` makes it, and later calls return that same object.
+
+    ``fn`` is written over vertices with leading axes (..., n, d): on one
+    simplex its per-simplex numbers come out as Python numbers, on a stack
+    (:func:`_fill`) as arrays over the stack.  Gathers per simplex go
+    through :func:`_at`; a number read from another table takes
+    ``np.asarray(x)[..., None]`` to meet rows of the same simplex.
+    """
 
     @wraps(fn)
     def memoized(s: Simplex):
@@ -130,6 +148,36 @@ def _per_simplex(fn):
         return s._memo[fn]
 
     return memoized
+
+
+def _at(s: Simplex, index):
+    """Index of vertex ``index`` along the vertex axis of ``s``: ``index``
+    itself on one simplex; on a stack, where row r of ``index`` belongs to
+    simplex r, the pair (rows, index)."""
+    if s.vertices.ndim == 2:
+        return index
+    rows = np.arange(len(s.vertices)).reshape((-1,) + (1,) * (np.ndim(index) - 1))
+    return rows, index
+
+
+def _fill(simplices, tables) -> None:
+    """Run each of ``tables`` (:func:`_per_simplex` functions) once on the
+    stack of ``simplices``, all of one dimension, and store in each
+    simplex's memo its slice of every table the stack computed, their
+    dependencies too: the types and bytes a direct call would store.  A
+    table a simplex already holds is kept."""
+    if not simplices:
+        return
+    stack = Simplex(dim=simplices[0].dim, vertices=np.stack([s.vertices for s in simplices]))
+    for table in tables:
+        table(stack)
+    for fn, value in stack._memo.items():
+        fields = value if isinstance(value, tuple) else (value,)
+        # row k of a field, a read-only view, or its k-th number as a Python number
+        rows = zip(*(f.tolist() if f.ndim == 1 else f for f in fields))
+        for s, row in zip(simplices, rows):
+            if fn not in s._memo:
+                s._memo[fn] = row if isinstance(value, tuple) else row[0]
 
 
 _FLOAT_MAX = float_info.max
@@ -158,9 +206,13 @@ def volume(s: Simplex) -> float:
     """d-volume, |det e| / d! for the edge matrix e of :func:`_frame`, read
     from ``slogdet`` (``det`` is sign * exp(log|det|) from the same LU),
     out of float range by :func:`_factorial_quotient`."""
-    logdet = float(np.linalg.slogdet(_frame(s)[1])[1])
     d = s.dim
-    return _factorial_quotient(d, lambda: exp(logdet) / factorial(d), logdet - lgamma(d + 1))
+
+    def quotient(logdet: float) -> float:
+        return _factorial_quotient(d, lambda: exp(logdet) / factorial(d), logdet - lgamma(d + 1))
+
+    logdets = np.linalg.slogdet(_frame(s)[1])[1].tolist()  # a float on one simplex
+    return quotient(logdets) if isinstance(logdets, float) else np.array(list(map(quotient, logdets)))
 
 
 @lru_cache(maxsize=64)
@@ -171,34 +223,40 @@ def _pair_index(n: int):
     return _read_only(np.nonzero(r[:, None] < r))
 
 
+def _sq_norms(v: np.ndarray):
+    """|v|^2 along the last axis, v . v of each vector (one BLAS dot, alone
+    or in stacked 1 x d by d x 1 products): rooted, the bits of
+    ``np.linalg.norm``."""
+    if v.ndim == 1:
+        return v.dot(v)
+    return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
+
+
 @_per_simplex
-def _pairs(s: Simplex):
-    """Vertex pairs i < j (lexicographic, :func:`_pair_index`) and
-    |A_i - A_j|^2, the last as stacked 1 x d by d x 1 products (rooted, the
-    bits of ``np.linalg.norm``)."""
+def _pairs(s: Simplex) -> np.ndarray:
+    """|A_i - A_j|^2 over the vertex pairs i < j of :func:`_pair_index`."""
     i, j = _pair_index(s.n)
-    e = s.vertices[i] - s.vertices[j]
-    return i, j, np.matmul(e[:, None, :], e[:, :, None])[:, 0, 0]
+    return _sq_norms(s.vertices.take(i, axis=-2) - s.vertices.take(j, axis=-2))
 
 
 @_per_simplex
 def edge_lengths(s: Simplex) -> np.ndarray:
     """All C(d+1, 2) edge lengths, in lexicographic (i < j) order."""
-    return np.sqrt(_pairs(s)[2])
+    return np.sqrt(_pairs(s))
 
 
 @_per_simplex
 def squared_edge_table(s: Simplex) -> np.ndarray:
     """(d+1) x (d+1) table of squared distances, zero diagonal."""
-    i, j, sq = _pairs(s)
-    table = np.zeros((s.n, s.n))
-    table[i, j] = table[j, i] = sq
+    i, j = _pair_index(s.n)
+    table = np.zeros(s.vertices.shape[:-2] + (s.n, s.n))
+    table[..., i, j] = table[..., j, i] = _pairs(s)
     return table
 
 
 @_per_simplex
 def diameter(s: Simplex) -> float:
-    return float(edge_lengths(s).max())
+    return edge_lengths(s).max(axis=-1)
 
 
 @lru_cache(maxsize=64)
@@ -223,17 +281,18 @@ def _frame(s: Simplex):
     1 / h_i; c = C - A_b solves 2 e c = |e|^2.
     """
     sq = squared_edge_table(s)
-    b = int(sq.sum(axis=1).argmin())
-    rest = facet_indices(s)[b]
-    e = s.vertices[rest] - s.vertices[b]
+    b = sq.sum(axis=-1).argmin(axis=-1)
+    at_b, at_rest = _at(s, b), _at(s, facet_indices(s)[b])
+    v = s.vertices
+    e = v[at_rest] - v[at_b][..., None, :]
     try:
         inv = np.linalg.inv(e)
     except np.linalg.LinAlgError as exc:  # unreachable for a valid simplex
         raise NumericError(f"edge matrix is singular: {exc}") from exc
-    normals = np.empty((s.n, s.dim))
-    normals[rest] = inv.T
-    normals[b] = -inv.sum(axis=1)
-    c = inv @ (sq[b, rest] / 2.0)
+    normals = np.empty(v.shape)
+    normals[at_rest] = inv.swapaxes(-1, -2)
+    normals[at_b] = -inv.sum(axis=-1)
+    c = (inv @ (sq[at_b][at_rest] / 2.0)[..., None])[..., 0]
     return b, e, normals, _row_norms(normals), c
 
 
@@ -251,9 +310,9 @@ def _weights(s: Simplex, q: np.ndarray) -> np.ndarray:
     """Barycentric coordinates of A_b + q: n_i . q, and at the base vertex b
     what makes them sum to 1."""
     b, _, normals = _frame(s)[:3]
-    w = normals @ q
-    w[b] = 0.0
-    w[b] = 1.0 - w.sum()
+    w = (normals @ q[..., None])[..., 0]
+    w[_at(s, b)] = 0.0
+    w[_at(s, b)] = 1.0 - w.sum(axis=-1)
     return w
 
 
@@ -263,9 +322,9 @@ def facet_volumes(s: Simplex) -> np.ndarray:
     d V / h_i = d V |n_i|, at most the largest float (see :func:`volume`);
     the facets of a segment are points, of measure 1."""
     if s.dim == 1:
-        return np.ones(2)
+        return np.ones(s.vertices.shape[:-1])
     with np.errstate(over="ignore"):
-        return np.minimum(s.dim * volume(s) * _frame(s)[3], _FLOAT_MAX)
+        return np.minimum(np.asarray(s.dim * volume(s))[..., None] * _frame(s)[3], _FLOAT_MAX)
 
 
 @_per_simplex
@@ -274,8 +333,8 @@ def facet_circumradii(s: Simplex) -> np.ndarray:
     from the foot of C on the facet, C - (w_i / |n_i|^2) n_i with w the
     barycentrics of C, to a facet vertex (A_b, or A_rest[0] opposite b)."""
     b, e, normals, sizes, c = _frame(s)
-    feet = c - (_weights(s, c) / sizes**2)[:, None] * normals
-    feet[b] -= e[0]
+    feet = c[..., None, :] - (_weights(s, c) / sizes**2)[..., None] * normals
+    feet[_at(s, b)] -= e[..., 0, :]
     return _row_norms(feet)
 
 
@@ -380,8 +439,9 @@ def edge_perpendicularity_residual(s: Simplex) -> float:
     """
     n = s.n
     if n <= 3:
-        return 0.0
-    i, j, sq = _pairs(s)
-    r = squared_edge_table(s).sum(axis=1)
-    lam = (r - r.sum() / (2 * (n - 1))) / (n - 2)
-    return float(np.abs(sq - lam[i] - lam[j]).max()) / float(sq.max())
+        return np.zeros(s.vertices.shape[:-2])
+    i, j = _pair_index(n)
+    sq = _pairs(s)
+    r = squared_edge_table(s).sum(axis=-1)
+    lam = (r - (r.sum(axis=-1) / (2 * (n - 1)))[..., None]) / (n - 2)
+    return np.abs(sq - lam.take(i, axis=-1) - lam.take(j, axis=-1)).max(axis=-1) / sq.max(axis=-1)

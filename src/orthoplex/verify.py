@@ -237,6 +237,7 @@ def suite_center_equivalences(config: SuiteConfig) -> SuiteResult:
                              d=d, m=2, branch=branch, error=f"{type(exc).__name__}: {exc}")
         for _ in range(_per_dim(config)):
             fixtures.append(_random_simplex(d, rng, pol))
+        sx._fill(fixtures, (sx.diameter, sx.facet_circumradii, centers.monge_point))
         for s in fixtures:
             rec.sample()
             _check_equivalences(rec, s, pol, tol)
@@ -308,6 +309,7 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
     pol = config.policy
     for d in range(config.d_min, config.d_max + 1):
         per_kind = max(1, _per_dim(config) // 2)
+        accepted = []
         for kind in (oc.ACUTE, oc.OBTUSE):
             produced = 0
             attempt = 0
@@ -318,8 +320,11 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
                 if pol.spread(sx.edge_lengths(s)) < 0.01:
                     continue  # too close to regular for the contrapositive
                 produced += 1
-                rec.sample()
-                _check_separation(rec, s, pol)
+                accepted.append(s)
+        sx._fill(accepted, (sx.diameter, centers.monge_point))
+        for s in accepted:
+            rec.sample()
+            _check_separation(rec, s, pol)
 
         # continuity sanity: separations shrink with the perturbation
         rng = np.random.default_rng(_sub_seed(config, 2, d, 10**6))
@@ -379,6 +384,8 @@ def suite_euler_feuerbach(config: SuiteConfig) -> SuiteResult:
             for i in range(per_kind):
                 p = oc.sample_params(d, kind, _sub_seed(config, 3, d, i))
                 fixtures.append(oc.construct(p.bary, 1.0, pol))
+        sx._fill(fixtures, (sx.diameter, sx.edge_perpendicularity_residual,
+                            centers._mid_face_spheres, centers._facet_sphere))
         for s in fixtures:
             rec.sample()
             _check_euler_feuerbach(rec, s, pol)
@@ -475,10 +482,14 @@ def suite_rectangular(config: SuiteConfig) -> SuiteResult:
     pol = config.policy
     for d in range(config.d_min, config.d_max + 1):
         rng = np.random.default_rng(_sub_seed(config, 4, d))
-        for _ in range(_per_dim(config)):
+        samples = [_rect_sample(families.RectSpec(d, tuple(rng.uniform(0.5, 2.0, size=d))), pol)
+                   for _ in range(_per_dim(config))]
+        sx._fill([s for _, s, _ in samples], (sx.diameter, sx.facet_volumes, centers.monge_point))
+        sx._fill([f for *_, f in samples if f is not None],
+                 (sx.diameter, sx.edge_perpendicularity_residual, centers._monge_gram))
+        for sample in samples:
             rec.sample()
-            legs = tuple(rng.uniform(0.5, 2.0, size=d))
-            _check_rectangular(rec, families.RectSpec(d, legs), pol)
+            _check_rectangular(rec, *sample, pol)
         if d >= 3:
             rec.sample()
             p = oc.sample_params(d - 1, oc.OBTUSE, _sub_seed(config, 4, d, 7))
@@ -492,9 +503,17 @@ def suite_rectangular(config: SuiteConfig) -> SuiteResult:
     return rec.result()
 
 
-def _check_rectangular(rec: _Recorder, spec: families.RectSpec, pol: TolerancePolicy):
-    d = spec.d
+def _rect_sample(spec: families.RectSpec, pol: TolerancePolicy):
+    """(spec, s, facet): the rectangular simplex of ``spec`` and its
+    hypotenuse facet; None for d = 2, whose facet is a segment, below the
+    lift's domain."""
     s = families.rectangular(spec, pol)
+    return spec, s, (sx.face(s, sx.facet_indices(s)[spec.d], pol) if spec.d >= 3 else None)
+
+
+def _check_rectangular(rec: _Recorder, spec: families.RectSpec, s: sx.Simplex,
+                       facet: sx.Simplex | None, pol: TolerancePolicy):
+    d = spec.d
     m = families.rect_metrics(spec)
     diam = sx.diameter(s)
     scale = max(spec.legs)
@@ -522,8 +541,7 @@ def _check_rectangular(rec: _Recorder, spec: families.RectSpec, pol: TolerancePo
     rec.check("rect circumcenter barycentrics (1/2, ..., 1/2, (2-d)/2)",
               float(np.abs(bary - expected).max()), pol.rel * d, s)
 
-    if d >= 3:  # the d = 2 hypotenuse facet is a segment, below the lift's domain
-        facet = sx.face(s, sx.facet_indices(s)[d], pol)
+    if facet is not None:
         lifted_spec = families._lift_spec(facet, pol)
         rec.check("lift round trip",
                   float(np.abs(np.subtract(lifted_spec.legs, spec.legs)).max()),

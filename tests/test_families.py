@@ -1,3 +1,4 @@
+import decimal
 import math
 from itertools import combinations
 
@@ -207,6 +208,92 @@ class TestRectangular:
         for d in (2, 3, 5):
             rep = op.center_report(op.rectangular(op.RectSpec(d, tuple([1.0] * d))))
             assert np.linalg.norm(rep.incenter - rep.centroid) > 1e-3
+
+
+class TestRectMetricsAnyLegs:
+    """rect_metrics forms its sums from the legs over a power of two, so legs
+    far from 1 neither warn (warnings are errors in this suite) nor give a
+    0 or an inf where the value is a float."""
+
+    @pytest.mark.parametrize("legs", [(1e-200, 1.0), (1e200, 1.0), (1.0, 1e-200, 3.0),
+                                      (1e200, 2e200, 1e-150)])
+    def test_extreme_legs_match_the_closed_forms(self, legs):
+        m = op.rect_metrics(op.RectSpec(len(legs), legs))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            b = [decimal.Decimal(x) for x in legs]
+            inv2 = sum(1 / x**2 for x in b)
+            want = {
+                "altitude": 1 / inv2.sqrt(),
+                "inradius": 1 / (sum(1 / x for x in b) + inv2.sqrt()),
+            }
+            orthocenter = [float(1 / x / inv2) for x in b]  # b_i w_i, w_i ~ 1/b_i^2
+        for name, value in want.items():
+            got = getattr(m, name)
+            assert 0.0 < got < math.inf
+            assert got == pytest.approx(float(value), rel=1e-14)
+        for got, value in zip(m.hyp_orthocenter.tolist(), orthocenter):
+            assert got == pytest.approx(value, rel=1e-14, abs=0.0)
+        assert max(m.hyp_orthocenter) > 0.0
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
+    def test_scale_covariance(self, d, scale):
+        legs = tuple(np.random.default_rng(d).uniform(0.5, 2.0, size=d))
+        base = op.rect_metrics(op.RectSpec(d, legs))
+        m = op.rect_metrics(op.RectSpec(d, tuple(scale * b for b in legs)))
+        assert m.altitude == pytest.approx(scale * base.altitude, rel=1e-14)
+        assert m.inradius == pytest.approx(scale * base.inradius, rel=1e-14)
+        assert np.allclose(m.hyp_orthocenter, scale * base.hyp_orthocenter, rtol=1e-14, atol=0.0)
+        assert np.allclose(m.hyp_orthocenter_bary, base.hyp_orthocenter_bary,
+                           rtol=1e-14, atol=0.0)
+        assert np.allclose(m.circumcenter, scale * base.circumcenter, rtol=1e-15, atol=0.0)
+        want_r2 = scale * scale * base.r_squared
+        assert m.r_squared == (sx._FLOAT_MAX if want_r2 == math.inf
+                               else pytest.approx(want_r2, rel=1e-14))
+
+    def test_in_range_legs_keep_the_direct_bits(self):
+        legs = (0.7, 1.3, 1.9, 0.55)
+        b = np.asarray(legs)
+        inv2 = float((1.0 / b**2).sum())
+        m = op.rect_metrics(op.RectSpec(4, legs))
+        assert m.altitude == 1.0 / math.sqrt(inv2)
+        assert m.inradius == 1.0 / (float((1.0 / b).sum()) + math.sqrt(inv2))
+        assert m.r_squared == float((b**2).sum()) / 4.0
+        w = (1.0 / b**2) / inv2
+        assert np.array_equal(m.hyp_orthocenter_bary, w)
+        assert np.array_equal(m.hyp_orthocenter, w @ np.diag(b))
+
+
+class TestIntegerDimension:
+    """A dimension that is not an integer (a float, a bool) is an InputError
+    at every family entry point, as at ``from_vertices``."""
+
+    @pytest.mark.parametrize("d", [3.5, 4.0, True, np.float64(4.0)])
+    def test_kite_spec(self, d):
+        with pytest.raises(InputError, match="integer"):
+            op.KiteSpec(d, 1.0, 1.0)
+
+    @pytest.mark.parametrize("d", [2.0, 2.5, True])
+    def test_rect_spec(self, d):
+        with pytest.raises(InputError, match="integer"):
+            op.RectSpec(d, (1.0, 1.0))
+
+    @pytest.mark.parametrize("d", [2.5, 3.0, True])
+    def test_regular(self, d):
+        with pytest.raises(InputError, match="integer"):
+            op.regular(d, 1.0)
+
+    @pytest.mark.parametrize("d", [2.5, 3.0, True])
+    def test_regular_metrics(self, d):
+        with pytest.raises(InputError, match="integer"):
+            op.regular_metrics(d, 1.0)
+
+    def test_numpy_integers_are_integers(self):
+        assert op.regular(np.int64(3), 1.0).dim == 3
+        assert op.regular_metrics(np.int32(3), 1.0) == op.regular_metrics(3, 1.0)
+        assert op.KiteSpec(np.int64(4), 1.0, 1.0).d == 4
+        assert op.RectSpec(np.int8(2), (1.0, 2.0)).d == 2
 
 
 class TestLift:

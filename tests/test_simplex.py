@@ -496,9 +496,38 @@ PER_SIMPLEX = [
     centers.circumcenter,
     centers.incenter,
     centers.monge_point,
+    centers._reach,
     centers._monge_gram,
+    centers._facet_sphere,
+    centers._mid_face_spheres,
     centers._center_distances,
 ]
+
+#: the tables written over stacks of simplices, which ``sx._fill`` runs on a block
+STACKED = [fn for fn in PER_SIMPLEX if fn is not centers._center_distances]
+
+
+def fill_block(d, scale):
+    """Same-dimension simplices of every kind the verify blocks hold:
+    Gaussian, acute, obtuse, rectangular, regular and (d >= 3) kite."""
+    rng = np.random.default_rng(d)
+    block = [op.from_vertices(d, scale * rng.normal(size=(d + 1, d))) for _ in range(3)]
+    block += [op.construct(op.sample_params(d, kind, d).bary, scale) for kind in ("acute", "obtuse")]
+    block.append(op.rectangular(op.RectSpec(d, tuple(scale * rng.uniform(0.5, 2.0, size=d)))))
+    block.append(op.regular(d, scale))
+    if d >= 3:
+        block.append(op.kite(op.KiteSpec(d, scale, 1.3 * scale)))
+    return block
+
+
+def same_stored(want, got):
+    """Equal types and bytes, arrays read-only, tuple by tuple."""
+    if isinstance(want, tuple):
+        return type(got) is tuple and len(got) == len(want) and all(map(same_stored, want, got))
+    if isinstance(want, np.ndarray):
+        return (type(got) is np.ndarray and got.dtype == want.dtype and got.shape == want.shape
+                and got.tobytes() == want.tobytes() and not got.flags.writeable)
+    return type(got) is type(want) and got == want
 
 
 class TestPerSimplexTables:
@@ -512,6 +541,32 @@ class TestPerSimplexTables:
         for arr in (p for p in parts if isinstance(p, np.ndarray)):
             with pytest.raises(ValueError):
                 arr.flat[0] = 1.0
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_fill_stores_what_a_direct_call_stores(self, d, scale):
+        block = fill_block(d, scale)
+        filled = [op.from_vertices(d, s.vertices) for s in block]
+        sx._fill(filled, STACKED)
+        for s, t in zip(block, filled):
+            for fn in STACKED:
+                assert fn.__wrapped__ in t._memo  # stored by the fill, not on this call
+                assert same_stored(fn(s), fn(t)), fn.__name__
+
+    def test_fill_runs_each_table_once_and_keeps_what_is_stored(self, monkeypatch):
+        block = fill_block(5, 1.0)
+        kept = centers.circumcenter(block[2])
+        builds = []
+
+        def building(s, _build=sx._frame.__wrapped__):
+            builds.append(s.vertices.shape)
+            return _build(s)
+
+        monkeypatch.setattr(sx, "_frame", sx._per_simplex(building))
+        sx._fill(block, [centers.circumcenter, sx.facet_volumes])
+        assert builds == [(len(block), 6, 5)]
+        assert centers.circumcenter(block[2]) is kept
+        sx._fill([], [sx._frame])
 
     @pytest.mark.parametrize("d", range(2, 41))
     def test_edge_lengths_match_norm_loop(self, d):
@@ -549,7 +604,7 @@ INDEX_TABLES = {
         sx._facet_table,
         lambda n: np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None]),
     ),
-    "off_diagonal": (centers._off_diagonal, lambda n: ~np.eye(n, dtype=bool)),
+    "off_diagonal": (centers._off_diagonal, lambda n: np.flatnonzero(~np.eye(n, dtype=bool))),
     "pose_mask": (oc._pose_mask, lambda n: np.tri(n, n - 1, -1, dtype=bool)),
     "face_table": (
         vf._face_table,
@@ -565,7 +620,7 @@ INDEX_TABLES = {
 
 #: how a simplex reaches each table
 FROM_SIMPLEX = {
-    "pair_index": lambda s: sx._pairs(s)[:2],
+    "pair_index": lambda s: sx._pair_index(s.n),
     "facet_indices": sx.facet_indices,
     "off_diagonal": lambda s: centers._off_diagonal(s.n),
     "pose_mask": lambda s: oc._pose_mask(s.n),

@@ -187,7 +187,8 @@ class TestRecorder:
         monkeypatch.setattr(sx, "from_vertices", lambda *a, **k: calls.append(a) or real(*a, **k))
         legs = tuple(np.linspace(0.6, 1.7, d))
         rec = vf._Recorder("rectangular")
-        vf._check_rectangular(rec, families.RectSpec(d, legs), DEFAULT_POLICY)
+        vf._check_rectangular(rec, *vf._rect_sample(families.RectSpec(d, legs), DEFAULT_POLICY),
+                              DEFAULT_POLICY)
         assert rec.counterexample is None
         assert len(calls) == 1
 
@@ -196,6 +197,26 @@ class TestRecorder:
         s = op.from_vertices(4, rng.normal(size=(5, 4)))
         with pytest.raises(NumericError, match="not orthocentric"):
             vf._check_euler_feuerbach(vf._Recorder("euler_feuerbach"), s, DEFAULT_POLICY)
+
+
+class TestBlockFill:
+    def test_frame_and_spheres_built_once_per_block(self, monkeypatch):
+        """The Euler suite fills each d's fixtures as one stack: the edge
+        frame and the mid-face spheres are built once per block, and every
+        sample reads its slice."""
+        builds = {"_frame": [], "_mid_face_spheres": []}
+        for module, name in ((sx, "_frame"), (centers, "_mid_face_spheres")):
+            def building(s, _build=getattr(module, name).__wrapped__, _name=name):
+                builds[_name].append(s)
+                return _build(s)
+
+            monkeypatch.setattr(module, name, sx._per_simplex(building))
+        config = SuiteConfig(suites=("euler",), samples=12, seed=42, d_min=2, d_max=5)
+        result = vf.suite_euler_feuerbach(config)
+        assert result.passed and result.samples >= 4 * 4
+        for stacks in builds.values():
+            assert [s.dim for s in stacks] == [2, 3, 4, 5]
+            assert sum(len(s.vertices) for s in stacks) == result.samples
 
 
 class TestMutationSelfTest:

@@ -299,7 +299,7 @@ def _center_distances(s: sx.Simplex) -> np.ndarray:
     """The six distances between centroid, circumcenter, incenter and Monge
     point, in ``_CENTER_PAIRS`` order, as stacked 1 x d by d x 1 products
     (rooted, the bits of ``np.linalg.norm``)."""
-    p = np.stack((centroid(s), circumcenter(s)[0], incenter(s)[0], monge_point(s)))
+    p = np.array((centroid(s), circumcenter(s)[0], incenter(s)[0], monge_point(s)))
     i, j = sx._pair_index(len(p))  # the rows of each pair, _CENTER_PAIRS order
     return np.sqrt(sx._sq_norms(p[i] - p[j]))
 

@@ -51,7 +51,8 @@ class TolerancePolicy:
         v = np.asarray(values, dtype=float)
         if v.size == 0:
             return 0.0, 0.0
-        return float(v.max() - v.min()), float(np.abs(v).max())
+        hi, lo = v.max(), v.min()
+        return float(hi - lo), float(max(hi, -lo))
 
     def all_close(self, values) -> bool:
         """True when max - min <= rel * max |values|: every pairwise gap is

@@ -116,18 +116,16 @@ def _read_only(value):
     """``value``, an array, a number or a tuple of them, as a table stores
     it: every array read-only, every numpy scalar (or 0-d array) the Python
     number it holds."""
-    if type(value) is tuple:
-        return tuple([_read_only(item) for item in value])
-    if type(value) is np.ndarray:
-        if value.ndim:
-            value.flags.writeable = False
-            return value
-        value = value[()]
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
+    stored = []
+    for item in value if type(value) is tuple else (value,):
+        if type(item) is np.ndarray and item.ndim:
+            item.flags.writeable = False
+        elif isinstance(item, np.floating):
+            item = float(item)
+        elif isinstance(item, (np.integer, np.ndarray)):
+            item = item.item()
+        stored.append(item)
+    return tuple(stored) if type(value) is tuple else stored[0]
 
 
 def _per_simplex(fn):
@@ -212,7 +210,9 @@ def volume(s: Simplex) -> float:
         return _factorial_quotient(d, lambda: exp(logdet) / factorial(d), logdet - lgamma(d + 1))
 
     logdets = np.linalg.slogdet(_frame(s)[1])[1].tolist()  # a float on one simplex
-    return quotient(logdets) if isinstance(logdets, float) else np.array(list(map(quotient, logdets)))
+    if isinstance(logdets, float):
+        return quotient(logdets)
+    return np.array([quotient(x) for x in logdets])
 
 
 @lru_cache(maxsize=64)
@@ -245,13 +245,24 @@ def edge_lengths(s: Simplex) -> np.ndarray:
     return np.sqrt(_pairs(s))
 
 
+@lru_cache(maxsize=64)
+def _pair_slots(n: int) -> np.ndarray:
+    """Read-only n x n table: 1 + the position of pair {i, j} in
+    :func:`_pair_index`, and 0 on the diagonal; built once per n."""
+    i, j = _pair_index(n)
+    slots = np.zeros((n, n), dtype=np.intp)
+    slots[i, j] = slots[j, i] = np.arange(1, len(i) + 1)
+    return _read_only(slots)
+
+
 @_per_simplex
 def squared_edge_table(s: Simplex) -> np.ndarray:
-    """(d+1) x (d+1) table of squared distances, zero diagonal."""
-    i, j = _pair_index(s.n)
-    table = np.zeros(s.vertices.shape[:-2] + (s.n, s.n))
-    table[..., i, j] = table[..., j, i] = _pairs(s)
-    return table
+    """(d+1) x (d+1) table of squared distances, zero diagonal: the pair
+    table behind a 0, gathered by :func:`_pair_slots`."""
+    sq = _pairs(s)
+    padded = np.zeros(sq.shape[:-1] + (sq.shape[-1] + 1,))
+    padded[..., 1:] = sq
+    return padded.take(_pair_slots(s.n), axis=-1)
 
 
 @_per_simplex

@@ -512,7 +512,8 @@ def fill_block(d, scale):
     Gaussian, acute, obtuse, rectangular, regular and (d >= 3) kite."""
     rng = np.random.default_rng(d)
     block = [op.from_vertices(d, scale * rng.normal(size=(d + 1, d))) for _ in range(3)]
-    block += [op.construct(op.sample_params(d, kind, d).bary, scale) for kind in ("acute", "obtuse")]
+    block += [op.construct(op.sample_params(d, kind, d).bary, scale)
+              for kind in ("acute", "obtuse")]
     block.append(op.rectangular(op.RectSpec(d, tuple(scale * rng.uniform(0.5, 2.0, size=d)))))
     block.append(op.regular(d, scale))
     if d >= 3:
@@ -593,12 +594,22 @@ def old_face_rows(n):
     return [f for m in range(1, n) for f in combinations(range(n), m)]
 
 
+def old_pairs(n):
+    """The vertex pairs i < j in ``combinations`` order."""
+    return list(combinations(range(n), 2))
+
+
 #: each table built once per vertex count n, with the per-simplex (or per-k)
 #: construction it replaces
 INDEX_TABLES = {
     "pair_index": (
         sx._pair_index,
         lambda n: np.nonzero(np.arange(n)[:, None] < np.arange(n)),
+    ),
+    "pair_slots": (
+        sx._pair_slots,
+        lambda n: np.array([[0 if a == b else 1 + old_pairs(n).index((min(a, b), max(a, b)))
+                             for b in range(n)] for a in range(n)], dtype=np.intp),
     ),
     "facet_table": (
         sx._facet_table,

@@ -76,8 +76,8 @@ def regular(d: int, s: float, policy: TolerancePolicy = DEFAULT_POLICY) -> sx.Si
     """
     if not sx._is_int(d) or d < 1:
         raise InputError(f"dimension must be an integer >= 1, got {d!r}")
-    if not (s > 0):
-        raise InputError(f"edge length must be positive, got {s}")
+    if not (0 < s < math.inf):
+        raise InputError(f"edge length must be positive and finite, got {s}")
     n = d + 1
     pts = np.eye(n) - 1.0 / n
     w = np.full(n, 1.0 / math.sqrt(n))
@@ -93,8 +93,8 @@ def regular_metrics(d: int, s: float) -> RegularMetrics:
         R^2 = s^2 d / (2 (d+1))          h = s sqrt((d+1) / (2d))
         V   = s^d sqrt((d+1) / 2^d) / d!  r = s / sqrt(2 d (d+1))
     """
-    if not sx._is_int(d) or d < 1 or not (s > 0):
-        raise InputError(f"need an integer d >= 1 and s > 0, got d={d!r}, s={s!r}")
+    if not sx._is_int(d) or d < 1 or not (0 < s < math.inf):
+        raise InputError(f"need an integer d >= 1 and finite s > 0, got d={d!r}, s={s!r}")
     return RegularMetrics(
         circumradius=s * math.sqrt(d / (2.0 * (d + 1))),
         inradius=s / math.sqrt(2.0 * d * (d + 1)),
@@ -336,6 +336,9 @@ def _lift_spec(t: sx.Simplex, policy: TolerancePolicy) -> RectSpec:
 
 
 def _admissibility_sides(d: int, m: int) -> tuple[int, float]:
+    """(m (d+1-m), ((d^2 - 3d + 4) / (2 (d-2)))^2) for integers 2 <= m <= d-1."""
+    if not (sx._is_int(d) and sx._is_int(m) and 2 <= m <= d - 1):
+        raise InputError(f"need integers 2 <= m <= d-1, got m={m!r}, d={d!r}")
     n = d + 1 - m
     bound = ((d * d - 3 * d + 4) / (2.0 * (d - 2))) ** 2
     return m * n, bound
@@ -345,8 +348,6 @@ def equiradial_admissible(d: int, m: int) -> bool:
     """Existence test for the two-group equiradial family:
     m (d+1-m) < ((d^2 - 3d + 4) / (2 (d-2)))^2 (strict; equality never
     occurs).  Admissibility forces d >= 9."""
-    if not (2 <= m <= d - 1):
-        raise InputError(f"need 2 <= m <= d-1, got m={m}, d={d}")
     lhs, rhs = _admissibility_sides(d, m)
     return lhs < rhs
 
@@ -363,8 +364,6 @@ class EquiradialSpec:
     def __post_init__(self):
         if self.branch not in (1, 2):
             raise InputError(f"branch must be 1 or 2, got {self.branch}")
-        if not (2 <= self.m <= self.d - 1):
-            raise InputError(f"need 2 <= m <= d-1, got m={self.m}, d={self.d}")
         lhs, rhs = _admissibility_sides(self.d, self.m)
         if not lhs < rhs:
             raise AdmissibilityError(

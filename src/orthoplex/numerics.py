@@ -4,9 +4,9 @@ Everything geometric in this package funnels its floating-point decisions
 through a single :class:`TolerancePolicy` of two numbers, ``rel`` and
 ``rank_cut``, so that no predicate carries a private epsilon.  Both are
 relative to what they judge, which keeps every decision invariant under
-similarity.  The other kernels are a symmetric eigensolver wrapper and
-a rank-revealing embedding of positive semidefinite Gram matrices into
-coordinates.
+similarity.  The other kernels, a symmetric eigensolver wrapper and a
+rank-revealing embedding of positive semidefinite Gram matrices into
+coordinates, are public and tested but have no caller inside the package.
 """
 
 from __future__ import annotations

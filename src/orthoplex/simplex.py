@@ -20,7 +20,7 @@ from sys import float_info
 import numpy as np
 
 from .errors import DegenerateSimplexError, InputError, NumericError
-from .numerics import DEFAULT_POLICY, SymMatrix, TolerancePolicy, gram_embed
+from .numerics import DEFAULT_POLICY, TolerancePolicy
 
 __all__ = [
     "Simplex",
@@ -363,21 +363,15 @@ def barycentric(s: Simplex, point) -> np.ndarray:
 
 def face(s: Simplex, index_set, policy: TolerancePolicy = DEFAULT_POLICY) -> Simplex:
     """Face spanned by the selected vertices, re-embedded isometrically
-    into (|I|-1)-space.  Vertex order follows the index set."""
+    into (|I|-1)-space: the first vertex at the origin, the others at the
+    columns of the R factor of the edge vectors from it.  Vertex order
+    follows the index set; ``from_vertices`` decides degeneracy."""
     idx = _check_indices(s.n, index_set)
     if len(idx) < 2:
         raise InputError("a face needs at least 2 vertices")
     pts = s.vertices[list(idx)]
-    centered = pts - pts.mean(axis=0)
-    emb = gram_embed(SymMatrix(centered @ centered.T, policy), policy)
-    k = len(idx) - 1
-    # the embedding's rank is the degeneracy test, so from_vertices need not solve again
-    if emb.shape[1] != k:
-        raise DegenerateSimplexError(
-            f"face {idx} embeds at rank {emb.shape[1]} < {k} at rank_cut={policy.rank_cut:g}"
-        )
-    emb.flags.writeable = False
-    return Simplex(dim=k, vertices=emb)
+    r = np.linalg.qr((pts[1:] - pts[0]).T, mode="r")
+    return from_vertices(len(idx) - 1, np.vstack([np.zeros(r.shape[1]), r.T]), policy)
 
 
 def _is_int(x) -> bool:

@@ -93,6 +93,11 @@ class TestConstruct:
         assert code == 1 and out == ""
         assert "error" in json.loads(err)
 
+    def test_unparsable_legs_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "construct", "rect", "--legs", "1,x")
+        assert code == 1 and out == ""
+        assert "could not parse float list" in json.loads(err)["error"]
+
     def test_invalid_params_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "construct", "ortho", "--bary", "0.5,0.5,-0.5,0.5")
         assert code == 1
@@ -181,6 +186,17 @@ class TestAnalyze:
         code, _, err = run_json(capsys, "analyze", stdin=json.dumps(doc), monkeypatch=monkeypatch)
         assert code == 1
         assert "affinely dependent" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("env, doc, message", [
+        ("abc", {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}, "ORTHOPLEX_TOL"),
+        (None, {"dim": 2}, "'dim' and 'vertices'"),
+    ], ids=["tol", "no-vertices"])
+    def test_bad_input_exit_1(self, capsys, monkeypatch, env, doc, message):
+        if env is not None:
+            monkeypatch.setenv("ORTHOPLEX_TOL", env)
+        code, out, err = run_json(capsys, "analyze", stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        assert code == 1 and out is None
+        assert message in json.loads(err)["error"]
 
     def test_nan_rejected(self, capsys, monkeypatch):
         doc = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, None]]}

@@ -289,7 +289,32 @@ class TestIntegerDimension:
         with pytest.raises(InputError, match="integer"):
             op.regular_metrics(d, 1.0)
 
+    @pytest.mark.parametrize("d, m", [(10.0, 2), (10, 2.0), (True, 2), (10, True)])
+    def test_equiradial_spec(self, d, m):
+        with pytest.raises(InputError, match="integers"):
+            op.EquiradialSpec(d, m, 1)
+
+    @pytest.mark.parametrize("d, m", [(9.5, 2), (10.0, 2), (10, 2.0)])
+    def test_equiradial_admissible(self, d, m):
+        with pytest.raises(InputError, match="integers"):
+            op.equiradial_admissible(d, m)
+
+    @pytest.mark.parametrize("d, m", [(10, 2.0), (10.0, 2)])
+    def test_equiradial_general(self, d, m):
+        with pytest.raises(InputError, match="integers"):
+            op.equiradial_general(d, m, 1)
+
+    @pytest.mark.parametrize("edge", [math.inf, math.nan, 0.0, -1.0])
+    def test_regular_edge_is_positive_and_finite(self, edge):
+        """``regular_metrics`` rejects what ``regular`` rejects."""
+        with pytest.raises(InputError):
+            op.regular(3, edge)
+        with pytest.raises(InputError):
+            op.regular_metrics(3, edge)
+
     def test_numpy_integers_are_integers(self):
+        assert op.equiradial_admissible(np.int64(10), np.int8(2))
+        assert op.EquiradialSpec(np.int64(10), np.int32(2), 1).n == 9
         assert op.regular(np.int64(3), 1.0).dim == 3
         assert op.regular_metrics(np.int32(3), 1.0) == op.regular_metrics(3, 1.0)
         assert op.KiteSpec(np.int64(4), 1.0, 1.0).d == 4

@@ -14,7 +14,7 @@ from orthoplex import (
     ParametrizationError,
     RectangularParamsError,
 )
-from orthoplex import numerics
+from orthoplex import centers, cli, numerics
 from orthoplex import simplex as sx
 
 
@@ -117,6 +117,51 @@ class TestParamsOf:
             op.params_of(s)
 
 
+    @pytest.mark.parametrize("d", range(3, 17))
+    def test_far_from_the_origin(self, d):
+        """Translated by 1e6..1e8 times its diameter, a constructed simplex
+        loses digits in A - H; wherever the one orthocentricity test still
+        holds, its parameters come back, of the sampled kind, and the
+        analysis document carries them."""
+        rng = np.random.default_rng(d)
+        for kind in ("acute", "obtuse"):
+            for seed in range(4):
+                p = op.sample_params(d, kind, seed)
+                s = op.construct(p.bary, 1.0)
+                u = rng.normal(size=d)
+                shift = u / np.linalg.norm(u) * sx.diameter(s) * 10 ** rng.uniform(6, 8)
+                t = op.from_vertices(d, s.vertices + shift)
+                if not op.is_orthocentric(t):
+                    continue
+                q = op.params_of(t)
+                assert q.kind == kind
+                assert np.abs(q.bary - p.bary).max() <= 1e-6
+                doc = cli.analysis_doc(t, numerics.DEFAULT_POLICY)
+                assert doc["orthocentric"] and doc["ortho_params"]["class"] == kind
+
+    @pytest.mark.parametrize("d", range(3, 17))
+    def test_obtuseness_spread_is_half_the_misfit(self, d):
+        """Off the diagonal, the Gram matrix about the Monge point is
+        kappa - eps / 2, eps the residual of the least-squares fit
+        E_ij ~ l_i + l_j, whose rows sum to 0: the values averaged into the
+        obtuseness spread by misfit * max E / 2, at most rel * diam^2 / 2
+        where the orthocentricity test passes."""
+        rng = np.random.default_rng(d)
+        fixtures = [op.from_vertices(d, rng.normal(size=(d + 1, d)))]
+        for kind in ("acute", "obtuse"):
+            s = op.construct(op.sample_params(d, kind, d).bary, 1.0)
+            for eps in (0.0, 1e-12, 1e-10, 5e-10, 1e-9, 2e-9, 1e-6, 1e-3):
+                moved = s.vertices + eps * sx.diameter(s) * rng.normal(size=s.vertices.shape)
+                fixtures.append(op.from_vertices(d, moved))
+        for s in fixtures:
+            spread = centers._monge_gram(s)[3]
+            max_e = sx.squared_edge_table(s).max()
+            misfit = sx.edge_perpendicularity_residual(s)
+            assert spread == pytest.approx(misfit * max_e / 2, rel=1e-9, abs=1e-13 * max_e)
+            if op.is_orthocentric(s):
+                assert spread <= 0.5001 * 1e-9 * sx.diameter(s) ** 2
+
+
 class TestConstruct:
     @pytest.mark.parametrize("kind", ["acute", "obtuse"])
     def test_pose_bits_match_tri_and_fill_diagonal(self, kind):
@@ -168,11 +213,19 @@ class TestConstruct:
             [0.5, 0.25, 0.25, 0.5],  # sums to 1.5
             [1.0, 0.0, 0.0],         # vanishing coordinate
             [0.5, 0.5, 0.0],         # vanishing coordinate
+            [0.5, np.nan, 0.5],      # not finite
+            [[0.4, 0.3], [0.2, 0.1]],  # not a vector
+            [0.5, 0.5],              # d = 1
         ],
     )
     def test_invalid_patterns_rejected(self, bad):
         with pytest.raises(ParametrizationError):
             op.construct(bad, 1.0)
+
+    @pytest.mark.parametrize("scale", [np.inf, np.nan, 0.0, -1.0])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(ParametrizationError, match="scale"):
+            op.construct([0.4, 0.3, 0.2, 0.1], scale)
 
     def test_exact_zero_rejected_without_a_vanishing_test(self):
         # the subset-sum margin and the sign count cover an exact zero
@@ -454,6 +507,20 @@ class TestCircumData:
         assert cd.face_r_squared(np.array([0, 1, 2])) == cd.face_r_squared((0, 1, 2))
 
 
+class TestRectangularParams:
+    @pytest.mark.parametrize("call", [
+        lambda p, s: op.restrict_to_face(p, (0, 1, 2)),
+        lambda p, s: op.circum_data(p, s),
+        lambda p, s: op.lambda_params(p),
+    ], ids=["restrict_to_face", "circum_data", "lambda_params"])
+    def test_rejected(self, call):
+        s = op.rectangular(op.RectSpec(3, (1.0, 2.0, 3.0)))
+        p = op.params_of(s)
+        assert p.rectangular
+        with pytest.raises(RectangularParamsError):
+            call(p, s)
+
+
 class TestLambdaParams:
     def test_equilateral_values(self):
         lam = op.lambda_params(op.params_of(op.construct([1 / 3] * 3, 1.0)))
@@ -563,6 +630,15 @@ class TestSampleParams:
             op.sample_params(3, "right", 0)
         with pytest.raises(InputError):
             op.sample_params(3, "acute", -1)
+
+    @pytest.mark.parametrize("d, seed", [(3.5, 0), (3.0, 0), (True, 0), (3, 1.5), (3, "x"), (3, True)])
+    def test_non_integer_arguments_rejected(self, d, seed):
+        with pytest.raises(InputError, match="integer"):
+            op.sample_params(d, "acute", seed)
+
+    def test_numpy_integers_are_integers(self):
+        want = op.sample_params(4, "acute", 5).bary
+        assert np.array_equal(op.sample_params(np.int64(4), "acute", np.uint32(5)).bary, want)
 
 
 class TestRoundTripsAndLaws:

@@ -36,6 +36,8 @@ class TestFromVertices:
             op.from_vertices(2, [[0, 0], [1, 0]])
         with pytest.raises(InputError):
             op.from_vertices(2, [[0, 0], [1, 0], [np.inf, 1]])
+        with pytest.raises(InputError, match="not a numeric array"):
+            op.from_vertices(2, [[0, 0], [1, 0], ["a", 1]])
 
     @pytest.mark.parametrize(
         "dim, vertices", [(2.0, [[0, 0], [1, 0], [0, 1]]), (True, [[0.0], [1.0]])]
@@ -160,26 +162,72 @@ class TestFace:
     def test_face_below_rank_cut_is_degenerate(self):
         rng = np.random.default_rng(0)
         s = op.from_vertices(3, rng.normal(size=(4, 3)))
-        with pytest.raises(DegenerateSimplexError, match="embeds at rank 1 < 2"):
+        with pytest.raises(DegenerateSimplexError, match="affinely dependent"):
             op.face(s, (0, 1, 2), op.TolerancePolicy(rank_cut=0.99))
 
     @pytest.mark.parametrize("index_set", [(0, 1), (0, 2, 3), (0, 1, 2, 3), (1, 2, 3, 4, 5)])
     def test_one_eigensolve_per_face(self, monkeypatch, index_set):
+        """The one eigensolve is ``from_vertices``' values-only degeneracy test."""
         rng = np.random.default_rng(3)
         s = op.from_vertices(5, rng.normal(size=(6, 5)))
         calls = []
-        original = numerics.sym_eigen
+        eigvalsh = np.linalg.eigvalsh
 
-        def counting(m):
-            calls.append(m)
-            return original(m)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a face is not embedded by an eigendecomposition")
 
-        monkeypatch.setattr(numerics, "sym_eigen", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(numerics, "sym_eigen", forbidden)
         f = op.face(s, index_set)
         assert len(calls) == 1
         assert f.dim == len(index_set) - 1 and not f.vertices.flags.writeable
         want = np.linalg.norm(s.vertices[index_set[0]] - s.vertices[index_set[-1]])
         assert np.linalg.norm(f.vertices[0] - f.vertices[-1]) == pytest.approx(want, rel=1e-12)
+
+    def test_thin_faces_pass_from_vertices(self):
+        """``from_vertices`` makes the one degeneracy decision: with rank_cut
+        within a factor 10^0.2 of a face's own eigenvalue ratio, every face
+        returned is a valid simplex of its dimension (an embedding with its
+        own rank test disagreed with it on about a third of these)."""
+        rng = np.random.default_rng(0)
+        returned = rejected = 0
+        for _ in range(200):
+            d = int(rng.integers(3, 9))
+            k = int(rng.integers(2, d + 1))
+            s = op.from_vertices(d, rng.normal(size=(d + 1, d)) * 10 ** rng.uniform(-3, 3))
+            idx = tuple(rng.permutation(d + 1)[: k + 1].tolist())
+            e = s.vertices[list(idx[:-1])] - s.vertices[idx[-1]]
+            vals = np.linalg.eigvalsh(e @ e.T)
+            cut = min(0.9, vals[0] / vals[-1] * 10 ** rng.uniform(-0.2, 0.2))
+            pol = op.TolerancePolicy(rank_cut=cut)
+            try:
+                f = op.face(s, idx, pol)
+            except DegenerateSimplexError:
+                rejected += 1
+                continue
+            returned += 1
+            op.from_vertices(f.dim, f.vertices, pol)
+        assert returned > 50 and rejected > 50
+
+    @pytest.mark.parametrize("d", [*range(3, 17), 24, 32, 48, 64])
+    def test_squared_edges_match_the_parent(self, d):
+        """A face keeps its parent's squared-edge table within 1e-14 of the
+        largest entry: facets and every-other-vertex faces of Gaussian
+        (offset by 5), acute, obtuse, rectangular and regular simplices."""
+        rng = np.random.default_rng(d)
+        fixtures = [
+            op.from_vertices(d, rng.normal(size=(d + 1, d)) + 5.0),
+            op.construct(op.sample_params(d, "acute", d).bary, 1.0),
+            op.construct(op.sample_params(d, "obtuse", d).bary, 1.0),
+            right_corner(*np.linspace(0.5, 2.0, d)),
+            op.regular(d, 1.0),
+        ]
+        for s in fixtures:
+            for idx in (tuple(range(d)), tuple(range(1, d + 1)), tuple(range(0, d + 1, 2))):
+                want = sx.squared_edge_table(s)[np.ix_(idx, idx)]
+                got = sx.squared_edge_table(op.face(s, idx))
+                assert np.abs(got - want).max() <= 1e-14 * want.max(), (s, idx)
 
     def test_bad_index_sets(self):
         s = op.regular(3, 1.0)

@@ -19,3 +19,22 @@ def test_no_assert_statement(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"assert statement at line(s) {lines}"
+
+
+def test_simplices_are_built_only_where_validated():
+    """Every simplex the package returns passed the one degeneracy rule:
+    ``Simplex(...)`` (or ``sx.Simplex(...)``) is called only in
+    ``simplex.from_vertices`` and, for stacks of simplices validated one by
+    one, in ``simplex._fill``."""
+    callers = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and "Simplex" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    callers.add((path.name, fn.name))
+    assert callers == {("simplex.py", "from_vertices"), ("simplex.py", "_fill")}

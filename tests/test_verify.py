@@ -25,6 +25,8 @@ class TestConfig:
             SuiteConfig(d_min=5, d_max=3)
         with pytest.raises(InputError):
             SuiteConfig(d_max=11)
+        with pytest.raises(InputError, match="seed must be non-negative"):
+            SuiteConfig(seed=-1)
         for field in ("samples", "seed", "d_min", "d_max"):
             for bad in (True, 7.5, 4.0, "4", None):
                 with pytest.raises(InputError, match=field):
@@ -180,8 +182,9 @@ class TestRecorder:
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_rect_sample_builds_one_simplex(self, monkeypatch, d):
-        """Each rectangular sample validates one simplex: the lift round trip
-        reads the legs without building the lifted simplex."""
+        """Each rectangular sample validates the simplex and its hypotenuse
+        facet (none for d = 2): the lift round trip reads the legs without
+        building the lifted simplex."""
         calls = []
         real = sx.from_vertices
         monkeypatch.setattr(sx, "from_vertices", lambda *a, **k: calls.append(a) or real(*a, **k))
@@ -190,7 +193,7 @@ class TestRecorder:
         vf._check_rectangular(rec, *vf._rect_sample(families.RectSpec(d, legs), DEFAULT_POLICY),
                               DEFAULT_POLICY)
         assert rec.counterexample is None
-        assert len(calls) == 1
+        assert [a[0] for a in calls] == ([d] if d == 2 else [d, d - 1])
 
     def test_non_orthocentric_euler_fixture_is_a_numeric_error(self):
         rng = np.random.default_rng(6)

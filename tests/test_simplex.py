@@ -188,8 +188,7 @@ class TestFace:
     def test_thin_faces_pass_from_vertices(self):
         """``from_vertices`` makes the one degeneracy decision: with rank_cut
         within a factor 10^0.2 of a face's own eigenvalue ratio, every face
-        returned is a valid simplex of its dimension (an embedding with its
-        own rank test disagreed with it on about a third of these)."""
+        returned is a valid simplex of its dimension, and both outcomes occur."""
         rng = np.random.default_rng(0)
         returned = rejected = 0
         for _ in range(200):

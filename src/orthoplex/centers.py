@@ -135,17 +135,26 @@ def euler_line(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> Euler
     h = orthocenter(s, policy)
     if h is None:
         raise NotOrthocentricError("Euler line requires an orthocentric simplex")
-    g = centroid(s)
-    c, _ = circumcenter(s)
-    ch = h - c
-    length = sx._norm(ch)
+    length, residual, ratio = _euler_terms(centroid(s), circumcenter(s)[0], h)
     if length <= policy.rel * sx.diameter(s):
         return EulerLineData(ratio=None, collinearity_residual=0.0, coincident=True)
-    u = ch / length
+    return EulerLineData(ratio=float(ratio), collinearity_residual=float(residual),
+                         coincident=False)
+
+
+def _euler_terms(g: np.ndarray, c: np.ndarray, h: np.ndarray):
+    """(|H - C|, residual, ratio) of :func:`euler_line` from G, C and H,
+    arrays with leading axes (one simplex or a stack); residual and ratio
+    are nan where H = C."""
+    ch = h - c
+    length = np.sqrt(sx._sq_norms(ch))
     offset = g - c
-    residual = sx._norm(offset - (offset @ u) * u)
-    ratio = sx._norm(c - g) / sx._norm(g - h)
-    return EulerLineData(ratio=ratio, collinearity_residual=residual, coincident=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = ch / length[..., None]
+        along = np.matmul(offset[..., None, :], u[..., :, None])[..., 0]  # offset . u, as a dot
+        residual = np.sqrt(sx._sq_norms(offset - along * u))
+        ratio = np.sqrt(sx._sq_norms(c - g)) / np.sqrt(sx._sq_norms(g - h))
+    return length, residual, ratio
 
 
 @sx._per_simplex
@@ -299,9 +308,9 @@ def _center_distances(s: sx.Simplex) -> np.ndarray:
     """The six distances between centroid, circumcenter, incenter and Monge
     point, in ``_CENTER_PAIRS`` order, as stacked 1 x d by d x 1 products
     (rooted, the bits of ``np.linalg.norm``)."""
-    p = np.array((centroid(s), circumcenter(s)[0], incenter(s)[0], monge_point(s)))
-    i, j = sx._pair_index(len(p))  # the rows of each pair, _CENTER_PAIRS order
-    return np.sqrt(sx._sq_norms(p[i] - p[j]))
+    p = np.array((centroid(s), circumcenter(s)[0], incenter(s)[0], monge_point(s))).swapaxes(0, -2)
+    i, j = sx._pair_index(len(CENTER_NAMES))  # the rows of each pair, _CENTER_PAIRS order
+    return np.sqrt(sx._sq_norms(p.take(i, axis=-2) - p.take(j, axis=-2)))
 
 
 def center_report(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> CenterReport:

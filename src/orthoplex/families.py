@@ -362,8 +362,8 @@ class EquiradialSpec:
     branch: int
 
     def __post_init__(self):
-        if self.branch not in (1, 2):
-            raise InputError(f"branch must be 1 or 2, got {self.branch}")
+        if not (sx._is_int(self.branch) and self.branch in (1, 2)):
+            raise InputError(f"branch must be the integer 1 or 2, got {self.branch!r}")
         lhs, rhs = _admissibility_sides(self.d, self.m)
         if not lhs < rhs:
             raise AdmissibilityError(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
-from math import exp, factorial, inf, isfinite, lgamma, log, sqrt
+from math import exp, factorial, inf, isfinite, lgamma, log
 from numbers import Integral
 from sys import float_info
 
@@ -158,14 +158,16 @@ def _at(s: Simplex, index):
     return rows, index
 
 
-def _fill(simplices, tables) -> None:
+def _fill(simplices, tables) -> Simplex | None:
     """Run each of ``tables`` (:func:`_per_simplex` functions) once on the
     stack of ``simplices``, all of one dimension, and store in each
     simplex's memo its slice of every table the stack computed, their
     dependencies too: the types and bytes a direct call would store.  A
-    table a simplex already holds is kept."""
+    table a simplex already holds is kept.  Returns the stack (None for no
+    simplices): a table read from it later runs once for the whole block
+    and stays in the stack's memo only."""
     if not simplices:
-        return
+        return None
     stack = Simplex(dim=simplices[0].dim, vertices=np.stack([s.vertices for s in simplices]))
     for table in tables:
         table(stack)
@@ -176,6 +178,7 @@ def _fill(simplices, tables) -> None:
         for s, row in zip(simplices, rows):
             if fn not in s._memo:
                 s._memo[fn] = row if isinstance(value, tuple) else row[0]
+    return stack
 
 
 _FLOAT_MAX = float_info.max
@@ -307,11 +310,6 @@ def _frame(s: Simplex):
     return b, e, normals, _row_norms(normals), c
 
 
-def _norm(v: np.ndarray) -> float:
-    """|v| of a vector, the bits of ``np.linalg.norm`` (its square is v . v)."""
-    return sqrt(v.dot(v))
-
-
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """|v| along the last axis, the bits of ``np.linalg.norm(v, axis=-1)``."""
     return np.sqrt((v * v).sum(axis=-1))
@@ -353,12 +351,12 @@ def facet_sq_edge_sums(s: Simplex) -> np.ndarray:
     """Sum of squared edge lengths of each facet, facet i opposite vertex i:
     the total over all edges minus the edges at vertex i."""
     sq = squared_edge_table(s)
-    return sq.sum() / 2.0 - sq.sum(axis=1)
+    return sq.sum(axis=(-2, -1))[..., None] / 2.0 - sq.sum(axis=-1)
 
 
 def barycentric(s: Simplex, point) -> np.ndarray:
     """Barycentric coordinates of ``point`` with respect to the vertices."""
-    return _weights(s, np.asarray(point, float) - s.vertices[_frame(s)[0]])
+    return _weights(s, np.asarray(point, float) - s.vertices[_at(s, _frame(s)[0])])
 
 
 def face(s: Simplex, index_set, policy: TolerancePolicy = DEFAULT_POLICY) -> Simplex:
@@ -411,7 +409,7 @@ def altitude_feet(s: Simplex) -> np.ndarray:
     """Row i: the foot of the altitude from vertex i, the projection of
     A_i onto the hull of the facet opposite it: A_i - n_i / |n_i|^2."""
     normals, sizes = _frame(s)[2:4]
-    return s.vertices - normals / (sizes**2)[:, None]
+    return s.vertices - normals / (sizes**2)[..., None]
 
 
 def shape_predicates(s: Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> ShapeFlags:

@@ -139,47 +139,73 @@ class VerificationReport:
 
 
 class _Recorder:
-    """Accumulates checks; the first violation becomes the counterexample."""
+    """Accumulates checks; the first violation becomes the counterexample.
+
+    A check is evaluated over a block of samples: ``simplex`` is a stack
+    from :func:`simplex._fill`, whose samples run along the first axis of
+    the residual, or one simplex (or None), a block of one.  Further axes
+    hold values checked in turn.  The counterexample is the violation a
+    loop over the samples would meet first: the earliest sample, then the
+    earliest check in code order, then the earliest value.
+    """
 
     def __init__(self, name: str):
         self.name = name
         self.samples = 0
         self.max_ratio = 0.0
         self.counterexample: dict | None = None
+        self._first = None  # (block, sample index) of the counterexample
         self._t0 = time.perf_counter()
 
-    def sample(self):
-        self.samples += 1
+    def sample(self, count: int = 1):
+        self.samples += count
 
-    def check(self, label: str, residual: float, allowed: float,
-              simplex: sx.Simplex | None = None, **extra):
-        if allowed:
-            ratio = float(residual) / float(allowed)
-        else:  # exact coincidence in a separation check
-            ratio = 0.0 if residual <= 0 else float("inf")
-        if ratio != ratio:  # NaN on either side: infinite, and a violation below
-            ratio = float("inf")
-        self.max_ratio = max(self.max_ratio, ratio)
-        if not residual <= allowed and self.counterexample is None:
-            payload = {
-                "check": label,
-                "residual": float(residual),
-                "allowed": float(allowed),
-                "residuals": {k: _plain(v) for k, v in extra.items()},
+    def check(self, label: str, residual, allowed, simplex: sx.Simplex | None = None,
+              premise=True, **extra):
+        """Compare ``residual`` with ``allowed`` where ``premise`` holds: both
+        (and the premise) are arrays over the block or numbers, a shorter
+        shape standing for its leading axes.  An array in ``extra`` is read
+        at the violation's index, on as many axes as it has; any other
+        value is the same for every sample."""
+        residual = np.asarray(residual, dtype=float)
+        allowed = _leading(np.asarray(allowed, dtype=float), residual.ndim)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # allowed 0: an exact coincidence in a separation check
+            ratio = np.where(allowed != 0, residual / allowed,
+                             np.where(residual <= 0, 0.0, np.inf))
+        bad = ~(residual <= allowed)
+        if premise is not True:
+            applies = _leading(np.asarray(premise), residual.ndim)
+            ratio, bad = ratio[np.broadcast_to(applies, ratio.shape)], bad & applies
+        if ratio.size:
+            top = float(ratio.max())
+            # NaN on either side: infinite, and a violation below
+            self.max_ratio = max(self.max_ratio, top if top == top else np.inf)
+        at = int(bad.argmax())
+        if not bad.flat[at]:
+            return
+        at = np.unravel_index(at, bad.shape)
+        sample = at[: simplex.vertices.ndim - 2] if simplex is not None else ()
+        if self.counterexample is not None and not (
+            simplex is self._first[0] and sample < self._first[1]
+        ):
+            return
+        payload = {
+            "check": label,
+            "residual": float(residual[at]),
+            "allowed": float(np.broadcast_to(allowed, bad.shape)[at]),
+            "residuals": {
+                k: _plain(v[at[: v.ndim]] if isinstance(v, np.ndarray) else v)
+                for k, v in extra.items()
+            },
+        }
+        if simplex is not None:
+            payload["simplex"] = {
+                "dim": simplex.dim,
+                "vertices": simplex.vertices[sample].tolist(),
             }
-            if simplex is not None:
-                payload["simplex"] = {
-                    "dim": simplex.dim,
-                    "vertices": simplex.vertices.tolist(),
-                }
-            self.counterexample = payload
-
-    def check_pairs(self, label: str, residuals: np.ndarray, allowed: float,
-                    simplex: sx.Simplex, a: np.ndarray, b: np.ndarray):
-        """:meth:`check` on each residual in turn, the one for pair (a[k], b[k])
-        as ``pair``: records the largest ratio and the first violation."""
-        for k in np.flatnonzero(~(residuals <= allowed))[:1].tolist() + [int(np.argmax(residuals))]:
-            self.check(label, residuals[k], allowed, simplex, pair=(a[k], b[k]))
+        self.counterexample = payload
+        self._first = (simplex, sample)
 
     def fail(self, label: str, simplex: sx.Simplex | None = None, **extra):
         self.check(label, 1.0, 0.5, simplex=simplex, **extra)
@@ -193,6 +219,12 @@ class _Recorder:
             counterexample=self.counterexample,
             elapsed_ms=int((time.perf_counter() - self._t0) * 1000),
         )
+
+
+def _leading(x: np.ndarray, ndim: int) -> np.ndarray:
+    """``x`` with unit axes appended up to ``ndim``, so that its axes meet
+    the leading axes of an ``ndim``-axis array."""
+    return x.reshape(x.shape + (1,) * (ndim - x.ndim)) if x.ndim < ndim else x
 
 
 def _sub_seed(config: SuiteConfig, *parts: int) -> int:
@@ -224,7 +256,6 @@ def suite_center_equivalences(config: SuiteConfig) -> SuiteResult:
     interior and equiradial."""
     rec = _Recorder("center_equivalences")
     pol = config.policy
-    tol = pol.rel
     for d in range(config.d_min, config.d_max + 1):
         rng = np.random.default_rng(_sub_seed(config, 1, d))
         fixtures = _family_fixtures(d, rng, pol)
@@ -237,10 +268,8 @@ def suite_center_equivalences(config: SuiteConfig) -> SuiteResult:
                              d=d, m=2, branch=branch, error=f"{type(exc).__name__}: {exc}")
         for _ in range(_per_dim(config)):
             fixtures.append(_random_simplex(d, rng, pol))
-        sx._fill(fixtures, (sx.diameter, sx.facet_circumradii, centers.monge_point))
-        for s in fixtures:
-            rec.sample()
-            _check_equivalences(rec, s, pol, tol)
+        rec.sample(len(fixtures))
+        _check_equivalences(rec, fixtures, pol)
     return rec.result()
 
 
@@ -255,46 +284,50 @@ def _family_fixtures(d: int, rng, policy: TolerancePolicy) -> list[sx.Simplex]:
     return fixtures
 
 
-def _check_equivalences(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, tol: float):
+def _check_equivalences(rec: _Recorder, block: list[sx.Simplex], pol: TolerancePolicy):
+    tol = pol.rel
+    s = sx._fill(block, ())  # every table is read from the stack
     diam = sx.diameter(s)
     c, big_r = centers.circumcenter(s)
     i, inr = centers.incenter(s)
     # _CENTER_PAIRS order: G-C, G-I, G-M, C-I, C-M, I-M
-    d_gc, d_ig, _, d_ci = (centers._center_distances(s)[:4] / diam).tolist()
+    d_gc, d_ig, _, d_ci = (centers._center_distances(s)[:, :4] / diam[:, None]).T
 
     # contract checks keep the suite sensitive to faulty center
     # implementations (the equivalence implications alone are blind to
     # mutations that preserve symmetric fixtures)
-    vertex_dists = sx._row_norms(s.vertices - c)
-    facet_dists = sx._row_norms(i - sx.project_to_affine_hull(i, s.vertices[sx.facet_indices(s)]))
+    vertex_dists = sx._row_norms(s.vertices - c[:, None])
+    facets = s.vertices[:, sx.facet_indices(s)]
+    facet_dists = sx._row_norms(i[:, None] - sx.project_to_affine_hull(i[:, None], facets))
 
     # facet volume i = d V |n_i|: the spread of |n_i| (shape_predicates' equiareal rule)
     areas_spread = pol.spread(sx._frame(s)[3])
     wde_spread = pol.spread(sx.facet_sq_edge_sums(s))
     radii_spread = pol.spread(sx.facet_circumradii(s))
-    bary_min = float(sx.barycentric(s, c).min())
+    bary_min = sx.barycentric(s, c).min(axis=-1)
 
     scal = dict(d_ig=d_ig, d_gc=d_gc, d_ci=d_ci, areas_spread=areas_spread,
                 wde_spread=wde_spread, radii_spread=radii_spread, cc_bary_min=bary_min)
 
     rec.check("circumcenter equidistance contract",
-              float(np.abs(vertex_dists - big_r).max()), tol * diam, s, **scal)
+              np.abs(vertex_dists - big_r[:, None]).max(axis=-1), tol * diam, s, **scal)
     rec.check("incenter facet-distance contract",
-              float(np.abs(facet_dists - inr).max()), tol * diam, s, **scal)
+              np.abs(facet_dists - inr[:, None]).max(axis=-1), tol * diam, s, **scal)
 
-    if d_ig <= tol / 10:
-        rec.check("incenter=centroid => equiareal", areas_spread, tol, s, **scal)
-    if areas_spread <= tol / 10:
-        rec.check("equiareal => incenter=centroid", d_ig, tol, s, **scal)
-    if d_gc <= tol / 10:
-        rec.check("centroid=circumcenter => well-distributed edges", wde_spread, tol, s, **scal)
-    if wde_spread <= tol / 10:
-        rec.check("well-distributed edges => centroid=circumcenter", d_gc, tol, s, **scal)
-    if d_ci <= tol / 10:
-        rec.check("circumcenter=incenter => equiradial", radii_spread, tol, s, **scal)
-        rec.check("circumcenter=incenter => interior", max(-bary_min, 0.0), tol, s, **scal)
-    if radii_spread <= tol / 10 and bary_min >= 10 * tol:
-        rec.check("equiradial and interior => circumcenter=incenter", d_ci, tol, s, **scal)
+    rec.check("incenter=centroid => equiareal", areas_spread, tol, s,
+              premise=d_ig <= tol / 10, **scal)
+    rec.check("equiareal => incenter=centroid", d_ig, tol, s,
+              premise=areas_spread <= tol / 10, **scal)
+    rec.check("centroid=circumcenter => well-distributed edges", wde_spread, tol, s,
+              premise=d_gc <= tol / 10, **scal)
+    rec.check("well-distributed edges => centroid=circumcenter", d_gc, tol, s,
+              premise=wde_spread <= tol / 10, **scal)
+    rec.check("circumcenter=incenter => equiradial", radii_spread, tol, s,
+              premise=d_ci <= tol / 10, **scal)
+    rec.check("circumcenter=incenter => interior", np.maximum(-bary_min, 0.0), tol, s,
+              premise=d_ci <= tol / 10, **scal)
+    rec.check("equiradial and interior => circumcenter=incenter", d_ci, tol, s,
+              premise=(radii_spread <= tol / 10) & (bary_min >= 10 * tol), **scal)
 
 
 # ---------------------------------------------------------------------------
@@ -321,48 +354,37 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
                     continue  # too close to regular for the contrapositive
                 produced += 1
                 accepted.append(s)
-        sx._fill(accepted, (sx.diameter, centers.monge_point))
-        for s in accepted:
-            rec.sample()
-            _check_separation(rec, s, pol)
+        rec.sample(len(accepted))
+        _check_separation(rec, accepted, pol)
 
         # continuity sanity: separations shrink with the perturbation
         rng = np.random.default_rng(_sub_seed(config, 2, d, 10**6))
         base = families.regular(d, 1.0, pol)
         dirs = rng.normal(size=base.vertices.shape)
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        seps = []
-        for delta in (1e-2, 1e-3, 1e-4):
-            s = sx.from_vertices(d, base.vertices + delta * dirs, pol)
-            sep = float(centers._center_distances(s).max()) / sx.diameter(s)
-            rec.check(
-                "near-regular separation bounded by perturbation",
-                sep,
-                100.0 * delta,
-                s,
-                delta=delta,
-                separation=sep,
-            )
-            seps.append(sep)
+        deltas = np.array((1e-2, 1e-3, 1e-4))
+        s = sx._fill([sx.from_vertices(d, base.vertices + delta * dirs, pol)
+                      for delta in deltas.tolist()], ())
+        seps = centers._center_distances(s).max(axis=-1) / sx.diameter(s)
+        rec.check("near-regular separation bounded by perturbation", seps, 100.0 * deltas, s,
+                  delta=deltas, separation=seps)
         rec.sample()
-        for k in range(len(seps) - 1):
-            rec.check(
-                "separations shrink with the perturbation",
-                seps[k + 1],
-                seps[k],
-                delta_from=(1e-2, 1e-3, 1e-4)[k],
-                separations=seps,
-            )
+        rec.check("separations shrink with the perturbation", seps[1:], seps[:-1],
+                  delta_from=deltas[:-1], separations=seps.tolist())
     return rec.result()
 
 
-def _check_separation(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, prefix: str = ""):
-    diam = sx.diameter(s)
-    for (na, nb), sep in zip(centers._CENTER_PAIRS, centers._center_distances(s).tolist()):
+def _check_separation(rec: _Recorder, block: list[sx.Simplex], pol: TolerancePolicy):
+    _separation_checks(rec, sx._fill(block, ()), pol)
+
+
+def _separation_checks(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, prefix: str = ""):
+    """The four centers of each simplex of the stack ``s`` pairwise apart."""
+    limit = pol.rel * sx.diameter(s)
+    for (na, nb), sep in zip(centers._CENTER_PAIRS, centers._center_distances(s).T):
         # separation must exceed the coincidence threshold: ratio < 1
         pair = f"{na}-{nb}"
-        rec.check(f"{prefix}separated: {pair}", pol.rel * diam, sep, s, pair=pair,
-                  separation=sep)
+        rec.check(f"{prefix}separated: {pair}", limit, sep, s, pair=pair, separation=sep)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +406,8 @@ def suite_euler_feuerbach(config: SuiteConfig) -> SuiteResult:
             for i in range(per_kind):
                 p = oc.sample_params(d, kind, _sub_seed(config, 3, d, i))
                 fixtures.append(oc.construct(p.bary, 1.0, pol))
-        sx._fill(fixtures, (sx.diameter, sx.edge_perpendicularity_residual,
-                            centers._mid_face_spheres, centers._facet_sphere))
-        for s in fixtures:
-            rec.sample()
-            _check_euler_feuerbach(rec, s, pol)
+        rec.sample(len(fixtures))
+        _check_euler_feuerbach(rec, fixtures, pol)
     return rec.result()
 
 
@@ -410,64 +429,76 @@ def _face_table(n: int):
 
 def _face_centroids(s: sx.Simplex) -> np.ndarray:
     """Centroids of every k-face, k = 0..d-1, in :func:`_face_table` row
-    order, from one product: the enumerated oracle the closed-form mid-face
-    spheres are measured against."""
+    order, from one product (per simplex of a stack): the enumerated oracle
+    the closed-form mid-face spheres are measured against."""
     return _face_table(s.n)[0] @ s.vertices
 
 
-def _check_euler_feuerbach(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x ** 2 of each entry by Python's float power, whose last bit can
+    differ from numpy's x * x."""
+    return np.array([v**2 for v in x.tolist()])
+
+
+def _check_euler_feuerbach(rec: _Recorder, block: list[sx.Simplex], pol: TolerancePolicy):
+    # the samples keep their slices for params_of, which reads them one by one
+    s = sx._fill(block, (sx.diameter, sx.edge_perpendicularity_residual,
+                         centers._mid_face_spheres, centers._facet_sphere))
+    if not np.all(centers.is_orthocentric(s, pol)):
+        raise NumericError(f"euler_feuerbach fixture is not orthocentric at rel={pol.rel:g}")
     d = s.dim
     diam = sx.diameter(s)
-    h = centers.orthocenter(s, pol)
-    if h is None:
-        raise NumericError(f"euler_feuerbach fixture is not orthocentric at rel={pol.rel:g}")
+    h = centers.monge_point(s)
     c, big_r = centers.circumcenter(s)
-    euler = centers.euler_line(s, pol)
-    if not euler.coincident:
-        rec.check("euler collinearity", euler.collinearity_residual, pol.rel * diam, s,
-                  ratio=euler.ratio)
-        target = (d - 1) / 2.0
-        rec.check("euler ratio (d-1):2", abs(euler.ratio - target), 10 * pol.rel * target,
-                  s, ratio=euler.ratio)
+    length, residual, ratio = centers._euler_terms(centers.centroid(s), c, h)
+    apart = ~(length <= pol.rel * diam)  # else the Euler line degenerates
+    rec.check("euler collinearity", residual, pol.rel * diam, s, premise=apart, ratio=ratio)
+    target = (d - 1) / 2.0
+    rec.check("euler ratio (d-1):2", np.abs(ratio - target), 10 * pol.rel * target, s,
+              premise=apart, ratio=ratio)
 
-    vec = (s.vertices - c).sum(axis=0) - (d - 1) * (h - c)
-    rec.check("vertex sum identity", sx._norm(vec), pol.rel * diam, s)
+    vec = (s.vertices - c[:, None]).sum(axis=-2) - (d - 1) * (h - c)
+    rec.check("vertex sum identity", np.sqrt(sx._sq_norms(vec)), pol.rel * diam, s)
 
     # an orthocentric simplex has every sphere k = 0..d-1: row r of the face
     # table is measured against the sphere of its level, worst per level
-    spheres = centers.feuerbach_spheres(s, pol)
+    mid, mid_radii, _ = centers._mid_face_spheres(s)
+    top, top_radius, _ = centers._facet_sphere(s)
+    spheres = np.concatenate((mid, top[:, None]), axis=1)
+    radii = np.concatenate((mid_radii, top_radius[:, None]), axis=1)
     _, level, starts = _face_table(s.n)
-    mid = np.array([sp.center for sp in spheres])
-    radii = np.array([sp.radius for sp in spheres])
-    dists = sx._row_norms(_face_centroids(s) - mid[level])
-    worst = np.maximum.reduceat(np.abs(dists - radii[level]), starts).tolist()
-    for sphere in spheres:
-        k = sphere.k
-        rec.check(f"feuerbach k={k} equidistance", worst[k],
-                  10 * pol.rel * sphere.radius, s, k=k, radius=sphere.radius)
+    dists = sx._row_norms(_face_centroids(s) - spheres[:, level])
+    worst = np.maximum.reduceat(np.abs(dists - radii[:, level]), starts, axis=-1)
+    for k in range(d):
+        rec.check(f"feuerbach k={k} equidistance", worst[:, k],
+                  10 * pol.rel * radii[:, k], s, k=k, radius=radii[:, k])
         if k == 0:
             rec.check("feuerbach k=0 center is circumcenter",
-                      sx._norm(sphere.center - c), pol.rel * diam, s)
+                      np.sqrt(sx._sq_norms(spheres[:, 0] - c)), pol.rel * diam, s)
             rec.check("feuerbach k=0 radius is circumradius",
-                      abs(sphere.radius - big_r), pol.rel * big_r, s)
+                      np.abs(radii[:, 0] - big_r), pol.rel * big_r, s)
         if k == d - 1:
-            dist = sx._row_norms(sx.altitude_feet(s) - sphere.center)
+            dist = sx._row_norms(sx.altitude_feet(s) - spheres[:, k, None])
             rec.check("altitude feet on facet-centroid sphere",
-                      float(np.abs(dist - sphere.radius).max()),
-                      10 * pol.rel * sphere.radius, s)
+                      np.abs(dist - radii[:, k, None]).max(axis=-1),
+                      10 * pol.rel * radii[:, k], s)
 
-    p = oc.params_of(s, pol)
-    if not p.rectangular:
-        vals = oc.lambda_params(p).all_values
-        # sum 1/lam = (1 - sum a) / sigma against sum |1/lam| = (1 + sum |a|) / |sigma|
-        inv = 1.0 / vals
-        rec.check("reciprocal lambda sum", abs(float(inv.sum())),
-                  pol.rel * float(np.abs(inv).sum()), s)
-        pts = np.vstack([h, s.vertices])
-        a, b = sx._pair_index(d + 2)
-        got = ((pts[a] - pts[b]) ** 2).sum(axis=1)
-        rec.check_pairs("lambda pairwise distances", np.abs(vals[a] + vals[b] - got),
-                        pol.rel * diam**2, s, a, b)
+    lam = np.ones((len(block), d + 2))
+    skew = np.zeros(len(block), dtype=bool)  # not rectangular: lambda exists
+    for r, t in enumerate(block):
+        p = oc.params_of(t, pol)
+        if not p.rectangular:
+            lam[r], skew[r] = oc.lambda_params(p).all_values, True
+    # sum 1/lam = (1 - sum a) / sigma against sum |1/lam| = (1 + sum |a|) / |sigma|
+    inv = 1.0 / lam
+    rec.check("reciprocal lambda sum", np.abs(inv.sum(axis=-1)),
+              pol.rel * np.abs(inv).sum(axis=-1), s, premise=skew)
+    pts = np.concatenate((h[:, None], s.vertices), axis=1)
+    a, b = sx._pair_index(d + 2)
+    got = ((pts[:, a] - pts[:, b]) ** 2).sum(axis=-1)
+    rec.check("lambda pairwise distances", np.abs(lam[:, a] + lam[:, b] - got),
+              pol.rel * _squares(diam), s, premise=skew,
+              pair=np.broadcast_to(np.stack((a, b), axis=-1), got.shape + (2,)))
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +513,11 @@ def suite_rectangular(config: SuiteConfig) -> SuiteResult:
     pol = config.policy
     for d in range(config.d_min, config.d_max + 1):
         rng = np.random.default_rng(_sub_seed(config, 4, d))
-        samples = [_rect_sample(families.RectSpec(d, tuple(rng.uniform(0.5, 2.0, size=d))), pol)
-                   for _ in range(_per_dim(config))]
-        sx._fill([s for _, s, _ in samples], (sx.diameter, sx.facet_volumes, centers.monge_point))
-        sx._fill([f for *_, f in samples if f is not None],
-                 (sx.diameter, sx.edge_perpendicularity_residual, centers._monge_gram))
-        for sample in samples:
-            rec.sample()
-            _check_rectangular(rec, *sample, pol)
+        specs = [families.RectSpec(d, tuple(rng.uniform(0.5, 2.0, size=d)))
+                 for _ in range(_per_dim(config))]
+        block = [families.rectangular(spec, pol) for spec in specs]
+        rec.sample(len(block))
+        _check_rectangular(rec, specs, block, pol)
         if d >= 3:
             rec.sample()
             p = oc.sample_params(d - 1, oc.OBTUSE, _sub_seed(config, 4, d, 7))
@@ -503,50 +531,53 @@ def suite_rectangular(config: SuiteConfig) -> SuiteResult:
     return rec.result()
 
 
-def _rect_sample(spec: families.RectSpec, pol: TolerancePolicy):
-    """(spec, s, facet): the rectangular simplex of ``spec`` and its
-    hypotenuse facet; None for d = 2, whose facet is a segment, below the
-    lift's domain."""
-    s = families.rectangular(spec, pol)
-    return spec, s, (sx.face(s, sx.facet_indices(s)[spec.d], pol) if spec.d >= 3 else None)
+def _check_rectangular(rec: _Recorder, specs: list[families.RectSpec],
+                       block: list[sx.Simplex], pol: TolerancePolicy):
+    """``block[r]`` is the rectangular simplex of ``specs[r]``; each is
+    checked against :func:`families.rect_metrics` and, for d >= 3, its
+    hypotenuse facet lifted back to its legs (a d = 2 facet is a segment,
+    below the lift's domain)."""
+    d = specs[0].d
+    s = sx._fill(block, ())  # every table is read from the stack
+    metrics = [families.rect_metrics(spec) for spec in specs]
 
+    def closed(name):
+        return np.array([getattr(m, name) for m in metrics])
 
-def _check_rectangular(rec: _Recorder, spec: families.RectSpec, s: sx.Simplex,
-                       facet: sx.Simplex | None, pol: TolerancePolicy):
-    d = spec.d
-    m = families.rect_metrics(spec)
+    volume, inradius, r_squared = closed("volume"), closed("inradius"), closed("r_squared")
+    hyp_volume, altitude = closed("hyp_volume"), closed("altitude")
     diam = sx.diameter(s)
-    scale = max(spec.legs)
 
-    rec.check("legs volume", abs(m.volume - sx.volume(s)), pol.rel * m.volume, s)
+    rec.check("legs volume", np.abs(volume - sx.volume(s)), pol.rel * volume, s)
     rec.check("hypotenuse facet volume",
-              abs(m.hyp_volume - sx.facet_volumes(s)[d]), pol.rel * m.hyp_volume, s)
-    foot = sx.altitude_feet(s)[d]
-    rec.check("corner altitude", abs(m.altitude - sx._norm(foot - s.vertices[d])),
-              pol.rel * m.altitude, s)
+              np.abs(hyp_volume - sx.facet_volumes(s)[:, d]), pol.rel * hyp_volume, s)
+    foot = sx.altitude_feet(s)[:, d]
+    rec.check("corner altitude", np.abs(altitude - np.sqrt(sx._sq_norms(foot - s.vertices[:, d]))),
+              pol.rel * altitude, s)
     i, r = centers.incenter(s)
-    rec.check("leg inradius", abs(m.inradius - r), pol.rel * r, s)
+    rec.check("leg inradius", np.abs(inradius - r), pol.rel * r, s)
     rec.check("incenter equals (r, ..., r)",
-              float(np.abs(i - m.inradius).max()), pol.rel * diam, s)
+              np.abs(i - inradius[:, None]).max(axis=-1), pol.rel * diam, s)
     c, big_r = centers.circumcenter(s)
-    rec.check("leg circumradius", abs(m.r_squared - big_r**2), pol.rel * m.r_squared, s)
+    rec.check("leg circumradius", np.abs(r_squared - _squares(big_r)), pol.rel * r_squared, s)
     rec.check("circumcenter midpoint form",
-              sx._norm(c - m.circumcenter), pol.rel * diam, s)
+              np.sqrt(sx._sq_norms(c - closed("circumcenter"))), pol.rel * diam, s)
     rec.check("hypotenuse orthocenter",
-              sx._norm(m.hyp_orthocenter - foot), pol.rel * diam, s)
+              np.sqrt(sx._sq_norms(closed("hyp_orthocenter") - foot)), pol.rel * diam, s)
 
-    _check_separation(rec, s, pol, "rect ")
+    _separation_checks(rec, s, pol, "rect ")
     bary = sx.barycentric(s, c)
     expected = np.append(np.full(d, 0.5), (2 - d) / 2.0)
     rec.check("rect circumcenter barycentrics (1/2, ..., 1/2, (2-d)/2)",
-              float(np.abs(bary - expected).max()), pol.rel * d, s)
+              np.abs(bary - expected).max(axis=-1), pol.rel * d, s)
 
-    if facet is not None:
-        lifted_spec = families._lift_spec(facet, pol)
-        rec.check("lift round trip",
-                  float(np.abs(np.subtract(lifted_spec.legs, spec.legs)).max()),
-                  10 * pol.rel * scale, s, legs=list(spec.legs),
-                  lifted=list(lifted_spec.legs))
+    if d >= 3:
+        facets = [sx.face(t, sx.facet_indices(t)[d], pol) for t in block]
+        sx._fill(facets, (sx.diameter, sx.edge_perpendicularity_residual, centers._monge_gram))
+        legs = np.array([spec.legs for spec in specs])
+        lifted = np.array([families._lift_spec(f, pol).legs for f in facets])
+        rec.check("lift round trip", np.abs(lifted - legs).max(axis=-1),
+                  10 * pol.rel * legs.max(axis=-1), s, legs=legs, lifted=lifted)
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,11 @@ class TestIntegerDimension:
         with pytest.raises(InputError, match="integers"):
             op.EquiradialSpec(d, m, 1)
 
+    @pytest.mark.parametrize("branch", [True, 1.0, 2.0, "1", None, 3, 0])
+    def test_equiradial_branch(self, branch):
+        with pytest.raises(InputError, match="branch"):
+            op.EquiradialSpec(10, 2, branch)
+
     @pytest.mark.parametrize("d, m", [(9.5, 2), (10.0, 2), (10, 2.0)])
     def test_equiradial_admissible(self, d, m):
         with pytest.raises(InputError, match="integers"):
@@ -314,7 +319,7 @@ class TestIntegerDimension:
 
     def test_numpy_integers_are_integers(self):
         assert op.equiradial_admissible(np.int64(10), np.int8(2))
-        assert op.EquiradialSpec(np.int64(10), np.int32(2), 1).n == 9
+        assert op.EquiradialSpec(np.int64(10), np.int32(2), np.int8(2)).n == 9
         assert op.regular(np.int64(3), 1.0).dim == 3
         assert op.regular_metrics(np.int32(3), 1.0) == op.regular_metrics(3, 1.0)
         assert op.KiteSpec(np.int64(4), 1.0, 1.0).d == 4

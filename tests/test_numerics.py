@@ -34,6 +34,14 @@ class TestTolerancePolicy:
         assert p.all_close([]) is True
         assert p.spread([]) == 0.0 and p.spread(np.empty(0)) == 0.0
 
+    def test_spread_of_a_stack_is_the_spread_of_each_row(self):
+        p = TolerancePolicy()
+        rows = np.array([[2.0, -3.0, 2.5], [1e-15, 2e-15, 1e-15], [0.0, 0.0, 0.0], [4.0, 4.0, 4.0]])
+        got = p.spread(rows)
+        assert got.shape == (4,)
+        assert got.tolist() == [p.spread(row) for row in rows]
+        assert p.spread(rows[None]).tolist() == [got.tolist()]
+
     def test_spread_and_all_close_agree_with_their_formulas(self):
         p = TolerancePolicy(rel=1e-3)
         v = np.array([2.0, -3.0, 2.5])

@@ -493,6 +493,16 @@ class TestFacetClosedForms:
         ]
         assert np.allclose(sx.facet_sq_edge_sums(s), want, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_sq_edge_sums_per_simplex_of_a_stack(self, d):
+        """On a stack each row is the sum of its own simplex, bit for bit."""
+        block = fill_block(d, 1.0)
+        stack = sx._fill([op.from_vertices(d, s.vertices) for s in block], ())
+        rows = sx.facet_sq_edge_sums(stack)
+        assert rows.shape == (len(block), d + 1)
+        for s, row in zip(block, rows):
+            assert row.tobytes() == sx.facet_sq_edge_sums(s).tobytes()
+
     @pytest.mark.parametrize("s", closed_form_fixtures(), ids=repr)
     def test_perpendicularity_matches_pair_loop(self, s):
         lo, hi = misfit_bounds(s)
@@ -550,9 +560,6 @@ PER_SIMPLEX = [
     centers._center_distances,
 ]
 
-#: the tables written over stacks of simplices, which ``sx._fill`` runs on a block
-STACKED = [fn for fn in PER_SIMPLEX if fn is not centers._center_distances]
-
 
 def fill_block(d, scale):
     """Same-dimension simplices of every kind the verify blocks hold:
@@ -595,9 +602,9 @@ class TestPerSimplexTables:
     def test_fill_stores_what_a_direct_call_stores(self, d, scale):
         block = fill_block(d, scale)
         filled = [op.from_vertices(d, s.vertices) for s in block]
-        sx._fill(filled, STACKED)
+        sx._fill(filled, PER_SIMPLEX)
         for s, t in zip(block, filled):
-            for fn in STACKED:
+            for fn in PER_SIMPLEX:
                 assert fn.__wrapped__ in t._memo  # stored by the fill, not on this call
                 assert same_stored(fn(s), fn(t)), fn.__name__
 

@@ -107,7 +107,7 @@ class TestSuites:
 class TestRecorder:
     def test_exact_coincidence_is_a_counterexample(self):
         rec = vf._Recorder("regularity")
-        vf._check_separation(rec, families.regular(3, 1.0), DEFAULT_POLICY)
+        vf._check_separation(rec, [families.regular(3, 1.0)], DEFAULT_POLICY)
         result = rec.result()
         assert not result.passed
         assert result.counterexample["check"].startswith("separated: ")
@@ -138,10 +138,50 @@ class TestRecorder:
         looped, batched = vf._Recorder("x"), vf._Recorder("x")
         for k, res in enumerate(residuals):
             looped.check("pairs", res, 1.0, s, pair=(int(a[k]), int(b[k])))
-        batched.check_pairs("pairs", np.array(residuals), 1.0, s, a, b)
+        batched.check("pairs", np.array(residuals), 1.0, s, pair=np.stack((a, b), axis=-1))
         assert batched.max_ratio == looped.max_ratio
         # repr, so a NaN residual compares equal to itself
         assert repr(batched.counterexample) == repr(looped.counterexample)
+
+    @pytest.mark.parametrize("faults", [
+        {},
+        {("first", 0): 3.0},
+        {("first", 2): 3.0},
+        {("first", 4): 3.0},
+        {("first", 3): 3.0, ("second", 1, 2): 5.0},  # a later check of an earlier sample
+        {("first", 1): 9.0, ("second", 4, 0): 2.0},  # sample 1 is outside the premise
+        {("second", 2, 1): float("nan"), ("first", 3): 2.0},
+        {("zero", 3): 0.5},  # 0 / 0 passes at sample 1, 0.5 / 0 fails at 3
+        {("second", 0, 2): 4.0, ("second", 0, 1): 1.5, ("zero", 0): 0.5},
+    ])
+    def test_block_equals_check_per_sample(self, faults):
+        """Checks over a stacked block record the largest ratio and the
+        counterexample of the same checks made sample by sample."""
+        rng = np.random.default_rng(8)
+        block = [op.from_vertices(3, rng.normal(size=(4, 3))) for _ in range(5)]
+        s = sx._fill(block, ())
+        values = {"first": rng.uniform(0.0, 0.9, 5), "second": rng.uniform(0.0, 0.9, (5, 3)),
+                  "zero": np.zeros(5)}
+        for (name, *at), value in faults.items():
+            values[name][tuple(at)] = value
+        first, second, zero = values["first"], values["second"], values["zero"]
+        zero_allowed = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+        premise = np.arange(5) != 1
+        a, b = np.arange(3), np.arange(3) + 10
+        blocked, looped = vf._Recorder("x"), vf._Recorder("x")
+        blocked.check("first", first, 1.0, s, premise=premise, value=first, k=7)
+        blocked.check("second", second, np.full(5, 1.0), s,
+                      pair=np.broadcast_to(np.stack((a, b), axis=-1), (5, 3, 2)))
+        blocked.check("zero", zero, zero_allowed, s)
+        for j, t in enumerate(block):
+            if premise[j]:
+                looped.check("first", first[j], 1.0, t, value=first[j], k=7)
+            for p in range(3):
+                looped.check("second", second[j, p], 1.0, t, pair=(int(a[p]), int(b[p])))
+            looped.check("zero", zero[j], zero_allowed[j], t)
+        assert blocked.max_ratio == looped.max_ratio
+        assert repr(blocked.counterexample) == repr(looped.counterexample)
+        assert (blocked.counterexample is None) == (not faults or faults == {("first", 1): 9.0})
 
     @pytest.mark.parametrize("field, check", [("incenter", "rect separated"),
                                               ("circumcenter", "rect circumcenter barycentrics")])
@@ -177,7 +217,7 @@ class TestRecorder:
         for kind in ("acute", "obtuse"):
             s = op.construct(op.sample_params(5, kind, 1).bary, 1.0)
             rec = vf._Recorder("euler_feuerbach")
-            vf._check_euler_feuerbach(rec, s, DEFAULT_POLICY)
+            vf._check_euler_feuerbach(rec, [s], DEFAULT_POLICY)
             assert rec.counterexample is None and 0.0 < rec.max_ratio <= 1.0
 
     @pytest.mark.parametrize("d", [2, 3, 6])
@@ -188,10 +228,9 @@ class TestRecorder:
         calls = []
         real = sx.from_vertices
         monkeypatch.setattr(sx, "from_vertices", lambda *a, **k: calls.append(a) or real(*a, **k))
-        legs = tuple(np.linspace(0.6, 1.7, d))
+        spec = families.RectSpec(d, tuple(np.linspace(0.6, 1.7, d)))
         rec = vf._Recorder("rectangular")
-        vf._check_rectangular(rec, *vf._rect_sample(families.RectSpec(d, legs), DEFAULT_POLICY),
-                              DEFAULT_POLICY)
+        vf._check_rectangular(rec, [spec], [families.rectangular(spec)], DEFAULT_POLICY)
         assert rec.counterexample is None
         assert [a[0] for a in calls] == ([d] if d == 2 else [d, d - 1])
 
@@ -199,7 +238,7 @@ class TestRecorder:
         rng = np.random.default_rng(6)
         s = op.from_vertices(4, rng.normal(size=(5, 4)))
         with pytest.raises(NumericError, match="not orthocentric"):
-            vf._check_euler_feuerbach(vf._Recorder("euler_feuerbach"), s, DEFAULT_POLICY)
+            vf._check_euler_feuerbach(vf._Recorder("euler_feuerbach"), [s], DEFAULT_POLICY)
 
 
 class TestBlockFill:
@@ -221,6 +260,25 @@ class TestBlockFill:
             assert [s.dim for s in stacks] == [2, 3, 4, 5]
             assert sum(len(s.vertices) for s in stacks) == result.samples
 
+    @pytest.mark.parametrize("suite, check", [
+        ("center_equivalences", "_check_equivalences"),
+        ("regularity", "_check_separation"),
+        ("euler_feuerbach", "_check_euler_feuerbach"),
+        ("rectangular", "_check_rectangular"),
+    ])
+    def test_each_check_runs_once_per_dimension(self, monkeypatch, suite, check):
+        """A suite hands each d's block to its check in one call."""
+        dims = []
+        real = getattr(vf, check)
+
+        def counting(rec, *args):
+            dims.append(args[-2][0].dim)  # the block's first simplex
+            return real(rec, *args)
+
+        monkeypatch.setattr(vf, check, counting)
+        result = vf.run_all(SuiteConfig(suites=(suite,), samples=12, seed=5, d_min=2, d_max=5))
+        assert result.passed and dims == [2, 3, 4, 5]
+
 
 class TestMutationSelfTest:
     def test_swapped_incenter_weights_caught(self, monkeypatch):
@@ -230,9 +288,9 @@ class TestMutationSelfTest:
 
         def faulty_incenter(s, policy=None):
             w = sx.facet_volumes(s)
-            w = w[::-1]  # swapped weights: wrong center except under symmetry
-            total = float(w.sum())
-            center = (w[:, None] * s.vertices).sum(axis=0) / total
+            w = w[..., ::-1]  # swapped weights: wrong center except under symmetry
+            total = w.sum(axis=-1)
+            center = (w[..., None] * s.vertices).sum(axis=-2) / total[..., None]
             return center, s.dim * sx.volume(s) / total
 
         monkeypatch.setattr(centers, "incenter", faulty_incenter)
@@ -254,9 +312,9 @@ class TestMutationSelfTest:
 
     def test_json_round_trip_of_counterexample(self, monkeypatch):
         def faulty_incenter(s, policy=None):
-            w = sx.facet_volumes(s)[::-1]
-            total = float(w.sum())
-            return (w[:, None] * s.vertices).sum(axis=0) / total, 1.0
+            w = sx.facet_volumes(s)[..., ::-1]
+            total = w.sum(axis=-1)[..., None]
+            return (w[..., None] * s.vertices).sum(axis=-2) / total, np.ones(total.shape[:-1])
 
         monkeypatch.setattr(centers, "incenter", faulty_incenter)
         report = run_all(SuiteConfig(suites=("center_equivalences",), samples=5,
@@ -273,17 +331,18 @@ class TestFaceCentroidOracle:
         """A sphere whose closed form says nothing is wrong must still fail
         the equidistance check when its center is off."""
         s = op.construct(op.sample_params(5, "acute", 5).bary, 1.0)
-        original = centers.feuerbach_spheres
 
-        def shifted(simplex, policy):
-            return [
-                centers.FeuerbachSphere(sp.k, sp.center + 1e-6, sp.radius, 0.0)
-                for sp in original(simplex, policy)
-            ]
+        def shifted(original):
+            def spheres(simplex):
+                center, radius, _ = original(simplex)
+                return center + 1e-6, radius, np.zeros_like(radius)
 
-        monkeypatch.setattr(centers, "feuerbach_spheres", shifted)
+            return spheres
+
+        for name in ("_mid_face_spheres", "_facet_sphere"):
+            monkeypatch.setattr(centers, name, shifted(getattr(centers, name)))
         rec = vf._Recorder("euler_feuerbach")
-        vf._check_euler_feuerbach(rec, s, DEFAULT_POLICY)
+        vf._check_euler_feuerbach(rec, [s], DEFAULT_POLICY)
         assert rec.counterexample["check"] == "feuerbach k=0 equidistance"
 
 
@@ -295,7 +354,7 @@ class TestReciprocalLambdaSum:
     def test_valid_simplex_passes_at_every_scale(self, scale):
         s = op.construct(op.sample_params(6, "acute", 0).bary, scale)
         rec = vf._Recorder("euler_feuerbach")
-        vf._check_euler_feuerbach(rec, s, DEFAULT_POLICY)
+        vf._check_euler_feuerbach(rec, [s], DEFAULT_POLICY)
         assert rec.counterexample is None and rec.max_ratio <= 1.0
 
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
@@ -309,7 +368,7 @@ class TestReciprocalLambdaSum:
         monkeypatch.setattr(oc, "lambda_params", perturbed)
         s = op.construct(op.sample_params(6, "acute", 0).bary, scale)
         rec = vf._Recorder("euler_feuerbach")
-        vf._check_euler_feuerbach(rec, s, DEFAULT_POLICY)
+        vf._check_euler_feuerbach(rec, [s], DEFAULT_POLICY)
         assert rec.counterexample["check"] == "reciprocal lambda sum"
 
 

@@ -181,7 +181,7 @@ class TestRecorder:
             looped.check("zero", zero[j], zero_allowed[j], t)
         assert blocked.max_ratio == looped.max_ratio
         assert repr(blocked.counterexample) == repr(looped.counterexample)
-        assert (blocked.counterexample is None) == (not faults or faults == {("first", 1): 9.0})
+        assert (blocked.counterexample is None) == (not faults)
 
     @pytest.mark.parametrize("field, check", [("incenter", "rect separated"),
                                               ("circumcenter", "rect circumcenter barycentrics")])

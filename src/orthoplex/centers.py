@@ -132,20 +132,21 @@ def euler_line(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> Euler
     line through C and H.  For a (near-)regular simplex the three points
     coincide and the ratio degenerates.
     """
-    h = orthocenter(s, policy)
-    if h is None:
+    if orthocenter(s, policy) is None:
         raise NotOrthocentricError("Euler line requires an orthocentric simplex")
-    length, residual, ratio = _euler_terms(centroid(s), circumcenter(s)[0], h)
-    if length <= policy.rel * sx.diameter(s):
+    apart, residual, ratio = _euler_terms(s, policy)
+    if not apart:
         return EulerLineData(ratio=None, collinearity_residual=0.0, coincident=True)
     return EulerLineData(ratio=float(ratio), collinearity_residual=float(residual),
                          coincident=False)
 
 
-def _euler_terms(g: np.ndarray, c: np.ndarray, h: np.ndarray):
-    """(|H - C|, residual, ratio) of :func:`euler_line` from G, C and H,
-    arrays with leading axes (one simplex or a stack); residual and ratio
+def _euler_terms(s: sx.Simplex, policy: TolerancePolicy):
+    """(apart, residual, ratio) of :func:`euler_line` on one simplex or each
+    of a stack, with H the Monge point: apart is False where |H - C| is at
+    most rel times the diameter (the line degenerates); residual and ratio
     are nan where H = C."""
+    g, c, h = centroid(s), circumcenter(s)[0], monge_point(s)
     ch = h - c
     length = np.sqrt(sx._sq_norms(ch))
     offset = g - c
@@ -154,7 +155,7 @@ def _euler_terms(g: np.ndarray, c: np.ndarray, h: np.ndarray):
         along = np.matmul(offset[..., None, :], u[..., :, None])[..., 0]  # offset . u, as a dot
         residual = np.sqrt(sx._sq_norms(offset - along * u))
         ratio = np.sqrt(sx._sq_norms(c - g)) / np.sqrt(sx._sq_norms(g - h))
-    return length, residual, ratio
+    return ~(length <= policy.rel * sx.diameter(s)), residual, ratio
 
 
 @sx._per_simplex
@@ -295,12 +296,24 @@ def feuerbach_spheres(
 
 def _sphere_family(s: sx.Simplex, orthocentric: bool) -> list[FeuerbachSphere]:
     """:func:`feuerbach_spheres` for a decision already made."""
-    family = []
-    if orthocentric:
-        spheres, radius, residual = _mid_face_spheres(s)
-        family = [FeuerbachSphere(k, spheres[k], r, x)
-                  for k, (r, x) in enumerate(zip(radius.tolist(), residual.tolist()))]
-    return family + [FeuerbachSphere(s.dim - 1, *_facet_sphere(s))]
+    spheres, radii, residuals = _sphere_rows(s, orthocentric)
+    low = s.dim - len(radii)
+    return [FeuerbachSphere(low + k, center, r, x) for k, (center, r, x)
+            in enumerate(zip(spheres, radii.tolist(), residuals.tolist()))]
+
+
+def _sphere_rows(s: sx.Simplex, orthocentric: bool):
+    """(centers, radii, max_residuals) of the spheres :func:`_sphere_family`
+    reports, one row per k along axis -2 of centers and -1 of the others:
+    k = 0..d-1 when ``orthocentric``, else k = d-1 alone; on one simplex or
+    each of a stack."""
+    center, radius, residual = _facet_sphere(s)
+    top = (center[..., None, :], np.asarray(radius)[..., None], np.asarray(residual)[..., None])
+    if not orthocentric:
+        return top
+    mid, radii, residuals = _mid_face_spheres(s)
+    return (np.concatenate((mid, top[0]), axis=-2), np.concatenate((radii, top[1]), axis=-1),
+            np.concatenate((residuals, top[2]), axis=-1))
 
 
 @sx._per_simplex

@@ -65,14 +65,14 @@ class TolerancePolicy:
         """Relative spread (max - min) / max |values| of a sample, a float,
         or of each row of a stack of samples (2 or more axes, rows along the
         last), an array; 0.0 for an empty or all-zero sample."""
-        v = np.asarray(values, dtype=float)
-        if v.ndim > 1 and v.size:
-            hi, lo = v.max(axis=-1), v.min(axis=-1)
-            scale = np.maximum(hi, -lo)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(scale > 0.0, (hi - lo) / scale, 0.0)
-        gap, scale = self._gap(v)
-        return gap / scale if scale > 0.0 else 0.0
+        v = np.atleast_1d(np.asarray(values, dtype=float))
+        if v.size == 0:
+            return 0.0
+        hi, lo = v.max(axis=-1), v.min(axis=-1)
+        scale = np.maximum(hi, -lo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.where(scale > 0.0, (hi - lo) / scale, 0.0)
+        return float(r) if v.ndim == 1 else r
 
 
 DEFAULT_POLICY = TolerancePolicy()

@@ -355,7 +355,7 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
                 produced += 1
                 accepted.append(s)
         rec.sample(len(accepted))
-        _check_separation(rec, accepted, pol)
+        _check_separation(rec, sx._fill(accepted, ()), pol)
 
         # continuity sanity: separations shrink with the perturbation
         rng = np.random.default_rng(_sub_seed(config, 2, d, 10**6))
@@ -374,11 +374,7 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
     return rec.result()
 
 
-def _check_separation(rec: _Recorder, block: list[sx.Simplex], pol: TolerancePolicy):
-    _separation_checks(rec, sx._fill(block, ()), pol)
-
-
-def _separation_checks(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, prefix: str = ""):
+def _check_separation(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, prefix: str = ""):
     """The four centers of each simplex of the stack ``s`` pairwise apart."""
     limit = pol.rel * sx.diameter(s)
     for (na, nb), sep in zip(centers._CENTER_PAIRS, centers._center_distances(s).T):
@@ -450,8 +446,7 @@ def _check_euler_feuerbach(rec: _Recorder, block: list[sx.Simplex], pol: Toleran
     diam = sx.diameter(s)
     h = centers.monge_point(s)
     c, big_r = centers.circumcenter(s)
-    length, residual, ratio = centers._euler_terms(centers.centroid(s), c, h)
-    apart = ~(length <= pol.rel * diam)  # else the Euler line degenerates
+    apart, residual, ratio = centers._euler_terms(s, pol)
     rec.check("euler collinearity", residual, pol.rel * diam, s, premise=apart, ratio=ratio)
     target = (d - 1) / 2.0
     rec.check("euler ratio (d-1):2", np.abs(ratio - target), 10 * pol.rel * target, s,
@@ -462,10 +457,7 @@ def _check_euler_feuerbach(rec: _Recorder, block: list[sx.Simplex], pol: Toleran
 
     # an orthocentric simplex has every sphere k = 0..d-1: row r of the face
     # table is measured against the sphere of its level, worst per level
-    mid, mid_radii, _ = centers._mid_face_spheres(s)
-    top, top_radius, _ = centers._facet_sphere(s)
-    spheres = np.concatenate((mid, top[:, None]), axis=1)
-    radii = np.concatenate((mid_radii, top_radius[:, None]), axis=1)
+    spheres, radii, _ = centers._sphere_rows(s, True)
     _, level, starts = _face_table(s.n)
     dists = sx._row_norms(_face_centroids(s) - spheres[:, level])
     worst = np.maximum.reduceat(np.abs(dists - radii[:, level]), starts, axis=-1)
@@ -565,7 +557,7 @@ def _check_rectangular(rec: _Recorder, specs: list[families.RectSpec],
     rec.check("hypotenuse orthocenter",
               np.sqrt(sx._sq_norms(closed("hyp_orthocenter") - foot)), pol.rel * diam, s)
 
-    _separation_checks(rec, s, pol, "rect ")
+    _check_separation(rec, s, pol, "rect ")
     bary = sx.barycentric(s, c)
     expected = np.append(np.full(d, 0.5), (2 - d) / 2.0)
     rec.check("rect circumcenter barycentrics (1/2, ..., 1/2, (2-d)/2)",

@@ -107,7 +107,7 @@ class TestSuites:
 class TestRecorder:
     def test_exact_coincidence_is_a_counterexample(self):
         rec = vf._Recorder("regularity")
-        vf._check_separation(rec, [families.regular(3, 1.0)], DEFAULT_POLICY)
+        vf._check_separation(rec, sx._fill([families.regular(3, 1.0)], ()), DEFAULT_POLICY)
         result = rec.result()
         assert not result.passed
         assert result.counterexample["check"].startswith("separated: ")
@@ -267,12 +267,14 @@ class TestBlockFill:
         ("rectangular", "_check_rectangular"),
     ])
     def test_each_check_runs_once_per_dimension(self, monkeypatch, suite, check):
-        """A suite hands each d's block to its check in one call."""
+        """A suite hands each d's block to its check in one call: a list of
+        samples, or for the separation check their stack."""
         dims = []
         real = getattr(vf, check)
 
         def counting(rec, *args):
-            dims.append(args[-2][0].dim)  # the block's first simplex
+            block = args[-2]
+            dims.append(block.dim if isinstance(block, sx.Simplex) else block[0].dim)
             return real(rec, *args)
 
         monkeypatch.setattr(vf, check, counting)

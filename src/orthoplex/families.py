@@ -246,9 +246,17 @@ class RectMetrics:
 def rectangular(spec: RectSpec, policy: TolerancePolicy = DEFAULT_POLICY) -> sx.Simplex:
     """Vertex i on the positive i-th axis at its leg length; the
     right-angle vertex (= orthocenter) last, at the origin."""
-    verts = np.zeros((spec.d + 1, spec.d))
-    verts[: spec.d] = np.diag(spec.legs)
-    return sx.from_vertices(spec.d, verts, policy)
+    return sx.from_vertices(spec.d, _rect_pose(np.asarray(spec.legs, dtype=float)), policy)
+
+
+def _rect_pose(legs: np.ndarray) -> np.ndarray:
+    """The vertices of :func:`rectangular` for the legs (..., d), a stack of
+    leg tuples giving a stack of simplices."""
+    d = legs.shape[-1]
+    verts = np.zeros(legs.shape[:-1] + (d + 1, d))
+    diagonal = np.arange(d)
+    verts[..., diagonal, diagonal] = legs
+    return verts
 
 
 _TINY = float(np.finfo(float).tiny)
@@ -321,14 +329,25 @@ def lift_to_rectangular(
 
 def _lift_spec(t: sx.Simplex, policy: TolerancePolicy) -> RectSpec:
     """The legs of :func:`lift_to_rectangular`, without building the simplex."""
-    p = oc.params_of(t, policy)
-    if p.rectangular or p.obtuseness >= 0:
+    return RectSpec(d=t.dim + 1, legs=tuple(_lift_legs(t, policy).tolist()))
+
+
+def _lift_legs(t: sx.Simplex, policy: TolerancePolicy) -> np.ndarray:
+    """The legs b_i = sqrt(-sigma / t_i) of :func:`lift_to_rectangular`, of
+    one simplex or, a row each, of every simplex of a stack.  Raises what
+    ``orthocentric.params_of`` raises, then NotLiftableError for the first
+    simplex whose obtuseness is not negative."""
+    sigma, rectangular, _, bary = oc._param_rows(t, policy)
+    oc._validate_bary(bary[~rectangular], policy)
+    stuck = rectangular | (sigma >= 0)
+    if np.any(stuck):
+        r = np.unravel_index(int(np.argmax(stuck)), np.shape(stuck))
+        obtuseness = 0.0 if rectangular[r] else float(np.asarray(sigma)[r])
         raise NotLiftableError(
-            f"not liftable: obtuseness {p.obtuseness:g} >= 0 "
+            f"not liftable: obtuseness {obtuseness:g} >= 0 "
             f"(the orthocenter must be interior)"
         )
-    legs = tuple(float(v) for v in np.sqrt(-p.obtuseness / p.bary))
-    return RectSpec(d=t.dim + 1, legs=legs)
+    return np.sqrt(-np.asarray(sigma)[..., None] / bary)
 
 
 # ---------------------------------------------------------------------------

@@ -137,35 +137,60 @@ class CircumData:
         return p.obtuseness / 4.0 * ((k - 1) ** 2 / s - inv)
 
 
-def _validate_bary(a: np.ndarray, policy: TolerancePolicy) -> int:
-    """Check the admissible sign pattern; return +1 for the one-positive
-    (obtuse) pattern, -1 for the all-positive (acute) pattern."""
-    n = a.size
-    if not np.isfinite(a).all():
-        raise ParametrizationError("barycentric coordinates must be finite")
-    total = float(a.sum())
-    if abs(total - 1.0) > policy.rel:
-        raise ParametrizationError(f"barycentric coordinates must sum to 1, got {total!r}")
-    pos = int(np.count_nonzero(a > 0))
-    if pos == n:
-        sign = -1
-    elif pos == 1:
-        sign = 1
-    else:
-        raise ParametrizationError(
-            f"{pos} positive coordinates out of {n}: need all positive or exactly one"
-        )
+def _validate_bary(a: np.ndarray, policy: TolerancePolicy):
+    """Check the admissible sign pattern of each row of ``a`` (..., n);
+    return, per row, True for the one-positive (obtuse) pattern and False
+    for the all-positive (acute) one.  The first row that fails raises what
+    a loop over the rows would: its first failed test, with its values."""
+    n = a.shape[-1]
+    with np.errstate(invalid="ignore"):  # inf - inf: a row that is not finite fails
+        total = a.sum(axis=-1)
+    pos = np.add.reduce(a > 0, axis=-1)
+    summed = abs(total - 1.0) <= policy.rel
+    pattern = (pos == n) | (pos == 1)
     # no nonempty proper subset may sum to 0 or 1 (margin = rel), so no
     # coordinate may vanish.  For an admissible sign pattern the closest
     # subset sum misses by min |a_i|: acute, singletons and their complements
     # are extreme; obtuse, sums without the positive entry are <= -min |a_i|
     # and sums with it are >= 1 + min |a_i|.
-    if float(np.abs(a).min()) <= policy.rel:
-        k = int(np.abs(a).argmin())
+    margin = abs(a).min(axis=-1) > policy.rel
+    ok = summed & pattern & margin
+    if not all(ok.flat):
+        r = np.unravel_index(int(ok.argmin()), ok.shape)
+        row = a[r]
+        if not np.isfinite(row).all():
+            raise ParametrizationError("barycentric coordinates must be finite")
+        if not summed[r]:
+            raise ParametrizationError(
+                f"barycentric coordinates must sum to 1, got {float(total[r])!r}")
+        if not pattern[r]:
+            raise ParametrizationError(
+                f"{int(pos[r])} positive coordinates out of {n}: need all positive or exactly one"
+            )
         raise ParametrizationError(
-            f"subset sum {float(a[k])!r} too close to the forbidden values 0/1"
+            f"subset sum {float(row[np.abs(row).argmin()])!r} too close to the forbidden values 0/1"
         )
-    return sign
+    return pos == 1
+
+
+def _param_rows(s: sx.Simplex, policy: TolerancePolicy):
+    """(sigma, rectangular, corner, bary) of :func:`params_of` on one simplex
+    or each of a stack, read from the Monge-point Gram table and the
+    barycentric table: sigma the mean off-diagonal Gram entry, rectangular
+    where |sigma| <= rank_cut * diam^2, corner the vertex nearest the Monge
+    point and bary its barycentrics, which the caller checks with
+    :func:`_validate_bary` where it needs them.  Raises NotOrthocentricError
+    unless every simplex is orthocentric."""
+    orthocentric = is_orthocentric(s, policy)
+    if not all(np.ravel(orthocentric)):
+        residual = np.ravel(sx.edge_perpendicularity_residual(s))[np.argmin(orthocentric)]
+        raise NotOrthocentricError(
+            f"edge perpendicularity residual {residual:.3e} exceeds tolerance {policy.rel:g}"
+        )
+    _, gram, sigma = centers._monge_gram(s)[:3]
+    rectangular = np.abs(sigma) <= policy.rank_cut * sx._squares(sx.diameter(s))
+    bary = sx.barycentric(s, centers.monge_point(s))
+    return sigma, rectangular, gram.diagonal(0, -2, -1).argmin(axis=-1), bary
 
 
 def params_of(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> OrthoParams:
@@ -177,24 +202,15 @@ def params_of(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> OrthoP
     H the Monge point.  Those values spread by misfit * max E / 2 (E the
     squared-edge table), at most rel * diam^2 / 2 once the test passes.
     """
-    if not is_orthocentric(s, policy):
-        raise NotOrthocentricError(
-            f"edge perpendicularity residual {sx.edge_perpendicularity_residual(s):.3e}"
-            f" exceeds tolerance {policy.rel:g}"
-        )
-    _, gram, c = centers._monge_gram(s)[:3]
-    diam = sx.diameter(s)
-    if abs(c) <= policy.rank_cut * diam**2:
-        corner = int(np.argmin(np.diag(gram)))
+    c, rectangular, corner, bary = _param_rows(s, policy)
+    if rectangular:
         bary = np.zeros(s.n)
         bary[corner] = 1.0
         return OrthoParams(
-            dim=s.dim, bary=bary, obtuseness=0.0, kind=RECTANGULAR, rect_vertex=corner
+            dim=s.dim, bary=bary, obtuseness=0.0, kind=RECTANGULAR, rect_vertex=int(corner)
         )
-    bary = sx.barycentric(s, centers.monge_point(s))
-    kind = ACUTE if c < 0 else OBTUSE
     _validate_bary(bary, policy)
-    return OrthoParams(dim=s.dim, bary=bary, obtuseness=c, kind=kind)
+    return OrthoParams(dim=s.dim, bary=bary, obtuseness=c, kind=ACUTE if c < 0 else OBTUSE)
 
 
 def construct(
@@ -214,15 +230,26 @@ def construct(
     a = np.asarray(bary, dtype=float)
     if a.ndim != 1 or a.size < 3:
         raise ParametrizationError("need at least 3 barycentric coordinates (d >= 2)")
-    if not (scale > 0) or not np.isfinite(scale):
+    if not 0 < scale < np.inf:
         raise ParametrizationError(f"scale must be a positive number, got {scale!r}")
-    sign = _validate_bary(a, policy)
-    return sx.from_vertices(a.size - 1, _ldl_pose(a, sign * scale), policy)
+    sigma = scale if _validate_bary(a, policy) else -scale
+    return sx.from_vertices(a.size - 1, _ldl_pose(a, sigma), policy)
 
 
-def _ldl_pose(a: np.ndarray, sigma: float) -> np.ndarray:
+def _construct_rows(bary: np.ndarray, scale: float, policy: TolerancePolicy) -> list[sx.Simplex]:
+    """:func:`construct` on each row of ``bary`` (k, d+1) at once: one
+    barycentric test, one pose and one degeneracy decision for the stack.
+    Each simplex equals its ``construct``, bit for bit; the first row that
+    fails raises what its ``construct`` would."""
+    sigma = np.where(_validate_bary(bary, policy), scale, -scale)
+    pose = _ldl_pose(bary, sigma[:, None])
+    return sx._from_vertex_rows(bary.shape[-1] - 1, pose, policy)
+
+
+def _ldl_pose(a: np.ndarray, sigma) -> np.ndarray:
     """Vertices about the orthocenter whose Gram matrix is sigma (J - diag(1/a)),
-    read off its LDL^T factorization in O(d^2).
+    read off its LDL^T factorization in O(d^2); for a stack of tuples ``a``
+    (..., d+1), ``sigma`` is a number or an array (..., 1).
 
     With t_k = sum_{j>k} a_j and t_{-1} = 1, column k (k < d) has the pivot
     p_k = -sigma t_k / (a_k t_{k-1}) > 0, entry sqrt(p_k) on the diagonal and
@@ -231,13 +258,16 @@ def _ldl_pose(a: np.ndarray, sigma: float) -> np.ndarray:
     An obtuse tuple's suffix sums before its positive entry would cancel, so
     there t_k = 1 - sum_{j<=k} a_j, a sum of positive terms.
     """
-    d = a.size - 1
-    t = np.cumsum(a[::-1])[::-1][1:]
-    neg = np.logical_and.accumulate(a[:d] < 0)
-    t[neg] = 1.0 - np.cumsum(a[:d])[neg]
-    root = np.sqrt(-sigma * t / (a[:d] * np.concatenate(([1.0], t[:-1]))))
-    pts = np.where(_pose_mask(d + 1), -(a[:d] / t) * root, 0.0)
-    pts.flat[:: d + 1] = root
+    d = a.shape[-1] - 1
+    head = a[..., :d]
+    t = a[..., ::-1].cumsum(-1)[..., -2::-1]
+    t = np.where(np.logical_and.accumulate(head < 0, axis=-1), 1.0 - head.cumsum(-1), t)
+    before = np.empty(t.shape)  # t_{k-1}
+    before[..., 0] = 1.0
+    before[..., 1:] = t[..., :-1]
+    root = np.sqrt(-sigma * t / (head * before))
+    pts = np.where(_pose_mask(d + 1), (-(head / t) * root)[..., None, :], 0.0)
+    pts.reshape(pts.shape[:-2] + (-1,))[..., :: d + 1] = root  # the diagonal
     return pts
 
 
@@ -337,7 +367,16 @@ def lambda_params(p: OrthoParams) -> LambdaParams:
     orthocentric system {H, A_1..A_{d+1}}."""
     if p.rectangular:
         raise RectangularParamsError("lambda parameters are undefined for rectangular input")
-    return LambdaParams(lam_h=p.obtuseness, lam=-p.obtuseness / p.bary)
+    values = _lambda_rows(p.obtuseness, p.bary)
+    return LambdaParams(lam_h=float(values[0]), lam=values[1:])
+
+
+def _lambda_rows(sigma, bary: np.ndarray) -> np.ndarray:
+    """(lam_H, lam_1..lam_{d+1}) = (sigma, -sigma / a_i) of
+    :func:`lambda_params`, for one tuple or each row of a stack (sigma of
+    shape (...), ``bary`` of shape (..., d+1))."""
+    sigma = np.asarray(sigma)[..., None]
+    return np.concatenate((sigma, -sigma / bary), axis=-1)
 
 
 def orthocentric_system_check(

@@ -90,26 +90,56 @@ def from_vertices(dim, vertices, policy: TolerancePolicy = DEFAULT_POLICY) -> Si
         raise InputError(
             f"expected {dim + 1} vertices of length {dim}, got array of shape {arr.shape}"
         )
-    if not np.isfinite(arr).all():
-        raise InputError("vertex coordinates must be finite")
-    with np.errstate(over="ignore"):  # the isfinite test below decides
-        edges = arr[:-1] - arr[-1]
-        g = edges @ edges.T
-    if not np.isfinite(g).all():
-        raise InputError("vertex coordinates are too large: edge inner products overflow")
-    try:
-        vals = np.linalg.eigvalsh(g)  # ascending
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"symmetric eigensolve failed to converge: {exc}") from exc
-    lam_max = float(vals[-1])
-    ratio = float(vals[0]) / lam_max if lam_max > 0 else 0.0
-    if lam_max <= 0 or ratio <= policy.rank_cut:
+    (degenerate,), (ratio,) = _degeneracy(arr, policy)
+    if degenerate:
         raise DegenerateSimplexError(
             f"vertices are affinely dependent (eigenvalue ratio {ratio:.3e})",
             eigen_ratio=ratio,
         )
     arr.flags.writeable = False
     return Simplex(dim=dim, vertices=arr)
+
+
+def _degeneracy(vertices: np.ndarray, policy: TolerancePolicy):
+    """(degenerate, ratio), lists over the simplices of the vertex arrays
+    ``vertices`` (..., n, d) in row order (one entry for one simplex): the
+    one rule of :func:`from_vertices`.  ratio is lambda_min / lambda_max of
+    the edge-vector Gram matrix, 0.0 where lambda_max <= 0, and a simplex is
+    degenerate where it is at most ``policy.rank_cut``.  A stack takes one
+    Gram product and one eigensolve, each simplex the bits it would take
+    alone in the same memory layout; the two float operations per simplex
+    run on Python floats.
+    Non-finite coordinates, or edge inner products that overflow, anywhere
+    in the stack raise InputError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the isfinite test below decides
+        edges = vertices[..., :-1, :] - vertices[..., -1:, :]
+        g = edges @ edges.swapaxes(-1, -2)
+    # a coordinate that is not finite leaves the Gram diagonal so too
+    if not np.isfinite(g).all():
+        if not np.isfinite(vertices).all():
+            raise InputError("vertex coordinates must be finite")
+        raise InputError("vertex coordinates are too large: edge inner products overflow")
+    try:
+        vals = np.linalg.eigvalsh(g).reshape(-1, g.shape[-1])  # ascending
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"symmetric eigensolve failed to converge: {exc}") from exc
+    ratio = [lo / hi if hi > 0 else 0.0
+             for lo, hi in zip(vals[:, 0].tolist(), vals[:, -1].tolist())]
+    return [r <= policy.rank_cut for r in ratio], ratio
+
+
+def _from_vertex_rows(dim: int, vertices: np.ndarray, policy: TolerancePolicy,
+                      drop_degenerate: bool = False) -> list[Simplex]:
+    """:func:`from_vertices` on each simplex of the float stack ``vertices``
+    (k, dim+1, dim), at one :func:`_degeneracy` call: their Simplex objects
+    in row order, each holding a view of its row of the stack, which is made
+    read-only.  The first degenerate row raises what ``from_vertices``
+    raises on it, unless ``drop_degenerate`` leaves every degenerate row out."""
+    degenerate, _ = _degeneracy(vertices, policy)
+    if not drop_degenerate and any(degenerate):
+        from_vertices(dim, vertices[degenerate.index(True)], policy)  # raises
+    vertices.flags.writeable = False
+    return [Simplex(dim=dim, vertices=v) for bad, v in zip(degenerate, vertices) if not bad]
 
 
 def _read_only(value):
@@ -224,6 +254,15 @@ def _pair_index(n: int):
     (``combinations`` order); built once per n and shared."""
     r = np.arange(n)
     return _read_only(np.nonzero(r[:, None] < r))
+
+
+def _squares(x):
+    """x ** 2 by Python's float power, of a number or of each entry of an
+    array (whose last bit can differ from numpy's x * x): a stack's entries
+    are the bits of each simplex's own ``x ** 2``."""
+    if isinstance(x, float):
+        return x**2
+    return np.array([v**2 for v in x.tolist()])
 
 
 def _sq_norms(v: np.ndarray):
@@ -367,9 +406,18 @@ def face(s: Simplex, index_set, policy: TolerancePolicy = DEFAULT_POLICY) -> Sim
     idx = _check_indices(s.n, index_set)
     if len(idx) < 2:
         raise InputError("a face needs at least 2 vertices")
-    pts = s.vertices[list(idx)]
-    r = np.linalg.qr((pts[1:] - pts[0]).T, mode="r")
-    return from_vertices(len(idx) - 1, np.vstack([np.zeros(r.shape[1]), r.T]), policy)
+    return from_vertices(len(idx) - 1, _face_pose(s.vertices[list(idx)]), policy)
+
+
+def _face_pose(pts: np.ndarray) -> np.ndarray:
+    """:func:`face`'s re-embedded vertices for the points ``pts`` (..., m, d),
+    a stack of point sets taking one QR.  Each simplex's vertices run along
+    the contiguous axis, as the columns of R do, so that a sum over them
+    takes numpy's pairwise order, as on a face built alone."""
+    r = np.linalg.qr((pts[..., 1:, :] - pts[..., :1, :]).swapaxes(-1, -2), mode="r")
+    columns = np.zeros(r.shape[:-1] + (r.shape[-1] + 1,))
+    columns[..., 1:] = r
+    return columns.swapaxes(-1, -2)
 
 
 def _is_int(x) -> bool:

@@ -24,7 +24,6 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (
-    DegenerateSimplexError,
     InputError,
     NotLiftableError,
     NumericError,
@@ -232,12 +231,15 @@ def _sub_seed(config: SuiteConfig, *parts: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
-def _random_simplex(d: int, rng, policy) -> sx.Simplex:
-    while True:
-        try:
-            return sx.from_vertices(d, rng.normal(0.0, 1.0, size=(d + 1, d)), policy)
-        except DegenerateSimplexError:
-            continue
+def _random_simplices(d: int, k: int, rng, policy: TolerancePolicy) -> list[sx.Simplex]:
+    """k Gaussian d-simplices drawn from ``rng`` as one (k, d+1, d) block.  A
+    degenerate draw is dropped and only the missing count is drawn again, so
+    the stream gives the samples a loop drawing each until it is valid would."""
+    out = []
+    while len(out) < k:
+        draws = rng.normal(0.0, 1.0, size=(k - len(out), d + 1, d))
+        out += sx._from_vertex_rows(d, draws, policy, drop_degenerate=True)
+    return out
 
 
 def _per_dim(config: SuiteConfig) -> int:
@@ -266,8 +268,7 @@ def suite_center_equivalences(config: SuiteConfig) -> SuiteResult:
                 except OrthoplexError as exc:  # an admissible pair must build
                     rec.fail("admissible equiradial fixture builds",
                              d=d, m=2, branch=branch, error=f"{type(exc).__name__}: {exc}")
-        for _ in range(_per_dim(config)):
-            fixtures.append(_random_simplex(d, rng, pol))
+        fixtures += _random_simplices(d, _per_dim(config), rng, pol)
         rec.sample(len(fixtures))
         _check_equivalences(rec, fixtures, pol)
     return rec.result()
@@ -341,19 +342,7 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
     rec = _Recorder("regularity")
     pol = config.policy
     for d in range(config.d_min, config.d_max + 1):
-        per_kind = max(1, _per_dim(config) // 2)
-        accepted = []
-        for kind in (oc.ACUTE, oc.OBTUSE):
-            produced = 0
-            attempt = 0
-            while produced < per_kind:
-                p = oc.sample_params(d, kind, _sub_seed(config, 2, d, attempt))
-                attempt += 1
-                s = oc.construct(p.bary, 1.0, pol)
-                if pol.spread(sx.edge_lengths(s)) < 0.01:
-                    continue  # too close to regular for the contrapositive
-                produced += 1
-                accepted.append(s)
+        accepted = _separated_samples(config, d, max(1, _per_dim(config) // 2), pol)
         rec.sample(len(accepted))
         _check_separation(rec, sx._fill(accepted, ()), pol)
 
@@ -363,8 +352,7 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
         dirs = rng.normal(size=base.vertices.shape)
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         deltas = np.array((1e-2, 1e-3, 1e-4))
-        s = sx._fill([sx.from_vertices(d, base.vertices + delta * dirs, pol)
-                      for delta in deltas.tolist()], ())
+        s = sx._fill(sx._from_vertex_rows(d, base.vertices + deltas[:, None, None] * dirs, pol), ())
         seps = centers._center_distances(s).max(axis=-1) / sx.diameter(s)
         rec.check("near-regular separation bounded by perturbation", seps, 100.0 * deltas, s,
                   delta=deltas, separation=seps)
@@ -372,6 +360,32 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
         rec.check("separations shrink with the perturbation", seps[1:], seps[:-1],
                   delta_from=deltas[:-1], separations=seps.tolist())
     return rec.result()
+
+
+def _separated_samples(config: SuiteConfig, d: int, per_kind: int,
+                       pol: TolerancePolicy) -> list[sx.Simplex]:
+    """The first ``per_kind`` acute, then obtuse, attempts (the parameters of
+    ``sample_params`` at attempt seeds 0, 1, ...) whose edge lengths spread
+    by at least 0.01; closer to regular is too close for the contrapositive.
+    The attempts are posed and filtered a block at a time, both kinds
+    together; a rejected attempt is replaced by the next one in a further
+    block, so the samples are those an attempt-by-attempt loop keeps."""
+    kinds = (oc.ACUTE, oc.OBTUSE)
+    accepted = {kind: [] for kind in kinds}
+    tried = dict.fromkeys(kinds, 0)
+    while True:
+        attempts = [(kind, a) for kind in kinds
+                    for a in range(tried[kind], tried[kind] + per_kind - len(accepted[kind]))]
+        if not attempts:
+            return accepted[oc.ACUTE] + accepted[oc.OBTUSE]
+        bary = np.array([oc.sample_params(d, kind, _sub_seed(config, 2, d, a)).bary
+                         for kind, a in attempts])
+        block = oc._construct_rows(bary, 1.0, pol)
+        keep = ~(pol.spread(sx.edge_lengths(sx._fill(block, ()))) < 0.01)
+        for (kind, a), s, kept in zip(attempts, block, keep.tolist()):
+            tried[kind] = a + 1
+            if kept:
+                accepted[kind].append(s)
 
 
 def _check_separation(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, prefix: str = ""):
@@ -398,10 +412,9 @@ def suite_euler_feuerbach(config: SuiteConfig) -> SuiteResult:
     for d in range(config.d_min, config.d_max + 1):
         fixtures = _family_fixtures(d, np.random.default_rng(_sub_seed(config, 3, d)), pol)
         per_kind = max(1, _per_dim(config) // 2)
-        for kind in (oc.ACUTE, oc.OBTUSE):
-            for i in range(per_kind):
-                p = oc.sample_params(d, kind, _sub_seed(config, 3, d, i))
-                fixtures.append(oc.construct(p.bary, 1.0, pol))
+        bary = np.array([oc.sample_params(d, kind, _sub_seed(config, 3, d, i)).bary
+                         for kind in (oc.ACUTE, oc.OBTUSE) for i in range(per_kind)])
+        fixtures += oc._construct_rows(bary, 1.0, pol)
         rec.sample(len(fixtures))
         _check_euler_feuerbach(rec, fixtures, pol)
     return rec.result()
@@ -430,16 +443,8 @@ def _face_centroids(s: sx.Simplex) -> np.ndarray:
     return _face_table(s.n)[0] @ s.vertices
 
 
-def _squares(x: np.ndarray) -> np.ndarray:
-    """x ** 2 of each entry by Python's float power, whose last bit can
-    differ from numpy's x * x."""
-    return np.array([v**2 for v in x.tolist()])
-
-
 def _check_euler_feuerbach(rec: _Recorder, block: list[sx.Simplex], pol: TolerancePolicy):
-    # the samples keep their slices for params_of, which reads them one by one
-    s = sx._fill(block, (sx.diameter, sx.edge_perpendicularity_residual,
-                         centers._mid_face_spheres, centers._facet_sphere))
+    s = sx._fill(block, ())  # every table is read from the stack
     if not np.all(centers.is_orthocentric(s, pol)):
         raise NumericError(f"euler_feuerbach fixture is not orthocentric at rel={pol.rel:g}")
     d = s.dim
@@ -475,12 +480,11 @@ def _check_euler_feuerbach(rec: _Recorder, block: list[sx.Simplex], pol: Toleran
                       np.abs(dist - radii[:, k, None]).max(axis=-1),
                       10 * pol.rel * radii[:, k], s)
 
+    sigma, rectangular, _, bary = oc._param_rows(s, pol)
+    skew = ~rectangular  # lambda exists
+    oc._validate_bary(bary[skew], pol)
     lam = np.ones((len(block), d + 2))
-    skew = np.zeros(len(block), dtype=bool)  # not rectangular: lambda exists
-    for r, t in enumerate(block):
-        p = oc.params_of(t, pol)
-        if not p.rectangular:
-            lam[r], skew[r] = oc.lambda_params(p).all_values, True
+    lam[skew] = oc._lambda_rows(sigma[skew], bary[skew])
     # sum 1/lam = (1 - sum a) / sigma against sum |1/lam| = (1 + sum |a|) / |sigma|
     inv = 1.0 / lam
     rec.check("reciprocal lambda sum", np.abs(inv.sum(axis=-1)),
@@ -489,7 +493,7 @@ def _check_euler_feuerbach(rec: _Recorder, block: list[sx.Simplex], pol: Toleran
     a, b = sx._pair_index(d + 2)
     got = ((pts[:, a] - pts[:, b]) ** 2).sum(axis=-1)
     rec.check("lambda pairwise distances", np.abs(lam[:, a] + lam[:, b] - got),
-              pol.rel * _squares(diam), s, premise=skew,
+              pol.rel * sx._squares(diam), s, premise=skew,
               pair=np.broadcast_to(np.stack((a, b), axis=-1), got.shape + (2,)))
 
 
@@ -505,9 +509,9 @@ def suite_rectangular(config: SuiteConfig) -> SuiteResult:
     pol = config.policy
     for d in range(config.d_min, config.d_max + 1):
         rng = np.random.default_rng(_sub_seed(config, 4, d))
-        specs = [families.RectSpec(d, tuple(rng.uniform(0.5, 2.0, size=d)))
-                 for _ in range(_per_dim(config))]
-        block = [families.rectangular(spec, pol) for spec in specs]
+        legs = rng.uniform(0.5, 2.0, size=(_per_dim(config), d))
+        specs = [families.RectSpec(d, tuple(row)) for row in legs.tolist()]
+        block = sx._from_vertex_rows(d, families._rect_pose(legs), pol)
         rec.sample(len(block))
         _check_rectangular(rec, specs, block, pol)
         if d >= 3:
@@ -551,7 +555,7 @@ def _check_rectangular(rec: _Recorder, specs: list[families.RectSpec],
     rec.check("incenter equals (r, ..., r)",
               np.abs(i - inradius[:, None]).max(axis=-1), pol.rel * diam, s)
     c, big_r = centers.circumcenter(s)
-    rec.check("leg circumradius", np.abs(r_squared - _squares(big_r)), pol.rel * r_squared, s)
+    rec.check("leg circumradius", np.abs(r_squared - sx._squares(big_r)), pol.rel * r_squared, s)
     rec.check("circumcenter midpoint form",
               np.sqrt(sx._sq_norms(c - closed("circumcenter"))), pol.rel * diam, s)
     rec.check("hypotenuse orthocenter",
@@ -564,10 +568,11 @@ def _check_rectangular(rec: _Recorder, specs: list[families.RectSpec],
               np.abs(bary - expected).max(axis=-1), pol.rel * d, s)
 
     if d >= 3:
-        facets = [sx.face(t, sx.facet_indices(t)[d], pol) for t in block]
-        sx._fill(facets, (sx.diameter, sx.edge_perpendicularity_residual, centers._monge_gram))
+        # the hypotenuse facets (opposite the corner, vertex d) as one stack
+        hyp = sx._face_pose(s.vertices[:, sx.facet_indices(s)[d]])
+        facets = sx._fill(sx._from_vertex_rows(d - 1, hyp, pol), ())
         legs = np.array([spec.legs for spec in specs])
-        lifted = np.array([families._lift_spec(f, pol).legs for f in facets])
+        lifted = families._lift_legs(facets, pol)
         rec.check("lift round trip", np.abs(lifted - legs).max(axis=-1),
                   10 * pol.rel * legs.max(axis=-1), s, legs=legs, lifted=lifted)
 

@@ -15,6 +15,7 @@ from orthoplex import (
     RectangularParamsError,
 )
 from orthoplex import centers, cli, numerics
+from orthoplex import orthocentric as oc
 from orthoplex import simplex as sx
 
 
@@ -703,3 +704,68 @@ class TestRoundTripsAndLaws:
         s = op.construct(p.bary, 1.0)
         for idx in list(combinations(range(s.n), k_size))[:6]:
             assert op.is_orthocentric(sx.face(s, idx))
+
+
+def mixed_tuples(d, count=6):
+    """Acute and obtuse ``sample_params`` tuples of dimension d, interleaved."""
+    return np.array([op.sample_params(d, ("acute", "obtuse")[i % 2], i).bary
+                     for i in range(count)])
+
+
+class TestConstructRows:
+    """One stacked pose for a block of tuples, each row the simplex its own
+    ``construct`` builds."""
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_rows_are_construct_bit_for_bit(self, d):
+        bary = mixed_tuples(d)
+        for scale in (1.0, 2.5e-3):
+            rows = oc._construct_rows(bary.copy(), scale, op.DEFAULT_POLICY)
+            assert len(rows) == len(bary)
+            for a, s in zip(bary, rows):
+                want = op.construct(a, scale).vertices
+                assert s.dim == d and np.array_equal(s.vertices, want)
+                assert s.vertices.tolist() == want.tolist() and repr(s.vertices) == repr(want)
+
+    @pytest.mark.parametrize("fault, message", [
+        (lambda a: np.full_like(a, np.nan), "must be finite"),
+        (lambda a: np.where(a == a.max(), np.inf, a), "must be finite"),
+        (lambda a: a * 1.5, "must sum to 1"),
+        (lambda a: np.array([0.6, 0.6] + [-0.2 / (a.size - 2)] * (a.size - 2)), "positive coordinates"),
+        (lambda a: np.array([1.0 - 5e-10] + [5e-10 / (a.size - 1)] * (a.size - 1)), "subset sum"),
+    ])
+    @pytest.mark.parametrize("j", [0, 2, 4])
+    def test_first_bad_row_raises_its_construct_error(self, fault, message, j):
+        bary = mixed_tuples(4)
+        bary[j] = fault(bary[j])
+        bary[5] = bary[5] * 3.0  # a later row fails too, another way
+        with pytest.raises(ParametrizationError, match=message) as one_err:
+            op.construct(bary[j])
+        with pytest.raises(ParametrizationError) as block_err:
+            oc._construct_rows(bary, 1.0, op.DEFAULT_POLICY)
+        assert str(block_err.value) == str(one_err.value)
+
+    def test_params_rows_read_what_params_of_reads(self):
+        """The stacked parameter table gives each simplex the obtuseness,
+        class, corner and barycentrics ``params_of`` gives it alone."""
+        d = 5
+        block = oc._construct_rows(mixed_tuples(d), 1.0, op.DEFAULT_POLICY)
+        block.append(op.rectangular(op.RectSpec(d, (0.7, 1.1, 1.3, 0.9, 1.6))))
+        block.append(op.regular(d, 1.0))
+        sigma, rectangular, corner, bary = oc._param_rows(sx._fill(block, ()), op.DEFAULT_POLICY)
+        for r, s in enumerate(block):
+            p = op.params_of(op.from_vertices(d, s.vertices))
+            assert bool(rectangular[r]) is p.rectangular
+            if p.rectangular:
+                assert corner[r] == p.rect_vertex
+            else:
+                assert sigma[r] == p.obtuseness and np.array_equal(bary[r], p.bary)
+
+    def test_params_rows_raise_for_a_simplex_that_is_not_orthocentric(self):
+        block = oc._construct_rows(mixed_tuples(4), 1.0, op.DEFAULT_POLICY)
+        block.insert(2, op.from_vertices(4, np.random.default_rng(3).normal(size=(5, 4))))
+        with pytest.raises(NotOrthocentricError) as one_err:
+            op.params_of(op.from_vertices(4, block[2].vertices))
+        with pytest.raises(NotOrthocentricError) as block_err:
+            oc._param_rows(sx._fill(block, ()), op.DEFAULT_POLICY)
+        assert str(block_err.value) == str(one_err.value)

@@ -775,3 +775,130 @@ class TestPairAndFacetTables:
         assert np.array_equal(sq, sq.T)
         assert np.all(np.diag(sq) == 0.0)
         assert np.array_equal(np.sqrt(sq[np.triu_indices(s.n, 1)]), sx.edge_lengths(s))
+
+
+def one_by_one(d, stack):
+    """(degenerate, eigen ratio or None, vertices or None) of ``from_vertices``
+    on each simplex of ``stack``, called one at a time."""
+    out = []
+    for verts in stack:
+        try:
+            s = op.from_vertices(d, verts)
+        except DegenerateSimplexError as exc:
+            out.append((True, exc.eigen_ratio, None))
+        else:
+            out.append((False, None, s.vertices))
+    return out
+
+
+def near_cut_block(d, rng, policy):
+    """Simplices whose edge Gram matrix has eigenvalue ratio rank_cut * 10^u,
+    u from -0.2 to 0.2: rounding puts some on each side of the cut."""
+    stack = []
+    for u in np.linspace(-0.2, 0.2, 41):
+        lam = np.geomspace(1.0, policy.rank_cut * 10.0**u, d)
+        edges = random_rotation(d, rng) @ np.diag(np.sqrt(lam)) @ random_rotation(d, rng)
+        stack.append(np.vstack([edges, np.zeros(d)]) + rng.normal(size=d))
+    return np.array(stack)
+
+
+class TestDegeneracyBlock:
+    """The one degeneracy rule over a stack decides each simplex exactly as
+    ``from_vertices`` does alone."""
+
+    def agree(self, d, stack, policy):
+        degenerate, ratio = sx._degeneracy(stack, policy)
+        kept = sx._from_vertex_rows(d, stack.copy(), policy, drop_degenerate=True)
+        want = one_by_one(d, stack)
+        assert degenerate == [bad for bad, _, _ in want]
+        assert [r for r, (bad, _, _) in zip(ratio, want) if bad] == [r for bad, r, _ in want if bad]
+        good = [v for bad, _, v in want if not bad]
+        assert len(kept) == len(good)
+        for s, v in zip(kept, good):
+            assert s.dim == d and not s.vertices.flags.writeable
+            assert np.array_equal(s.vertices, v)
+        return degenerate
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_random_input(self, d, policy):
+        rng = np.random.default_rng(d)
+        stack = rng.normal(size=(25, d + 1, d)) * np.exp(rng.uniform(-20, 20, size=(25, 1, 1)))
+        stack[3, 1] = stack[3, 0]  # two equal vertices
+        assert self.agree(d, stack, policy)[3]
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_ratios_near_the_cut(self, d, policy):
+        degenerate = self.agree(d, near_cut_block(d, np.random.default_rng(10 + d), policy), policy)
+        assert any(degenerate) and not all(degenerate)
+
+    def test_all_equal_vertices(self, policy):
+        stack = np.random.default_rng(1).normal(size=(4, 4, 3))
+        stack[2] = 7.5  # lambda_max = 0
+        assert self.agree(3, stack, policy) == [False, False, True, False]
+        assert sx._degeneracy(stack, policy)[1][2] == 0.0
+        with pytest.raises(DegenerateSimplexError) as block_err:
+            sx._from_vertex_rows(3, stack, policy)
+        with pytest.raises(DegenerateSimplexError) as one_err:
+            op.from_vertices(3, stack[2])
+        assert str(block_err.value) == str(one_err.value)
+        assert block_err.value.eigen_ratio == one_err.value.eigen_ratio == 0.0
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.inf, "must be finite"),
+        (-np.inf, "must be finite"),
+        (np.nan, "must be finite"),
+        (1e200, "too large"),
+    ])
+    def test_non_finite_and_overflowing_coordinates(self, bad, message, policy):
+        stack = np.random.default_rng(2).normal(size=(3, 4, 3))
+        stack[1, 2, 0] = bad
+        if bad == np.inf:
+            stack[1, 3, 0] = bad  # inf - inf in an edge
+        with pytest.raises(InputError, match=message) as one_err:
+            op.from_vertices(3, stack[1])
+        for call in (lambda: sx._degeneracy(stack, policy),
+                     lambda: sx._from_vertex_rows(3, stack, policy, drop_degenerate=True)):
+            with pytest.raises(InputError) as block_err:
+                call()
+            assert type(block_err.value) is type(one_err.value)
+            assert str(block_err.value) == str(one_err.value)
+
+
+class TestFacePoseBlock:
+    @pytest.mark.parametrize("d", [3, 4, 7])
+    def test_stacked_qr_facets_are_the_faces(self, d):
+        """Facets from one stacked QR have ``face``'s vertices, memory order
+        and squared-edge tables, bit for bit."""
+        rng = np.random.default_rng(20 + d)
+        block = [op.from_vertices(d, rng.normal(size=(d + 1, d))) for _ in range(6)]
+        s = sx._fill(block, ())
+        for i in range(d + 1):
+            index = sx.facet_indices(s)[i]
+            poses = sx._face_pose(s.vertices[:, index])
+            facets = sx._from_vertex_rows(d - 1, poses, op.DEFAULT_POLICY)
+            stack = sx._fill(facets, ())
+            for r, t in enumerate(block):
+                f = sx.face(t, index)
+                assert np.array_equal(facets[r].vertices, f.vertices)
+                assert facets[r].vertices.strides == f.vertices.strides
+                assert np.array_equal(sx.squared_edge_table(stack)[r], sx.squared_edge_table(f))
+
+    @pytest.mark.parametrize("d", [8, 10])
+    def test_faces_keep_their_memory_order(self, d):
+        """A face's vertices are R's columns, vertex axis contiguous, as
+        when ``face`` stacked them with ``np.vstack``: sums over the
+        vertices (the centroid, so the Monge point) keep their bits, in a
+        stack of facets too."""
+        rng = np.random.default_rng(d)
+        block = [op.from_vertices(d, rng.normal(size=(d + 1, d))) for _ in range(3)]
+        index = sx.facet_indices(block[0])[d]
+        poses = sx._face_pose(sx._fill(block, ()).vertices[:, index])
+        stack = sx._fill(sx._from_vertex_rows(d - 1, poses, op.DEFAULT_POLICY), ())
+        for r, t in enumerate(block):
+            pts = t.vertices[list(index)]
+            rr = np.linalg.qr((pts[1:] - pts[0]).T, mode="r")
+            want = op.from_vertices(d - 1, np.vstack([np.zeros(rr.shape[1]), rr.T]))
+            got = sx.face(t, index)
+            assert got.vertices.strides == want.vertices.strides
+            assert np.array_equal(centers.monge_point(got), centers.monge_point(want))
+            assert np.array_equal(centers.monge_point(stack)[r], centers.monge_point(want))

@@ -24,8 +24,9 @@ def test_no_assert_statement(path):
 def test_simplices_are_built_only_where_validated():
     """Every simplex the package returns passed the one degeneracy rule:
     ``Simplex(...)`` (or ``sx.Simplex(...)``) is called only in
-    ``simplex.from_vertices`` and, for stacks of simplices validated one by
-    one, in ``simplex._fill``."""
+    ``simplex.from_vertices``, in ``simplex._from_vertex_rows``, which runs
+    the same rule on a stack of vertex arrays, and, for stacks of simplices
+    already validated, in ``simplex._fill``."""
     callers = set()
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -37,4 +38,5 @@ def test_simplices_are_built_only_where_validated():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)
                 ):
                     callers.add((path.name, fn.name))
-    assert callers == {("simplex.py", "from_vertices"), ("simplex.py", "_fill")}
+    assert callers == {("simplex.py", "from_vertices"), ("simplex.py", "_from_vertex_rows"),
+                       ("simplex.py", "_fill")}

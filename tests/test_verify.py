@@ -222,17 +222,32 @@ class TestRecorder:
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_rect_sample_builds_one_simplex(self, monkeypatch, d):
-        """Each rectangular sample validates the simplex and its hypotenuse
-        facet (none for d = 2): the lift round trip reads the legs without
-        building the lifted simplex."""
-        calls = []
-        real = sx.from_vertices
-        monkeypatch.setattr(sx, "from_vertices", lambda *a, **k: calls.append(a) or real(*a, **k))
-        spec = families.RectSpec(d, tuple(np.linspace(0.6, 1.7, d)))
+        """Each rectangular sample builds one simplex in the check, its
+        hypotenuse facet (none for d = 2): the block's facets come from one
+        stacked QR and one stacked degeneracy test, with no ``from_vertices``,
+        ``face`` or ``params_of`` call, and the lift reads the legs of the
+        whole stack without building the lifted simplices."""
+        specs = [families.RectSpec(d, tuple(np.linspace(0.6, 1.7, d) * (1 + 0.1 * k)))
+                 for k in range(4)]
+        block = [families.rectangular(spec) for spec in specs]
+        shapes = {"qr": [], "eigvalsh": []}
+        for name, seen in shapes.items():
+            def recording(a, *args, _real=getattr(np.linalg, name), _seen=seen, **kwargs):
+                _seen.append(np.shape(a))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the rectangular check must not call this")
+
+        for module, name in ((sx, "from_vertices"), (sx, "face"), (oc, "params_of")):
+            monkeypatch.setattr(module, name, forbidden)
         rec = vf._Recorder("rectangular")
-        vf._check_rectangular(rec, [spec], [families.rectangular(spec)], DEFAULT_POLICY)
+        vf._check_rectangular(rec, specs, block, DEFAULT_POLICY)
         assert rec.counterexample is None
-        assert [a[0] for a in calls] == ([d] if d == 2 else [d, d - 1])
+        assert shapes["qr"] == ([] if d == 2 else [(4, d, d - 1)])
+        assert shapes["eigvalsh"] == ([] if d == 2 else [(4, d - 1, d - 1)])
 
     def test_non_orthocentric_euler_fixture_is_a_numeric_error(self):
         rng = np.random.default_rng(6)
@@ -361,13 +376,18 @@ class TestReciprocalLambdaSum:
 
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
     def test_perturbed_lam_h_fails_at_every_scale(self, monkeypatch, scale):
-        original = oc.lambda_params
+        """lam_H moved off by 1e-6 in the closed form that ``lambda_params``
+        and the check's stacked block share."""
+        original = oc._lambda_rows
 
-        def perturbed(p):
-            lam = original(p)
-            return oc.LambdaParams(lam_h=lam.lam_h * (1 + 1e-6), lam=lam.lam)
+        def perturbed(sigma, bary):
+            lam = original(sigma, bary)
+            lam[..., 0] *= 1 + 1e-6
+            return lam
 
-        monkeypatch.setattr(oc, "lambda_params", perturbed)
+        monkeypatch.setattr(oc, "_lambda_rows", perturbed)
+        lam_h = oc.lambda_params(op.params_of(op.construct([0.5, 0.25, 0.25]))).lam_h
+        assert lam_h == pytest.approx(-1 - 1e-6, rel=1e-12)
         s = op.construct(op.sample_params(6, "acute", 0).bary, scale)
         rec = vf._Recorder("euler_feuerbach")
         vf._check_euler_feuerbach(rec, [s], DEFAULT_POLICY)
@@ -389,3 +409,125 @@ class TestGoldenReports:
         argv = ["verify", "--seed", seed, "--dim-max", "10", "--samples", "60", "--json"]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == want + "\n"
+
+
+class StreamRng:
+    """A stand-in for a numpy Generator whose ``normal`` draws come from a
+    fixed stream, in C order, whatever the shape asked for."""
+
+    def __init__(self, stream):
+        self.stream, self.used = stream, 0
+
+    def normal(self, loc, scale, size):
+        count = int(np.prod(size))
+        out = self.stream[self.used:self.used + count].reshape(size)
+        self.used += count
+        return loc + scale * out
+
+
+class TestStreamOrder:
+    """Blocks read the random streams in the order the one-at-a-time loops
+    they replace did."""
+
+    @pytest.mark.parametrize("j", [0, 3, 7, 9])
+    def test_degenerate_draw_is_replaced_in_stream_order(self, j):
+        d, k = 3, 10
+        stream = np.random.default_rng(j).normal(size=(k + 3) * (d + 1) * d)
+        draws = stream.reshape(-1, d + 1, d)
+        draws[j, 1] = draws[j, 0]  # draw j is degenerate
+        draws[k, 3] = draws[k, 2]  # and so is the first draw that replaces it
+
+        reference, rng = [], StreamRng(stream)
+        while len(reference) < k:  # the loop the block replaced
+            try:
+                reference.append(op.from_vertices(d, rng.normal(0.0, 1.0, size=(d + 1, d))))
+            except op.DegenerateSimplexError:
+                continue
+        block_rng = StreamRng(stream)
+        block = vf._random_simplices(d, k, block_rng, DEFAULT_POLICY)
+        assert block_rng.used == rng.used == (k + 2) * (d + 1) * d
+        assert [s.vertices.tolist() for s in block] == [s.vertices.tolist() for s in reference]
+
+    @pytest.mark.parametrize("j", [0, 2, 3])
+    def test_near_regular_attempt_is_replaced_in_attempt_order(self, monkeypatch, j):
+        """Acute attempts j and j + 1 are regular tuples: the first is in the
+        first block, the second, for j = 3, in the block that replaces it."""
+        d, per_kind = 4, 4
+        config = SuiteConfig(suites=("regularity",), seed=11)
+        attempt_of = {vf._sub_seed(config, 2, d, a): a for a in range(3 * per_kind)}
+        real = oc.sample_params
+        drawn = []
+
+        def stub(dim, kind, seed):
+            drawn.append((kind, attempt_of[seed]))
+            if kind == "acute" and attempt_of[seed] in (j, j + 1):
+                return oc.OrthoParams(dim, np.full(dim + 1, 1.0 / (dim + 1)), -1.0, kind)
+            return real(dim, kind, seed)
+
+        monkeypatch.setattr(oc, "sample_params", stub)
+        reference, kept = [], []
+        for kind in ("acute", "obtuse"):  # the loop the blocks replaced
+            produced = attempt = 0
+            while produced < per_kind:
+                p = oc.sample_params(d, kind, vf._sub_seed(config, 2, d, attempt))
+                s = op.construct(p.bary, 1.0)
+                if DEFAULT_POLICY.spread(sx.edge_lengths(s)) >= 0.01:
+                    produced += 1
+                    reference.append(s)
+                    kept.append((kind, attempt))
+                attempt += 1
+        loop_draws = sorted(drawn)
+        drawn.clear()
+        block = vf._separated_samples(config, d, per_kind, DEFAULT_POLICY)
+        assert sorted(drawn) == loop_draws  # every attempt drawn once, as the loop drew it
+        assert len(loop_draws) == 2 * per_kind + 2
+        assert [s.vertices.tolist() for s in block] == [s.vertices.tolist() for s in reference]
+        assert kept == [("acute", a) for a in range(per_kind + 2) if a not in (j, j + 1)] + [
+            ("obtuse", a) for a in range(per_kind)]
+
+
+class TestBlockCounts:
+    """Each (suite, d) block is built with one stacked eigensolve: counts, not
+    timings.  Every other eigensolve is a family fixture's own
+    ``from_vertices``, and verify calls neither ``face`` nor ``params_of``
+    per sample."""
+
+    def counted(self, monkeypatch, suite, samples):
+        calls = {"stacked": 0, "single": 0, "from_vertices": 0, "face": 0, "params_of": 0,
+                 "construct_rows": 0}
+        real_eig = np.linalg.eigvalsh
+
+        def eigvalsh(a, *args, **kwargs):
+            calls["stacked" if np.ndim(a) == 3 else "single"] += 1
+            return real_eig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        for module, name, key in ((sx, "from_vertices", "from_vertices"), (sx, "face", "face"),
+                                  (oc, "params_of", "params_of"),
+                                  (oc, "_construct_rows", "construct_rows")):
+            def counting(*args, _real=getattr(module, name), _key=key, **kwargs):
+                calls[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        result = vf.run_all(SuiteConfig(suites=(suite,), samples=samples, seed=3,
+                                        d_min=2, d_max=5)).suites[0]
+        assert result.passed
+        monkeypatch.undo()
+        return calls
+
+    @pytest.mark.parametrize("suite, blocks", [
+        ("center_equivalences", {"stacked": 4}),
+        ("regularity", {"stacked": 8, "construct_rows": 4}),
+        ("euler_feuerbach", {"stacked": 4, "construct_rows": 4}),
+        ("rectangular", {"stacked": 4 + 3}),
+    ])
+    def test_one_eigensolve_per_block(self, monkeypatch, suite, blocks):
+        few = self.counted(monkeypatch, suite, 12)
+        many = self.counted(monkeypatch, suite, 40)
+        assert few == many  # nothing is built per sample
+        want = {"stacked": 0, "face": 0, "params_of": 0, "construct_rows": 0}
+        want.update(blocks)
+        assert {k: few[k] for k in want} == want
+        # every unstacked eigensolve is a fixture's own from_vertices call
+        assert few["single"] == few["from_vertices"]

@@ -176,21 +176,24 @@ def _validate_bary(a: np.ndarray, policy: TolerancePolicy):
 def _param_rows(s: sx.Simplex, policy: TolerancePolicy):
     """(sigma, rectangular, corner, bary) of :func:`params_of` on one simplex
     or each of a stack, read from the Monge-point Gram table and the
-    barycentric table: sigma the mean off-diagonal Gram entry, rectangular
-    where |sigma| <= rank_cut * diam^2, corner the vertex nearest the Monge
-    point and bary its barycentrics, which the caller checks with
-    :func:`_validate_bary` where it needs them.  Raises NotOrthocentricError
-    unless every simplex is orthocentric."""
+    barycentric table: sigma the mean off-diagonal Gram entry, bary the
+    barycentrics of the Monge point, which the caller checks with
+    :func:`_validate_bary` where it needs them, and corner its largest
+    coordinate.  Rectangular is decided in the unit of that check's margin:
+    where some |a_j| <= rel, the simplex is rectangular at the corner (near
+    a right corner |a_j| ~ |sigma| / h_j^2 for every other vertex j), so a
+    simplex is rectangular exactly where its coordinates fail the margin.
+    Raises NotOrthocentricError unless every simplex is orthocentric."""
     orthocentric = is_orthocentric(s, policy)
     if not all(np.ravel(orthocentric)):
         residual = np.ravel(sx.edge_perpendicularity_residual(s))[np.argmin(orthocentric)]
         raise NotOrthocentricError(
             f"edge perpendicularity residual {residual:.3e} exceeds tolerance {policy.rel:g}"
         )
-    _, gram, sigma = centers._monge_gram(s)[:3]
-    rectangular = np.abs(sigma) <= policy.rank_cut * sx._squares(sx.diameter(s))
+    sigma = centers._monge_gram(s)[2]
     bary = sx.barycentric(s, centers.monge_point(s))
-    return sigma, rectangular, gram.diagonal(0, -2, -1).argmin(axis=-1), bary
+    rectangular = np.abs(bary).min(axis=-1) <= policy.rel
+    return sigma, rectangular, bary.argmax(axis=-1), bary
 
 
 def params_of(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> OrthoParams:
@@ -201,6 +204,10 @@ def params_of(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> OrthoP
     obtuseness is the mean of (H - A_i) . (H - A_j) over all vertex pairs,
     H the Monge point.  Those values spread by misfit * max E / 2 (E the
     squared-edge table), at most rel * diam^2 / 2 once the test passes.
+    The simplex is rectangular, at the vertex of H's largest barycentric
+    coordinate, where a coordinate is within rel of 0, the margin
+    :func:`construct` asks of a tuple; so that margin never leaves an
+    orthocentric simplex without parameters.
     """
     c, rectangular, corner, bary = _param_rows(s, policy)
     if rectangular:
@@ -402,20 +409,9 @@ def orthocentric_system_check(
 
 
 def sample_params(d: int, kind: str, seed: int) -> OrthoParams:
-    """Deterministic random shape parameters of the requested class.
-
-    Acute: uniform on the open coordinate simplex, rejecting draws with a
-    coordinate below the margin m = min(0.01, 2/(d+1)^2), which keeps the
-    numerics away from the degenerate hyperplanes (subset sums of 0 or 1
-    come no closer than the smallest coordinate).  A uniform draw clears
-    the margin with probability P = (1 - (d+1) m)^d, which tends to
-    exp(-2) as d grows.  Draws come in blocks of ceil(2/P) rows from one
-    ``dirichlet`` call, and the first row that clears the margin is
-    returned; numpy fills the rows one after another from the same stream,
-    so this is the draw a one-at-a-time loop would return, and a block
-    succeeds with probability at least 1 - exp(-2).  Obtuse: d coordinates
-    drawn in (-1, -0.05), the last set to one minus their sum.
-    """
+    """Deterministic random shape parameters of the requested class: the
+    one row of :func:`_sample_rows` (k = 1) drawn from the generator of
+    ``SeedSequence([17, d, code, seed])``, code 0 acute and 1 obtuse."""
     if kind not in (ACUTE, OBTUSE):
         raise InputError(f"kind must be '{ACUTE}' or '{OBTUSE}', got {kind!r}")
     if not sx._is_int(d) or d < 2:
@@ -424,15 +420,46 @@ def sample_params(d: int, kind: str, seed: int) -> OrthoParams:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     code = 0 if kind == ACUTE else 1
     rng = np.random.default_rng(np.random.SeedSequence([17, d, code, int(seed)]))
+    bary = _sample_rows(d, kind, 1, rng)[0].copy()
+    return OrthoParams(dim=d, bary=bary, obtuseness=1.0 if kind == OBTUSE else -1.0, kind=kind)
+
+
+def _sample_rows(d: int, kind: str, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k tuples (k, d+1) of orthocenter barycentrics of the requested class,
+    drawn from ``rng``; the block owns its data.
+
+    Acute: uniform on the open coordinate simplex, rejecting rows with a
+    coordinate below the margin m = min(0.01, 2/(d+1)^2), which keeps the
+    numerics away from the degenerate hyperplanes (subset sums of 0 or 1
+    come no closer than the smallest coordinate).  A uniform row clears
+    the margin with probability P = (1 - (d+1) m)^d, which tends to
+    exp(-2) as d grows.  Rows come in blocks of ceil(2k/P) from one
+    ``dirichlet`` call, and the first k rows that clear the margin are
+    returned; numpy fills the rows one after another from the same stream,
+    so these are the rows a one-at-a-time loop would return, whatever the
+    block size.  Obtuse: d coordinates per row drawn in (-1, -0.05) by one
+    ``uniform`` call, the last set to one minus their sum; k successive
+    one-row draws give the same rows.
+    """
+    out = np.empty((k, d + 1))
     if kind == OBTUSE:
-        u = rng.uniform(0.05, 1.0, size=d)
-        a = np.concatenate([-u, [1.0 + float(u.sum())]])
-        return OrthoParams(dim=d, bary=a, obtuseness=1.0, kind=kind)
+        u = rng.uniform(0.05, 1.0, size=(k, d))
+        np.negative(u, out=out[:, :d])
+        np.add(1.0, u.sum(axis=1), out=out[:, d])
+        return out
     margin = min(0.01, 2.0 / (d + 1) ** 2)
-    block = ceil(2.0 / (1.0 - (d + 1) * margin) ** d)
-    while True:
-        rows = rng.dirichlet(np.ones(d + 1), size=block)
-        hit = rows.min(axis=1) >= margin
-        k = int(hit.argmax())
-        if hit[k]:
-            return OrthoParams(dim=d, bary=rows[k].copy(), obtuseness=-1.0, kind=kind)
+    block = ceil(2.0 * k / (1.0 - (d + 1) * margin) ** d)
+    got = 0
+    while got < k:
+        rows = rng.dirichlet(_dirichlet_weights(d + 1), size=block)
+        hit = rows.compress(rows.min(axis=1) >= margin, axis=0)[: k - got]
+        out[got:got + len(hit)] = hit
+        got += len(hit)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _dirichlet_weights(n: int) -> np.ndarray:
+    """Read-only vector of n ones, the weights of the uniform Dirichlet draw
+    in :func:`_sample_rows`; built once per n and shared."""
+    return sx._read_only(np.ones(n))

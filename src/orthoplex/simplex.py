@@ -55,7 +55,7 @@ class Simplex:
     """
 
     dim: int
-    vertices: np.ndarray  # shape (dim+1, dim), read-only
+    vertices: np.ndarray  # shape (dim+1, dim), C-contiguous, read-only
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -75,7 +75,8 @@ class ShapeFlags:
 
 
 def from_vertices(dim, vertices, policy: TolerancePolicy = DEFAULT_POLICY) -> Simplex:
-    """Validate and build a Simplex from dim+1 coordinate vectors.
+    """Validate and build a Simplex from dim+1 coordinate vectors, stored as
+    a C-contiguous copy so that results do not depend on the input's layout.
 
     Degeneracy is decided on the eigenvalue ratio of the edge-vector Gram
     matrix, so the test is invariant under similarity.
@@ -83,7 +84,7 @@ def from_vertices(dim, vertices, policy: TolerancePolicy = DEFAULT_POLICY) -> Si
     if not _is_int(dim) or dim < 1:
         raise InputError(f"dimension must be an integer >= 1, got {dim!r}")
     try:
-        arr = np.array(vertices, dtype=float)
+        arr = np.array(vertices, dtype=float, order="C")
     except (TypeError, ValueError) as exc:
         raise InputError(f"vertices are not a numeric array: {exc}") from exc
     if arr.ndim != 2 or arr.shape != (dim + 1, dim):
@@ -411,13 +412,12 @@ def face(s: Simplex, index_set, policy: TolerancePolicy = DEFAULT_POLICY) -> Sim
 
 def _face_pose(pts: np.ndarray) -> np.ndarray:
     """:func:`face`'s re-embedded vertices for the points ``pts`` (..., m, d),
-    a stack of point sets taking one QR.  Each simplex's vertices run along
-    the contiguous axis, as the columns of R do, so that a sum over them
-    takes numpy's pairwise order, as on a face built alone."""
+    a stack of point sets taking one QR: the rows of R^T under a zero row,
+    C-contiguous as every simplex is stored."""
     r = np.linalg.qr((pts[..., 1:, :] - pts[..., :1, :]).swapaxes(-1, -2), mode="r")
-    columns = np.zeros(r.shape[:-1] + (r.shape[-1] + 1,))
-    columns[..., 1:] = r
-    return columns.swapaxes(-1, -2)
+    out = np.zeros(r.shape[:-2] + (r.shape[-1] + 1, r.shape[-2]))
+    out[..., 1:, :] = r.swapaxes(-1, -2)
+    return out
 
 
 def _is_int(x) -> bool:

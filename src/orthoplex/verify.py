@@ -342,12 +342,12 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
     rec = _Recorder("regularity")
     pol = config.policy
     for d in range(config.d_min, config.d_max + 1):
-        accepted = _separated_samples(config, d, max(1, _per_dim(config) // 2), pol)
+        rng = np.random.default_rng(_sub_seed(config, 2, d))
+        accepted = _separated_samples(d, max(1, _per_dim(config) // 2), rng, pol)
         rec.sample(len(accepted))
         _check_separation(rec, sx._fill(accepted, ()), pol)
 
         # continuity sanity: separations shrink with the perturbation
-        rng = np.random.default_rng(_sub_seed(config, 2, d, 10**6))
         base = families.regular(d, 1.0, pol)
         dirs = rng.normal(size=base.vertices.shape)
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -362,28 +362,24 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
     return rec.result()
 
 
-def _separated_samples(config: SuiteConfig, d: int, per_kind: int,
-                       pol: TolerancePolicy) -> list[sx.Simplex]:
-    """The first ``per_kind`` acute, then obtuse, attempts (the parameters of
-    ``sample_params`` at attempt seeds 0, 1, ...) whose edge lengths spread
-    by at least 0.01; closer to regular is too close for the contrapositive.
-    The attempts are posed and filtered a block at a time, both kinds
-    together; a rejected attempt is replaced by the next one in a further
-    block, so the samples are those an attempt-by-attempt loop keeps."""
+def _separated_samples(d: int, per_kind: int, rng, pol: TolerancePolicy) -> list[sx.Simplex]:
+    """The first ``per_kind`` acute, then obtuse, simplices drawn from
+    ``rng`` whose edge lengths spread by at least 0.01; closer to regular is
+    too close for the contrapositive.  Each round draws the missing acute
+    rows, then the missing obtuse rows (:func:`orthocentric._sample_rows`),
+    and poses and filters them as one block, so a rejected row is replaced
+    by the next rows of the same stream."""
     kinds = (oc.ACUTE, oc.OBTUSE)
     accepted = {kind: [] for kind in kinds}
-    tried = dict.fromkeys(kinds, 0)
     while True:
-        attempts = [(kind, a) for kind in kinds
-                    for a in range(tried[kind], tried[kind] + per_kind - len(accepted[kind]))]
-        if not attempts:
+        need = [per_kind - len(accepted[kind]) for kind in kinds]
+        if not any(need):
             return accepted[oc.ACUTE] + accepted[oc.OBTUSE]
-        bary = np.array([oc.sample_params(d, kind, _sub_seed(config, 2, d, a)).bary
-                         for kind, a in attempts])
+        bary = np.concatenate([oc._sample_rows(d, kind, k, rng) for kind, k in zip(kinds, need)])
         block = oc._construct_rows(bary, 1.0, pol)
         keep = ~(pol.spread(sx.edge_lengths(sx._fill(block, ()))) < 0.01)
-        for (kind, a), s, kept in zip(attempts, block, keep.tolist()):
-            tried[kind] = a + 1
+        labels = [kind for kind, k in zip(kinds, need) for _ in range(k)]
+        for kind, s, kept in zip(labels, block, keep.tolist()):
             if kept:
                 accepted[kind].append(s)
 
@@ -410,10 +406,11 @@ def suite_euler_feuerbach(config: SuiteConfig) -> SuiteResult:
     rec = _Recorder("euler_feuerbach")
     pol = config.policy
     for d in range(config.d_min, config.d_max + 1):
-        fixtures = _family_fixtures(d, np.random.default_rng(_sub_seed(config, 3, d)), pol)
+        rng = np.random.default_rng(_sub_seed(config, 3, d))
+        fixtures = _family_fixtures(d, rng, pol)
         per_kind = max(1, _per_dim(config) // 2)
-        bary = np.array([oc.sample_params(d, kind, _sub_seed(config, 3, d, i)).bary
-                         for kind in (oc.ACUTE, oc.OBTUSE) for i in range(per_kind)])
+        bary = np.concatenate([oc._sample_rows(d, kind, per_kind, rng)
+                               for kind in (oc.ACUTE, oc.OBTUSE)])
         fixtures += oc._construct_rows(bary, 1.0, pol)
         rec.sample(len(fixtures))
         _check_euler_feuerbach(rec, fixtures, pol)
@@ -516,8 +513,7 @@ def suite_rectangular(config: SuiteConfig) -> SuiteResult:
         _check_rectangular(rec, specs, block, pol)
         if d >= 3:
             rec.sample()
-            p = oc.sample_params(d - 1, oc.OBTUSE, _sub_seed(config, 4, d, 7))
-            t = oc.construct(p.bary, 1.0, pol)
+            t = oc.construct(oc._sample_rows(d - 1, oc.OBTUSE, 1, rng)[0], 1.0, pol)
             try:
                 families._lift_spec(t, pol)
             except NotLiftableError:

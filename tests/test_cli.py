@@ -594,3 +594,24 @@ class TestValidationWithoutAsserts:
             if isinstance(node, ast.Assert)
         ]
         assert found == []
+
+
+class TestMemoryLayout:
+    """A simplex is stored C-contiguous, so its analysis depends on its
+    coordinates only, not on how the array that held them was laid out."""
+
+    @pytest.mark.parametrize("d", range(3, 13))
+    def test_face_document_equals_document_of_its_vertices(self, d):
+        policy = op.TolerancePolicy()
+        rng = np.random.default_rng(d)
+        parents = (op.rectangular(op.RectSpec(d, tuple(rng.uniform(0.5, 2.0, size=d)))),
+                   op.from_vertices(d, rng.normal(size=(d + 1, d))))
+        for s in parents:
+            for facet in sx.facet_indices(s).tolist():
+                f = op.face(s, facet)
+                assert f.vertices.flags.c_contiguous
+                want = cli._dump(cli.analysis_doc(f, policy), compact=True)
+                for layout in (np.ascontiguousarray, np.asfortranarray):
+                    g = op.from_vertices(d - 1, layout(f.vertices))
+                    assert g.vertices.flags.c_contiguous
+                    assert cli._dump(cli.analysis_doc(g, policy), compact=True) == want, facet

@@ -17,6 +17,7 @@ from orthoplex import (
 from orthoplex import centers, cli, numerics
 from orthoplex import orthocentric as oc
 from orthoplex import simplex as sx
+from conftest import random_rotation
 
 
 def gram_form(a, sigma):
@@ -640,6 +641,58 @@ class TestSampleParams:
     def test_numpy_integers_are_integers(self):
         want = op.sample_params(4, "acute", 5).bary
         assert np.array_equal(op.sample_params(np.int64(4), "acute", np.uint32(5)).bary, want)
+
+
+class TestSampleRows:
+    """The rows form of the sampler: k tuples from one generator."""
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_rows_match_one_row_at_a_time(self, d):
+        margin = min(0.01, 2.0 / (d + 1) ** 2)
+        for k in range(1, 21):
+            rows = oc._sample_rows(d, "acute", k, np.random.default_rng([d, k]))
+            rng, want = np.random.default_rng([d, k]), []
+            while len(want) < k:  # the first k margin-clearing rows of the stream
+                a = rng.dirichlet(np.ones(d + 1))
+                if a.min() >= margin:
+                    want.append(a)
+            assert rows.tobytes() == np.array(want).tobytes(), k
+            assert rows.shape == (k, d + 1) and rows.base is None
+
+            rows = oc._sample_rows(d, "obtuse", k, np.random.default_rng([d, k]))
+            rng = np.random.default_rng([d, k])
+            want = [one_obtuse_row(rng, d) for _ in range(k)]
+            assert rows.tobytes() == np.array(want).tobytes(), k
+            assert rows.shape == (k, d + 1) and rows.base is None
+
+
+def one_obtuse_row(rng, d):
+    u = rng.uniform(0.05, 1.0, size=d)
+    return np.concatenate([-u, [1.0 + float(u.sum())]])
+
+
+def moved_corner(delta, rotation, scale):
+    """The right-corner tetrahedron e1, e2, e3, 0 with its corner moved to
+    -delta (1, 1, 1): orthocentric and acute for every delta > 0."""
+    return op.from_vertices(3, np.vstack([np.eye(3), -delta * np.ones((1, 3))]) @ rotation * scale)
+
+
+class TestRectangularBand:
+    """Rectangular and parametrizable are decided by one rule, so every
+    orthocentric simplex near a right corner has parameters."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_class_changes_once_along_the_sweep(self, scale, rotate):
+        rotation = random_rotation(3, np.random.default_rng(1)) if rotate else np.eye(3)
+        classes = []
+        for delta in np.logspace(-12, -6, 61):
+            doc = cli.analysis_doc(moved_corner(delta, rotation, scale), op.DEFAULT_POLICY)
+            assert doc["orthocentric"] and doc["ortho_params"] is not None, delta
+            classes.append(doc["ortho_params"]["class"])
+        changes = [i for i in range(1, len(classes)) if classes[i] != classes[i - 1]]
+        assert len(changes) == 1
+        assert (classes[0], classes[-1]) == ("rectangular-at-3", "acute")
 
 
 class TestRoundTripsAndLaws:

@@ -450,51 +450,63 @@ class TestStreamOrder:
 
     @pytest.mark.parametrize("j", [0, 2, 3])
     def test_near_regular_attempt_is_replaced_in_attempt_order(self, monkeypatch, j):
-        """Acute attempts j and j + 1 are regular tuples: the first is in the
-        first block, the second, for j = 3, in the block that replaces it."""
+        """Acute rows j and j + 1 of the stream are regular tuples: the first
+        is in the first round, the second, for j = 3, in the round that
+        replaces it.  Each round asks the block's one generator for the
+        missing acute rows, then the missing obtuse rows."""
         d, per_kind = 4, 4
-        config = SuiteConfig(suites=("regularity",), seed=11)
-        attempt_of = {vf._sub_seed(config, 2, d, a): a for a in range(3 * per_kind)}
-        real = oc.sample_params
-        drawn = []
+        tables = {kind: np.array([op.sample_params(d, kind, a).bary for a in range(3 * per_kind)])
+                  for kind in ("acute", "obtuse")}
+        tables["acute"][[j, j + 1]] = 1.0 / (d + 1)
+        served = dict.fromkeys(tables, 0)
+        calls = []
+        rng = np.random.default_rng(0)
 
-        def stub(dim, kind, seed):
-            drawn.append((kind, attempt_of[seed]))
-            if kind == "acute" and attempt_of[seed] in (j, j + 1):
-                return oc.OrthoParams(dim, np.full(dim + 1, 1.0 / (dim + 1)), -1.0, kind)
-            return real(dim, kind, seed)
+        def stub(dim, kind, k, generator):
+            assert (dim, generator) == (d, rng)
+            calls.append((kind, k))
+            served[kind] += k
+            return tables[kind][served[kind] - k:served[kind]].copy()
 
-        monkeypatch.setattr(oc, "sample_params", stub)
-        reference, kept = [], []
-        for kind in ("acute", "obtuse"):  # the loop the blocks replaced
-            produced = attempt = 0
-            while produced < per_kind:
-                p = oc.sample_params(d, kind, vf._sub_seed(config, 2, d, attempt))
-                s = op.construct(p.bary, 1.0)
-                if DEFAULT_POLICY.spread(sx.edge_lengths(s)) >= 0.01:
-                    produced += 1
-                    reference.append(s)
-                    kept.append((kind, attempt))
-                attempt += 1
-        loop_draws = sorted(drawn)
-        drawn.clear()
-        block = vf._separated_samples(config, d, per_kind, DEFAULT_POLICY)
-        assert sorted(drawn) == loop_draws  # every attempt drawn once, as the loop drew it
-        assert len(loop_draws) == 2 * per_kind + 2
-        assert [s.vertices.tolist() for s in block] == [s.vertices.tolist() for s in reference]
-        assert kept == [("acute", a) for a in range(per_kind + 2) if a not in (j, j + 1)] + [
+        monkeypatch.setattr(oc, "_sample_rows", stub)
+        block = vf._separated_samples(d, per_kind, rng, DEFAULT_POLICY)
+        kept = [("acute", a) for a in range(per_kind + 2) if a not in (j, j + 1)] + [
             ("obtuse", a) for a in range(per_kind)]
+        want = [op.construct(tables[kind][a], 1.0).vertices.tolist() for kind, a in kept]
+        assert [s.vertices.tolist() for s in block] == want
+        rounds = [[("acute", 2), ("obtuse", 0)]] if j < 3 else [[("acute", 1), ("obtuse", 0)]] * 2
+        assert calls == [("acute", per_kind), ("obtuse", per_kind)] + sum(rounds, [])
+
+    def test_suite_draws_each_block_from_one_generator(self, monkeypatch):
+        """Every shape tuple of a block comes from the one generator of
+        ``_sub_seed(config, suite, d)``."""
+        config = SuiteConfig(suites=("regularity", "euler_feuerbach", "rectangular"),
+                             samples=12, seed=5, d_min=3, d_max=4)
+        seen = []
+        real = oc._sample_rows
+
+        def stub(d, kind, k, rng):
+            seen.append((d, rng.bit_generator.seed_seq.entropy))
+            return real(d, kind, k, rng)
+
+        monkeypatch.setattr(oc, "_sample_rows", stub)
+        assert vf.run_all(config).passed
+        entropy = {vf._sub_seed(config, code, d): (code, d) for code in (2, 3, 4) for d in (3, 4)}
+        blocks = [(code, d) for code in (2, 3, 4) for d in (3, 4)]
+        assert list(dict.fromkeys(entropy[seed] for _, seed in seen)) == blocks
+        # the rectangular block draws its one lift-rejection tuple in d - 1
+        assert [dim for dim, seed in seen if entropy[seed][0] == 4] == [2, 3]
 
 
 class TestBlockCounts:
-    """Each (suite, d) block is built with one stacked eigensolve: counts, not
-    timings.  Every other eigensolve is a family fixture's own
-    ``from_vertices``, and verify calls neither ``face`` nor ``params_of``
-    per sample."""
+    """Each (suite, d) block is built with one stacked eigensolve and draws
+    from one generator: counts, not timings.  Every other eigensolve is a
+    family fixture's own ``from_vertices``, and verify calls neither
+    ``face``, ``params_of`` nor ``sample_params`` per sample."""
 
     def counted(self, monkeypatch, suite, samples):
         calls = {"stacked": 0, "single": 0, "from_vertices": 0, "face": 0, "params_of": 0,
-                 "construct_rows": 0}
+                 "construct_rows": 0, "sub_seed": 0, "sample_params": 0}
         real_eig = np.linalg.eigvalsh
 
         def eigvalsh(a, *args, **kwargs):
@@ -504,7 +516,9 @@ class TestBlockCounts:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         for module, name, key in ((sx, "from_vertices", "from_vertices"), (sx, "face", "face"),
                                   (oc, "params_of", "params_of"),
-                                  (oc, "_construct_rows", "construct_rows")):
+                                  (oc, "_construct_rows", "construct_rows"),
+                                  (vf, "_sub_seed", "sub_seed"),
+                                  (oc, "sample_params", "sample_params")):
             def counting(*args, _real=getattr(module, name), _key=key, **kwargs):
                 calls[_key] += 1
                 return _real(*args, **kwargs)
@@ -526,7 +540,9 @@ class TestBlockCounts:
         few = self.counted(monkeypatch, suite, 12)
         many = self.counted(monkeypatch, suite, 40)
         assert few == many  # nothing is built per sample
-        want = {"stacked": 0, "face": 0, "params_of": 0, "construct_rows": 0}
+        # one generator per (suite, d) block, and no tuple drawn from its own seed
+        want = {"stacked": 0, "face": 0, "params_of": 0, "construct_rows": 0,
+                "sub_seed": 4, "sample_params": 0}
         want.update(blocks)
         assert {k: few[k] for k in want} == want
         # every unstacked eigensolve is a fixture's own from_vertices call

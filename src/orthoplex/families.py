@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,12 +73,20 @@ def regular(d: int, s: float, policy: TolerancePolicy = DEFAULT_POLICY) -> sx.Si
 
     Built by centering the standard basis of (d+1)-space and reflecting its
     span onto the first d coordinates, so the output is a closed form with
-    no eigensolve involved.
+    no eigensolve involved.  Each (d, s, policy) is built once: equal
+    arguments return the same (immutable) simplex.
     """
     if not sx._is_int(d) or d < 1:
         raise InputError(f"dimension must be an integer >= 1, got {d!r}")
     if not (0 < s < math.inf):
         raise InputError(f"edge length must be positive and finite, got {s}")
+    return _regular(int(d), float(s), policy)
+
+
+@lru_cache(maxsize=32)
+def _regular(d: int, s: float, policy: TolerancePolicy) -> sx.Simplex:
+    """The body of :func:`regular`, shared by every caller: a Simplex is
+    frozen, its vertices read-only and its memo tables deterministic."""
     n = d + 1
     pts = np.eye(n) - 1.0 / n
     w = np.full(n, 1.0 / math.sqrt(n))
@@ -262,11 +271,6 @@ def _rect_pose(legs: np.ndarray) -> np.ndarray:
 _TINY = float(np.finfo(float).tiny)
 
 
-def _power_of_two_near(x: float) -> float:
-    """A power of two p with x / p in [1, 2), itself a finite float."""
-    return math.ldexp(1.0, math.frexp(x)[1] - 1)
-
-
 def rect_metrics(spec: RectSpec) -> RectMetrics:
     """Closed forms in the legs b_1..b_d:
 
@@ -285,32 +289,55 @@ def rect_metrics(spec: RectSpec) -> RectMetrics:
     exact, so these are the bits of the formulas as written wherever those
     stay in range; B_i = b_i w_i is read as (1/b_i) / sum 1/b^2 where w_i
     is below the normal floats.  Out of float range, V, V_hyp and R^2 are
-    0.0 or the largest float, as in ``simplex.volume``.
+    0.0 or the largest float, as in ``simplex.volume``.  This is the one-row
+    call of the rows form :func:`_rect_rows`, the formulas over a block of legs.
     """
-    b = np.asarray(spec.legs, dtype=float)
-    d = spec.d
-    with np.errstate(over="ignore"):  # an infinite product takes the log form
-        prod = float(b.prod())
-    log_prod = float(np.log(b).sum())
-    short, long = _power_of_two_near(float(b.min())), _power_of_two_near(float(b.max()))
-    with np.errstate(over="ignore"):  # 1/u^2 -> 0 for a leg far above the shortest
-        inv2_terms = 1.0 / (b / short) ** 2
-    inv2 = float(inv2_terms.sum())  # sum 1/b_i^2 times short^2, in [1/4, d]
-    root = math.sqrt(inv2)
-    w = inv2_terms / inv2
-    return RectMetrics(
-        volume=sx._factorial_quotient(
-            d, lambda: prod / math.factorial(d), log_prod - math.lgamma(d + 1)),
-        hyp_volume=sx._factorial_quotient(
-            d - 1, lambda: prod / math.factorial(d - 1) * (root / short),
-            log_prod - math.lgamma(d) + math.log(root) - math.log(short)),
-        altitude=short / root,
-        inradius=short / (float((short / b).sum()) + root),
-        r_squared=min(float(((b / long) ** 2).sum()) / 4.0 * long * long, sx._FLOAT_MAX),
-        circumcenter=b / 2.0,
-        hyp_orthocenter=np.where(w >= _TINY, w * b, short / b * (short / inv2)),
-        hyp_orthocenter_bary=w,
-    )
+    rows = _rect_rows(np.asarray(spec.legs, dtype=float)[None])
+    return RectMetrics(**{name: value[0] if value.ndim > 1 else float(value[0])
+                          for name, value in vars(rows).items()})
+
+
+def _rect_rows(legs: np.ndarray) -> RectMetrics:
+    """:func:`rect_metrics` of each row of the legs (k, d), every field an
+    array over the rows whose row r holds the bits of row r alone."""
+    b = np.ascontiguousarray(legs, dtype=float)
+    d = b.shape[-1]
+    log_prod = np.log(b).sum(axis=-1)
+    # powers of two p near the shortest and the longest leg, x / p in [1, 2)
+    short, long = (np.ldexp(1.0, np.frexp(x)[1] - 1) for x in (b.min(axis=-1), b.max(axis=-1)))
+    # overflow to inf is expected: a product takes the log form, 1/u^2 for a
+    # leg far above the shortest is 0, and R^2 is clamped to the largest float
+    with np.errstate(over="ignore"):
+        prod = b.prod(axis=-1)
+        inv2_terms = 1.0 / (b / short[:, None]) ** 2
+        inv2 = inv2_terms.sum(axis=-1)  # sum 1/b_i^2 times short^2, in [1/4, d]
+        root = np.sqrt(inv2)
+        w = inv2_terms / inv2[:, None]
+        r_squared = ((b / long[:, None]) ** 2).sum(axis=-1) / 4.0 * long * long
+        return RectMetrics(
+            volume=_quotient_rows(d, prod, 1.0, lambda r: log_prod[r] - math.lgamma(d + 1)),
+            hyp_volume=_quotient_rows(
+                d - 1, prod, root / short, lambda r: log_prod[r] - math.lgamma(d)
+                + math.log(root[r]) - math.log(short[r])),
+            altitude=short / root,
+            inradius=short / ((short[:, None] / b).sum(axis=-1) + root),
+            r_squared=np.minimum(r_squared, sx._FLOAT_MAX),
+            circumcenter=b / 2.0,
+            hyp_orthocenter=np.where(w >= _TINY, w * b,
+                                     short[:, None] / b * (short / inv2)[:, None]),
+            hyp_orthocenter_bary=w,
+        )
+
+
+def _quotient_rows(k: int, prod: np.ndarray, factor, log_value) -> np.ndarray:
+    """``simplex._factorial_quotient`` of each row: prod / k! * factor where k!
+    and that are finite floats, else exp(log_value(r)), or the largest float."""
+    out = (prod / float(math.factorial(k)) * factor if k <= sx._MAX_FACTORIAL_DIM
+           else np.full(prod.shape, math.inf))
+    for r in np.flatnonzero(~np.isfinite(out)).tolist():
+        log = log_value(r)
+        out[r] = sx._FLOAT_MAX if log >= sx._LOG_FLOAT_MAX else math.exp(log)
+    return out
 
 
 def lift_to_rectangular(
@@ -323,13 +350,8 @@ def lift_to_rectangular(
     barycentrics of the input; the Pythagorean identity
     b_i^2 + b_j^2 = -sigma (1/t_i + 1/t_j) reproduces the edge table.
     """
-    spec = _lift_spec(t, policy)
+    spec = RectSpec(d=t.dim + 1, legs=tuple(_lift_legs(t, policy).tolist()))
     return spec, rectangular(spec, policy)
-
-
-def _lift_spec(t: sx.Simplex, policy: TolerancePolicy) -> RectSpec:
-    """The legs of :func:`lift_to_rectangular`, without building the simplex."""
-    return RectSpec(d=t.dim + 1, legs=tuple(_lift_legs(t, policy).tolist()))
 
 
 def _lift_legs(t: sx.Simplex, policy: TolerancePolicy) -> np.ndarray:

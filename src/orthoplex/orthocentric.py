@@ -178,8 +178,9 @@ def _param_rows(s: sx.Simplex, policy: TolerancePolicy):
     or each of a stack, read from the Monge-point Gram table and the
     barycentric table: sigma the mean off-diagonal Gram entry, bary the
     barycentrics of the Monge point, which the caller checks with
-    :func:`_validate_bary` where it needs them, and corner its largest
-    coordinate.  Rectangular is decided in the unit of that check's margin:
+    :func:`_validate_bary` where it needs them, and corner the first vertex
+    within rel of its largest coordinate (ties name one corner).
+    Rectangular is decided in the unit of that check's margin:
     where some |a_j| <= rel, the simplex is rectangular at the corner (near
     a right corner |a_j| ~ |sigma| / h_j^2 for every other vertex j), so a
     simplex is rectangular exactly where its coordinates fail the margin.
@@ -193,7 +194,8 @@ def _param_rows(s: sx.Simplex, policy: TolerancePolicy):
     sigma = centers._monge_gram(s)[2]
     bary = sx.barycentric(s, centers.monge_point(s))
     rectangular = np.abs(bary).min(axis=-1) <= policy.rel
-    return sigma, rectangular, bary.argmax(axis=-1), bary
+    corner = (bary >= bary.max(axis=-1, keepdims=True) - policy.rel).argmax(axis=-1)
+    return sigma, rectangular, corner, bary
 
 
 def params_of(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> OrthoParams:
@@ -204,8 +206,8 @@ def params_of(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> OrthoP
     obtuseness is the mean of (H - A_i) . (H - A_j) over all vertex pairs,
     H the Monge point.  Those values spread by misfit * max E / 2 (E the
     squared-edge table), at most rel * diam^2 / 2 once the test passes.
-    The simplex is rectangular, at the vertex of H's largest barycentric
-    coordinate, where a coordinate is within rel of 0, the margin
+    The simplex is rectangular, at the first vertex within rel of H's largest
+    barycentric coordinate, where a coordinate is within rel of 0, the margin
     :func:`construct` asks of a tuple; so that margin never leaves an
     orthocentric simplex without parameters.
     """

@@ -277,9 +277,8 @@ def suite_center_equivalences(config: SuiteConfig) -> SuiteResult:
 def _family_fixtures(d: int, rng, policy: TolerancePolicy) -> list[sx.Simplex]:
     """The regular d-simplex of edge 1, a rectangular one with legs drawn
     from ``rng`` and, for d >= 4, the equiradial kite."""
-    legs = tuple(rng.uniform(0.5, 2.0, size=d))
     fixtures = [families.regular(d, 1.0, policy),
-                families.rectangular(families.RectSpec(d, legs), policy)]
+                sx.from_vertices(d, families._rect_pose(rng.uniform(0.5, 2.0, size=d)), policy)]
     if d >= 4:
         fixtures.append(families.kite(families.equiradial_kite(d, policy), policy))
     return fixtures
@@ -507,15 +506,14 @@ def suite_rectangular(config: SuiteConfig) -> SuiteResult:
     for d in range(config.d_min, config.d_max + 1):
         rng = np.random.default_rng(_sub_seed(config, 4, d))
         legs = rng.uniform(0.5, 2.0, size=(_per_dim(config), d))
-        specs = [families.RectSpec(d, tuple(row)) for row in legs.tolist()]
         block = sx._from_vertex_rows(d, families._rect_pose(legs), pol)
         rec.sample(len(block))
-        _check_rectangular(rec, specs, block, pol)
+        _check_rectangular(rec, legs, block, pol)
         if d >= 3:
             rec.sample()
             t = oc.construct(oc._sample_rows(d - 1, oc.OBTUSE, 1, rng)[0], 1.0, pol)
             try:
-                families._lift_spec(t, pol)
+                families._lift_legs(t, pol)
             except NotLiftableError:
                 pass
             else:
@@ -523,39 +521,35 @@ def suite_rectangular(config: SuiteConfig) -> SuiteResult:
     return rec.result()
 
 
-def _check_rectangular(rec: _Recorder, specs: list[families.RectSpec],
-                       block: list[sx.Simplex], pol: TolerancePolicy):
-    """``block[r]`` is the rectangular simplex of ``specs[r]``; each is
-    checked against :func:`families.rect_metrics` and, for d >= 3, its
-    hypotenuse facet lifted back to its legs (a d = 2 facet is a segment,
-    below the lift's domain)."""
-    d = specs[0].d
+def _check_rectangular(rec: _Recorder, legs: np.ndarray, block: list[sx.Simplex],
+                       pol: TolerancePolicy):
+    """``block[r]`` is the rectangular simplex of the legs ``legs[r]`` (k, d);
+    each is checked against the closed forms, one rows call for the block,
+    and, for d >= 3, its hypotenuse facet lifted back to its legs (a d = 2
+    facet is a segment, below the lift's domain)."""
+    d = legs.shape[-1]
     s = sx._fill(block, ())  # every table is read from the stack
-    metrics = [families.rect_metrics(spec) for spec in specs]
-
-    def closed(name):
-        return np.array([getattr(m, name) for m in metrics])
-
-    volume, inradius, r_squared = closed("volume"), closed("inradius"), closed("r_squared")
-    hyp_volume, altitude = closed("hyp_volume"), closed("altitude")
+    m = families._rect_rows(legs)
     diam = sx.diameter(s)
 
-    rec.check("legs volume", np.abs(volume - sx.volume(s)), pol.rel * volume, s)
+    rec.check("legs volume", np.abs(m.volume - sx.volume(s)), pol.rel * m.volume, s)
     rec.check("hypotenuse facet volume",
-              np.abs(hyp_volume - sx.facet_volumes(s)[:, d]), pol.rel * hyp_volume, s)
+              np.abs(m.hyp_volume - sx.facet_volumes(s)[:, d]), pol.rel * m.hyp_volume, s)
     foot = sx.altitude_feet(s)[:, d]
-    rec.check("corner altitude", np.abs(altitude - np.sqrt(sx._sq_norms(foot - s.vertices[:, d]))),
-              pol.rel * altitude, s)
+    rec.check("corner altitude",
+              np.abs(m.altitude - np.sqrt(sx._sq_norms(foot - s.vertices[:, d]))),
+              pol.rel * m.altitude, s)
     i, r = centers.incenter(s)
-    rec.check("leg inradius", np.abs(inradius - r), pol.rel * r, s)
+    rec.check("leg inradius", np.abs(m.inradius - r), pol.rel * r, s)
     rec.check("incenter equals (r, ..., r)",
-              np.abs(i - inradius[:, None]).max(axis=-1), pol.rel * diam, s)
+              np.abs(i - m.inradius[:, None]).max(axis=-1), pol.rel * diam, s)
     c, big_r = centers.circumcenter(s)
-    rec.check("leg circumradius", np.abs(r_squared - sx._squares(big_r)), pol.rel * r_squared, s)
+    rec.check("leg circumradius", np.abs(m.r_squared - sx._squares(big_r)),
+              pol.rel * m.r_squared, s)
     rec.check("circumcenter midpoint form",
-              np.sqrt(sx._sq_norms(c - closed("circumcenter"))), pol.rel * diam, s)
+              np.sqrt(sx._sq_norms(c - m.circumcenter)), pol.rel * diam, s)
     rec.check("hypotenuse orthocenter",
-              np.sqrt(sx._sq_norms(closed("hyp_orthocenter") - foot)), pol.rel * diam, s)
+              np.sqrt(sx._sq_norms(m.hyp_orthocenter - foot)), pol.rel * diam, s)
 
     _check_separation(rec, s, pol, "rect ")
     bary = sx.barycentric(s, c)
@@ -567,7 +561,6 @@ def _check_rectangular(rec: _Recorder, specs: list[families.RectSpec],
         # the hypotenuse facets (opposite the corner, vertex d) as one stack
         hyp = sx._face_pose(s.vertices[:, sx.facet_indices(s)[d]])
         facets = sx._fill(sx._from_vertex_rows(d - 1, hyp, pol), ())
-        legs = np.array([spec.legs for spec in specs])
         lifted = families._lift_legs(facets, pol)
         rec.check("lift round trip", np.abs(lifted - legs).max(axis=-1),
                   10 * pol.rel * legs.max(axis=-1), s, legs=legs, lifted=lifted)

@@ -14,6 +14,7 @@ from orthoplex import (
     NumericError,
     TolerancePolicy,
 )
+from orthoplex import families as fam
 from orthoplex import simplex as sx
 
 
@@ -263,6 +264,47 @@ class TestRectMetricsAnyLegs:
         w = (1.0 / b**2) / inv2
         assert np.array_equal(m.hyp_orthocenter_bary, w)
         assert np.array_equal(m.hyp_orthocenter, w @ np.diag(b))
+
+
+class TestRectRows:
+    """The rows form of the rectangular closed forms: each row of a block
+    gets the bits of ``rect_metrics`` of its legs alone."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d", range(2, 41))
+    def test_rows_match_one_row_calls(self, d):
+        rng = np.random.default_rng(d)
+        rows = []
+        for scale in (1e-200, 1e-5, 1.0, 1e5, 1e200):
+            for push in (1.0, 1e-100, 1e100):
+                legs = scale * rng.uniform(0.5, 2.0, size=d)
+                legs[rng.integers(d)] *= push
+                rows.append(legs)
+        block = fam._rect_rows(np.array(rows))
+        for r, legs in enumerate(rows):
+            want = op.rect_metrics(op.RectSpec(d, tuple(legs.tolist())))
+            for name, value in vars(want).items():
+                got = getattr(block, name)[r]
+                assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), (r, name)
+
+
+class TestRegularCache:
+    """``regular`` builds each (d, edge, policy) once and hands every caller
+    that simplex; its arguments are checked before the cache is read."""
+
+    def test_equal_arguments_share_one_simplex(self):
+        assert op.regular(4, 1.0) is op.regular(4, 1.0)
+        assert op.regular(3, 1) is op.regular(3, 1.0)
+        assert op.regular(np.int64(3), np.float64(1.0)) is op.regular(3, 1.0)
+        assert op.regular(3, 1.0, TolerancePolicy(rel=1e-6)) is not op.regular(3, 1.0)
+
+    @pytest.mark.parametrize("d, edge", [(True, 1.0), (3.0, 1.0), (np.float64(3.0), 1.0),
+                                         (3, math.inf), (3, math.nan), (3, -1.0)])
+    def test_arguments_are_checked_before_the_cache(self, d, edge):
+        for cached in (1, 3):  # keys equal to True and to 3.0
+            op.regular(cached, 1.0)
+        with pytest.raises(InputError):
+            op.regular(d, edge)
 
 
 class TestIntegerDimension:

@@ -694,6 +694,23 @@ class TestRectangularBand:
         assert len(changes) == 1
         assert (classes[0], classes[-1]) == ("rectangular-at-3", "acute")
 
+    def test_tied_coordinates_name_one_corner(self):
+        """A needle is rectangular within rel at each of its tied base
+        vertices; the first of them is the corner at every length.  A true
+        right corner keeps its own vertex."""
+        triangle = [op.from_vertices(2, [[-0.5, 0.0], [0.5, 0.0], [0.0, length]])
+                    for length in np.logspace(np.log10(1.7e4), np.log10(4.8e4), 40)]
+        base = np.hstack([op.regular(2, 1.0).vertices, np.zeros((3, 1))])
+        tetrahedron = [op.from_vertices(3, np.vstack([base, [0.0, 0.0, length]]))
+                       for length in np.logspace(np.log10(1.5e4), np.log10(4e4), 20)]
+        for needles in (triangle, tetrahedron):
+            params = [op.params_of(s) for s in needles]
+            assert all(p.rectangular for p in params)
+            assert {p.rect_vertex for p in params} == {0}
+        right = np.vstack([np.eye(3), np.zeros((1, 3))])  # the right corner is vertex 3
+        for vertices, k in ((right, 3), (right[[0, 3, 1, 2]], 1)):
+            assert op.params_of(op.from_vertices(3, vertices)).rect_vertex == k
+
 
 class TestRoundTripsAndLaws:
     @pytest.mark.parametrize("d", range(2, 7))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import orthoplex as op
 from orthoplex import DegenerateSimplexError, InputError, NumericError
-from orthoplex import centers, numerics
+from orthoplex import centers, families, numerics
 from orthoplex import orthocentric as oc
 from orthoplex import simplex as sx
 from orthoplex import verify as vf
@@ -607,6 +607,20 @@ class TestPerSimplexTables:
             for fn in PER_SIMPLEX:
                 assert fn.__wrapped__ in t._memo  # stored by the fill, not on this call
                 assert same_stored(fn(s), fn(t)), fn.__name__
+
+    @pytest.mark.parametrize("d", [2, 5, 9])
+    def test_fill_of_the_shared_regular_simplex_keeps_the_direct_bits(self, d):
+        """``regular`` hands every caller one simplex; a fill over a block
+        that holds it stores the tables a fresh simplex of its coordinates
+        computes on its own."""
+        families._regular.cache_clear()
+        shared = op.regular(d, 1.0)
+        block = fill_block(d, 1.0)
+        assert any(s is shared for s in block)
+        sx._fill(block, PER_SIMPLEX)
+        fresh = op.from_vertices(d, shared.vertices)
+        for fn in PER_SIMPLEX:
+            assert same_stored(shared._memo[fn.__wrapped__], fn(fresh)), fn.__name__
 
     def test_fill_runs_each_table_once_and_keeps_what_is_stored(self, monkeypatch):
         block = fill_block(5, 1.0)

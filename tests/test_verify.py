@@ -225,11 +225,12 @@ class TestRecorder:
         """Each rectangular sample builds one simplex in the check, its
         hypotenuse facet (none for d = 2): the block's facets come from one
         stacked QR and one stacked degeneracy test, with no ``from_vertices``,
-        ``face`` or ``params_of`` call, and the lift reads the legs of the
-        whole stack without building the lifted simplices."""
-        specs = [families.RectSpec(d, tuple(np.linspace(0.6, 1.7, d) * (1 + 0.1 * k)))
-                 for k in range(4)]
-        block = [families.rectangular(spec) for spec in specs]
+        ``face`` or ``params_of`` call, the closed forms come from the legs
+        array with no ``RectSpec`` or ``rect_metrics`` call, and the lift
+        reads the legs of the whole stack without building the lifted
+        simplices."""
+        legs = np.stack([np.linspace(0.6, 1.7, d) * (1 + 0.1 * k) for k in range(4)])
+        block = sx._from_vertex_rows(d, families._rect_pose(legs), DEFAULT_POLICY)
         shapes = {"qr": [], "eigvalsh": []}
         for name, seen in shapes.items():
             def recording(a, *args, _real=getattr(np.linalg, name), _seen=seen, **kwargs):
@@ -241,10 +242,11 @@ class TestRecorder:
         def forbidden(*args, **kwargs):
             raise AssertionError("the rectangular check must not call this")
 
-        for module, name in ((sx, "from_vertices"), (sx, "face"), (oc, "params_of")):
+        for module, name in ((sx, "from_vertices"), (sx, "face"), (oc, "params_of"),
+                             (families, "RectSpec"), (families, "rect_metrics")):
             monkeypatch.setattr(module, name, forbidden)
         rec = vf._Recorder("rectangular")
-        vf._check_rectangular(rec, specs, block, DEFAULT_POLICY)
+        vf._check_rectangular(rec, legs, block, DEFAULT_POLICY)
         assert rec.counterexample is None
         assert shapes["qr"] == ([] if d == 2 else [(4, d, d - 1)])
         assert shapes["eigvalsh"] == ([] if d == 2 else [(4, d - 1, d - 1)])
@@ -274,6 +276,25 @@ class TestBlockFill:
         for stacks in builds.values():
             assert [s.dim for s in stacks] == [2, 3, 4, 5]
             assert sum(len(s.vertices) for s in stacks) == result.samples
+
+    def test_each_regular_simplex_is_built_once(self, monkeypatch):
+        """All four suites at d 2..6 ask for the regular simplex many times
+        (the family fixtures, the perturbation bases, the kite bases) and
+        build each distinct one once; no ``RectSpec`` or one-row
+        ``rect_metrics`` is made."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify must not call this")
+
+        for name in ("RectSpec", "rect_metrics"):
+            monkeypatch.setattr(families, name, forbidden)
+        asked, real = [], families.regular
+        monkeypatch.setattr(families, "regular", lambda *a: asked.append(a) or real(*a))
+        families._regular.cache_clear()
+        assert run_all(SuiteConfig(d_min=2, d_max=6)).passed
+        built = families._regular.cache_info()
+        assert sorted({a[:2] for a in asked}) == [(d, 1.0) for d in range(2, 7)]
+        assert built.misses == built.currsize == 5 and len(asked) > 5
 
     @pytest.mark.parametrize("suite, check", [
         ("center_equivalences", "_check_equivalences"),

@@ -267,19 +267,17 @@ def feuerbach_sphere(
     facet level it and max_residual, a closed-form upper bound on the
     deviation of any k-face centroid from the radius, come from the Gram
     matrix about H; the facet level measures its d+1 centroids.  All k
-    together cost O(d^2 log d).
+    together cost O(d^2 log d); this is row k of :func:`feuerbach_spheres`.
     """
     d = s.dim
     if not (sx._is_int(k) and 0 <= k <= d - 1):
         raise InputError(f"k must be an integer in [0, {d - 1}], got {k!r}")
-    if k == d - 1:
-        return FeuerbachSphere(d - 1, *_facet_sphere(s))
-    if not is_orthocentric(s, policy):
+    orthocentric = is_orthocentric(s, policy)
+    if k < d - 1 and not orthocentric:
         raise NotOrthocentricError(
             "mid-face spheres below the facet level require an orthocentric simplex"
         )
-    spheres, radius, residual = _mid_face_spheres(s)
-    return FeuerbachSphere(k, spheres[k], float(radius[k]), float(residual[k]))
+    return _sphere_family(s, orthocentric)[k - d]
 
 
 def feuerbach_spheres(
@@ -289,7 +287,7 @@ def feuerbach_spheres(
     orthocentric (:func:`is_orthocentric`, read from the per-simplex
     squared-edge misfit), else only k = d-1.
 
-    Equal, bit for bit, to :func:`feuerbach_sphere` for each of those k.
+    :func:`feuerbach_sphere` reads its k from this list.
     """
     return _sphere_family(s, is_orthocentric(s, policy))
 

@@ -245,11 +245,11 @@ def construct(
     return sx.from_vertices(a.size - 1, _ldl_pose(a, sigma), policy)
 
 
-def _construct_rows(bary: np.ndarray, scale: float, policy: TolerancePolicy) -> list[sx.Simplex]:
+def _construct_rows(bary: np.ndarray, scale: float, policy: TolerancePolicy) -> sx.Simplex:
     """:func:`construct` on each row of ``bary`` (k, d+1) at once: one
     barycentric test, one pose and one degeneracy decision for the stack.
-    Each simplex equals its ``construct``, bit for bit; the first row that
-    fails raises what its ``construct`` would."""
+    Row r of the stack is the ``construct`` of ``bary[r]``, bit for bit;
+    the first row that fails raises what its ``construct`` would."""
     sigma = np.where(_validate_bary(bary, policy), scale, -scale)
     pose = _ldl_pose(bary, sigma[:, None])
     return sx._from_vertex_rows(bary.shape[-1] - 1, pose, policy)
@@ -449,7 +449,7 @@ def _sample_rows(d: int, kind: str, k: int, rng: np.random.Generator) -> np.ndar
         np.negative(u, out=out[:, :d])
         np.add(1.0, u.sum(axis=1), out=out[:, d])
         return out
-    margin = min(0.01, 2.0 / (d + 1) ** 2)
+    margin = _acute_margin(d)
     block = ceil(2.0 * k / (1.0 - (d + 1) * margin) ** d)
     got = 0
     while got < k:
@@ -458,6 +458,11 @@ def _sample_rows(d: int, kind: str, k: int, rng: np.random.Generator) -> np.ndar
         out[got:got + len(hit)] = hit
         got += len(hit)
     return out
+
+
+def _acute_margin(d: int) -> float:
+    """The least coordinate of an acute tuple from :func:`_sample_rows`."""
+    return min(0.01, 2.0 / (d + 1) ** 2)
 
 
 @lru_cache(maxsize=64)

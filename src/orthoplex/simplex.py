@@ -51,7 +51,7 @@ class Simplex:
     and stored in ``_memo`` (see :func:`_per_simplex`); the vertices are
     read-only, so a stored table cannot go stale.  Privately, ``vertices``
     may also be a stack (k, d+1, d) of same-dimension simplices, on which
-    the tables run once for all of them (see :func:`_fill`).
+    each table runs once for all of them (see :func:`_stack`).
     """
 
     dim: int
@@ -130,17 +130,18 @@ def _degeneracy(vertices: np.ndarray, policy: TolerancePolicy):
 
 
 def _from_vertex_rows(dim: int, vertices: np.ndarray, policy: TolerancePolicy,
-                      drop_degenerate: bool = False) -> list[Simplex]:
+                      drop_degenerate: bool = False) -> Simplex:
     """:func:`from_vertices` on each simplex of the float stack ``vertices``
-    (k, dim+1, dim), at one :func:`_degeneracy` call: their Simplex objects
-    in row order, each holding a view of its row of the stack, which is made
-    read-only.  The first degenerate row raises what ``from_vertices``
-    raises on it, unless ``drop_degenerate`` leaves every degenerate row out."""
+    (k, dim+1, dim), at one :func:`_degeneracy` call: one read-only stack of
+    the rows, in row order.  The first degenerate row raises what
+    ``from_vertices`` raises on it, unless ``drop_degenerate`` leaves every
+    degenerate row out."""
     degenerate, _ = _degeneracy(vertices, policy)
     if not drop_degenerate and any(degenerate):
         from_vertices(dim, vertices[degenerate.index(True)], policy)  # raises
-    vertices.flags.writeable = False
-    return [Simplex(dim=dim, vertices=v) for bad, v in zip(degenerate, vertices) if not bad]
+    kept = vertices[~np.array(degenerate, dtype=bool)]  # a C-contiguous copy
+    kept.flags.writeable = False
+    return Simplex(dim=dim, vertices=kept)
 
 
 def _read_only(value):
@@ -165,9 +166,9 @@ def _per_simplex(fn):
 
     ``fn`` is written over vertices with leading axes (..., n, d): on one
     simplex its per-simplex numbers come out as Python numbers, on a stack
-    (:func:`_fill`) as arrays over the stack.  Gathers per simplex go
-    through :func:`_at`; a number read from another table takes
-    ``np.asarray(x)[..., None]`` to meet rows of the same simplex.
+    as arrays over the stack, row r with the bits of simplex r alone.
+    Gathers per simplex go through :func:`_at`; a number read from another
+    table takes ``np.asarray(x)[..., None]`` to meet rows of the same simplex.
     """
 
     @wraps(fn)
@@ -189,27 +190,16 @@ def _at(s: Simplex, index):
     return rows, index
 
 
-def _fill(simplices, tables) -> Simplex | None:
-    """Run each of ``tables`` (:func:`_per_simplex` functions) once on the
-    stack of ``simplices``, all of one dimension, and store in each
-    simplex's memo its slice of every table the stack computed, their
-    dependencies too: the types and bytes a direct call would store.  A
-    table a simplex already holds is kept.  Returns the stack (None for no
-    simplices): a table read from it later runs once for the whole block
-    and stays in the stack's memo only."""
-    if not simplices:
-        return None
-    stack = Simplex(dim=simplices[0].dim, vertices=np.stack([s.vertices for s in simplices]))
-    for table in tables:
-        table(stack)
-    for fn, value in stack._memo.items():
-        fields = value if isinstance(value, tuple) else (value,)
-        # row k of a field, a read-only view, or its k-th number as a Python number
-        rows = zip(*(f.tolist() if f.ndim == 1 else f for f in fields))
-        for s, row in zip(simplices, rows):
-            if fn not in s._memo:
-                s._memo[fn] = row if isinstance(value, tuple) else row[0]
-    return stack
+def _stack(parts, rows=None) -> Simplex:
+    """One read-only stack of ``parts``, simplices and stacks of one
+    dimension, in order, or of its rows ``rows`` (an index array): a copy
+    of the vertices with an empty memo, whose tables run once for the whole
+    block.  No part's memo is read or written."""
+    vertices = np.concatenate([s.vertices.reshape((-1,) + s.vertices.shape[-2:]) for s in parts])
+    if rows is not None:
+        vertices = vertices[rows]
+    vertices.flags.writeable = False
+    return Simplex(dim=parts[0].dim, vertices=vertices)
 
 
 _FLOAT_MAX = float_info.max

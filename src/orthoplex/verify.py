@@ -85,6 +85,10 @@ class SuiteConfig:
             raise InputError(
                 f"need 2 <= d_min <= d_max <= 10, got [{self.d_min}, {self.d_max}]"
             )
+        margin = oc._acute_margin(self.d_max)  # the least over d_min..d_max
+        if not self.policy.rel < margin:
+            raise InputError(f"tolerance rel={self.policy.rel!r} must be below {margin:g}, the "
+                             "acute sample margin min(0.01, 2/(d_max+1)^2)")
         object.__setattr__(self, "suites", canonical_suites(self.suites))
         if not self.suites:
             raise InputError("no suite selected")
@@ -140,12 +144,12 @@ class VerificationReport:
 class _Recorder:
     """Accumulates checks; the first violation becomes the counterexample.
 
-    A check is evaluated over a block of samples: ``simplex`` is a stack
-    from :func:`simplex._fill`, whose samples run along the first axis of
-    the residual, or one simplex (or None), a block of one.  Further axes
-    hold values checked in turn.  The counterexample is the violation a
-    loop over the samples would meet first: the earliest sample, then the
-    earliest check in code order, then the earliest value.
+    A check is evaluated over a block of samples: ``simplex`` is the
+    block's stack, whose samples run along the first axis of the residual,
+    or one simplex (or None), a block of one.  Further axes hold values
+    checked in turn.  The counterexample is the violation a loop over the
+    samples would meet first: the earliest sample, then the earliest check
+    in code order, then the earliest value.
     """
 
     def __init__(self, name: str):
@@ -231,15 +235,15 @@ def _sub_seed(config: SuiteConfig, *parts: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
-def _random_simplices(d: int, k: int, rng, policy: TolerancePolicy) -> list[sx.Simplex]:
-    """k Gaussian d-simplices drawn from ``rng`` as one (k, d+1, d) block.  A
+def _random_simplices(d: int, k: int, rng, policy: TolerancePolicy) -> sx.Simplex:
+    """k Gaussian d-simplices drawn from ``rng`` as one (k, d+1, d) stack.  A
     degenerate draw is dropped and only the missing count is drawn again, so
     the stream gives the samples a loop drawing each until it is valid would."""
-    out = []
-    while len(out) < k:
-        draws = rng.normal(0.0, 1.0, size=(k - len(out), d + 1, d))
-        out += sx._from_vertex_rows(d, draws, policy, drop_degenerate=True)
-    return out
+    parts = []
+    while (got := sum(len(p.vertices) for p in parts)) < k:
+        draws = rng.normal(0.0, 1.0, size=(k - got, d + 1, d))
+        parts.append(sx._from_vertex_rows(d, draws, policy, drop_degenerate=True))
+    return sx._stack(parts)
 
 
 def _per_dim(config: SuiteConfig) -> int:
@@ -268,9 +272,9 @@ def suite_center_equivalences(config: SuiteConfig) -> SuiteResult:
                 except OrthoplexError as exc:  # an admissible pair must build
                     rec.fail("admissible equiradial fixture builds",
                              d=d, m=2, branch=branch, error=f"{type(exc).__name__}: {exc}")
-        fixtures += _random_simplices(d, _per_dim(config), rng, pol)
-        rec.sample(len(fixtures))
-        _check_equivalences(rec, fixtures, pol)
+        block = sx._stack(fixtures + [_random_simplices(d, _per_dim(config), rng, pol)])
+        rec.sample(len(block.vertices))
+        _check_equivalences(rec, block, pol)
     return rec.result()
 
 
@@ -284,9 +288,8 @@ def _family_fixtures(d: int, rng, policy: TolerancePolicy) -> list[sx.Simplex]:
     return fixtures
 
 
-def _check_equivalences(rec: _Recorder, block: list[sx.Simplex], pol: TolerancePolicy):
+def _check_equivalences(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
     tol = pol.rel
-    s = sx._fill(block, ())  # every table is read from the stack
     diam = sx.diameter(s)
     c, big_r = centers.circumcenter(s)
     i, inr = centers.incenter(s)
@@ -343,15 +346,15 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
     for d in range(config.d_min, config.d_max + 1):
         rng = np.random.default_rng(_sub_seed(config, 2, d))
         accepted = _separated_samples(d, max(1, _per_dim(config) // 2), rng, pol)
-        rec.sample(len(accepted))
-        _check_separation(rec, sx._fill(accepted, ()), pol)
+        rec.sample(len(accepted.vertices))
+        _check_separation(rec, accepted, pol)
 
         # continuity sanity: separations shrink with the perturbation
         base = families.regular(d, 1.0, pol)
         dirs = rng.normal(size=base.vertices.shape)
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         deltas = np.array((1e-2, 1e-3, 1e-4))
-        s = sx._fill(sx._from_vertex_rows(d, base.vertices + deltas[:, None, None] * dirs, pol), ())
+        s = sx._from_vertex_rows(d, base.vertices + deltas[:, None, None] * dirs, pol)
         seps = centers._center_distances(s).max(axis=-1) / sx.diameter(s)
         rec.check("near-regular separation bounded by perturbation", seps, 100.0 * deltas, s,
                   delta=deltas, separation=seps)
@@ -361,26 +364,27 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
     return rec.result()
 
 
-def _separated_samples(d: int, per_kind: int, rng, pol: TolerancePolicy) -> list[sx.Simplex]:
-    """The first ``per_kind`` acute, then obtuse, simplices drawn from
-    ``rng`` whose edge lengths spread by at least 0.01; closer to regular is
-    too close for the contrapositive.  Each round draws the missing acute
-    rows, then the missing obtuse rows (:func:`orthocentric._sample_rows`),
+def _separated_samples(d: int, per_kind: int, rng, pol: TolerancePolicy) -> sx.Simplex:
+    """The stack of the first ``per_kind`` acute, then obtuse, simplices
+    drawn from ``rng`` whose edge lengths spread by at least 0.01; closer to
+    regular is too close for the contrapositive.  Each round draws the
+    missing acute, then obtuse, rows (:func:`orthocentric._sample_rows`)
     and poses and filters them as one block, so a rejected row is replaced
     by the next rows of the same stream."""
     kinds = (oc.ACUTE, oc.OBTUSE)
-    accepted = {kind: [] for kind in kinds}
+    blocks, accepted = [], {kind: [] for kind in kinds}  # rows of all blocks in turn
     while True:
         need = [per_kind - len(accepted[kind]) for kind in kinds]
         if not any(need):
-            return accepted[oc.ACUTE] + accepted[oc.OBTUSE]
+            return sx._stack(blocks, accepted[oc.ACUTE] + accepted[oc.OBTUSE])
         bary = np.concatenate([oc._sample_rows(d, kind, k, rng) for kind, k in zip(kinds, need)])
-        block = oc._construct_rows(bary, 1.0, pol)
-        keep = ~(pol.spread(sx.edge_lengths(sx._fill(block, ()))) < 0.01)
+        first = sum(len(b.vertices) for b in blocks)
+        blocks.append(oc._construct_rows(bary, 1.0, pol))
+        keep = ~(pol.spread(sx.edge_lengths(blocks[-1])) < 0.01)
         labels = [kind for kind, k in zip(kinds, need) for _ in range(k)]
-        for kind, s, kept in zip(labels, block, keep.tolist()):
+        for row, (kind, kept) in enumerate(zip(labels, keep.tolist()), first):
             if kept:
-                accepted[kind].append(s)
+                accepted[kind].append(row)
 
 
 def _check_separation(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, prefix: str = ""):
@@ -410,9 +414,9 @@ def suite_euler_feuerbach(config: SuiteConfig) -> SuiteResult:
         per_kind = max(1, _per_dim(config) // 2)
         bary = np.concatenate([oc._sample_rows(d, kind, per_kind, rng)
                                for kind in (oc.ACUTE, oc.OBTUSE)])
-        fixtures += oc._construct_rows(bary, 1.0, pol)
-        rec.sample(len(fixtures))
-        _check_euler_feuerbach(rec, fixtures, pol)
+        block = sx._stack(fixtures + [oc._construct_rows(bary, 1.0, pol)])
+        rec.sample(len(block.vertices))
+        _check_euler_feuerbach(rec, block, pol)
     return rec.result()
 
 
@@ -439,8 +443,7 @@ def _face_centroids(s: sx.Simplex) -> np.ndarray:
     return _face_table(s.n)[0] @ s.vertices
 
 
-def _check_euler_feuerbach(rec: _Recorder, block: list[sx.Simplex], pol: TolerancePolicy):
-    s = sx._fill(block, ())  # every table is read from the stack
+def _check_euler_feuerbach(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
     if not np.all(centers.is_orthocentric(s, pol)):
         raise NumericError(f"euler_feuerbach fixture is not orthocentric at rel={pol.rel:g}")
     d = s.dim
@@ -479,7 +482,7 @@ def _check_euler_feuerbach(rec: _Recorder, block: list[sx.Simplex], pol: Toleran
     sigma, rectangular, _, bary = oc._param_rows(s, pol)
     skew = ~rectangular  # lambda exists
     oc._validate_bary(bary[skew], pol)
-    lam = np.ones((len(block), d + 2))
+    lam = np.ones((len(s.vertices), d + 2))
     lam[skew] = oc._lambda_rows(sigma[skew], bary[skew])
     # sum 1/lam = (1 - sum a) / sigma against sum |1/lam| = (1 + sum |a|) / |sigma|
     inv = 1.0 / lam
@@ -507,7 +510,7 @@ def suite_rectangular(config: SuiteConfig) -> SuiteResult:
         rng = np.random.default_rng(_sub_seed(config, 4, d))
         legs = rng.uniform(0.5, 2.0, size=(_per_dim(config), d))
         block = sx._from_vertex_rows(d, families._rect_pose(legs), pol)
-        rec.sample(len(block))
+        rec.sample(len(block.vertices))
         _check_rectangular(rec, legs, block, pol)
         if d >= 3:
             rec.sample()
@@ -521,14 +524,12 @@ def suite_rectangular(config: SuiteConfig) -> SuiteResult:
     return rec.result()
 
 
-def _check_rectangular(rec: _Recorder, legs: np.ndarray, block: list[sx.Simplex],
-                       pol: TolerancePolicy):
-    """``block[r]`` is the rectangular simplex of the legs ``legs[r]`` (k, d);
-    each is checked against the closed forms, one rows call for the block,
-    and, for d >= 3, its hypotenuse facet lifted back to its legs (a d = 2
-    facet is a segment, below the lift's domain)."""
+def _check_rectangular(rec: _Recorder, legs: np.ndarray, s: sx.Simplex, pol: TolerancePolicy):
+    """Row r of the stack ``s`` is the rectangular simplex of the legs
+    ``legs[r]`` (k, d); each is checked against the closed forms, one rows
+    call for the block, and, for d >= 3, its hypotenuse facet lifted back to
+    its legs (a d = 2 facet is a segment, below the lift's domain)."""
     d = legs.shape[-1]
-    s = sx._fill(block, ())  # every table is read from the stack
     m = families._rect_rows(legs)
     diam = sx.diameter(s)
 
@@ -560,8 +561,7 @@ def _check_rectangular(rec: _Recorder, legs: np.ndarray, block: list[sx.Simplex]
     if d >= 3:
         # the hypotenuse facets (opposite the corner, vertex d) as one stack
         hyp = sx._face_pose(s.vertices[:, sx.facet_indices(s)[d]])
-        facets = sx._fill(sx._from_vertex_rows(d - 1, hyp, pol), ())
-        lifted = families._lift_legs(facets, pol)
+        lifted = families._lift_legs(sx._from_vertex_rows(d - 1, hyp, pol), pol)
         rec.check("lift round trip", np.abs(lifted - legs).max(axis=-1),
                   10 * pol.rel * legs.max(axis=-1), s, legs=legs, lifted=lifted)
 

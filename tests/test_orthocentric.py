@@ -791,11 +791,11 @@ class TestConstructRows:
         bary = mixed_tuples(d)
         for scale in (1.0, 2.5e-3):
             rows = oc._construct_rows(bary.copy(), scale, op.DEFAULT_POLICY)
-            assert len(rows) == len(bary)
-            for a, s in zip(bary, rows):
+            assert rows.dim == d and rows.vertices.shape == (len(bary), d + 1, d)
+            for a, v in zip(bary, rows.vertices):
                 want = op.construct(a, scale).vertices
-                assert s.dim == d and np.array_equal(s.vertices, want)
-                assert s.vertices.tolist() == want.tolist() and repr(s.vertices) == repr(want)
+                assert np.array_equal(v, want)
+                assert v.tolist() == want.tolist() and repr(v) == repr(want)
 
     @pytest.mark.parametrize("fault, message", [
         (lambda a: np.full_like(a, np.nan), "must be finite"),
@@ -819,12 +819,12 @@ class TestConstructRows:
         """The stacked parameter table gives each simplex the obtuseness,
         class, corner and barycentrics ``params_of`` gives it alone."""
         d = 5
-        block = oc._construct_rows(mixed_tuples(d), 1.0, op.DEFAULT_POLICY)
-        block.append(op.rectangular(op.RectSpec(d, (0.7, 1.1, 1.3, 0.9, 1.6))))
-        block.append(op.regular(d, 1.0))
-        sigma, rectangular, corner, bary = oc._param_rows(sx._fill(block, ()), op.DEFAULT_POLICY)
-        for r, s in enumerate(block):
-            p = op.params_of(op.from_vertices(d, s.vertices))
+        block = sx._stack([oc._construct_rows(mixed_tuples(d), 1.0, op.DEFAULT_POLICY),
+                           op.rectangular(op.RectSpec(d, (0.7, 1.1, 1.3, 0.9, 1.6))),
+                           op.regular(d, 1.0)])
+        sigma, rectangular, corner, bary = oc._param_rows(block, op.DEFAULT_POLICY)
+        for r, v in enumerate(block.vertices):
+            p = op.params_of(op.from_vertices(d, v))
             assert bool(rectangular[r]) is p.rectangular
             if p.rectangular:
                 assert corner[r] == p.rect_vertex
@@ -832,10 +832,11 @@ class TestConstructRows:
                 assert sigma[r] == p.obtuseness and np.array_equal(bary[r], p.bary)
 
     def test_params_rows_raise_for_a_simplex_that_is_not_orthocentric(self):
-        block = oc._construct_rows(mixed_tuples(4), 1.0, op.DEFAULT_POLICY)
-        block.insert(2, op.from_vertices(4, np.random.default_rng(3).normal(size=(5, 4))))
+        gaussian = op.from_vertices(4, np.random.default_rng(3).normal(size=(5, 4)))
+        rows = oc._construct_rows(mixed_tuples(4), 1.0, op.DEFAULT_POLICY)
+        block = sx._stack([rows, gaussian], [0, 1, 6, 2, 3, 4, 5])  # the Gaussian at row 2
         with pytest.raises(NotOrthocentricError) as one_err:
-            op.params_of(op.from_vertices(4, block[2].vertices))
+            op.params_of(op.from_vertices(4, block.vertices[2]))
         with pytest.raises(NotOrthocentricError) as block_err:
-            oc._param_rows(sx._fill(block, ()), op.DEFAULT_POLICY)
+            oc._param_rows(block, op.DEFAULT_POLICY)
         assert str(block_err.value) == str(one_err.value)

@@ -497,8 +497,7 @@ class TestFacetClosedForms:
     def test_sq_edge_sums_per_simplex_of_a_stack(self, d):
         """On a stack each row is the sum of its own simplex, bit for bit."""
         block = fill_block(d, 1.0)
-        stack = sx._fill([op.from_vertices(d, s.vertices) for s in block], ())
-        rows = sx.facet_sq_edge_sums(stack)
+        rows = sx.facet_sq_edge_sums(sx._stack(block))
         assert rows.shape == (len(block), d + 1)
         for s, row in zip(block, rows):
             assert row.tobytes() == sx.facet_sq_edge_sums(s).tobytes()
@@ -575,6 +574,20 @@ def fill_block(d, scale):
     return block
 
 
+def row_of(table, r):
+    """Row r of a table computed on a stack, as a direct call stores it: a
+    read-only view of each array field, each per-simplex number (a field
+    with one axis) as a Python number."""
+    if isinstance(table, tuple):
+        return tuple(row_of(field, r) for field in table)
+    return table.tolist()[r] if table.ndim == 1 else table[r]
+
+
+def same_memo(s, memo):
+    """``s`` holds the tables of ``memo``, each the same object, and no other."""
+    return s._memo.keys() == memo.keys() and all(s._memo[k] is v for k, v in memo.items())
+
+
 def same_stored(want, got):
     """Equal types and bytes, arrays read-only, tuple by tuple."""
     if isinstance(want, tuple):
@@ -600,31 +613,39 @@ class TestPerSimplexTables:
     @pytest.mark.parametrize("d", range(2, 13))
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_fill_stores_what_a_direct_call_stores(self, d, scale):
+        """Row r of every table on the stack of a block holds the types and
+        bytes the table stores on simplex r of the block alone."""
         block = fill_block(d, scale)
-        filled = [op.from_vertices(d, s.vertices) for s in block]
-        sx._fill(filled, PER_SIMPLEX)
-        for s, t in zip(block, filled):
-            for fn in PER_SIMPLEX:
-                assert fn.__wrapped__ in t._memo  # stored by the fill, not on this call
-                assert same_stored(fn(s), fn(t)), fn.__name__
+        stack = sx._stack(block)
+        for fn in PER_SIMPLEX:
+            table = fn(stack)
+            for r, s in enumerate(block):
+                assert same_stored(fn(s), row_of(table, r)), (fn.__name__, r)
 
     @pytest.mark.parametrize("d", [2, 5, 9])
     def test_fill_of_the_shared_regular_simplex_keeps_the_direct_bits(self, d):
-        """``regular`` hands every caller one simplex; a fill over a block
-        that holds it stores the tables a fresh simplex of its coordinates
-        computes on its own."""
+        """``regular`` hands every caller one simplex; stacking a block that
+        holds it leaves its memo as it was, and its row of every table on
+        the stack has the bits a fresh simplex of its coordinates computes
+        on its own."""
         families._regular.cache_clear()
         shared = op.regular(d, 1.0)
+        centers.circumcenter(shared)
+        memo = dict(shared._memo)
         block = fill_block(d, 1.0)
-        assert any(s is shared for s in block)
-        sx._fill(block, PER_SIMPLEX)
+        at = next(r for r, s in enumerate(block) if s is shared)
+        stack = sx._stack(block)
         fresh = op.from_vertices(d, shared.vertices)
         for fn in PER_SIMPLEX:
-            assert same_stored(shared._memo[fn.__wrapped__], fn(fresh)), fn.__name__
+            assert same_stored(fn(fresh), row_of(fn(stack), at)), fn.__name__
+        assert same_memo(shared, memo)
 
     def test_fill_runs_each_table_once_and_keeps_what_is_stored(self, monkeypatch):
+        """A table read from a stack runs once for the whole block, and
+        stacking reads and writes no part's memo."""
         block = fill_block(5, 1.0)
         kept = centers.circumcenter(block[2])
+        memos = [dict(s._memo) for s in block]
         builds = []
 
         def building(s, _build=sx._frame.__wrapped__):
@@ -632,10 +653,27 @@ class TestPerSimplexTables:
             return _build(s)
 
         monkeypatch.setattr(sx, "_frame", sx._per_simplex(building))
-        sx._fill(block, [centers.circumcenter, sx.facet_volumes])
+        stack = sx._stack(block)
+        centers.circumcenter(stack)
+        sx.facet_volumes(stack)
         assert builds == [(len(block), 6, 5)]
         assert centers.circumcenter(block[2]) is kept
-        sx._fill([], [sx._frame])
+        assert all(same_memo(s, memo) for s, memo in zip(block, memos))
+
+    def test_stack_joins_simplices_and_stacks_in_order(self):
+        """Parts are simplices and stacks of one dimension; ``rows`` picks
+        and orders rows of the joined stack, which is a read-only copy."""
+        block = fill_block(4, 1.0)
+        part = sx._stack(block[2:5])
+        joined = sx._stack([block[0], block[1], part, *block[5:]])
+        want = np.stack([s.vertices for s in block])
+        assert joined.dim == 4 and np.array_equal(joined.vertices, want)
+        assert not joined.vertices.flags.writeable and joined.vertices.flags.c_contiguous
+        assert not np.shares_memory(part.vertices, joined.vertices)
+        rows = [5, 0, 3, 3]
+        picked = sx._stack([block[0], block[1], part, *block[5:]], rows)
+        assert np.array_equal(picked.vertices, want[rows]) and not picked.vertices.flags.writeable
+        assert picked._memo == {}
 
     @pytest.mark.parametrize("d", range(2, 41))
     def test_edge_lengths_match_norm_loop(self, d):
@@ -827,10 +865,10 @@ class TestDegeneracyBlock:
         assert degenerate == [bad for bad, _, _ in want]
         assert [r for r, (bad, _, _) in zip(ratio, want) if bad] == [r for bad, r, _ in want if bad]
         good = [v for bad, _, v in want if not bad]
-        assert len(kept) == len(good)
-        for s, v in zip(kept, good):
-            assert s.dim == d and not s.vertices.flags.writeable
-            assert np.array_equal(s.vertices, v)
+        assert kept.dim == d and kept.vertices.shape == (len(good), d + 1, d)
+        assert not kept.vertices.flags.writeable and kept.vertices.flags.c_contiguous
+        for got, v in zip(kept.vertices, good):
+            assert np.array_equal(got, v)
         return degenerate
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
@@ -885,16 +923,15 @@ class TestFacePoseBlock:
         and squared-edge tables, bit for bit."""
         rng = np.random.default_rng(20 + d)
         block = [op.from_vertices(d, rng.normal(size=(d + 1, d))) for _ in range(6)]
-        s = sx._fill(block, ())
+        s = sx._stack(block)
         for i in range(d + 1):
             index = sx.facet_indices(s)[i]
             poses = sx._face_pose(s.vertices[:, index])
-            facets = sx._from_vertex_rows(d - 1, poses, op.DEFAULT_POLICY)
-            stack = sx._fill(facets, ())
+            stack = sx._from_vertex_rows(d - 1, poses, op.DEFAULT_POLICY)
             for r, t in enumerate(block):
                 f = sx.face(t, index)
-                assert np.array_equal(facets[r].vertices, f.vertices)
-                assert facets[r].vertices.strides == f.vertices.strides
+                assert np.array_equal(stack.vertices[r], f.vertices)
+                assert stack.vertices[r].strides == f.vertices.strides
                 assert np.array_equal(sx.squared_edge_table(stack)[r], sx.squared_edge_table(f))
 
     @pytest.mark.parametrize("d", [8, 10])
@@ -906,8 +943,8 @@ class TestFacePoseBlock:
         rng = np.random.default_rng(d)
         block = [op.from_vertices(d, rng.normal(size=(d + 1, d))) for _ in range(3)]
         index = sx.facet_indices(block[0])[d]
-        poses = sx._face_pose(sx._fill(block, ()).vertices[:, index])
-        stack = sx._fill(sx._from_vertex_rows(d - 1, poses, op.DEFAULT_POLICY), ())
+        poses = sx._face_pose(sx._stack(block).vertices[:, index])
+        stack = sx._from_vertex_rows(d - 1, poses, op.DEFAULT_POLICY)
         for r, t in enumerate(block):
             pts = t.vertices[list(index)]
             rr = np.linalg.qr((pts[1:] - pts[0]).T, mode="r")

@@ -26,7 +26,7 @@ def test_simplices_are_built_only_where_validated():
     ``Simplex(...)`` (or ``sx.Simplex(...)``) is called only in
     ``simplex.from_vertices``, in ``simplex._from_vertex_rows``, which runs
     the same rule on a stack of vertex arrays, and, for stacks of simplices
-    already validated, in ``simplex._fill``."""
+    already validated, in ``simplex._stack``."""
     callers = set()
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -39,4 +39,4 @@ def test_simplices_are_built_only_where_validated():
                 ):
                     callers.add((path.name, fn.name))
     assert callers == {("simplex.py", "from_vertices"), ("simplex.py", "_from_vertex_rows"),
-                       ("simplex.py", "_fill")}
+                       ("simplex.py", "_stack")}

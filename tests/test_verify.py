@@ -6,7 +6,7 @@ import pytest
 
 import orthoplex as op
 from orthoplex import InputError, NumericError, SuiteConfig, run_all
-from orthoplex import DEFAULT_POLICY, centers, cli, families
+from orthoplex import DEFAULT_POLICY, TolerancePolicy, centers, cli, families
 from orthoplex import orthocentric as oc
 from orthoplex import simplex as sx
 from orthoplex import verify as vf
@@ -35,6 +35,19 @@ class TestConfig:
             SuiteConfig(suites=())
         cfg = SuiteConfig(samples=np.int64(5), seed=np.uint32(1), d_min=np.int8(2), d_max=3)
         assert cfg.samples == 5 and cfg.d_min == 2
+
+    def test_tolerance_must_be_below_the_acute_margin(self, capsys):
+        """An acute sample's least coordinate is min(0.01, 2/(d_max+1)^2): at
+        a rel that large ``construct``'s margin test would reject the
+        samples, so the config names the bound instead."""
+        for d_max in (2, 6, 10):
+            with pytest.raises(InputError, match=r"rel=0\.01 must be below 0\.01, .*"
+                                                 r"min\(0\.01, 2/\(d_max\+1\)\^2\)"):
+                SuiteConfig(d_max=d_max, policy=TolerancePolicy(rel=0.01))
+        assert cli.main(["verify", "--tol", "0.1"]) == 1
+        assert "must be below 0.01" in capsys.readouterr().err
+        config = SuiteConfig(policy=TolerancePolicy(rel=0.009), **SMALL)
+        assert run_all(config).passed
 
     def test_unknown_suite(self):
         with pytest.raises(InputError):
@@ -107,7 +120,7 @@ class TestSuites:
 class TestRecorder:
     def test_exact_coincidence_is_a_counterexample(self):
         rec = vf._Recorder("regularity")
-        vf._check_separation(rec, sx._fill([families.regular(3, 1.0)], ()), DEFAULT_POLICY)
+        vf._check_separation(rec, sx._stack([families.regular(3, 1.0)]), DEFAULT_POLICY)
         result = rec.result()
         assert not result.passed
         assert result.counterexample["check"].startswith("separated: ")
@@ -159,7 +172,7 @@ class TestRecorder:
         counterexample of the same checks made sample by sample."""
         rng = np.random.default_rng(8)
         block = [op.from_vertices(3, rng.normal(size=(4, 3))) for _ in range(5)]
-        s = sx._fill(block, ())
+        s = sx._stack(block)
         values = {"first": rng.uniform(0.0, 0.9, 5), "second": rng.uniform(0.0, 0.9, (5, 3)),
                   "zero": np.zeros(5)}
         for (name, *at), value in faults.items():
@@ -217,18 +230,17 @@ class TestRecorder:
         for kind in ("acute", "obtuse"):
             s = op.construct(op.sample_params(5, kind, 1).bary, 1.0)
             rec = vf._Recorder("euler_feuerbach")
-            vf._check_euler_feuerbach(rec, [s], DEFAULT_POLICY)
+            vf._check_euler_feuerbach(rec, sx._stack([s]), DEFAULT_POLICY)
             assert rec.counterexample is None and 0.0 < rec.max_ratio <= 1.0
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_rect_sample_builds_one_simplex(self, monkeypatch, d):
-        """Each rectangular sample builds one simplex in the check, its
-        hypotenuse facet (none for d = 2): the block's facets come from one
-        stacked QR and one stacked degeneracy test, with no ``from_vertices``,
-        ``face`` or ``params_of`` call, the closed forms come from the legs
-        array with no ``RectSpec`` or ``rect_metrics`` call, and the lift
-        reads the legs of the whole stack without building the lifted
-        simplices."""
+        """The rectangular check builds one stack, the block's hypotenuse
+        facets (none for d = 2), from one stacked QR and one stacked
+        degeneracy test, with no ``from_vertices``, ``face`` or
+        ``params_of`` call; the closed forms come from the legs array with
+        no ``RectSpec`` or ``rect_metrics`` call, and the lift reads the
+        legs of the whole stack without building the lifted simplices."""
         legs = np.stack([np.linspace(0.6, 1.7, d) * (1 + 0.1 * k) for k in range(4)])
         block = sx._from_vertex_rows(d, families._rect_pose(legs), DEFAULT_POLICY)
         shapes = {"qr": [], "eigvalsh": []}
@@ -255,7 +267,8 @@ class TestRecorder:
         rng = np.random.default_rng(6)
         s = op.from_vertices(4, rng.normal(size=(5, 4)))
         with pytest.raises(NumericError, match="not orthocentric"):
-            vf._check_euler_feuerbach(vf._Recorder("euler_feuerbach"), [s], DEFAULT_POLICY)
+            vf._check_euler_feuerbach(vf._Recorder("euler_feuerbach"), sx._stack([s]),
+                                      DEFAULT_POLICY)
 
 
 class TestBlockFill:
@@ -303,14 +316,15 @@ class TestBlockFill:
         ("rectangular", "_check_rectangular"),
     ])
     def test_each_check_runs_once_per_dimension(self, monkeypatch, suite, check):
-        """A suite hands each d's block to its check in one call: a list of
-        samples, or for the separation check their stack."""
+        """A suite hands each d's block to its check in one call, as one
+        stack."""
         dims = []
         real = getattr(vf, check)
 
         def counting(rec, *args):
             block = args[-2]
-            dims.append(block.dim if isinstance(block, sx.Simplex) else block[0].dim)
+            assert isinstance(block, sx.Simplex) and block.vertices.ndim == 3
+            dims.append(block.dim)
             return real(rec, *args)
 
         monkeypatch.setattr(vf, check, counting)
@@ -380,7 +394,7 @@ class TestFaceCentroidOracle:
         for name in ("_mid_face_spheres", "_facet_sphere"):
             monkeypatch.setattr(centers, name, shifted(getattr(centers, name)))
         rec = vf._Recorder("euler_feuerbach")
-        vf._check_euler_feuerbach(rec, [s], DEFAULT_POLICY)
+        vf._check_euler_feuerbach(rec, sx._stack([s]), DEFAULT_POLICY)
         assert rec.counterexample["check"] == "feuerbach k=0 equidistance"
 
 
@@ -392,7 +406,7 @@ class TestReciprocalLambdaSum:
     def test_valid_simplex_passes_at_every_scale(self, scale):
         s = op.construct(op.sample_params(6, "acute", 0).bary, scale)
         rec = vf._Recorder("euler_feuerbach")
-        vf._check_euler_feuerbach(rec, [s], DEFAULT_POLICY)
+        vf._check_euler_feuerbach(rec, sx._stack([s]), DEFAULT_POLICY)
         assert rec.counterexample is None and rec.max_ratio <= 1.0
 
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
@@ -411,7 +425,7 @@ class TestReciprocalLambdaSum:
         assert lam_h == pytest.approx(-1 - 1e-6, rel=1e-12)
         s = op.construct(op.sample_params(6, "acute", 0).bary, scale)
         rec = vf._Recorder("euler_feuerbach")
-        vf._check_euler_feuerbach(rec, [s], DEFAULT_POLICY)
+        vf._check_euler_feuerbach(rec, sx._stack([s]), DEFAULT_POLICY)
         assert rec.counterexample["check"] == "reciprocal lambda sum"
 
 
@@ -467,7 +481,8 @@ class TestStreamOrder:
         block_rng = StreamRng(stream)
         block = vf._random_simplices(d, k, block_rng, DEFAULT_POLICY)
         assert block_rng.used == rng.used == (k + 2) * (d + 1) * d
-        assert [s.vertices.tolist() for s in block] == [s.vertices.tolist() for s in reference]
+        assert block.dim == d
+        assert block.vertices.tolist() == [s.vertices.tolist() for s in reference]
 
     @pytest.mark.parametrize("j", [0, 2, 3])
     def test_near_regular_attempt_is_replaced_in_attempt_order(self, monkeypatch, j):
@@ -494,7 +509,7 @@ class TestStreamOrder:
         kept = [("acute", a) for a in range(per_kind + 2) if a not in (j, j + 1)] + [
             ("obtuse", a) for a in range(per_kind)]
         want = [op.construct(tables[kind][a], 1.0).vertices.tolist() for kind, a in kept]
-        assert [s.vertices.tolist() for s in block] == want
+        assert block.dim == d and block.vertices.tolist() == want
         rounds = [[("acute", 2), ("obtuse", 0)]] if j < 3 else [[("acute", 1), ("obtuse", 0)]] * 2
         assert calls == [("acute", per_kind), ("obtuse", per_kind)] + sum(rounds, [])
 
@@ -550,6 +565,28 @@ class TestBlockCounts:
         assert result.passed
         monkeypatch.undo()
         return calls
+
+    def test_no_simplex_is_built_per_sample(self, monkeypatch):
+        """Every block is one stack from the draw to the checks: all suites
+        at d 2..6 build as many single simplices (vertices with two axes)
+        at 240 samples as at 60."""
+        real = sx.Simplex.__init__
+
+        def singles(samples):
+            built = []
+
+            def init(self, *args, **kwargs):
+                real(self, *args, **kwargs)
+                if self.vertices.ndim == 2:
+                    built.append(self.dim)
+
+            monkeypatch.setattr(sx.Simplex, "__init__", init)
+            families._regular.cache_clear()
+            assert run_all(SuiteConfig(samples=samples, d_min=2, d_max=6)).passed
+            monkeypatch.undo()
+            return len(built)
+
+        assert singles(60) == singles(240)
 
     @pytest.mark.parametrize("suite, blocks", [
         ("center_equivalences", {"stacked": 4}),

@@ -11,7 +11,8 @@ Subcommands:
 
 All input and output is JSON.  Keys are emitted sorted and floats use the
 shortest round-trip representation, so documents are stable and diffable.
-Exit codes: 0 ok, 1 input error, 2 verification failure.  The environment
+Exit codes: 0 ok, 1 input error, 2 verification failure, 141 standard
+output closed by its reader.  The environment
 variable ORTHOPLEX_TOL overrides the default relative tolerance.
 """
 
@@ -276,7 +277,15 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # silence the flush at exit too; 141 = 128 + SIGPIPE, as a shell reports it
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (OrthoplexError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

@@ -359,17 +359,29 @@ def _lift_legs(t: sx.Simplex, policy: TolerancePolicy) -> np.ndarray:
     one simplex or, a row each, of every simplex of a stack.  Raises what
     ``orthocentric.params_of`` raises, then NotLiftableError for the first
     simplex whose obtuseness is not negative."""
-    sigma, rectangular, _, bary = oc._param_rows(t, policy)
-    oc._validate_bary(bary[~rectangular], policy)
-    stuck = rectangular | (sigma >= 0)
+    legs, stuck = _lift_rows(t, policy)
     if np.any(stuck):
+        sigma, rectangular = oc._param_rows(t, policy)[:2]
         r = np.unravel_index(int(np.argmax(stuck)), np.shape(stuck))
         obtuseness = 0.0 if rectangular[r] else float(np.asarray(sigma)[r])
         raise NotLiftableError(
             f"not liftable: obtuseness {obtuseness:g} >= 0 "
             f"(the orthocenter must be interior)"
         )
-    return np.sqrt(-np.asarray(sigma)[..., None] / bary)
+    return legs
+
+
+def _lift_rows(t: sx.Simplex, policy: TolerancePolicy):
+    """(legs, stuck) of one simplex or, a row each, of every simplex of a
+    stack: stuck where the obtuseness is not negative (rectangular, or
+    sigma >= 0), whose legs are NaN.  Raises what ``orthocentric.params_of``
+    raises."""
+    sigma, rectangular, _, bary = oc._param_rows(t, policy)
+    oc._validate_bary(bary[~rectangular], policy)
+    stuck = rectangular | (sigma >= 0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the stuck rows
+        legs = np.sqrt(-np.asarray(sigma)[..., None] / bary)
+    return np.where(np.asarray(stuck)[..., None], np.nan, legs), stuck
 
 
 # ---------------------------------------------------------------------------

@@ -250,9 +250,15 @@ def _construct_rows(bary: np.ndarray, scale: float, policy: TolerancePolicy) -> 
     barycentric test, one pose and one degeneracy decision for the stack.
     Row r of the stack is the ``construct`` of ``bary[r]``, bit for bit;
     the first row that fails raises what its ``construct`` would."""
+    return sx._from_vertex_rows(bary.shape[-1] - 1, _pose_rows(bary, scale, policy), policy)
+
+
+def _pose_rows(bary: np.ndarray, scale: float, policy: TolerancePolicy) -> np.ndarray:
+    """The vertices (k, d+1, d) that :func:`construct` poses for each row of
+    ``bary`` (k, d+1), after one barycentric test, before the degeneracy
+    decision."""
     sigma = np.where(_validate_bary(bary, policy), scale, -scale)
-    pose = _ldl_pose(bary, sigma[:, None])
-    return sx._from_vertex_rows(bary.shape[-1] - 1, pose, policy)
+    return _ldl_pose(bary, sigma[:, None])
 
 
 def _ldl_pose(a: np.ndarray, sigma) -> np.ndarray:

@@ -322,6 +322,33 @@ class TestVerifyCommand:
         assert set(entry) == {"suite", "pass", "samples", "max_residual",
                               "counterexample", "elapsed_ms"}
 
+    def test_closed_stdout_exits_141_quietly(self):
+        """A reader that closed the pipe (``orthoplex verify --json | true``)
+        ends the command with 141, as a shell reports SIGPIPE, and nothing
+        on stderr: no error document and no message from the exit flush."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC.parent), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        env.pop("ORTHOPLEX_TOL", None)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "orthoplex.cli", "verify", "--suite", "rect",
+                 "--samples", "4", "--dim-max", "3", "--json"],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
+
+    def test_other_os_errors_exit_1(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "analyze", str(tmp_path / "missing.json"))
+        assert code == 1 and out == ""
+        assert "No such file" in json.loads(err)["error"]
+
 
 class TestRoundTripIdempotence:
     def test_construct_analyze_construct(self, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import inspect
 import json
 from pathlib import Path
 
@@ -48,6 +49,17 @@ class TestConfig:
         assert "must be below 0.01" in capsys.readouterr().err
         config = SuiteConfig(policy=TolerancePolicy(rel=0.009), **SMALL)
         assert run_all(config).passed
+
+    def test_tolerance_must_be_at_least_the_round_off_floor(self, capsys):
+        """Below rel = 1e-12 the checks fail on round-off, not on geometry
+        (at 1e-16 a sampled tuple's barycentric sum already misses 1), so
+        the config names the floor instead."""
+        for rel in (1e-16, 1e-13, 9.99e-13):
+            with pytest.raises(InputError, match=r"rel=.* must be at least 1e-12, below which"):
+                SuiteConfig(policy=TolerancePolicy(rel=rel))
+        assert cli.main(["verify", "--tol", "1e-16"]) == 1
+        assert "must be at least 1e-12" in capsys.readouterr().err
+        assert run_all(SuiteConfig(policy=TolerancePolicy(rel=1e-12), **SMALL)).passed
 
     def test_unknown_suite(self):
         with pytest.raises(InputError):
@@ -109,6 +121,25 @@ class TestSuites:
         assert ce["residuals"] == {"d": 9, "m": 2, "branch": 1,
                                    "error": "ParametrizationError: injected fault"}
 
+    def test_liftable_rejection_tuple_fails_the_suite(self, monkeypatch):
+        """An acute tuple in place of the d = 4 block's obtuse rejection tuple
+        lifts, so the suite fails naming that simplex."""
+        acute = np.array([0.4, 0.3, 0.2, 0.1])
+        real = oc._sample_rows
+
+        def stub(d, kind, k, rng):
+            rows = real(d, kind, k, rng)  # the stream moves as before
+            return np.tile(acute, (k, 1)) if (d, kind) == (3, oc.OBTUSE) else rows
+
+        monkeypatch.setattr(oc, "_sample_rows", stub)
+        result = vf.suite_rectangular(SuiteConfig(suites=("rect",), samples=6, seed=0,
+                                                  d_min=2, d_max=5))
+        assert not result.passed and result.max_residual == 2.0
+        ce = result.counterexample
+        assert ce["check"] == "lift must reject non-negative obtuseness"
+        assert (ce["residual"], ce["allowed"], ce["residuals"]) == (1.0, 0.5, {})
+        assert ce["simplex"] == {"dim": 3, "vertices": op.construct(acute).vertices.tolist()}
+
     def test_timings_normalized_by_default(self):
         report = run_all(SuiteConfig(suites=("rectangular",), samples=4, seed=0))
         doc = report.to_json_dict()
@@ -166,33 +197,66 @@ class TestRecorder:
         {("second", 2, 1): float("nan"), ("first", 3): 2.0},
         {("zero", 3): 0.5},  # 0 / 0 passes at sample 1, 0.5 / 0 fails at 3
         {("second", 0, 2): 4.0, ("second", 0, 1): 1.5, ("zero", 0): 0.5},
+        # the second stack, settled with the first
+        {("third", 2): 3.0},
+        {("third", 1): 9.0, ("fourth", 2, 1): 2.0},  # sample 1 is outside the premise
+        {("fourth", 3, 1): 2.0, ("third", 3): float("nan")},  # earliest check in code order
+        {("fourth", 0, 1): 0.5, ("fourth", 2, 0): float("nan")},  # 0.5 / 0 fails at sample 0
+        {("third", 0): 5.0, ("zero", 4): 0.5},  # the first stack's violation is met first
+        {("fourth", 1, 0): 3.0, ("first", 1): 9.0},  # the first stack's fault is outside
     ])
-    def test_block_equals_check_per_sample(self, faults):
-        """Checks over a stacked block record the largest ratio and the
-        counterexample of the same checks made sample by sample."""
+    def test_block_equals_check_per_sample(self, monkeypatch, faults):
+        """Checks over two stacked blocks, settled in one flat pass, record
+        the largest ratio and the counterexample of the same checks made
+        sample by sample, each settled on its own."""
         rng = np.random.default_rng(8)
         block = [op.from_vertices(3, rng.normal(size=(4, 3))) for _ in range(5)]
         s = sx._stack(block)
         values = {"first": rng.uniform(0.0, 0.9, 5), "second": rng.uniform(0.0, 0.9, (5, 3)),
                   "zero": np.zeros(5)}
+        other = [op.from_vertices(2, rng.normal(size=(3, 2))) for _ in range(4)]
+        u = sx._stack(other)
+        fourth_allowed = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+        values["third"] = rng.uniform(0.0, 0.9, 4)
+        values["fourth"] = np.where(fourth_allowed != 0, rng.uniform(0.0, 0.9, (4, 2)), 0.0)
         for (name, *at), value in faults.items():
             values[name][tuple(at)] = value
         first, second, zero = values["first"], values["second"], values["zero"]
+        third, fourth = values["third"], values["fourth"]
         zero_allowed = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
         premise = np.arange(5) != 1
+        third_premise = np.arange(4) != 1
         a, b = np.arange(3), np.arange(3) + 10
         blocked, looped = vf._Recorder("x"), vf._Recorder("x")
         blocked.check("first", first, 1.0, s, premise=premise, value=first, k=7)
         blocked.check("second", second, np.full(5, 1.0), s,
                       pair=np.broadcast_to(np.stack((a, b), axis=-1), (5, 3, 2)))
         blocked.check("zero", zero, zero_allowed, s)
+        blocked.check("third", third, np.full(4, 1.0), u, premise=third_premise, value=third)
+        blocked.check("fourth", fourth, fourth_allowed, u, column=np.broadcast_to(np.arange(2),
+                                                                                  (4, 2)))
+        settles, real = [], vf._ratios
+        monkeypatch.setattr(vf, "_ratios", lambda *args: settles.append(1) or real(*args))
+        blocked_max = blocked.max_ratio
+        monkeypatch.undo()
+        assert len(settles) == 1
+
+        def one(*args, **kwargs):  # a check evaluated on its own
+            looped.check(*args, **kwargs)
+            looped._settle()
+
         for j, t in enumerate(block):
             if premise[j]:
-                looped.check("first", first[j], 1.0, t, value=first[j], k=7)
+                one("first", first[j], 1.0, t, value=first[j], k=7)
             for p in range(3):
-                looped.check("second", second[j, p], 1.0, t, pair=(int(a[p]), int(b[p])))
-            looped.check("zero", zero[j], zero_allowed[j], t)
-        assert blocked.max_ratio == looped.max_ratio
+                one("second", second[j, p], 1.0, t, pair=(int(a[p]), int(b[p])))
+            one("zero", zero[j], zero_allowed[j], t)
+        for j, t in enumerate(other):
+            if third_premise[j]:
+                one("third", third[j], 1.0, t, value=third[j])
+            for p in range(2):
+                one("fourth", fourth[j, p], fourth_allowed[j, p], t, column=p)
+        assert blocked_max == looped.max_ratio
         assert repr(blocked.counterexample) == repr(looped.counterexample)
         assert (blocked.counterexample is None) == (not faults)
 
@@ -293,8 +357,8 @@ class TestBlockFill:
     def test_each_regular_simplex_is_built_once(self, monkeypatch):
         """All four suites at d 2..6 ask for the regular simplex many times
         (the family fixtures, the perturbation bases, the kite bases) and
-        build each distinct one once; no ``RectSpec`` or one-row
-        ``rect_metrics`` is made."""
+        build each distinct one once, and each equiradial kite once; no
+        ``RectSpec`` or one-row ``rect_metrics`` is made."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("verify must not call this")
@@ -303,11 +367,16 @@ class TestBlockFill:
             monkeypatch.setattr(families, name, forbidden)
         asked, real = [], families.regular
         monkeypatch.setattr(families, "regular", lambda *a: asked.append(a) or real(*a))
+        kites, real_kite = [], families.kite
+        monkeypatch.setattr(families, "kite", lambda *a: kites.append(a[0].d) or real_kite(*a))
         families._regular.cache_clear()
+        vf._equiradial_kite.cache_clear()
         assert run_all(SuiteConfig(d_min=2, d_max=6)).passed
         built = families._regular.cache_info()
         assert sorted({a[:2] for a in asked}) == [(d, 1.0) for d in range(2, 7)]
         assert built.misses == built.currsize == 5 and len(asked) > 5
+        # the equiradial kite of each d >= 4, in both suites that use it, is built once
+        assert kites == [4, 5, 6] and vf._equiradial_kite.cache_info().hits == 3
 
     @pytest.mark.parametrize("suite, check", [
         ("center_equivalences", "_check_equivalences"),
@@ -320,9 +389,10 @@ class TestBlockFill:
         stack."""
         dims = []
         real = getattr(vf, check)
+        signature = inspect.signature(real)
 
         def counting(rec, *args):
-            block = args[-2]
+            block = signature.bind(rec, *args).arguments["s"]
             assert isinstance(block, sx.Simplex) and block.vertices.ndim == 3
             dims.append(block.dim)
             return real(rec, *args)
@@ -560,11 +630,29 @@ class TestBlockCounts:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
+        families._regular.cache_clear()  # every count starts from empty fixture caches
+        vf._equiradial_kite.cache_clear()
         result = vf.run_all(SuiteConfig(suites=(suite,), samples=samples, seed=3,
                                         d_min=2, d_max=5)).suites[0]
         assert result.passed
         monkeypatch.undo()
         return calls
+
+    def test_one_flat_settle_per_block(self, monkeypatch):
+        """All suites at d 2..5 queue many checks per (suite, d) block and
+        settle each block with one ratio evaluation; a passing run never
+        calls the counterexample locator."""
+        calls = {"check": 0, "ratios": 0, "locate": 0}
+        for owner, name, key in ((vf._Recorder, "check", "check"), (vf, "_ratios", "ratios"),
+                                 (vf._Recorder, "_locate", "locate")):
+            def counting(*args, _real=getattr(owner, name), _key=key, **kwargs):
+                calls[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+        assert run_all(SuiteConfig(samples=12, seed=3, d_min=2, d_max=5)).passed
+        assert calls["ratios"] == 4 * 4 and calls["locate"] == 0
+        assert calls["check"] > 10 * calls["ratios"]
 
     def test_no_simplex_is_built_per_sample(self, monkeypatch):
         """Every block is one stack from the draw to the checks: all suites

@@ -189,7 +189,8 @@ def _monge_gram(s: sx.Simplex):
     # the one-simplex sum
     off = gram.reshape(gram.shape[:-2] + (-1,)).take(_off_diagonal(s.n), axis=-1)
     sigma = off.sum(axis=-1) / off.shape[-1]
-    return a, gram, sigma, np.abs(off - sigma[..., None]).max(axis=-1)
+    off -= np.asarray(sigma)[..., None]
+    return a, gram, sigma, np.abs(off, out=off).max(axis=-1)
 
 
 @lru_cache(maxsize=64)

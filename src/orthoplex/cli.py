@@ -11,8 +11,9 @@ Subcommands:
 
 All input and output is JSON.  Keys are emitted sorted and floats use the
 shortest round-trip representation, so documents are stable and diffable.
-Exit codes: 0 ok, 1 input error, 2 verification failure, 141 standard
-output closed by its reader.  The environment
+Exit codes: 0 ok (``--help`` too), 1 input error (a bad or missing
+argument included), 2 verification failure, 141 standard output closed by
+its reader.  The environment
 variable ORTHOPLEX_TOL overrides the default relative tolerance.
 """
 
@@ -219,8 +220,18 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors: :func:`main`
+    reports them as one ``{"error": ...}`` line with exit code 1, where
+    argparse would print the usage and exit 2, the code of a failed
+    verification.  Subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="orthoplex",
         description="Construct, analyze and verify orthocentric simplices.",
     )
@@ -230,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     con.add_argument("kind", choices=["regular", "ortho", "kite", "rect", "equiradial"])
     con.add_argument("--dim", type=int)
     con.add_argument("--edge", type=float)
-    con.add_argument("--bary", help="comma-separated orthocenter barycentrics")
+    con.add_argument("--bary", help="comma-separated orthocenter barycentrics; a tuple "
+                     "that starts with a minus sign takes the --bary=-0.2,... form")
     con.add_argument("--obtuseness", type=float, default=1.0,
                      help="|obtuseness| scale for ortho construction")
     con.add_argument("--base-edge", dest="base_edge", type=float)
@@ -275,8 +287,8 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
         return code

@@ -245,18 +245,12 @@ def construct(
     return sx.from_vertices(a.size - 1, _ldl_pose(a, sigma), policy)
 
 
-def _construct_rows(bary: np.ndarray, scale: float, policy: TolerancePolicy) -> sx.Simplex:
-    """:func:`construct` on each row of ``bary`` (k, d+1) at once: one
-    barycentric test, one pose and one degeneracy decision for the stack.
-    Row r of the stack is the ``construct`` of ``bary[r]``, bit for bit;
-    the first row that fails raises what its ``construct`` would."""
-    return sx._from_vertex_rows(bary.shape[-1] - 1, _pose_rows(bary, scale, policy), policy)
-
-
 def _pose_rows(bary: np.ndarray, scale: float, policy: TolerancePolicy) -> np.ndarray:
     """The vertices (k, d+1, d) that :func:`construct` poses for each row of
-    ``bary`` (k, d+1), after one barycentric test, before the degeneracy
-    decision."""
+    ``bary`` (k, d+1), bit for bit, after one barycentric test (the first
+    row that fails raises what its ``construct`` would), before the
+    degeneracy decision, which ``simplex._from_vertex_rows`` makes for the
+    whole stack."""
     sigma = np.where(_validate_bary(bary, policy), scale, -scale)
     return _ldl_pose(bary, sigma[:, None])
 

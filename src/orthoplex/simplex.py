@@ -101,6 +101,11 @@ def from_vertices(dim, vertices, policy: TolerancePolicy = DEFAULT_POLICY) -> Si
     return Simplex(dim=dim, vertices=arr)
 
 
+# the range of edge Gram eigenvalues that :func:`_degeneracy` accepts: in it,
+# squared lengths, their sums and 1/h^2 for every altitude h are normal floats
+_GRAM_MIN, _GRAM_MAX = 1e-280, 1e280
+
+
 def _degeneracy(vertices: np.ndarray, policy: TolerancePolicy):
     """(degenerate, ratio), lists over the simplices of the vertex arrays
     ``vertices`` (..., n, d) in row order (one entry for one simplex): the
@@ -111,7 +116,10 @@ def _degeneracy(vertices: np.ndarray, policy: TolerancePolicy):
     alone in the same memory layout; the two float operations per simplex
     run on Python floats.
     Non-finite coordinates, or edge inner products that overflow, anywhere
-    in the stack raise InputError."""
+    in the stack raise InputError, and so does a simplex that is not
+    degenerate but has an eigenvalue outside [_GRAM_MIN, _GRAM_MAX]:
+    squared lengths, their sums and 1/h^2 for each altitude h must stay
+    normal floats for the analysis to be finite and exact to rounding."""
     with np.errstate(over="ignore", invalid="ignore"):  # the isfinite test below decides
         edges = vertices[..., :-1, :] - vertices[..., -1:, :]
         g = edges @ edges.swapaxes(-1, -2)
@@ -124,20 +132,28 @@ def _degeneracy(vertices: np.ndarray, policy: TolerancePolicy):
         vals = np.linalg.eigvalsh(g).reshape(-1, g.shape[-1])  # ascending
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"symmetric eigensolve failed to converge: {exc}") from exc
-    ratio = [lo / hi if hi > 0 else 0.0
-             for lo, hi in zip(vals[:, 0].tolist(), vals[:, -1].tolist())]
-    return [r <= policy.rank_cut for r in ratio], ratio
+    low, top = vals[:, 0].tolist(), vals[:, -1].tolist()
+    ratio = [lo / hi if hi > 0 else 0.0 for lo, hi in zip(low, top)]
+    degenerate = [r <= policy.rank_cut for r in ratio]
+    if not (_GRAM_MIN <= min(low) and max(top) <= _GRAM_MAX):
+        for lo, hi, bad in zip(low, top, degenerate):
+            if not (bad or _GRAM_MIN <= lo and hi <= _GRAM_MAX):
+                raise InputError(
+                    f"simplex scale out of range: edge Gram eigenvalues {lo:.3e} to {hi:.3e} "
+                    f"must lie within [{_GRAM_MIN:g}, {_GRAM_MAX:g}]")
+    return degenerate, ratio
 
 
 def _from_vertex_rows(dim: int, vertices: np.ndarray, policy: TolerancePolicy,
-                      drop_degenerate: bool = False) -> Simplex:
+                      drop_from: int | None = None) -> Simplex:
     """:func:`from_vertices` on each simplex of the float stack ``vertices``
     (k, dim+1, dim), at one :func:`_degeneracy` call: one read-only stack of
     the rows, in row order.  The first degenerate row raises what
-    ``from_vertices`` raises on it, unless ``drop_degenerate`` leaves every
-    degenerate row out."""
+    ``from_vertices`` raises on it, unless its index is at least
+    ``drop_from``: those degenerate rows are left out."""
     degenerate, _ = _degeneracy(vertices, policy)
-    if not drop_degenerate and any(degenerate):
+    fixed = len(degenerate) if drop_from is None else drop_from
+    if any(degenerate[:fixed]):
         from_vertices(dim, vertices[degenerate.index(True)], policy)  # raises
     kept = vertices[~np.array(degenerate, dtype=bool)]  # a C-contiguous copy
     kept.flags.writeable = False
@@ -186,8 +202,14 @@ def _at(s: Simplex, index):
     simplex r, the pair (rows, index)."""
     if s.vertices.ndim == 2:
         return index
-    rows = np.arange(len(s.vertices)).reshape((-1,) + (1,) * (np.ndim(index) - 1))
-    return rows, index
+    return _rows(len(s.vertices), np.ndim(index)), index
+
+
+@lru_cache(maxsize=64)
+def _rows(k: int, ndim: int) -> np.ndarray:
+    """Read-only row numbers 0..k-1 along the first of ``ndim`` axes, the
+    row index of :func:`_at`; built once per (k, ndim)."""
+    return _read_only(np.arange(k).reshape((-1,) + (1,) * (ndim - 1)))
 
 
 def _stack(parts, rows=None) -> Simplex:
@@ -265,11 +287,27 @@ def _sq_norms(v: np.ndarray):
     return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
 
 
+# the most pair-difference values :func:`_pair_rows` holds at once
+_PAIR_VALUES = 1 << 18
+
+
 @_per_simplex
 def _pairs(s: Simplex) -> np.ndarray:
     """|A_i - A_j|^2 over the vertex pairs i < j of :func:`_pair_index`."""
-    i, j = _pair_index(s.n)
-    return _sq_norms(s.vertices.take(i, axis=-2) - s.vertices.take(j, axis=-2))
+    return _pair_rows(s.vertices)
+
+
+def _pair_rows(vertices: np.ndarray) -> np.ndarray:
+    """:func:`_pairs` of the vertex arrays ``vertices`` (..., n, d), with the
+    same bits, where no simplex is built yet.  A large stack is taken in
+    slices of rows, so that its pair differences never take more than about
+    ``_PAIR_VALUES`` floats at once."""
+    i, j = _pair_index(vertices.shape[-2])
+    rows = max(1, _PAIR_VALUES // (len(i) * vertices.shape[-1]))
+    if vertices.ndim == 3 and len(vertices) > rows:
+        return np.concatenate([_pair_rows(vertices[r:r + rows])
+                               for r in range(0, len(vertices), rows)])
+    return _sq_norms(vertices.take(i, axis=-2) - vertices.take(j, axis=-2))
 
 
 @_per_simplex

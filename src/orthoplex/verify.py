@@ -67,6 +67,10 @@ _ALIASES = {
 # those 300 runs and 1e-13 fails 11.
 _REL_FLOOR = 1e-12
 
+# A recorder settles its queue once it holds more residual values than this,
+# which bounds the memory a suite's queued checks and their settle take.
+_QUEUE_VALUES = 1 << 14
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -153,18 +157,21 @@ class _Recorder:
     """Accumulates checks; the first violation becomes the counterexample.
 
     A check is evaluated over a block of samples: ``simplex`` is the
-    block's stack, whose samples run along the first axis of the residual,
-    or one simplex (or None), a block of one.  Further axes hold values
-    checked in turn.  :meth:`check` only queues its arguments; the suites
-    call :meth:`_settle` after each (suite, d) block, and reading
-    ``max_ratio``, ``counterexample`` or :meth:`result` settles first.  A
-    settle evaluates the whole queue in one flat pass (one ratio array,
-    one max, one violation test) and hands only the checks holding a
-    violation, in queue order, to the counterexample locator.  The
-    counterexample is the violation a loop over the samples would meet
-    first: the earliest sample, then the earliest check in code order,
-    then the earliest value.  Queued arrays are fresh or read-only tables,
-    so nothing changes before the settle.
+    block's stack, whose samples run along the first axis of the residual
+    (a residual may stop before the last rows of the stack), or one simplex
+    (or None), a block of one.  Further axes hold values checked in turn.
+    :meth:`check` only queues its arguments, and of the simplex only its
+    vertices, so a stack's tables are freed when its block ends.  The queue
+    is settled by :meth:`result` (and before ``max_ratio`` or
+    ``counterexample`` is read), or as soon as it holds more than
+    ``_QUEUE_VALUES`` residual values.  A settle evaluates the whole queue
+    in one flat pass (one ratio array, one max, one violation test) and
+    hands only the checks holding a violation, in queue order, to the
+    counterexample locator.  The counterexample is the violation a loop
+    over the blocks, then their samples, would meet first: in the earliest
+    block, the earliest sample, then the earliest check in code order, then
+    the earliest value.  Queued arrays are fresh or read-only tables, so
+    nothing changes before the settle.
     """
 
     def __init__(self, name: str):
@@ -172,8 +179,9 @@ class _Recorder:
         self.samples = 0
         self._max_ratio = 0.0
         self._counterexample: dict | None = None
-        self._first = None  # (block, sample index) of the counterexample
+        self._first = None  # (block vertices, sample index) of the counterexample
         self._queue = []
+        self._queued = 0  # residual values in the queue
         self._t0 = time.perf_counter()
 
     @property
@@ -196,14 +204,18 @@ class _Recorder:
         shape standing for its leading axes.  An array in ``extra`` is read
         at the violation's index, on as many axes as it has; any other
         value is the same for every sample."""
-        self._queue.append((label, residual, allowed, simplex, premise, extra))
+        vertices = None if simplex is None else simplex.vertices
+        self._queue.append((label, residual, allowed, vertices, premise, extra))
+        self._queued += np.size(residual)
+        if self._queued > _QUEUE_VALUES:
+            self._settle()
 
     def fail(self, label: str, simplex: sx.Simplex | None = None, **extra):
         self.check(label, 1.0, 0.5, simplex=simplex, **extra)
 
     def _settle(self):
         """Evaluate the queued checks in one flat pass."""
-        queue, self._queue = self._queue, []
+        queue, self._queue, self._queued = self._queue, [], 0
         if not queue:
             return
         residuals = [np.asarray(entry[1], dtype=float) for entry in queue]
@@ -238,16 +250,16 @@ class _Recorder:
     def _locate(self, entry):
         """Record the first violation of one queued check, unless the
         counterexample already held is met first by a loop over the samples."""
-        label, residual, allowed, simplex, premise, extra = entry
+        label, residual, allowed, vertices, premise, extra = entry
         residual = np.asarray(residual, dtype=float)
         allowed = _leading(np.asarray(allowed, dtype=float), residual.ndim)
         bad = ~(residual <= allowed)
         if premise is not True:
             bad &= _leading(np.asarray(premise), residual.ndim)
         at = np.unravel_index(int(bad.argmax()), bad.shape)
-        sample = at[: simplex.vertices.ndim - 2] if simplex is not None else ()
+        sample = at[: vertices.ndim - 2] if vertices is not None else ()
         if self._counterexample is not None and not (
-            simplex is self._first[0] and sample < self._first[1]
+            vertices is self._first[0] and sample < self._first[1]
         ):
             return
         payload = {
@@ -259,13 +271,13 @@ class _Recorder:
                 for k, v in extra.items()
             },
         }
-        if simplex is not None:
+        if vertices is not None:
             payload["simplex"] = {
-                "dim": simplex.dim,
-                "vertices": simplex.vertices[sample].tolist(),
+                "dim": vertices.shape[-1],
+                "vertices": vertices[sample].tolist(),
             }
         self._counterexample = payload
-        self._first = (simplex, sample)
+        self._first = (vertices, sample)
 
     def result(self) -> SuiteResult:
         self._settle()
@@ -297,15 +309,22 @@ def _sub_seed(config: SuiteConfig, *parts: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
-def _random_simplices(d: int, k: int, rng, policy: TolerancePolicy) -> sx.Simplex:
-    """k Gaussian d-simplices drawn from ``rng`` as one (k, d+1, d) stack.  A
-    degenerate draw is dropped and only the missing count is drawn again, so
-    the stream gives the samples a loop drawing each until it is valid would."""
-    parts = []
-    while (got := sum(len(p.vertices) for p in parts)) < k:
+def _random_simplices(d: int, k: int, rng, policy: TolerancePolicy,
+                      head: np.ndarray | None = None) -> sx.Simplex:
+    """k Gaussian d-simplices drawn from ``rng`` as one (k, d+1, d) stack, led
+    by the vertex arrays ``head`` (m, d+1, d) if given, under the same
+    degeneracy decision: a degenerate head row raises.  A degenerate draw
+    is dropped and only the missing count is drawn again, so the stream
+    gives the samples a loop drawing each until it is valid would."""
+    head = np.empty((0, d + 1, d)) if head is None else head
+    parts, got = [], 0
+    while got < k:
         draws = rng.normal(0.0, 1.0, size=(k - got, d + 1, d))
-        parts.append(sx._from_vertex_rows(d, draws, policy, drop_degenerate=True))
-    return sx._stack(parts)
+        rows = np.concatenate((head, draws))
+        parts.append(sx._from_vertex_rows(d, rows, policy, drop_from=len(head)))
+        got += len(parts[-1].vertices) - len(head)
+        head = head[:0]
+    return parts[0] if len(parts) == 1 else sx._stack(parts)
 
 
 def _per_dim(config: SuiteConfig) -> int:
@@ -330,32 +349,31 @@ def suite_center_equivalences(config: SuiteConfig) -> SuiteResult:
         if d >= 3 and families.equiradial_admissible(d, 2):
             for branch in (1, 2):
                 try:
-                    fixtures.append(families.equiradial_general(d, 2, branch, pol)[0])
+                    fixtures.append(families.equiradial_general(d, 2, branch, pol)[0].vertices)
                 except OrthoplexError as exc:  # an admissible pair must build
                     rec.fail("admissible equiradial fixture builds",
                              d=d, m=2, branch=branch, error=f"{type(exc).__name__}: {exc}")
-        block = sx._stack(fixtures + [_random_simplices(d, _per_dim(config), rng, pol)])
+        block = _random_simplices(d, _per_dim(config), rng, pol, np.array(fixtures))
         rec.sample(len(block.vertices))
         _check_equivalences(rec, block, pol)
-        rec._settle()
     return rec.result()
 
 
-def _family_fixtures(d: int, rng, policy: TolerancePolicy) -> list[sx.Simplex]:
-    """The regular d-simplex of edge 1, a rectangular one with legs drawn
-    from ``rng`` and, for d >= 4, the equiradial kite."""
-    fixtures = [families.regular(d, 1.0, policy),
-                sx.from_vertices(d, families._rect_pose(rng.uniform(0.5, 2.0, size=d)), policy)]
+def _family_fixtures(d: int, rng, policy: TolerancePolicy) -> list[np.ndarray]:
+    """The vertex arrays of the regular d-simplex of edge 1, of a rectangular
+    one with legs drawn from ``rng`` and, for d >= 4, of the equiradial
+    kite; the block's degeneracy decision validates the rectangular one."""
+    fixtures = [families.regular(d, 1.0, policy).vertices,
+                families._rect_pose(rng.uniform(0.5, 2.0, size=d))]
     if d >= 4:
-        fixtures.append(_equiradial_kite(d, policy))
+        fixtures.append(_equiradial_kite(d, policy).vertices)
     return fixtures
 
 
 @lru_cache(maxsize=16)
 def _equiradial_kite(d: int, policy: TolerancePolicy) -> sx.Simplex:
     """The equiradial kite of dimension d, built once per (d, policy) and
-    shared; blocks copy it through ``simplex._stack``, which leaves its
-    memo empty."""
+    shared; blocks copy its vertices, so its memo stays empty."""
     return families.kite(families.equiradial_kite(d, policy), policy)
 
 
@@ -414,55 +432,62 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
     near-regular perturbation sequence."""
     rec = _Recorder("regularity")
     pol = config.policy
+    deltas = np.array((1e-2, 1e-3, 1e-4))
     for d in range(config.d_min, config.d_max + 1):
         rng = np.random.default_rng(_sub_seed(config, 2, d))
-        accepted = _separated_samples(d, max(1, _per_dim(config) // 2), rng, pol)
-        rec.sample(len(accepted.vertices))
-        _check_separation(rec, accepted, pol)
-
-        # continuity sanity: separations shrink with the perturbation
+        rows = _separated_samples(d, max(1, _per_dim(config) // 2), rng, pol)
+        # continuity sanity: separations shrink with the perturbation; the
+        # three near-regular simplices follow the samples in the block
         base = families.regular(d, 1.0, pol)
         dirs = rng.normal(size=base.vertices.shape)
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        deltas = np.array((1e-2, 1e-3, 1e-4))
-        s = sx._from_vertex_rows(d, base.vertices + deltas[:, None, None] * dirs, pol)
+        near = base.vertices + deltas[:, None, None] * dirs
+        s = sx._from_vertex_rows(d, np.concatenate((rows, near)), pol)
+        k = len(rows)
+        rec.sample(k)
+        _check_separation(rec, s, pol, rows=k)
         seps = centers._center_distances(s).max(axis=-1) / sx.diameter(s)
-        rec.check("near-regular separation bounded by perturbation", seps, 100.0 * deltas, s,
-                  delta=deltas, separation=seps)
+        rec.check("near-regular separation bounded by perturbation", seps,
+                  np.pad(100.0 * deltas, (k, 0)), s, premise=np.arange(len(seps)) >= k,
+                  delta=np.pad(deltas, (k, 0)), separation=seps)
         rec.sample()
+        seps = seps[k:]
         rec.check("separations shrink with the perturbation", seps[1:], seps[:-1],
                   delta_from=deltas[:-1], separations=seps.tolist())
-        rec._settle()
     return rec.result()
 
 
-def _separated_samples(d: int, per_kind: int, rng, pol: TolerancePolicy) -> sx.Simplex:
-    """The stack of the first ``per_kind`` acute, then obtuse, simplices
-    drawn from ``rng`` whose edge lengths spread by at least 0.01; closer to
-    regular is too close for the contrapositive.  Each round draws the
-    missing acute, then obtuse, rows (:func:`orthocentric._sample_rows`)
-    and poses and filters them as one block, so a rejected row is replaced
-    by the next rows of the same stream."""
+def _separated_samples(d: int, per_kind: int, rng, pol: TolerancePolicy) -> np.ndarray:
+    """The vertex arrays (2 per_kind, d+1, d), posed as :func:`orthocentric.construct`
+    poses them and not yet decided, of the first ``per_kind`` acute, then
+    obtuse, simplices drawn from ``rng`` whose edge lengths spread by at
+    least 0.01; closer to regular is too close for the contrapositive.
+    Each round draws the missing acute, then obtuse, rows
+    (:func:`orthocentric._sample_rows`) and poses and filters them as one
+    block, so a rejected row is replaced by the next rows of the same
+    stream."""
     kinds = (oc.ACUTE, oc.OBTUSE)
-    blocks, accepted = [], {kind: [] for kind in kinds}  # rows of all blocks in turn
+    rounds, accepted = [], {kind: [] for kind in kinds}  # rows of all rounds in turn
     while True:
         need = [per_kind - len(accepted[kind]) for kind in kinds]
         if not any(need):
-            return sx._stack(blocks, accepted[oc.ACUTE] + accepted[oc.OBTUSE])
+            return np.concatenate(rounds)[accepted[oc.ACUTE] + accepted[oc.OBTUSE]]
         bary = np.concatenate([oc._sample_rows(d, kind, k, rng) for kind, k in zip(kinds, need)])
-        first = sum(len(b.vertices) for b in blocks)
-        blocks.append(oc._construct_rows(bary, 1.0, pol))
-        keep = ~(pol.spread(sx.edge_lengths(blocks[-1])) < 0.01)
+        first = sum(map(len, rounds))
+        rounds.append(oc._pose_rows(bary, 1.0, pol))
+        keep = ~(pol.spread(np.sqrt(sx._pair_rows(rounds[-1]))) < 0.01)
         labels = [kind for kind, k in zip(kinds, need) for _ in range(k)]
         for row, (kind, kept) in enumerate(zip(labels, keep.tolist()), first):
             if kept:
                 accepted[kind].append(row)
 
 
-def _check_separation(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, prefix: str = ""):
-    """The four centers of each simplex of the stack ``s`` pairwise apart."""
-    limit = pol.rel * sx.diameter(s)
-    for (na, nb), sep in zip(centers._CENTER_PAIRS, centers._center_distances(s).T):
+def _check_separation(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, prefix: str = "",
+                      rows: int | None = None):
+    """The four centers of each simplex of the stack ``s``, or of its first
+    ``rows`` simplices, pairwise apart."""
+    limit = pol.rel * sx.diameter(s)[:rows]
+    for (na, nb), sep in zip(centers._CENTER_PAIRS, centers._center_distances(s)[:rows].T):
         # separation must exceed the coincidence threshold: ratio < 1
         pair = f"{na}-{nb}"
         rec.check(f"{prefix}separated: {pair}", limit, sep, s, pair=pair, separation=sep)
@@ -482,14 +507,14 @@ def suite_euler_feuerbach(config: SuiteConfig) -> SuiteResult:
     pol = config.policy
     for d in range(config.d_min, config.d_max + 1):
         rng = np.random.default_rng(_sub_seed(config, 3, d))
-        fixtures = _family_fixtures(d, rng, pol)
+        fixtures = np.array(_family_fixtures(d, rng, pol))
         per_kind = max(1, _per_dim(config) // 2)
         bary = np.concatenate([oc._sample_rows(d, kind, per_kind, rng)
                                for kind in (oc.ACUTE, oc.OBTUSE)])
-        block = sx._stack(fixtures + [oc._construct_rows(bary, 1.0, pol)])
+        rows = np.concatenate((fixtures, oc._pose_rows(bary, 1.0, pol)))
+        block = sx._from_vertex_rows(d, rows, pol)
         rec.sample(len(block.vertices))
         _check_euler_feuerbach(rec, block, pol)
-        rec._settle()
     return rec.result()
 
 
@@ -576,44 +601,91 @@ def _check_euler_feuerbach(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
 def suite_rectangular(config: SuiteConfig) -> SuiteResult:
     """Closed-form leg metrics against coordinate oracles, pairwise-distinct
     centers, hypotenuse-facet lift round trips, and rejection of lifts from
-    non-negative obtuseness."""
+    non-negative obtuseness.
+
+    The stack of dimension d holds block d's rectangular simplices, then
+    block d+1's hypotenuse facets and rejection simplex, so each dimension
+    takes one degeneracy decision and one set of tables; block d+1 is drawn
+    from its own generator while block d is built.  Block d's lift is read
+    from the stack below it and checked after block d's own checks."""
     rec = _Recorder("rectangular")
     pol = config.policy
+    block, lift = _rect_draw(config, config.d_min), None
+    if config.d_min >= 3:  # block d_min's facets, alone in the stack below it
+        lift = _lift(_rect_stack(config.d_min - 1, np.empty((0, config.d_min - 1)), block, pol),
+                     0, len(block[0]), pol)
     for d in range(config.d_min, config.d_max + 1):
-        rng = np.random.default_rng(_sub_seed(config, 4, d))
-        legs = rng.uniform(0.5, 2.0, size=(_per_dim(config), d))
-        rejects = oc._sample_rows(d - 1, oc.OBTUSE, 1, rng) if d >= 3 else None
-        block = sx._from_vertex_rows(d, families._rect_pose(legs), pol)
-        rec.sample(len(block.vertices) + (0 if rejects is None else len(rejects)))
-        _check_rectangular(rec, legs, block, pol, rejects)
-        rec._settle()
+        legs, rejects = block
+        block = _rect_draw(config, d + 1) if d < config.d_max else None
+        rec.sample(len(legs) + (0 if rejects is None else len(rejects)))
+        lift = _rect_block(rec, legs, block, lift, pol)
     return rec.result()
 
 
-def _check_rectangular(rec: _Recorder, legs: np.ndarray, s: sx.Simplex, pol: TolerancePolicy,
-                       rejects: np.ndarray | None = None):
-    """Row r of the stack ``s`` is the rectangular simplex of the legs
-    ``legs[r]`` (k, d); each is checked against the closed forms, one rows
-    call for the block, and, for d >= 3, its hypotenuse facet lifted back to
-    its legs (a d = 2 facet is a segment, below the lift's domain).  The
-    obtuse (d-1)-simplices of the tuples ``rejects`` (m, d) are posed in the
-    stack of the hypotenuse facets, and the lift must reject each."""
-    d = legs.shape[-1]
-    m = families._rect_rows(legs)
-    diam = sx.diameter(s)
+def _rect_block(rec: _Recorder, legs: np.ndarray, above, lift, pol: TolerancePolicy):
+    """Check the rectangular block ``legs`` on its stack, whose tables are
+    freed on return: the closed forms, then its ``lift``, if any; return the
+    lift of the block ``above``, whose rows the stack holds too."""
+    s = _rect_stack(legs.shape[-1], legs, above, pol)
+    _check_rectangular(rec, legs, s, pol)
+    if lift is not None:
+        _check_lift(rec, legs, s, lift, pol)
+    return None if above is None else _lift(s, len(legs), len(above[0]), pol)
 
-    rec.check("legs volume", np.abs(m.volume - sx.volume(s)), pol.rel * m.volume, s)
+
+def _rect_draw(config: SuiteConfig, d: int):
+    """(legs, rejects) of the rectangular block of dimension d, from its own
+    generator: the legs (k, d), then, for d >= 3, one obtuse (d-1)-tuple
+    (1, d) whose simplex the lift must reject (else None)."""
+    rng = np.random.default_rng(_sub_seed(config, 4, d))
+    legs = rng.uniform(0.5, 2.0, size=(_per_dim(config), d))
+    return legs, (oc._sample_rows(d - 1, oc.OBTUSE, 1, rng) if d >= 3 else None)
+
+
+def _rect_stack(d: int, legs: np.ndarray, above, pol: TolerancePolicy) -> sx.Simplex:
+    """The stack of dimension d: the rectangular simplices of ``legs`` (k, d),
+    then, for the block ``above`` = (legs, rejects) of dimension d+1, its
+    hypotenuse facets (opposite the corner, its last vertex, from one
+    stacked QR) and its rejection simplices, under one degeneracy decision."""
+    rows = [families._rect_pose(legs)]
+    if above is not None:
+        up, rejects = above
+        rows += [sx._face_pose(families._rect_pose(up)[:, :-1]), oc._pose_rows(rejects, 1.0, pol)]
+    return sx._from_vertex_rows(d, np.concatenate(rows), pol)
+
+
+def _lift(s: sx.Simplex, first: int, k: int, pol: TolerancePolicy):
+    """The lift of the block above the stack ``s``, whose k hypotenuse facets
+    are the rows of ``s`` from ``first`` on, followed by its rejection
+    simplices: (the lifted legs of the facets, the rejection simplices as a
+    stack of their own, whether the lift stuck on each), for
+    :func:`_check_lift` once that block's own checks are queued."""
+    lifted, stuck = families._lift_rows(s, pol)
+    end = first + k
+    return lifted[first:end], sx._stack([s], np.arange(end, len(stuck))), stuck[end:]
+
+
+def _check_rectangular(rec: _Recorder, legs: np.ndarray, s: sx.Simplex, pol: TolerancePolicy):
+    """Row r of the stack ``s`` is the rectangular simplex of the legs
+    ``legs[r]`` (k, d), checked against the closed forms, one rows call for
+    the block; the rows of ``s`` after the first k are not checked here."""
+    k, d = legs.shape
+    m = families._rect_rows(legs)
+    diam = sx.diameter(s)[:k]
+
+    rec.check("legs volume", np.abs(m.volume - sx.volume(s)[:k]), pol.rel * m.volume, s)
     rec.check("hypotenuse facet volume",
-              np.abs(m.hyp_volume - sx.facet_volumes(s)[:, d]), pol.rel * m.hyp_volume, s)
-    foot = sx.altitude_feet(s)[:, d]
+              np.abs(m.hyp_volume - sx.facet_volumes(s)[:k, d]), pol.rel * m.hyp_volume, s)
+    foot = sx.altitude_feet(s)[:k, d]
     rec.check("corner altitude",
-              np.abs(m.altitude - np.sqrt(sx._sq_norms(foot - s.vertices[:, d]))),
+              np.abs(m.altitude - np.sqrt(sx._sq_norms(foot - s.vertices[:k, d]))),
               pol.rel * m.altitude, s)
-    i, r = centers.incenter(s)
+    i, r = (x[:k] for x in centers.incenter(s))
     rec.check("leg inradius", np.abs(m.inradius - r), pol.rel * r, s)
     rec.check("incenter equals (r, ..., r)",
               np.abs(i - m.inradius[:, None]).max(axis=-1), pol.rel * diam, s)
-    c, big_r = centers.circumcenter(s)
+    center, radius = centers.circumcenter(s)
+    c, big_r = center[:k], radius[:k]
     rec.check("leg circumradius", np.abs(m.r_squared - sx._squares(big_r)),
               pol.rel * m.r_squared, s)
     rec.check("circumcenter midpoint form",
@@ -621,25 +693,23 @@ def _check_rectangular(rec: _Recorder, legs: np.ndarray, s: sx.Simplex, pol: Tol
     rec.check("hypotenuse orthocenter",
               np.sqrt(sx._sq_norms(m.hyp_orthocenter - foot)), pol.rel * diam, s)
 
-    _check_separation(rec, s, pol, "rect ")
-    bary = sx.barycentric(s, c)
+    _check_separation(rec, s, pol, "rect ", rows=k)
+    bary = sx.barycentric(s, center)[:k]
     expected = np.append(np.full(d, 0.5), (2 - d) / 2.0)
     rec.check("rect circumcenter barycentrics (1/2, ..., 1/2, (2-d)/2)",
               np.abs(bary - expected).max(axis=-1), pol.rel * d, s)
 
-    if d >= 3:
-        # the hypotenuse facets (opposite the corner, vertex d), then the
-        # rejection tuples, as one stack
-        rows = sx._face_pose(s.vertices[:, sx.facet_indices(s)[d]])
-        if rejects is not None:
-            rows = np.concatenate((rows, oc._pose_rows(rejects, 1.0, pol)))
-        t = sx._from_vertex_rows(d - 1, rows, pol)
-        lifted, stuck = families._lift_rows(t, pol)
-        k = len(legs)
-        rec.check("lift round trip", np.abs(lifted[:k] - legs).max(axis=-1),
-                  10 * pol.rel * legs.max(axis=-1), s, legs=legs, lifted=lifted[:k])
-        rec.check("lift must reject non-negative obtuseness", np.where(stuck, 0.0, 1.0), 0.5,
-                  t, premise=np.arange(len(stuck)) >= k)
+
+def _check_lift(rec: _Recorder, legs: np.ndarray, s: sx.Simplex, lift, pol: TolerancePolicy):
+    """The hypotenuse facets of the rectangular block ``legs`` on the stack
+    ``s`` lifted back to their legs (a d = 2 facet is a segment, below the
+    lift's domain, so d >= 3), and its rejection simplices, each of which
+    the lift must reject; ``lift`` is what :func:`_lift` read for the block."""
+    lifted, rejects, stuck = lift
+    rec.check("lift round trip", np.abs(lifted - legs).max(axis=-1),
+              10 * pol.rel * legs.max(axis=-1), s, legs=legs, lifted=lifted)
+    rec.check("lift must reject non-negative obtuseness", np.where(stuck, 0.0, 1.0), 0.5,
+              rejects)
 
 
 # ---------------------------------------------------------------------------

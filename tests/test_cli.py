@@ -350,6 +350,98 @@ class TestVerifyCommand:
         assert "No such file" in json.loads(err)["error"]
 
 
+def _strict(text: str):
+    def refuse(constant):
+        raise AssertionError(f"{constant} in an analysis document")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _verdicts(doc: dict):
+    """What an analysis document decides: flags, coincidence pairs, class."""
+    params = doc["ortho_params"]
+    return (doc["shape"], doc["coincident_pairs"], doc["orthocentric"],
+            params and params["class"], doc["euler"] and doc["euler"]["coincident"])
+
+
+class TestScaleDomain:
+    """A similar copy of a simplex at any scale either lies outside the scale
+    domain of ``from_vertices`` (InputError) or analyses to strict JSON with
+    the flags, coincidence pairs and class of the unit-scale copy."""
+
+    INSIDE = [10.0**e for e in (-135, -130, -120, -100, 100, 120, 130, 135)]
+    OUTSIDE = [10.0**e for e in (-170, -165, -160, -156, -150, -145, -141,
+                                 141, 145, 150, 153, 160, 165, 170)]
+
+    @staticmethod
+    def shapes():
+        yield "regular-4", op.regular(4, 1.0).vertices
+        yield "regular-7", op.regular(7, 1.0).vertices
+        yield "gaussian-5", np.random.default_rng(5).normal(size=(6, 5))
+        yield "acute-4", op.construct(op.sample_params(4, "acute", 1).bary).vertices
+        yield "obtuse-6", op.construct(op.sample_params(6, "obtuse", 2).bary).vertices
+        yield "rect-3", op.rectangular(op.RectSpec(3, (0.6, 1.0, 1.7))).vertices
+
+    @pytest.mark.parametrize("name", ["regular-4", "regular-7", "gaussian-5", "acute-4",
+                                      "obtuse-6", "rect-3"])
+    def test_verdicts_hold_or_input_error(self, name):
+        v = dict(self.shapes())[name]
+        d = v.shape[1]
+        want = _verdicts(_strict(cli._dump(cli.analysis_doc(op.from_vertices(d, v),
+                                                            op.DEFAULT_POLICY))))
+        for scale in self.INSIDE + self.OUTSIDE:
+            try:
+                s = op.from_vertices(d, v * scale)
+            except op.InputError:
+                assert scale in self.OUTSIDE, scale
+                continue
+            assert scale in self.INSIDE, scale
+            doc = _strict(cli._dump(cli.analysis_doc(s, op.DEFAULT_POLICY)))
+            assert _verdicts(doc) == want, scale
+
+    @pytest.mark.parametrize("edge", ["1e-156", "1e-160", "1e141"])
+    def test_construct_outside_the_domain_exits_1(self, capsys, edge):
+        code, out, err = run_cli(capsys, "construct", "regular", "--dim", "4", "--edge", edge)
+        assert code == 1 and out == ""
+        assert "scale out of range" in json.loads(err)["error"]
+
+
+class TestUsageErrors:
+    """A bad or missing argument is an input error: one ``{"error": ...}``
+    line on stderr and exit code 1 (2 means a failed verification);
+    ``--help`` still exits 0."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--samples", "x"], "orthoplex verify: argument --samples: invalid int value"),
+        (["bogus"], "orthoplex: argument command: invalid choice: 'bogus'"),
+        ([], "orthoplex: the following arguments are required: command"),
+        (["construct"], "the following arguments are required: kind"),
+        (["construct", "ortho", "--bary", "-0.2,0.3,0.45,0.45"],
+         "orthoplex construct: argument --bary: expected one argument"),
+        (["verify", "--dim-max"], "argument --dim-max: expected one argument"),
+        (["analyze", "--bogus"], "unrecognized arguments: --bogus"),
+    ])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and message in json.loads(err)["error"]
+
+    def test_leading_minus_takes_the_equals_form(self, capsys):
+        code, doc, err = run_json(capsys, "construct", "ortho", "--bary=-0.25,-0.25,1.5")
+        assert code == 0 and err == ""
+        assert doc["vertices"] == op.construct([-0.25, -0.25, 1.5]).vertices.tolist()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["construct", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: orthoplex") and captured.err == ""
+        if argv[0] == "construct":
+            assert "--bary=-0.2" in captured.out
+
+
 class TestRoundTripIdempotence:
     def test_construct_analyze_construct(self, capsys, monkeypatch):
         code, doc, _ = run_json(

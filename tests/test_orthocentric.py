@@ -782,6 +782,13 @@ def mixed_tuples(d, count=6):
                      for i in range(count)])
 
 
+def construct_rows(bary, scale):
+    """``construct`` on each row of ``bary``: one barycentric test, one pose
+    and one degeneracy decision for the stack."""
+    return sx._from_vertex_rows(bary.shape[-1] - 1, oc._pose_rows(bary, scale, op.DEFAULT_POLICY),
+                                op.DEFAULT_POLICY)
+
+
 class TestConstructRows:
     """One stacked pose for a block of tuples, each row the simplex its own
     ``construct`` builds."""
@@ -790,7 +797,7 @@ class TestConstructRows:
     def test_rows_are_construct_bit_for_bit(self, d):
         bary = mixed_tuples(d)
         for scale in (1.0, 2.5e-3):
-            rows = oc._construct_rows(bary.copy(), scale, op.DEFAULT_POLICY)
+            rows = construct_rows(bary.copy(), scale)
             assert rows.dim == d and rows.vertices.shape == (len(bary), d + 1, d)
             for a, v in zip(bary, rows.vertices):
                 want = op.construct(a, scale).vertices
@@ -812,14 +819,14 @@ class TestConstructRows:
         with pytest.raises(ParametrizationError, match=message) as one_err:
             op.construct(bary[j])
         with pytest.raises(ParametrizationError) as block_err:
-            oc._construct_rows(bary, 1.0, op.DEFAULT_POLICY)
+            construct_rows(bary, 1.0)
         assert str(block_err.value) == str(one_err.value)
 
     def test_params_rows_read_what_params_of_reads(self):
         """The stacked parameter table gives each simplex the obtuseness,
         class, corner and barycentrics ``params_of`` gives it alone."""
         d = 5
-        block = sx._stack([oc._construct_rows(mixed_tuples(d), 1.0, op.DEFAULT_POLICY),
+        block = sx._stack([construct_rows(mixed_tuples(d), 1.0),
                            op.rectangular(op.RectSpec(d, (0.7, 1.1, 1.3, 0.9, 1.6))),
                            op.regular(d, 1.0)])
         sigma, rectangular, corner, bary = oc._param_rows(block, op.DEFAULT_POLICY)
@@ -833,7 +840,7 @@ class TestConstructRows:
 
     def test_params_rows_raise_for_a_simplex_that_is_not_orthocentric(self):
         gaussian = op.from_vertices(4, np.random.default_rng(3).normal(size=(5, 4)))
-        rows = oc._construct_rows(mixed_tuples(4), 1.0, op.DEFAULT_POLICY)
+        rows = construct_rows(mixed_tuples(4), 1.0)
         block = sx._stack([rows, gaussian], [0, 1, 6, 2, 3, 4, 5])  # the Gaussian at row 2
         with pytest.raises(NotOrthocentricError) as one_err:
             op.params_of(op.from_vertices(4, block.vertices[2]))

@@ -860,7 +860,7 @@ class TestDegeneracyBlock:
 
     def agree(self, d, stack, policy):
         degenerate, ratio = sx._degeneracy(stack, policy)
-        kept = sx._from_vertex_rows(d, stack.copy(), policy, drop_degenerate=True)
+        kept = sx._from_vertex_rows(d, stack.copy(), policy, drop_from=0)
         want = one_by_one(d, stack)
         assert degenerate == [bad for bad, _, _ in want]
         assert [r for r, (bad, _, _) in zip(ratio, want) if bad] == [r for bad, r, _ in want if bad]
@@ -909,11 +909,65 @@ class TestDegeneracyBlock:
         with pytest.raises(InputError, match=message) as one_err:
             op.from_vertices(3, stack[1])
         for call in (lambda: sx._degeneracy(stack, policy),
-                     lambda: sx._from_vertex_rows(3, stack, policy, drop_degenerate=True)):
+                     lambda: sx._from_vertex_rows(3, stack, policy, drop_from=0)):
             with pytest.raises(InputError) as block_err:
                 call()
             assert type(block_err.value) is type(one_err.value)
             assert str(block_err.value) == str(one_err.value)
+
+
+class TestPairRowSlices:
+    """A large stack's pair table is formed in slices of rows, each row with
+    the bits of the whole-stack product."""
+
+    @pytest.mark.parametrize("d", [2, 5, 9])
+    @pytest.mark.parametrize("rows", [1, 7, 49])
+    def test_slices_keep_the_bits(self, monkeypatch, d, rows):
+        stack = np.random.default_rng(d).normal(size=(50, d + 1, d))
+        whole = sx._pair_rows(stack)
+        monkeypatch.setattr(sx, "_PAIR_VALUES", rows * (d + 1) * d // 2 * d)
+        sliced = sx._pair_rows(stack)
+        assert sliced.shape == whole.shape and sliced.tobytes() == whole.tobytes()
+        assert sx._pairs(sx._from_vertex_rows(d, stack, op.DEFAULT_POLICY)).tobytes() \
+            == whole.tobytes()
+
+
+class TestScaleDomain:
+    """A simplex whose edge Gram eigenvalues leave [1e-280, 1e280] raises
+    InputError naming that range: outside it a squared length, a squared-edge
+    sum or 1/h^2 for an altitude h leaves the normal floats.  Degenerate
+    simplices are judged degenerate first."""
+
+    @pytest.mark.parametrize("scale", [1e-141, 1e-150, 1e-156, 1e141, 1e150, 1e153])
+    def test_out_of_range_scale_raises(self, scale, policy):
+        stack = np.random.default_rng(3).normal(size=(4, 4, 3))
+        stack[2] *= scale
+        with pytest.raises(InputError, match=r"scale out of range: .* must lie within "
+                                             r"\[1e-280, 1e\+280\]") as one_err:
+            op.from_vertices(3, stack[2])
+        for call in (lambda: sx._degeneracy(stack, policy),
+                     lambda: sx._from_vertex_rows(3, stack, policy, drop_from=0)):
+            with pytest.raises(InputError) as block_err:
+                call()
+            assert type(block_err.value) is type(one_err.value)
+            assert str(block_err.value) == str(one_err.value)
+
+    @pytest.mark.parametrize("scale", [1e-138, 1e-100, 1e100, 1e138])
+    def test_in_range_scale_builds(self, scale, policy):
+        v = np.random.default_rng(3).normal(size=(4, 3))
+        s = op.from_vertices(3, v * scale)
+        (bad,), (ratio,) = sx._degeneracy(s.vertices, policy)
+        assert not bad and ratio == pytest.approx(sx._degeneracy(v, policy)[1][0], rel=1e-12)
+
+    def test_degenerate_rows_are_judged_degenerate(self, policy):
+        stack = np.random.default_rng(4).normal(size=(3, 4, 3))
+        stack[1] = 1e-200  # lambda_max = 0: degenerate, not out of range
+        stack[2, 1] = stack[2, 0] * (1 + 1e-300)  # lambda_min ~ 0
+        assert sx._degeneracy(stack, policy)[0] == [False, True, True]
+        kept = sx._from_vertex_rows(3, stack, policy, drop_from=0)
+        assert np.array_equal(kept.vertices, stack[:1])
+        with pytest.raises(DegenerateSimplexError):
+            sx._from_vertex_rows(3, stack, policy)
 
 
 class TestFacePoseBlock:

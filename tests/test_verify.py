@@ -1,5 +1,7 @@
+import dataclasses
 import inspect
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -299,14 +301,17 @@ class TestRecorder:
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_rect_sample_builds_one_simplex(self, monkeypatch, d):
-        """The rectangular check builds one stack, the block's hypotenuse
-        facets (none for d = 2), from one stacked QR and one stacked
-        degeneracy test, with no ``from_vertices``, ``face`` or
-        ``params_of`` call; the closed forms come from the legs array with
-        no ``RectSpec`` or ``rect_metrics`` call, and the lift reads the
-        legs of the whole stack without building the lifted simplices."""
+        """The rectangular stack of dimension d holds block d's simplices,
+        then block d+1's hypotenuse facets and rejection simplex, from one
+        stacked QR and one stacked degeneracy test, with no
+        ``from_vertices``, ``face`` or ``params_of`` call.  Block d's checks
+        and block d+1's lift read that stack and build nothing: the closed
+        forms come from the legs array with no ``RectSpec`` or
+        ``rect_metrics`` call, and the lift reads the legs of the whole
+        stack without building the lifted simplices."""
         legs = np.stack([np.linspace(0.6, 1.7, d) * (1 + 0.1 * k) for k in range(4)])
-        block = sx._from_vertex_rows(d, families._rect_pose(legs), DEFAULT_POLICY)
+        up = np.stack([np.linspace(0.7, 1.6, d + 1) * (1 + 0.1 * k) for k in range(3)])
+        above = (up, oc._sample_rows(d, oc.OBTUSE, 1, np.random.default_rng(d)))
         shapes = {"qr": [], "eigvalsh": []}
         for name, seen in shapes.items():
             def recording(a, *args, _real=getattr(np.linalg, name), _seen=seen, **kwargs):
@@ -321,11 +326,16 @@ class TestRecorder:
         for module, name in ((sx, "from_vertices"), (sx, "face"), (oc, "params_of"),
                              (families, "RectSpec"), (families, "rect_metrics")):
             monkeypatch.setattr(module, name, forbidden)
+        s = vf._rect_stack(d, legs, above, DEFAULT_POLICY)
         rec = vf._Recorder("rectangular")
-        vf._check_rectangular(rec, legs, block, DEFAULT_POLICY)
+        vf._check_rectangular(rec, legs, s, DEFAULT_POLICY)
+        lifted, rejects, stuck = vf._lift(s, len(legs), len(up), DEFAULT_POLICY)
         assert rec.counterexample is None
-        assert shapes["qr"] == ([] if d == 2 else [(4, d, d - 1)])
-        assert shapes["eigvalsh"] == ([] if d == 2 else [(4, d - 1, d - 1)])
+        assert shapes["qr"] == [(3, d + 1, d)]
+        assert shapes["eigvalsh"] == [(4 + 3 + 1, d, d)]
+        assert s.dim == d and len(s.vertices) == 4 + 3 + 1
+        assert np.allclose(lifted, up, rtol=1e-12) and stuck.tolist() == [True]
+        assert rejects.dim == d and np.array_equal(rejects.vertices, s.vertices[-1:])
 
     def test_non_orthocentric_euler_fixture_is_a_numeric_error(self):
         rng = np.random.default_rng(6)
@@ -391,15 +401,111 @@ class TestBlockFill:
         real = getattr(vf, check)
         signature = inspect.signature(real)
 
-        def counting(rec, *args):
-            block = signature.bind(rec, *args).arguments["s"]
+        def counting(rec, *args, **kwargs):
+            block = signature.bind(rec, *args, **kwargs).arguments["s"]
             assert isinstance(block, sx.Simplex) and block.vertices.ndim == 3
             dims.append(block.dim)
-            return real(rec, *args)
+            return real(rec, *args, **kwargs)
 
         monkeypatch.setattr(vf, check, counting)
         result = vf.run_all(SuiteConfig(suites=(suite,), samples=12, seed=5, d_min=2, d_max=5))
         assert result.passed and dims == [2, 3, 4, 5]
+
+
+class TestSuiteQueue:
+    """A suite queues the checks of all its blocks and settles them at its
+    end, or earlier once the queue outgrows its budget; the counterexample
+    is still the violation a loop over the blocks, then their samples,
+    meets first, and each block's stack is freed once its checks are
+    queued."""
+
+    RECT = dict(suites=("rect",), samples=12, seed=4, d_min=3, d_max=5)
+
+    @pytest.mark.parametrize("main, lift, want", [
+        ((3, 2), (4, 0), ("legs volume", 3, 2)),  # the earlier block
+        ((5, 0), (4, 3), ("lift round trip", 4, 3)),  # the lift of the earlier block
+        ((4, 2), (4, 1), ("lift round trip", 4, 1)),  # the earlier sample of one block
+        ((4, 1), (4, 1), ("legs volume", 4, 1)),  # the earlier check of one sample
+        ((4, 0), (3, 2), ("lift round trip", 3, 2)),  # block d_min, lifted from its own stack
+    ])
+    def test_faults_in_two_dimensions(self, monkeypatch, main, lift, want):
+        """A wrong closed-form volume for sample j of block d (``main`` =
+        (d, j)) and wrong lifted legs for sample j' of block d' (``lift``):
+        block d' is lifted from the stack of dimension d'-1, where block
+        d'-1's own simplices come first.  The report names the violation
+        that settling each block on its own named."""
+        config = SuiteConfig(**self.RECT)
+        k = vf._per_dim(config)
+        real_rows, real_lift = families._rect_rows, families._lift_rows
+
+        def rect_rows(legs):
+            m = real_rows(legs)
+            if legs.shape[-1] != main[0]:
+                return m
+            volume = m.volume.copy()
+            volume[main[1]] *= 1.5
+            return dataclasses.replace(m, volume=volume)
+
+        def lift_rows(t, policy):
+            legs, stuck = real_lift(t, policy)
+            if t.dim == lift[0] - 1:
+                legs = legs.copy()
+                legs[(k if t.dim >= config.d_min else 0) + lift[1]] *= 1.5
+            return legs, stuck
+
+        monkeypatch.setattr(families, "_rect_rows", rect_rows)
+        monkeypatch.setattr(families, "_lift_rows", lift_rows)
+        result = vf.suite_rectangular(config)
+        check, d, j = want
+        ce = result.counterexample
+        assert not result.passed and ce["check"] == check
+        legs = vf._rect_draw(config, d)[0]
+        assert ce["simplex"] == {"dim": d, "vertices": families._rect_pose(legs)[j].tolist()}
+        if check == "lift round trip":
+            assert ce["residuals"]["legs"] == legs[j].tolist()
+
+    @pytest.mark.parametrize("suite, check", [
+        ("center_equivalences", "_check_equivalences"),
+        ("regularity", "_check_separation"),
+        ("euler_feuerbach", "_check_euler_feuerbach"),
+        ("rectangular", "_check_rectangular"),
+    ])
+    def test_each_stack_is_freed_after_its_checks(self, monkeypatch, suite, check):
+        """The queue keeps a block's vertices, not its stack, so the stack
+        and its tables are gone before the next block is checked."""
+        refs, real = [], getattr(vf, check)
+        signature = inspect.signature(real)
+
+        def keeping(*args, **kwargs):
+            assert [r() for r in refs] == [None] * len(refs)
+            refs.append(weakref.ref(signature.bind(*args, **kwargs).arguments["s"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(vf, check, keeping)
+        config = SuiteConfig(suites=(suite,), samples=12, seed=5, d_min=2, d_max=5)
+        assert vf.run_all(config).passed
+        assert len(refs) == 4 and [r() for r in refs] == [None] * 4
+
+    def test_queue_budget(self, monkeypatch):
+        """A queue over its budget settles at once: with a budget of 10
+        values every suite settles many times and reports what one settle
+        per suite reports, counterexamples included."""
+
+        def faulty_incenter(s, policy=None):
+            w = sx.facet_volumes(s)[..., ::-1]
+            total = w.sum(axis=-1)
+            return (w[..., None] * s.vertices).sum(axis=-2) / total[..., None], 1.0 / total
+
+        monkeypatch.setattr(centers, "incenter", faulty_incenter)
+        config = SuiteConfig(samples=12, seed=6, d_min=2, d_max=5)
+        once = run_all(config).to_json_dict()
+        settles, real = [], vf._ratios
+        monkeypatch.setattr(vf, "_ratios", lambda *args: settles.append(1) or real(*args))
+        monkeypatch.setattr(vf, "_QUEUE_VALUES", 10)
+        often = run_all(config).to_json_dict()
+        assert len(settles) > 10 * 4
+        assert json.dumps(often) == json.dumps(once)
+        assert not once["pass"] and sum(not r["pass"] for r in once["suites"]) >= 2
 
 
 class TestMutationSelfTest:
@@ -575,11 +681,11 @@ class TestStreamOrder:
             return tables[kind][served[kind] - k:served[kind]].copy()
 
         monkeypatch.setattr(oc, "_sample_rows", stub)
-        block = vf._separated_samples(d, per_kind, rng, DEFAULT_POLICY)
+        rows = vf._separated_samples(d, per_kind, rng, DEFAULT_POLICY)
         kept = [("acute", a) for a in range(per_kind + 2) if a not in (j, j + 1)] + [
             ("obtuse", a) for a in range(per_kind)]
         want = [op.construct(tables[kind][a], 1.0).vertices.tolist() for kind, a in kept]
-        assert block.dim == d and block.vertices.tolist() == want
+        assert rows.shape == (2 * per_kind, d + 1, d) and rows.tolist() == want
         rounds = [[("acute", 2), ("obtuse", 0)]] if j < 3 else [[("acute", 1), ("obtuse", 0)]] * 2
         assert calls == [("acute", per_kind), ("obtuse", per_kind)] + sum(rounds, [])
 
@@ -607,12 +713,13 @@ class TestStreamOrder:
 class TestBlockCounts:
     """Each (suite, d) block is built with one stacked eigensolve and draws
     from one generator: counts, not timings.  Every other eigensolve is a
-    family fixture's own ``from_vertices``, and verify calls neither
-    ``face``, ``params_of`` nor ``sample_params`` per sample."""
+    family fixture's own ``from_vertices`` (built once per process), and
+    verify calls neither ``face``, ``params_of`` nor ``sample_params`` per
+    sample."""
 
     def counted(self, monkeypatch, suite, samples):
         calls = {"stacked": 0, "single": 0, "from_vertices": 0, "face": 0, "params_of": 0,
-                 "construct_rows": 0, "sub_seed": 0, "sample_params": 0}
+                 "sub_seed": 0, "sample_params": 0}
         real_eig = np.linalg.eigvalsh
 
         def eigvalsh(a, *args, **kwargs):
@@ -622,7 +729,6 @@ class TestBlockCounts:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         for module, name, key in ((sx, "from_vertices", "from_vertices"), (sx, "face", "face"),
                                   (oc, "params_of", "params_of"),
-                                  (oc, "_construct_rows", "construct_rows"),
                                   (vf, "_sub_seed", "sub_seed"),
                                   (oc, "sample_params", "sample_params")):
             def counting(*args, _real=getattr(module, name), _key=key, **kwargs):
@@ -638,9 +744,9 @@ class TestBlockCounts:
         monkeypatch.undo()
         return calls
 
-    def test_one_flat_settle_per_block(self, monkeypatch):
+    def test_one_flat_settle_per_suite(self, monkeypatch):
         """All suites at d 2..5 queue many checks per (suite, d) block and
-        settle each block with one ratio evaluation; a passing run never
+        settle each suite with one ratio evaluation; a passing run never
         calls the counterexample locator."""
         calls = {"check": 0, "ratios": 0, "locate": 0}
         for owner, name, key in ((vf._Recorder, "check", "check"), (vf, "_ratios", "ratios"),
@@ -651,8 +757,8 @@ class TestBlockCounts:
 
             monkeypatch.setattr(owner, name, counting)
         assert run_all(SuiteConfig(samples=12, seed=3, d_min=2, d_max=5)).passed
-        assert calls["ratios"] == 4 * 4 and calls["locate"] == 0
-        assert calls["check"] > 10 * calls["ratios"]
+        assert calls["ratios"] == 4 and calls["locate"] == 0
+        assert calls["check"] > 40 * calls["ratios"]
 
     def test_no_simplex_is_built_per_sample(self, monkeypatch):
         """Every block is one stack from the draw to the checks: all suites
@@ -678,17 +784,16 @@ class TestBlockCounts:
 
     @pytest.mark.parametrize("suite, blocks", [
         ("center_equivalences", {"stacked": 4}),
-        ("regularity", {"stacked": 8, "construct_rows": 4}),
-        ("euler_feuerbach", {"stacked": 4, "construct_rows": 4}),
-        ("rectangular", {"stacked": 4 + 3}),
+        ("regularity", {"stacked": 4}),
+        ("euler_feuerbach", {"stacked": 4}),
+        ("rectangular", {"stacked": 4}),
     ])
     def test_one_eigensolve_per_block(self, monkeypatch, suite, blocks):
         few = self.counted(monkeypatch, suite, 12)
         many = self.counted(monkeypatch, suite, 40)
         assert few == many  # nothing is built per sample
         # one generator per (suite, d) block, and no tuple drawn from its own seed
-        want = {"stacked": 0, "face": 0, "params_of": 0, "construct_rows": 0,
-                "sub_seed": 4, "sample_params": 0}
+        want = {"stacked": 0, "face": 0, "params_of": 0, "sub_seed": 4, "sample_params": 0}
         want.update(blocks)
         assert {k: few[k] for k in want} == want
         # every unstacked eigensolve is a fixture's own from_vertices call

@@ -273,12 +273,11 @@ def feuerbach_sphere(
     d = s.dim
     if not (sx._is_int(k) and 0 <= k <= d - 1):
         raise InputError(f"k must be an integer in [0, {d - 1}], got {k!r}")
-    orthocentric = is_orthocentric(s, policy)
-    if k < d - 1 and not orthocentric:
+    if k < d - 1 and not is_orthocentric(s, policy):
         raise NotOrthocentricError(
             "mid-face spheres below the facet level require an orthocentric simplex"
         )
-    return _sphere_family(s, orthocentric)[k - d]
+    return feuerbach_spheres(s, policy)[k - d]
 
 
 def feuerbach_spheres(
@@ -290,19 +289,14 @@ def feuerbach_spheres(
 
     :func:`feuerbach_sphere` reads its k from this list.
     """
-    return _sphere_family(s, is_orthocentric(s, policy))
-
-
-def _sphere_family(s: sx.Simplex, orthocentric: bool) -> list[FeuerbachSphere]:
-    """:func:`feuerbach_spheres` for a decision already made."""
-    spheres, radii, residuals = _sphere_rows(s, orthocentric)
+    spheres, radii, residuals = _sphere_rows(s, is_orthocentric(s, policy))
     low = s.dim - len(radii)
     return [FeuerbachSphere(low + k, center, r, x) for k, (center, r, x)
             in enumerate(zip(spheres, radii.tolist(), residuals.tolist()))]
 
 
 def _sphere_rows(s: sx.Simplex, orthocentric: bool):
-    """(centers, radii, max_residuals) of the spheres :func:`_sphere_family`
+    """(centers, radii, max_residuals) of the spheres :func:`feuerbach_spheres`
     reports, one row per k along axis -2 of centers and -1 of the others:
     k = 0..d-1 when ``orthocentric``, else k = d-1 alone; on one simplex or
     each of a stack."""

@@ -99,7 +99,7 @@ def analysis_doc(s: sx.Simplex, policy: TolerancePolicy) -> dict:
         "euler": None,
         "feuerbach": [
             {"k": sphere.k, "radius": sphere.radius, "max_residual": sphere.max_residual}
-            for sphere in centers._sphere_family(s, report.orthocenter is not None)
+            for sphere in centers.feuerbach_spheres(s, policy)
         ],
     }
     if report.orthocenter is not None:

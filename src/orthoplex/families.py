@@ -72,28 +72,28 @@ def regular(d: int, s: float, policy: TolerancePolicy = DEFAULT_POLICY) -> sx.Si
     """Regular d-simplex of edge s, centered at the origin.
 
     Built by centering the standard basis of (d+1)-space and reflecting its
-    span onto the first d coordinates, so the output is a closed form with
-    no eigensolve involved.  Each (d, s, policy) is built once: equal
-    arguments return the same (immutable) simplex.
+    span onto the first d coordinates, so the coordinates are a closed form
+    with no eigensolve involved.  Each (d, s) is computed once: equal
+    arguments return fresh simplices of the same coordinates.
     """
     if not sx._is_int(d) or d < 1:
         raise InputError(f"dimension must be an integer >= 1, got {d!r}")
     if not (0 < s < math.inf):
         raise InputError(f"edge length must be positive and finite, got {s}")
-    return _regular(int(d), float(s), policy)
+    return sx.from_vertices(d, _regular(int(d), float(s)), policy)
 
 
 @lru_cache(maxsize=32)
-def _regular(d: int, s: float, policy: TolerancePolicy) -> sx.Simplex:
-    """The body of :func:`regular`, shared by every caller: a Simplex is
-    frozen, its vertices read-only and its memo tables deterministic."""
+def _regular(d: int, s: float) -> np.ndarray:
+    """The read-only vertex rows (d+1, d) of :func:`regular`, shared by every
+    caller; a simplex built from them holds its own copy and memo."""
     n = d + 1
     pts = np.eye(n) - 1.0 / n
     w = np.full(n, 1.0 / math.sqrt(n))
     w[-1] -= 1.0  # Householder vector sending (1..1)/sqrt(n) to e_n
     h = np.eye(n) - 2.0 * np.outer(w, w) / float(w @ w)
     coords = (pts @ h.T)[:, :d]  # last coordinate is 0 on the centered span
-    return sx.from_vertices(d, coords * (s / math.sqrt(2.0)), policy)
+    return sx._read_only(coords * (s / math.sqrt(2.0)))
 
 
 def regular_metrics(d: int, s: float) -> RegularMetrics:
@@ -167,7 +167,7 @@ def kite(spec: KiteSpec, policy: TolerancePolicy = DEFAULT_POLICY) -> sx.Simplex
     """Coordinates of the kite: regular base centered at the origin of the
     first d-1 axes, apex on the last axis at the closed-form height."""
     d, s = spec.d, spec.s
-    base = regular(d - 1, s, policy).vertices
+    base = _regular(d - 1, float(s))
     h = kite_metrics(spec, policy).altitude
     verts = np.zeros((d + 1, d))
     verts[:d, : d - 1] = base

@@ -162,16 +162,16 @@ class _Recorder:
     (or None), a block of one.  Further axes hold values checked in turn.
     :meth:`check` only queues its arguments, and of the simplex only its
     vertices, so a stack's tables are freed when its block ends.  The queue
-    is settled by :meth:`result` (and before ``max_ratio`` or
-    ``counterexample`` is read), or as soon as it holds more than
-    ``_QUEUE_VALUES`` residual values.  A settle evaluates the whole queue
-    in one flat pass (one ratio array, one max, one violation test) and
-    hands only the checks holding a violation, in queue order, to the
-    counterexample locator.  The counterexample is the violation a loop
-    over the blocks, then their samples, would meet first: in the earliest
-    block, the earliest sample, then the earliest check in code order, then
-    the earliest value.  Queued arrays are fresh or read-only tables, so
-    nothing changes before the settle.
+    is settled by :meth:`result`, or as soon as it holds more than
+    ``_QUEUE_VALUES`` residual values.  A settle brings each check's
+    allowance and premise to its residual's shape once and evaluates the
+    whole queue in one flat pass (one ratio array, one max, one violation
+    test); the first violation of each check holding one goes, in queue
+    order, to the counterexample locator.  The counterexample is the
+    violation a loop over the blocks, then their samples, would meet first:
+    in the earliest block, the earliest sample, then the earliest check in
+    code order, then the earliest value.  Queued arrays are fresh or
+    read-only tables, so nothing changes before the settle.
     """
 
     def __init__(self, name: str):
@@ -183,19 +183,6 @@ class _Recorder:
         self._queue = []
         self._queued = 0  # residual values in the queue
         self._t0 = time.perf_counter()
-
-    @property
-    def max_ratio(self) -> float:
-        self._settle()
-        return self._max_ratio
-
-    @property
-    def counterexample(self) -> dict | None:
-        self._settle()
-        return self._counterexample
-
-    def sample(self, count: int = 1):
-        self.samples += count
 
     def check(self, label: str, residual, allowed, simplex: sx.Simplex | None = None,
               premise=True, **extra):
@@ -209,9 +196,6 @@ class _Recorder:
         self._queued += np.size(residual)
         if self._queued > _QUEUE_VALUES:
             self._settle()
-
-    def fail(self, label: str, simplex: sx.Simplex | None = None, **extra):
-        self.check(label, 1.0, 0.5, simplex=simplex, **extra)
 
     def _settle(self):
         """Evaluate the queued checks in one flat pass."""
@@ -243,20 +227,17 @@ class _Recorder:
             # NaN on either side: infinite, and a violation below
             self._max_ratio = max(self._max_ratio, top if top == top else np.inf)
         bad = np.flatnonzero(bad)
-        if bad.size:  # the checks holding a violation, in queue order
-            for j in np.unique(np.searchsorted(ends, bad, side="right")).tolist():
-                self._locate(queue[j])
+        if bad.size:  # the checks holding a violation, in queue order, and the first of each
+            checks, first = np.unique(np.searchsorted(ends, bad, side="right"), return_index=True)
+            for j, flat in zip(checks.tolist(), bad[first].tolist()):
+                at = np.unravel_index(flat - ends[j] + residuals[j].size, residuals[j].shape)
+                self._locate(queue[j], at, float(res[flat]), float(alw[flat]))
 
-    def _locate(self, entry):
-        """Record the first violation of one queued check, unless the
-        counterexample already held is met first by a loop over the samples."""
-        label, residual, allowed, vertices, premise, extra = entry
-        residual = np.asarray(residual, dtype=float)
-        allowed = _leading(np.asarray(allowed, dtype=float), residual.ndim)
-        bad = ~(residual <= allowed)
-        if premise is not True:
-            bad &= _leading(np.asarray(premise), residual.ndim)
-        at = np.unravel_index(int(bad.argmax()), bad.shape)
+    def _locate(self, entry, at: tuple, residual: float, allowed: float):
+        """Record the violation at index ``at`` of one queued check, its
+        first, unless the counterexample already held is met first by a
+        loop over the samples."""
+        label, _, _, vertices, _, extra = entry
         sample = at[: vertices.ndim - 2] if vertices is not None else ()
         if self._counterexample is not None and not (
             vertices is self._first[0] and sample < self._first[1]
@@ -264,8 +245,8 @@ class _Recorder:
             return
         payload = {
             "check": label,
-            "residual": float(residual[at]),
-            "allowed": float(np.broadcast_to(allowed, bad.shape)[at]),
+            "residual": residual,
+            "allowed": allowed,
             "residuals": {
                 k: _plain(v[at[: v.ndim]] if isinstance(v, np.ndarray) else v)
                 for k, v in extra.items()
@@ -351,10 +332,10 @@ def suite_center_equivalences(config: SuiteConfig) -> SuiteResult:
                 try:
                     fixtures.append(families.equiradial_general(d, 2, branch, pol)[0].vertices)
                 except OrthoplexError as exc:  # an admissible pair must build
-                    rec.fail("admissible equiradial fixture builds",
-                             d=d, m=2, branch=branch, error=f"{type(exc).__name__}: {exc}")
+                    rec.check("admissible equiradial fixture builds", 1.0, 0.5,
+                              d=d, m=2, branch=branch, error=f"{type(exc).__name__}: {exc}")
         block = _random_simplices(d, _per_dim(config), rng, pol, np.array(fixtures))
-        rec.sample(len(block.vertices))
+        rec.samples += len(block.vertices)
         _check_equivalences(rec, block, pol)
     return rec.result()
 
@@ -363,18 +344,17 @@ def _family_fixtures(d: int, rng, policy: TolerancePolicy) -> list[np.ndarray]:
     """The vertex arrays of the regular d-simplex of edge 1, of a rectangular
     one with legs drawn from ``rng`` and, for d >= 4, of the equiradial
     kite; the block's degeneracy decision validates the rectangular one."""
-    fixtures = [families.regular(d, 1.0, policy).vertices,
-                families._rect_pose(rng.uniform(0.5, 2.0, size=d))]
+    fixtures = [families._regular(d, 1.0), families._rect_pose(rng.uniform(0.5, 2.0, size=d))]
     if d >= 4:
-        fixtures.append(_equiradial_kite(d, policy).vertices)
+        fixtures.append(_equiradial_kite(d, policy))
     return fixtures
 
 
 @lru_cache(maxsize=16)
-def _equiradial_kite(d: int, policy: TolerancePolicy) -> sx.Simplex:
-    """The equiradial kite of dimension d, built once per (d, policy) and
-    shared; blocks copy its vertices, so its memo stays empty."""
-    return families.kite(families.equiradial_kite(d, policy), policy)
+def _equiradial_kite(d: int, policy: TolerancePolicy) -> np.ndarray:
+    """The read-only vertex rows of the equiradial kite of dimension d,
+    built once per (d, policy)."""
+    return families.kite(families.equiradial_kite(d, policy), policy).vertices
 
 
 def _check_equivalences(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
@@ -438,19 +418,19 @@ def suite_regularity(config: SuiteConfig) -> SuiteResult:
         rows = _separated_samples(d, max(1, _per_dim(config) // 2), rng, pol)
         # continuity sanity: separations shrink with the perturbation; the
         # three near-regular simplices follow the samples in the block
-        base = families.regular(d, 1.0, pol)
-        dirs = rng.normal(size=base.vertices.shape)
+        base = families._regular(d, 1.0)
+        dirs = rng.normal(size=base.shape)
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        near = base.vertices + deltas[:, None, None] * dirs
+        near = base + deltas[:, None, None] * dirs
         s = sx._from_vertex_rows(d, np.concatenate((rows, near)), pol)
         k = len(rows)
-        rec.sample(k)
+        rec.samples += k
         _check_separation(rec, s, pol, rows=k)
         seps = centers._center_distances(s).max(axis=-1) / sx.diameter(s)
         rec.check("near-regular separation bounded by perturbation", seps,
                   np.pad(100.0 * deltas, (k, 0)), s, premise=np.arange(len(seps)) >= k,
                   delta=np.pad(deltas, (k, 0)), separation=seps)
-        rec.sample()
+        rec.samples += 1
         seps = seps[k:]
         rec.check("separations shrink with the perturbation", seps[1:], seps[:-1],
                   delta_from=deltas[:-1], separations=seps.tolist())
@@ -513,7 +493,7 @@ def suite_euler_feuerbach(config: SuiteConfig) -> SuiteResult:
                                for kind in (oc.ACUTE, oc.OBTUSE)])
         rows = np.concatenate((fixtures, oc._pose_rows(bary, 1.0, pol)))
         block = sx._from_vertex_rows(d, rows, pol)
-        rec.sample(len(block.vertices))
+        rec.samples += len(block.vertices)
         _check_euler_feuerbach(rec, block, pol)
     return rec.result()
 
@@ -534,11 +514,11 @@ def _face_table(n: int):
     return sx._read_only((weights, level, starts))
 
 
-def _face_centroids(s: sx.Simplex) -> np.ndarray:
-    """Centroids of every k-face, k = 0..d-1, in :func:`_face_table` row
-    order, from one product (per simplex of a stack): the enumerated oracle
-    the closed-form mid-face spheres are measured against."""
-    return _face_table(s.n)[0] @ s.vertices
+def _face_centroids(vertices: np.ndarray) -> np.ndarray:
+    """Centroids of every k-face, k = 0..d-1, of the vertex rows (..., n, d)
+    in :func:`_face_table` row order, from one product per simplex: the
+    enumerated oracle the closed-form mid-face spheres are measured against."""
+    return _face_table(vertices.shape[-2])[0] @ vertices
 
 
 def _check_euler_feuerbach(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
@@ -558,11 +538,15 @@ def _check_euler_feuerbach(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
     rec.check("vertex sum identity", np.sqrt(sx._sq_norms(vec)), pol.rel * diam, s)
 
     # an orthocentric simplex has every sphere k = 0..d-1: row r of the face
-    # table is measured against the sphere of its level, worst per level
+    # table is measured against the sphere of its level, worst per level, in
+    # slices of samples whose face arrays hold at most _PAIR_VALUES values
     spheres, radii, _ = centers._sphere_rows(s, True)
     _, level, starts = _face_table(s.n)
-    dists = sx._row_norms(_face_centroids(s) - spheres[:, level])
-    worst = np.maximum.reduceat(np.abs(dists - radii[:, level]), starts, axis=-1)
+    worst, step = np.empty_like(radii), max(1, sx._PAIR_VALUES // (len(level) * d))
+    for r in range(0, len(radii), step):
+        rows = slice(r, r + step)
+        dists = sx._row_norms(_face_centroids(s.vertices[rows]) - spheres[rows, level])
+        worst[rows] = np.maximum.reduceat(np.abs(dists - radii[rows, level]), starts, axis=-1)
     for k in range(d):
         rec.check(f"feuerbach k={k} equidistance", worst[:, k],
                   10 * pol.rel * radii[:, k], s, k=k, radius=radii[:, k])
@@ -603,34 +587,42 @@ def suite_rectangular(config: SuiteConfig) -> SuiteResult:
     centers, hypotenuse-facet lift round trips, and rejection of lifts from
     non-negative obtuseness.
 
-    The stack of dimension d holds block d's rectangular simplices, then
-    block d+1's hypotenuse facets and rejection simplex, so each dimension
-    takes one degeneracy decision and one set of tables; block d+1 is drawn
-    from its own generator while block d is built.  Block d's lift is read
-    from the stack below it and checked after block d's own checks."""
+    Every block is drawn first, each from its own generator
+    (:func:`_rect_draw`), and dropped once its own stack is built.  The
+    stack of dimension m holds block m's rectangular simplices, then block
+    m+1's hypotenuse facets (opposite the corner, its last vertex, from one
+    stacked QR) and rejection simplex: one degeneracy decision and one set
+    of tables per dimension, freed before the next stack is built.  Block
+    m+1's lift is read from stack m and checked once its own checks are queued."""
     rec = _Recorder("rectangular")
     pol = config.policy
-    block, lift = _rect_draw(config, config.d_min), None
-    if config.d_min >= 3:  # block d_min's facets, alone in the stack below it
-        lift = _lift(_rect_stack(config.d_min - 1, np.empty((0, config.d_min - 1)), block, pol),
-                     0, len(block[0]), pol)
-    for d in range(config.d_min, config.d_max + 1):
-        legs, rejects = block
-        block = _rect_draw(config, d + 1) if d < config.d_max else None
-        rec.sample(len(legs) + (0 if rejects is None else len(rejects)))
-        lift = _rect_block(rec, legs, block, lift, pol)
+    blocks = {d: _rect_draw(config, d) for d in range(config.d_min, config.d_max + 1)}
+    lifts = {}
+    for m in range(max(2, config.d_min - 1), config.d_max + 1):
+        legs, rejects = blocks.pop(m, (np.empty((0, m)), None))
+        rows = [families._rect_pose(legs)]
+        if m + 1 in blocks:
+            up, up_rejects = blocks[m + 1]
+            rows += [sx._face_pose(families._rect_pose(up)[:, :-1]),
+                     oc._pose_rows(up_rejects, 1.0, pol)]
+        s = sx._from_vertex_rows(m, np.concatenate(rows), pol)
+        del rows  # a copy of the stack's vertices
+        if m >= config.d_min:
+            rec.samples += len(legs) + (0 if rejects is None else len(rejects))
+            _check_rectangular(rec, legs, s, pol)
+        if m in lifts:  # a d = 2 facet is a segment, below the lift's domain
+            lifted, rejected, stuck = lifts.pop(m)
+            rec.check("lift round trip", np.abs(lifted - legs).max(axis=-1),
+                      10 * pol.rel * legs.max(axis=-1), s, legs=legs, lifted=lifted)
+            rec.check("lift must reject non-negative obtuseness", np.where(stuck, 0.0, 1.0), 0.5,
+                      rejected)
+        if m + 1 in blocks:
+            lifted, stuck = families._lift_rows(s, pol)
+            end = len(legs) + len(up)
+            lifts[m + 1] = (lifted[len(legs):end], sx._stack([s], np.arange(end, len(stuck))),
+                            stuck[end:])
+        del s  # its tables go before the next stack is built
     return rec.result()
-
-
-def _rect_block(rec: _Recorder, legs: np.ndarray, above, lift, pol: TolerancePolicy):
-    """Check the rectangular block ``legs`` on its stack, whose tables are
-    freed on return: the closed forms, then its ``lift``, if any; return the
-    lift of the block ``above``, whose rows the stack holds too."""
-    s = _rect_stack(legs.shape[-1], legs, above, pol)
-    _check_rectangular(rec, legs, s, pol)
-    if lift is not None:
-        _check_lift(rec, legs, s, lift, pol)
-    return None if above is None else _lift(s, len(legs), len(above[0]), pol)
 
 
 def _rect_draw(config: SuiteConfig, d: int):
@@ -640,29 +632,6 @@ def _rect_draw(config: SuiteConfig, d: int):
     rng = np.random.default_rng(_sub_seed(config, 4, d))
     legs = rng.uniform(0.5, 2.0, size=(_per_dim(config), d))
     return legs, (oc._sample_rows(d - 1, oc.OBTUSE, 1, rng) if d >= 3 else None)
-
-
-def _rect_stack(d: int, legs: np.ndarray, above, pol: TolerancePolicy) -> sx.Simplex:
-    """The stack of dimension d: the rectangular simplices of ``legs`` (k, d),
-    then, for the block ``above`` = (legs, rejects) of dimension d+1, its
-    hypotenuse facets (opposite the corner, its last vertex, from one
-    stacked QR) and its rejection simplices, under one degeneracy decision."""
-    rows = [families._rect_pose(legs)]
-    if above is not None:
-        up, rejects = above
-        rows += [sx._face_pose(families._rect_pose(up)[:, :-1]), oc._pose_rows(rejects, 1.0, pol)]
-    return sx._from_vertex_rows(d, np.concatenate(rows), pol)
-
-
-def _lift(s: sx.Simplex, first: int, k: int, pol: TolerancePolicy):
-    """The lift of the block above the stack ``s``, whose k hypotenuse facets
-    are the rows of ``s`` from ``first`` on, followed by its rejection
-    simplices: (the lifted legs of the facets, the rejection simplices as a
-    stack of their own, whether the lift stuck on each), for
-    :func:`_check_lift` once that block's own checks are queued."""
-    lifted, stuck = families._lift_rows(s, pol)
-    end = first + k
-    return lifted[first:end], sx._stack([s], np.arange(end, len(stuck))), stuck[end:]
 
 
 def _check_rectangular(rec: _Recorder, legs: np.ndarray, s: sx.Simplex, pol: TolerancePolicy):
@@ -698,18 +667,6 @@ def _check_rectangular(rec: _Recorder, legs: np.ndarray, s: sx.Simplex, pol: Tol
     expected = np.append(np.full(d, 0.5), (2 - d) / 2.0)
     rec.check("rect circumcenter barycentrics (1/2, ..., 1/2, (2-d)/2)",
               np.abs(bary - expected).max(axis=-1), pol.rel * d, s)
-
-
-def _check_lift(rec: _Recorder, legs: np.ndarray, s: sx.Simplex, lift, pol: TolerancePolicy):
-    """The hypotenuse facets of the rectangular block ``legs`` on the stack
-    ``s`` lifted back to their legs (a d = 2 facet is a segment, below the
-    lift's domain, so d >= 3), and its rejection simplices, each of which
-    the lift must reject; ``lift`` is what :func:`_lift` read for the block."""
-    lifted, rejects, stuck = lift
-    rec.check("lift round trip", np.abs(lifted - legs).max(axis=-1),
-              10 * pol.rel * legs.max(axis=-1), s, legs=legs, lifted=lifted)
-    rec.check("lift must reject non-negative obtuseness", np.where(stuck, 0.0, 1.0), 0.5,
-              rejects)
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,7 @@ class TestFeuerbachSpheres:
         n eps times the largest vertex norm (the sums differ in order)."""
         rng = np.random.default_rng(d)
         s = op.from_vertices(d, 3.0 * rng.normal(size=(d + 1, d)) + 5.0)
-        got = np.split(vf._face_centroids(s), vf._face_table(s.n)[2][1:])
+        got = np.split(vf._face_centroids(s.vertices), vf._face_table(s.n)[2][1:])
         bound = s.n * np.finfo(float).eps * np.max(np.linalg.norm(s.vertices, axis=1))
         assert len(got) == d
         for k, rows in enumerate(got):

@@ -524,7 +524,9 @@ class TestWorkPerAnalysis:
         p = op.sample_params(d, kind, d)
         s = op.construct(p.bary, 1.0)
         read, builds = self.misfits(monkeypatch, s)
-        assert len(read) == 3
+        # the center report, params_of and the Euler line decide, and so
+        # does feuerbach_spheres, which the document reads its spheres from
+        assert len(read) == 3 + 1
         # the misfit is computed once, the other decisions read it back
         assert builds == [s] and all(m is read[0] for m in read)
 
@@ -532,7 +534,8 @@ class TestWorkPerAnalysis:
         rng = np.random.default_rng(8)
         s = op.from_vertices(8, rng.normal(size=(9, 8)))
         read, builds = self.misfits(monkeypatch, s)
-        assert len(read) == 1 and builds == [s]
+        # the center report decides, and feuerbach_spheres reads its misfit back
+        assert len(read) == 1 + 1 and builds == [s] and read[1] is read[0]
 
     @pytest.mark.parametrize("orthocentric", [True, False])
     def test_circumcenter_solved_once(self, monkeypatch, orthocentric):

@@ -1,5 +1,7 @@
 import decimal
+import gc
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -14,6 +16,7 @@ from orthoplex import (
     NumericError,
     TolerancePolicy,
 )
+from orthoplex import cli
 from orthoplex import families as fam
 from orthoplex import simplex as sx
 
@@ -289,14 +292,36 @@ class TestRectRows:
 
 
 class TestRegularCache:
-    """``regular`` builds each (d, edge, policy) once and hands every caller
-    that simplex; its arguments are checked before the cache is read."""
+    """``regular`` computes the coordinates of each (d, edge) once, read-only
+    and shared, and builds a fresh simplex of them for every call; its
+    arguments are checked before the cache is read."""
 
-    def test_equal_arguments_share_one_simplex(self):
-        assert op.regular(4, 1.0) is op.regular(4, 1.0)
-        assert op.regular(3, 1) is op.regular(3, 1.0)
-        assert op.regular(np.int64(3), np.float64(1.0)) is op.regular(3, 1.0)
-        assert op.regular(3, 1.0, TolerancePolicy(rel=1e-6)) is not op.regular(3, 1.0)
+    def test_equal_arguments_share_one_coordinate_array(self):
+        fam._regular.cache_clear()
+        coords = fam._regular(4, 1.0)
+        assert not coords.flags.writeable
+        built = [op.regular(4, 1.0), op.regular(4, 1), op.regular(np.int64(4), np.float64(1.0)),
+                 op.regular(4, 1.0, TolerancePolicy(rel=1e-6))]
+        for s in built:
+            assert s.vertices is not coords and s.vertices.tobytes() == coords.tobytes()
+        assert len({id(s) for s in built}) == len(built)
+        assert fam._regular(4, 1.0) is coords
+        assert fam._regular.cache_info().misses == 1
+
+    def test_dropped_simplex_frees_its_tables(self):
+        """Tables computed on a regular simplex go with it: analysing
+        ``regular(200)`` and dropping it holds little more than its
+        coordinates (the index tables of its size are cached first)."""
+        fam._regular.cache_clear()
+        cli.analysis_doc(op.regular(200, 2.0), TolerancePolicy())
+        tracemalloc.start()
+        try:
+            cli.analysis_doc(op.regular(200, 1.0), TolerancePolicy())
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
 
     @pytest.mark.parametrize("d, edge", [(True, 1.0), (3.0, 1.0), (np.float64(3.0), 1.0),
                                          (3, math.inf), (3, math.nan), (3, -1.0)])

@@ -624,16 +624,18 @@ class TestPerSimplexTables:
 
     @pytest.mark.parametrize("d", [2, 5, 9])
     def test_fill_of_the_shared_regular_simplex_keeps_the_direct_bits(self, d):
-        """``regular`` hands every caller one simplex; stacking a block that
-        holds it leaves its memo as it was, and its row of every table on
-        the stack has the bits a fresh simplex of its coordinates computes
-        on its own."""
+        """``regular`` builds every simplex from one shared coordinate array;
+        stacking a block that holds one with a table stored leaves its memo
+        as it was, and its row of every table on the stack has the bits a
+        fresh simplex of its coordinates computes on its own."""
         families._regular.cache_clear()
         shared = op.regular(d, 1.0)
         centers.circumcenter(shared)
         memo = dict(shared._memo)
         block = fill_block(d, 1.0)
-        at = next(r for r, s in enumerate(block) if s is shared)
+        bits = shared.vertices.tobytes()
+        at = next(r for r, s in enumerate(block) if s.vertices.tobytes() == bits)
+        block[at] = shared
         stack = sx._stack(block)
         fresh = op.from_vertices(d, shared.vertices)
         for fn in PER_SIMPLEX:

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -162,7 +163,8 @@ class TestRecorder:
     def test_zero_over_zero_ratio(self):
         rec = vf._Recorder("x")
         rec.check("tie", 0.0, 0.0)
-        assert rec.result().passed and rec.max_ratio == 0.0
+        result = rec.result()
+        assert result.passed and result.max_residual == 0.0
 
     @pytest.mark.parametrize(
         "residual, allowed", [(float("nan"), 1.0), (1.0, float("nan")), (float("nan"), 0.0)]
@@ -185,7 +187,8 @@ class TestRecorder:
         for k, res in enumerate(residuals):
             looped.check("pairs", res, 1.0, s, pair=(int(a[k]), int(b[k])))
         batched.check("pairs", np.array(residuals), 1.0, s, pair=np.stack((a, b), axis=-1))
-        assert batched.max_ratio == looped.max_ratio
+        batched, looped = batched.result(), looped.result()
+        assert batched.max_residual == looped.max_residual
         # repr, so a NaN residual compares equal to itself
         assert repr(batched.counterexample) == repr(looped.counterexample)
 
@@ -239,7 +242,7 @@ class TestRecorder:
                                                                                   (4, 2)))
         settles, real = [], vf._ratios
         monkeypatch.setattr(vf, "_ratios", lambda *args: settles.append(1) or real(*args))
-        blocked_max = blocked.max_ratio
+        blocked = blocked.result()
         monkeypatch.undo()
         assert len(settles) == 1
 
@@ -258,7 +261,8 @@ class TestRecorder:
                 one("third", third[j], 1.0, t, value=third[j])
             for p in range(2):
                 one("fourth", fourth[j, p], fourth_allowed[j, p], t, column=p)
-        assert blocked_max == looped.max_ratio
+        looped = looped.result()
+        assert blocked.max_residual == looped.max_residual
         assert repr(blocked.counterexample) == repr(looped.counterexample)
         assert (blocked.counterexample is None) == (not faults)
 
@@ -297,21 +301,20 @@ class TestRecorder:
             s = op.construct(op.sample_params(5, kind, 1).bary, 1.0)
             rec = vf._Recorder("euler_feuerbach")
             vf._check_euler_feuerbach(rec, sx._stack([s]), DEFAULT_POLICY)
-            assert rec.counterexample is None and 0.0 < rec.max_ratio <= 1.0
+            result = rec.result()
+            assert result.counterexample is None and 0.0 < result.max_residual <= 1.0
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_rect_sample_builds_one_simplex(self, monkeypatch, d):
-        """The rectangular stack of dimension d holds block d's simplices,
-        then block d+1's hypotenuse facets and rejection simplex, from one
+        """The rectangular stack of dimension m holds block m's simplices,
+        then block m+1's hypotenuse facets and rejection simplex, from one
         stacked QR and one stacked degeneracy test, with no
-        ``from_vertices``, ``face`` or ``params_of`` call.  Block d's checks
-        and block d+1's lift read that stack and build nothing: the closed
-        forms come from the legs array with no ``RectSpec`` or
-        ``rect_metrics`` call, and the lift reads the legs of the whole
-        stack without building the lifted simplices."""
-        legs = np.stack([np.linspace(0.6, 1.7, d) * (1 + 0.1 * k) for k in range(4)])
-        up = np.stack([np.linspace(0.7, 1.6, d + 1) * (1 + 0.1 * k) for k in range(3)])
-        above = (up, oc._sample_rows(d, oc.OBTUSE, 1, np.random.default_rng(d)))
+        ``from_vertices``, ``face`` or ``params_of`` call.  The checks and
+        the lifts read those stacks and build nothing: the closed forms come
+        from the legs arrays with no ``RectSpec`` or ``rect_metrics`` call,
+        and each lift reads the legs of a whole stack without building the
+        lifted simplices."""
+        config = SuiteConfig(suites=("rect",), samples=8, seed=d, d_min=d, d_max=d + 1)
         shapes = {"qr": [], "eigvalsh": []}
         for name, seen in shapes.items():
             def recording(a, *args, _real=getattr(np.linalg, name), _seen=seen, **kwargs):
@@ -319,6 +322,14 @@ class TestRecorder:
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recording)
+        lifts, real_lift = [], families._lift_rows
+
+        def lift_rows(t, policy):
+            legs, stuck = real_lift(t, policy)
+            lifts.append((t.dim, legs, stuck))
+            return legs, stuck
+
+        monkeypatch.setattr(families, "_lift_rows", lift_rows)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the rectangular check must not call this")
@@ -326,16 +337,18 @@ class TestRecorder:
         for module, name in ((sx, "from_vertices"), (sx, "face"), (oc, "params_of"),
                              (families, "RectSpec"), (families, "rect_metrics")):
             monkeypatch.setattr(module, name, forbidden)
-        s = vf._rect_stack(d, legs, above, DEFAULT_POLICY)
-        rec = vf._Recorder("rectangular")
-        vf._check_rectangular(rec, legs, s, DEFAULT_POLICY)
-        lifted, rejects, stuck = vf._lift(s, len(legs), len(up), DEFAULT_POLICY)
-        assert rec.counterexample is None
-        assert shapes["qr"] == [(3, d + 1, d)]
-        assert shapes["eigvalsh"] == [(4 + 3 + 1, d, d)]
-        assert s.dim == d and len(s.vertices) == 4 + 3 + 1
-        assert np.allclose(lifted, up, rtol=1e-12) and stuck.tolist() == [True]
-        assert rejects.dim == d and np.array_equal(rejects.vertices, s.vertices[-1:])
+        result = vf.suite_rectangular(config)
+        assert result.passed and result.samples == 4 + 4 + (d >= 3) + 1
+        low = [d - 1] if d >= 3 else []  # block d's facets, alone in the stack below it
+        assert shapes["qr"] == [(4, m + 1, m) for m in low + [d]]
+        assert shapes["eigvalsh"] == [(4 + 1, m, m) for m in low] + [(4 + 4 + 1, d, d),
+                                                                     (4, d + 1, d + 1)]
+        assert [m for m, _, _ in lifts] == low + [d]
+        for m, legs, stuck in lifts:
+            first = 0 if m < d else 4  # the facets follow the stack's own simplices
+            up = vf._rect_draw(config, m + 1)[0]
+            assert np.allclose(legs[first:first + 4], up, rtol=1e-12)
+            assert len(stuck) == first + 4 + 1 and stuck[-1]
 
     def test_non_orthocentric_euler_fixture_is_a_numeric_error(self):
         rng = np.random.default_rng(6)
@@ -365,25 +378,26 @@ class TestBlockFill:
             assert sum(len(s.vertices) for s in stacks) == result.samples
 
     def test_each_regular_simplex_is_built_once(self, monkeypatch):
-        """All four suites at d 2..6 ask for the regular simplex many times
-        (the family fixtures, the perturbation bases, the kite bases) and
-        build each distinct one once, and each equiradial kite once; no
-        ``RectSpec`` or one-row ``rect_metrics`` is made."""
+        """All four suites at d 2..6 ask for the regular coordinates many
+        times (the family fixtures, the perturbation bases, the kite bases)
+        and compute each distinct one once, and each equiradial kite once;
+        no ``regular``, ``RectSpec`` or one-row ``rect_metrics`` call is
+        made."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("verify must not call this")
 
-        for name in ("RectSpec", "rect_metrics"):
+        for name in ("regular", "RectSpec", "rect_metrics"):
             monkeypatch.setattr(families, name, forbidden)
-        asked, real = [], families.regular
-        monkeypatch.setattr(families, "regular", lambda *a: asked.append(a) or real(*a))
+        asked, real = [], families._regular
+        monkeypatch.setattr(families, "_regular", lambda *a: asked.append(a) or real(*a))
         kites, real_kite = [], families.kite
         monkeypatch.setattr(families, "kite", lambda *a: kites.append(a[0].d) or real_kite(*a))
-        families._regular.cache_clear()
+        real.cache_clear()
         vf._equiradial_kite.cache_clear()
         assert run_all(SuiteConfig(d_min=2, d_max=6)).passed
-        built = families._regular.cache_info()
-        assert sorted({a[:2] for a in asked}) == [(d, 1.0) for d in range(2, 7)]
+        built = real.cache_info()
+        assert sorted(set(asked)) == [(d, 1.0) for d in range(2, 7)]
         assert built.misses == built.currsize == 5 and len(asked) > 5
         # the equiradial kite of each d >= 4, in both suites that use it, is built once
         assert kites == [4, 5, 6] and vf._equiradial_kite.cache_info().hits == 3
@@ -507,6 +521,33 @@ class TestSuiteQueue:
         assert json.dumps(often) == json.dumps(once)
         assert not once["pass"] and sum(not r["pass"] for r in once["suites"]) >= 2
 
+    def test_slice_budget(self, monkeypatch):
+        """With a slice budget of one value the Euler oracle takes one sample
+        per slice and reports what one slice per block reports, a faulty
+        sphere's counterexample included."""
+
+        def faulty_incenter(s, policy=None):
+            w = sx.facet_volumes(s)[..., ::-1]
+            total = w.sum(axis=-1)
+            return (w[..., None] * s.vertices).sum(axis=-2) / total[..., None], 1.0 / total
+
+        real = centers._mid_face_spheres
+
+        def shifted(s):  # the spheres of the fourth sample of a stack on, moved
+            center, radius, residual = real(s)
+            return center + 1e-6 * (np.arange(len(center)) >= 3)[:, None, None], radius, residual
+
+        monkeypatch.setattr(centers, "incenter", faulty_incenter)
+        monkeypatch.setattr(centers, "_mid_face_spheres", sx._per_simplex(shifted))
+        config = SuiteConfig(samples=12, seed=6, d_min=2, d_max=5)
+        once = run_all(config).to_json_dict()
+        monkeypatch.setattr(sx, "_PAIR_VALUES", 1)
+        often = run_all(config).to_json_dict()
+        assert json.dumps(often) == json.dumps(once)
+        euler = once["suites"][vf.SUITE_NAMES.index("euler_feuerbach")]
+        assert not euler["pass"] and euler["counterexample"]["check"].startswith("feuerbach k=")
+        assert sum(not r["pass"] for r in once["suites"]) >= 3
+
 
 class TestMutationSelfTest:
     def test_swapped_incenter_weights_caught(self, monkeypatch):
@@ -571,7 +612,23 @@ class TestFaceCentroidOracle:
             monkeypatch.setattr(centers, name, shifted(getattr(centers, name)))
         rec = vf._Recorder("euler_feuerbach")
         vf._check_euler_feuerbach(rec, sx._stack([s]), DEFAULT_POLICY)
-        assert rec.counterexample["check"] == "feuerbach k=0 equidistance"
+        assert rec.result().counterexample["check"] == "feuerbach k=0 equidistance"
+
+    def test_face_arrays_are_sliced(self):
+        """The oracle's face arrays are built for slices of samples, so a
+        600-sample d = 10 block peaks far below its 2046 faces times 600
+        samples times d values."""
+        rows = oc._pose_rows(oc._sample_rows(10, oc.ACUTE, 600, np.random.default_rng(1)), 1.0,
+                             DEFAULT_POLICY)
+        s = sx._from_vertex_rows(10, rows, DEFAULT_POLICY)
+        rec = vf._Recorder("euler_feuerbach")
+        tracemalloc.start()
+        try:
+            vf._check_euler_feuerbach(rec, s, DEFAULT_POLICY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.result().passed and peak < 32e6
 
 
 class TestReciprocalLambdaSum:
@@ -583,7 +640,8 @@ class TestReciprocalLambdaSum:
         s = op.construct(op.sample_params(6, "acute", 0).bary, scale)
         rec = vf._Recorder("euler_feuerbach")
         vf._check_euler_feuerbach(rec, sx._stack([s]), DEFAULT_POLICY)
-        assert rec.counterexample is None and rec.max_ratio <= 1.0
+        result = rec.result()
+        assert result.counterexample is None and result.max_residual <= 1.0
 
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
     def test_perturbed_lam_h_fails_at_every_scale(self, monkeypatch, scale):
@@ -602,7 +660,7 @@ class TestReciprocalLambdaSum:
         s = op.construct(op.sample_params(6, "acute", 0).bary, scale)
         rec = vf._Recorder("euler_feuerbach")
         vf._check_euler_feuerbach(rec, sx._stack([s]), DEFAULT_POLICY)
-        assert rec.counterexample["check"] == "reciprocal lambda sum"
+        assert rec.result().counterexample["check"] == "reciprocal lambda sum"
 
 
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"

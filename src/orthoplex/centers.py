@@ -312,11 +312,10 @@ def _sphere_rows(s: sx.Simplex, orthocentric: bool):
 @sx._per_simplex
 def _center_distances(s: sx.Simplex) -> np.ndarray:
     """The six distances between centroid, circumcenter, incenter and Monge
-    point, in ``_CENTER_PAIRS`` order, as stacked 1 x d by d x 1 products
-    (rooted, the bits of ``np.linalg.norm``)."""
+    point, in ``_CENTER_PAIRS`` order (the pair order of
+    ``simplex._pair_rows``), rooted: the bits of ``np.linalg.norm``."""
     p = np.array((centroid(s), circumcenter(s)[0], incenter(s)[0], monge_point(s))).swapaxes(0, -2)
-    i, j = sx._pair_index(len(CENTER_NAMES))  # the rows of each pair, _CENTER_PAIRS order
-    return np.sqrt(sx._sq_norms(p.take(i, axis=-2) - p.take(j, axis=-2)))
+    return np.sqrt(sx._pair_rows(p))
 
 
 def center_report(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> CenterReport:

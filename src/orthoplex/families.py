@@ -210,7 +210,7 @@ def kite_metrics(spec: KiteSpec, policy: TolerancePolicy = DEFAULT_POLICY) -> Ki
     )
 
 
-def equiradial_kite(d: int, policy: TolerancePolicy = DEFAULT_POLICY) -> KiteSpec:
+def equiradial_kite(d: int) -> KiteSpec:
     """The unique non-regular equiradial kite shape: eps^2 = (d-2)/d, base
     edge 1.  Exists for d >= 4; for d = 4 it is rectangular at the apex."""
     if d <= 3:
@@ -350,25 +350,13 @@ def lift_to_rectangular(
     barycentrics of the input; the Pythagorean identity
     b_i^2 + b_j^2 = -sigma (1/t_i + 1/t_j) reproduces the edge table.
     """
-    spec = RectSpec(d=t.dim + 1, legs=tuple(_lift_legs(t, policy).tolist()))
+    legs, stuck = _lift_rows(t, policy)  # raises what orthocentric.params_of raises
+    if stuck:
+        sigma, is_rect = oc._param_rows(t, policy)[:2]
+        raise NotLiftableError(f"not liftable: obtuseness {0.0 if is_rect else sigma:g} >= 0 "
+                               "(the orthocenter must be interior)")
+    spec = RectSpec(d=t.dim + 1, legs=tuple(legs.tolist()))
     return spec, rectangular(spec, policy)
-
-
-def _lift_legs(t: sx.Simplex, policy: TolerancePolicy) -> np.ndarray:
-    """The legs b_i = sqrt(-sigma / t_i) of :func:`lift_to_rectangular`, of
-    one simplex or, a row each, of every simplex of a stack.  Raises what
-    ``orthocentric.params_of`` raises, then NotLiftableError for the first
-    simplex whose obtuseness is not negative."""
-    legs, stuck = _lift_rows(t, policy)
-    if np.any(stuck):
-        sigma, rectangular = oc._param_rows(t, policy)[:2]
-        r = np.unravel_index(int(np.argmax(stuck)), np.shape(stuck))
-        obtuseness = 0.0 if rectangular[r] else float(np.asarray(sigma)[r])
-        raise NotLiftableError(
-            f"not liftable: obtuseness {obtuseness:g} >= 0 "
-            f"(the orthocenter must be interior)"
-        )
-    return legs
 
 
 def _lift_rows(t: sx.Simplex, policy: TolerancePolicy):

@@ -351,9 +351,7 @@ def restrict_to_face(p: OrthoParams, index_set) -> OrthoParams:
     return OrthoParams(dim=len(idx) - 1, bary=a, obtuseness=c, kind=kind)
 
 
-def circum_data(
-    p: OrthoParams, s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY
-) -> CircumData:
+def circum_data(p: OrthoParams, s: sx.Simplex) -> CircumData:
     """Circumcenter, squared circumradius and interiority from parameters:
 
         C = (A_1 + ... + A_{d+1}) / 2 - (d-1)/2 H
@@ -388,17 +386,14 @@ def _lambda_rows(sigma, bary: np.ndarray) -> np.ndarray:
     return np.concatenate((sigma, -sigma / bary), axis=-1)
 
 
-def orthocentric_system_check(
-    points, policy: TolerancePolicy = DEFAULT_POLICY
-) -> bool:
+def orthocentric_system_check(points, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """True when the d+2 points form an orthocentric system: each point is
     the orthocenter of the simplex spanned by the other d+1."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] != pts.shape[1] + 2:
         raise InputError(f"need d+2 points in d-space, got shape {pts.shape}")
     d = pts.shape[1]
-    diffs = pts[:, None, :] - pts[None, :, :]
-    diam = float(np.max(np.linalg.norm(diffs, axis=-1)))
+    diam = float(np.sqrt(sx._pair_rows(pts).max()))
     for omit in range(d + 2):
         rest = np.delete(pts, omit, axis=0)
         s = sx.from_vertices(d, rest, policy)  # degenerate subset raises

@@ -287,8 +287,8 @@ def _sq_norms(v: np.ndarray):
     return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
 
 
-# the most pair-difference values :func:`_pair_rows` holds at once
-_PAIR_VALUES = 1 << 18
+# the most values one slice holds: of pair differences, face centroids, queued residuals
+_SLICE_VALUES = 1 << 14
 
 
 @_per_simplex
@@ -298,16 +298,22 @@ def _pairs(s: Simplex) -> np.ndarray:
 
 
 def _pair_rows(vertices: np.ndarray) -> np.ndarray:
-    """:func:`_pairs` of the vertex arrays ``vertices`` (..., n, d), with the
-    same bits, where no simplex is built yet.  A large stack is taken in
-    slices of rows, so that its pair differences never take more than about
-    ``_PAIR_VALUES`` floats at once."""
-    i, j = _pair_index(vertices.shape[-2])
-    rows = max(1, _PAIR_VALUES // (len(i) * vertices.shape[-1]))
-    if vertices.ndim == 3 and len(vertices) > rows:
-        return np.concatenate([_pair_rows(vertices[r:r + rows])
-                               for r in range(0, len(vertices), rows)])
-    return _sq_norms(vertices.take(i, axis=-2) - vertices.take(j, axis=-2))
+    """|p_i - p_j|^2 over the pairs i < j of :func:`_pair_index` of the point
+    sets ``vertices`` (..., n, d), :func:`_pairs` where no simplex is built:
+    the pairs of all sets in order, in slices of one pair or more and about
+    ``_SLICE_VALUES`` difference values at most, each with one slice's bits."""
+    n, d = vertices.shape[-2:]
+    i, j = _pair_index(n)
+    if len(i) * vertices.size <= _SLICE_VALUES * n:
+        return _sq_norms(vertices.take(i, axis=-2) - vertices.take(j, axis=-2))
+    points = vertices.reshape(-1, d)
+    first = np.arange(0, len(points), n)[:, None]  # the row of each set's vertex 0
+    at_i, at_j = (first + i).ravel(), (first + j).ravel()
+    out, step = np.empty(at_i.shape), max(1, _SLICE_VALUES // d)
+    for a in range(0, len(out), step):
+        at = slice(a, a + step)
+        out[at] = _sq_norms(points.take(at_i[at], axis=0) - points.take(at_j[at], axis=0))
+    return out.reshape(vertices.shape[:-2] + i.shape)
 
 
 @_per_simplex

@@ -67,10 +67,6 @@ _ALIASES = {
 # those 300 runs and 1e-13 fails 11.
 _REL_FLOOR = 1e-12
 
-# A recorder settles its queue once it holds more residual values than this,
-# which bounds the memory a suite's queued checks and their settle take.
-_QUEUE_VALUES = 1 << 14
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -163,15 +159,15 @@ class _Recorder:
     :meth:`check` only queues its arguments, and of the simplex only its
     vertices, so a stack's tables are freed when its block ends.  The queue
     is settled by :meth:`result`, or as soon as it holds more than
-    ``_QUEUE_VALUES`` residual values.  A settle brings each check's
-    allowance and premise to its residual's shape once and evaluates the
-    whole queue in one flat pass (one ratio array, one max, one violation
-    test); the first violation of each check holding one goes, in queue
-    order, to the counterexample locator.  The counterexample is the
-    violation a loop over the blocks, then their samples, would meet first:
-    in the earliest block, the earliest sample, then the earliest check in
-    code order, then the earliest value.  Queued arrays are fresh or
-    read-only tables, so nothing changes before the settle.
+    ``simplex._SLICE_VALUES`` residual values, the one slice budget.  A
+    settle brings each check's allowance and premise to its residual's shape
+    once and evaluates the whole queue in one flat pass (one ratio array, one
+    max, one violation test); the first violation of each check holding one
+    goes, in queue order, to the counterexample locator.  The counterexample
+    is the violation a loop over the blocks, then their samples, would meet
+    first: in the earliest block, the earliest sample, then the earliest
+    check in code order, then the earliest value.  Queued arrays are fresh
+    or read-only tables, so nothing changes before the settle.
     """
 
     def __init__(self, name: str):
@@ -194,7 +190,7 @@ class _Recorder:
         vertices = None if simplex is None else simplex.vertices
         self._queue.append((label, residual, allowed, vertices, premise, extra))
         self._queued += np.size(residual)
-        if self._queued > _QUEUE_VALUES:
+        if self._queued > sx._SLICE_VALUES:
             self._settle()
 
     def _settle(self):
@@ -354,7 +350,7 @@ def _family_fixtures(d: int, rng, policy: TolerancePolicy) -> list[np.ndarray]:
 def _equiradial_kite(d: int, policy: TolerancePolicy) -> np.ndarray:
     """The read-only vertex rows of the equiradial kite of dimension d,
     built once per (d, policy)."""
-    return families.kite(families.equiradial_kite(d, policy), policy).vertices
+    return families.kite(families.equiradial_kite(d), policy).vertices
 
 
 def _check_equivalences(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
@@ -539,10 +535,10 @@ def _check_euler_feuerbach(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
 
     # an orthocentric simplex has every sphere k = 0..d-1: row r of the face
     # table is measured against the sphere of its level, worst per level, in
-    # slices of samples whose face arrays hold at most _PAIR_VALUES values
+    # slices of samples whose face arrays hold at most _SLICE_VALUES values
     spheres, radii, _ = centers._sphere_rows(s, True)
     _, level, starts = _face_table(s.n)
-    worst, step = np.empty_like(radii), max(1, sx._PAIR_VALUES // (len(level) * d))
+    worst, step = np.empty_like(radii), max(1, sx._SLICE_VALUES // (len(level) * d))
     for r in range(0, len(radii), step):
         rows = slice(r, r + step)
         dists = sx._row_norms(_face_centroids(s.vertices[rows]) - spheres[rows, level])

@@ -384,6 +384,29 @@ class TestCenterReport:
             seen.add(len(want))
         assert len(seen) > 1  # each rel splits the fixtures
 
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_distances_keep_the_pair_difference_bits(self, monkeypatch, budget):
+        """The distance table read from the sliced pair table has the bits of
+        the four centers' own pair differences, on one simplex and on a
+        stack, in one slice or one pair per slice."""
+
+        def pair_differences(s):
+            p = np.array((centers.centroid(s), centers.circumcenter(s)[0], centers.incenter(s)[0],
+                          centers.monge_point(s))).swapaxes(0, -2)
+            i, j = sx._pair_index(len(centers.CENTER_NAMES))
+            return np.sqrt(sx._sq_norms(p.take(i, axis=-2) - p.take(j, axis=-2)))
+
+        if budget is not None:
+            monkeypatch.setattr(sx, "_SLICE_VALUES", budget)
+        rng = np.random.default_rng(8)
+        fixtures = [op.from_vertices(5, rng.normal(size=(6, 5))),
+                    op.construct(op.sample_params(6, "obtuse", 2).bary, 1.0),
+                    sx._from_vertex_rows(4, rng.normal(size=(9, 5, 4)), DEFAULT_POLICY)]
+        for s in fixtures:
+            got, want = centers._center_distances(s), pair_differences(s)
+            assert got.shape == want.shape == s.vertices.shape[:-2] + (6,)
+            assert got.tobytes() == want.tobytes()
+
 
 class TestOrthocentricIdentities:
     @pytest.mark.parametrize("d", range(2, 7))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import orthoplex as op
 from orthoplex import DegenerateSimplexError, InputError, NumericError
-from orthoplex import centers, families, numerics
+from orthoplex import centers, cli, families, numerics
 from orthoplex import orthocentric as oc
 from orthoplex import simplex as sx
 from orthoplex import verify as vf
@@ -919,19 +919,38 @@ class TestDegeneracyBlock:
 
 
 class TestPairRowSlices:
-    """A large stack's pair table is formed in slices of rows, each row with
-    the bits of the whole-stack product."""
+    """The pair table of one simplex or of a stack is formed in slices of
+    pairs, taken simplex by simplex (a slice may split one simplex's pairs
+    or join several simplices'), each pair with the bits of the whole-table
+    product."""
 
     @pytest.mark.parametrize("d", [2, 5, 9])
-    @pytest.mark.parametrize("rows", [1, 7, 49])
-    def test_slices_keep_the_bits(self, monkeypatch, d, rows):
-        stack = np.random.default_rng(d).normal(size=(50, d + 1, d))
-        whole = sx._pair_rows(stack)
-        monkeypatch.setattr(sx, "_PAIR_VALUES", rows * (d + 1) * d // 2 * d)
-        sliced = sx._pair_rows(stack)
-        assert sliced.shape == whole.shape and sliced.tobytes() == whole.tobytes()
-        assert sx._pairs(sx._from_vertex_rows(d, stack, op.DEFAULT_POLICY)).tobytes() \
-            == whole.tobytes()
+    @pytest.mark.parametrize("pairs", [0, 1, 7, 49])
+    def test_slices_keep_the_bits(self, monkeypatch, d, pairs):
+        rng = np.random.default_rng(d)
+        stack, one = rng.normal(size=(50, d + 1, d)), rng.normal(size=(d + 1, d))
+        for points, s in ((stack, sx._from_vertex_rows(d, stack, op.DEFAULT_POLICY)),
+                          (one, op.from_vertices(d, one))):
+            monkeypatch.undo()
+            whole = sx._pair_rows(points)
+            monkeypatch.setattr(sx, "_SLICE_VALUES", pairs * d)  # `pairs` pairs a slice
+            sliced = sx._pair_rows(points)
+            assert sliced.shape == whole.shape and sliced.tobytes() == whole.tobytes()
+            assert sx._pairs(s).tobytes() == whole.tobytes()
+
+    def test_one_simplex_analysis_memory_at_d400(self):
+        """One simplex's analysis holds O(d^2) values: its pair table is
+        sliced, where the whole table of differences is C(401, 2) x 400
+        floats, 257 MB."""
+        s = op.construct(op.sample_params(400, "acute", 1).bary, 1.0)
+        tracemalloc.start()
+        try:
+            doc = cli.analysis_doc(s, op.DEFAULT_POLICY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert doc["orthocentric"] and doc["ortho_params"]["class"] == "acute"
+        assert peak < 32e6
 
 
 class TestScaleDomain:

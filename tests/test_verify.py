@@ -515,7 +515,7 @@ class TestSuiteQueue:
         once = run_all(config).to_json_dict()
         settles, real = [], vf._ratios
         monkeypatch.setattr(vf, "_ratios", lambda *args: settles.append(1) or real(*args))
-        monkeypatch.setattr(vf, "_QUEUE_VALUES", 10)
+        monkeypatch.setattr(sx, "_SLICE_VALUES", 10)
         often = run_all(config).to_json_dict()
         assert len(settles) > 10 * 4
         assert json.dumps(often) == json.dumps(once)
@@ -541,7 +541,7 @@ class TestSuiteQueue:
         monkeypatch.setattr(centers, "_mid_face_spheres", sx._per_simplex(shifted))
         config = SuiteConfig(samples=12, seed=6, d_min=2, d_max=5)
         once = run_all(config).to_json_dict()
-        monkeypatch.setattr(sx, "_PAIR_VALUES", 1)
+        monkeypatch.setattr(sx, "_SLICE_VALUES", 1)
         often = run_all(config).to_json_dict()
         assert json.dumps(often) == json.dumps(once)
         euler = once["suites"][vf.SUITE_NAMES.index("euler_feuerbach")]

@@ -171,13 +171,6 @@ def _round_off(s: sx.Simplex, centers: np.ndarray) -> np.ndarray:
     return s.n * _EPS * (np.asarray(_reach(s))[..., None] + sx._row_norms(centers))
 
 
-@lru_cache(maxsize=64)
-def _off_diagonal(n: int) -> np.ndarray:
-    """Read-only flat indices of the off-diagonal entries of an n x n
-    matrix, in row order; built once per n."""
-    return sx._read_only(np.flatnonzero(~np.eye(n, dtype=bool)))
-
-
 @sx._per_simplex
 def _monge_gram(s: sx.Simplex):
     """(a, gram, sigma, spread) about the Monge point M: a = A - M by rows,
@@ -185,9 +178,12 @@ def _monge_gram(s: sx.Simplex):
     is the orthocenter) and spread the largest off-diagonal |gram - sigma|."""
     a = s.vertices - monge_point(s)[..., None, :]
     gram = a @ a.swapaxes(-1, -2)
-    # ``take`` keeps the rows of a stack contiguous, so each sum below is
-    # the one-simplex sum
-    off = gram.reshape(gram.shape[:-2] + (-1,)).take(_off_diagonal(s.n), axis=-1)
+    # the off-diagonal entries in row order: the flat matrix from its second
+    # entry, n-1 rows of n+1 of which the last is diagonal; with n >= 3 the
+    # reshape copies, and each contiguous row gives the one-simplex sums below
+    n, lead = s.n, gram.shape[:-2]
+    flat = gram.reshape(lead + (-1,))[..., 1:].reshape(lead + (n - 1, n + 1))
+    off = flat[..., :-1].reshape(lead + (-1,))
     sigma = off.sum(axis=-1) / off.shape[-1]
     off -= np.asarray(sigma)[..., None]
     return a, gram, sigma, np.abs(off, out=off).max(axis=-1)
@@ -302,7 +298,7 @@ def _sphere_rows(s: sx.Simplex, orthocentric: bool):
     each of a stack."""
     center, radius, residual = _facet_sphere(s)
     top = (center[..., None, :], np.asarray(radius)[..., None], np.asarray(residual)[..., None])
-    if not orthocentric:
+    if not orthocentric or s.dim < 2:  # a segment has no level below its facets
         return top
     mid, radii, residuals = _mid_face_spheres(s)
     return (np.concatenate((mid, top[0]), axis=-2), np.concatenate((radii, top[1]), axis=-1),

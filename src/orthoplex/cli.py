@@ -71,30 +71,17 @@ def simplex_from_doc(doc: dict, policy: TolerancePolicy) -> sx.Simplex:
 def analysis_doc(s: sx.Simplex, policy: TolerancePolicy) -> dict:
     """Full analysis: centers, shape predicates, orthocentric parameters
     when applicable, Euler-line and mid-face sphere data, facet radii."""
-    report = centers.center_report(s, policy)
-    shape = sx.shape_predicates(s, policy)
+    found = dict(vars(centers.center_report(s, policy)))
+    pairs = found.pop("coincident_pairs")
     doc = {
         "dim": s.dim,
         "volume": sx.volume(s),
         "diameter": sx.diameter(s),
-        "centers": {
-            "centroid": report.centroid,
-            "circumcenter": report.circumcenter,
-            "circumradius": report.circumradius,
-            "incenter": report.incenter,
-            "inradius": report.inradius,
-            "monge": report.monge,
-            "orthocenter": report.orthocenter,
-        },
-        "coincident_pairs": [list(p) for p in report.coincident_pairs],
-        "shape": {
-            "is_regular": shape.is_regular,
-            "is_equiareal": shape.is_equiareal,
-            "is_equiradial": shape.is_equiradial,
-            "has_well_distributed_edges": shape.has_well_distributed_edges,
-        },
+        "centers": found,
+        "coincident_pairs": [list(p) for p in pairs],
+        "shape": dict(vars(sx.shape_predicates(s, policy))),
         "facet_circumradii": sx.facet_circumradii(s),
-        "orthocentric": report.orthocenter is not None,
+        "orthocentric": found["orthocenter"] is not None,
         "ortho_params": None,
         "euler": None,
         "feuerbach": [
@@ -102,23 +89,13 @@ def analysis_doc(s: sx.Simplex, policy: TolerancePolicy) -> dict:
             for sphere in centers.feuerbach_spheres(s, policy)
         ],
     }
-    if report.orthocenter is not None:
+    if found["orthocenter"] is not None:
         try:
             p = oc.params_of(s, policy)
+            doc["ortho_params"] = {"bary": p.bary, "obtuseness": p.obtuseness, "class": p.klass}
         except InputError:
-            p = None  # parametrization degenerate at the active tolerance
-        if p is not None:
-            doc["ortho_params"] = {
-                "bary": p.bary,
-                "obtuseness": p.obtuseness,
-                "class": p.klass,
-            }
-        euler = centers.euler_line(s, policy)
-        doc["euler"] = {
-            "ratio": euler.ratio,
-            "collinearity_residual": euler.collinearity_residual,
-            "coincident": euler.coincident,
-        }
+            pass  # parametrization degenerate at the active tolerance
+        doc["euler"] = dict(vars(centers.euler_line(s, policy)))
     return doc
 
 
@@ -126,8 +103,7 @@ def analysis_doc(s: sx.Simplex, policy: TolerancePolicy) -> dict:
 # subcommands
 
 
-def _cmd_construct(args) -> int:
-    policy = _policy_from_env(args.tol)
+def _cmd_construct(args, policy: TolerancePolicy) -> int:
     kind = args.kind
     if kind == "regular":
         _need(args, "dim", "edge")
@@ -188,15 +164,13 @@ def _read_doc(path: str | None) -> dict:
         raise OrthoplexError(f"malformed JSON input: {exc}") from exc
 
 
-def _cmd_analyze(args) -> int:
-    policy = _policy_from_env(args.tol)
+def _cmd_analyze(args, policy: TolerancePolicy) -> int:
     s = simplex_from_doc(_read_doc(args.input), policy)
     print(_dump(analysis_doc(s, policy), compact=args.json))
     return 0
 
 
-def _cmd_lift_rect(args) -> int:
-    policy = _policy_from_env(args.tol)
+def _cmd_lift_rect(args, policy: TolerancePolicy) -> int:
     t = simplex_from_doc(_read_doc(args.input), policy)
     spec, lifted = families.lift_to_rectangular(t, policy)
     print(json.dumps({"legs": list(spec.legs)}), file=sys.stderr)
@@ -204,8 +178,7 @@ def _cmd_lift_rect(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    policy = _policy_from_env(args.tol)
+def _cmd_verify(args, policy: TolerancePolicy) -> int:
     names = vf.SUITE_NAMES if args.suite == "all" else (args.suite,)
     config = vf.SuiteConfig(
         suites=names,
@@ -236,8 +209,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Construct, analyze and verify orthocentric simplices.",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the options of every subcommand
+    common.add_argument("--tol", type=float)
+    common.add_argument("--json", action="store_true", help="compact single-line JSON")
 
-    con = sub.add_parser("construct", help="emit a simplex document")
+    con = sub.add_parser("construct", parents=[common], help="emit a simplex document")
     con.add_argument("kind", choices=["regular", "ortho", "kite", "rect", "equiradial"])
     con.add_argument("--dim", type=int)
     con.add_argument("--edge", type=float)
@@ -251,23 +227,17 @@ def _build_parser() -> argparse.ArgumentParser:
     con.add_argument("--m", type=int, help="size of the first coordinate group")
     con.add_argument("--branch", type=int, default=1, choices=[1, 2])
     con.add_argument("--out", help="output file (default stdout)")
-    con.add_argument("--tol", type=float)
-    con.add_argument("--json", action="store_true", help="compact single-line JSON")
     con.set_defaults(func=_cmd_construct)
 
-    ana = sub.add_parser("analyze", help="analyze a simplex document")
+    ana = sub.add_parser("analyze", parents=[common], help="analyze a simplex document")
     ana.add_argument("input", nargs="?", help="input file (default stdin)")
-    ana.add_argument("--tol", type=float)
-    ana.add_argument("--json", action="store_true", help="compact single-line JSON")
     ana.set_defaults(func=_cmd_analyze)
 
-    lift = sub.add_parser("lift-rect", help="lift to a rectangular simplex")
+    lift = sub.add_parser("lift-rect", parents=[common], help="lift to a rectangular simplex")
     lift.add_argument("input", nargs="?", help="input file (default stdin)")
-    lift.add_argument("--tol", type=float)
-    lift.add_argument("--json", action="store_true", help="compact single-line JSON")
     lift.set_defaults(func=_cmd_lift_rect)
 
-    ver = sub.add_parser("verify", help="run verification suites")
+    ver = sub.add_parser("verify", parents=[common], help="run verification suites")
     ver.add_argument("--suite", default="all",
                      help="suite name or 'all' (aliases: centers, euler, rect)")
     ver.add_argument("--samples", type=int, default=60)
@@ -276,8 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--dim-max", dest="dim_max", type=int, default=6)
     ver.add_argument("--timings", action="store_true",
                      help="include wall times (breaks byte determinism)")
-    ver.add_argument("--tol", type=float)
-    ver.add_argument("--json", action="store_true", help="compact single-line JSON")
     ver.set_defaults(func=_cmd_verify)
 
     return top
@@ -289,7 +257,7 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        code = args.func(args)
+        code = args.func(args, _policy_from_env(args.tol))
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
         return code
     except BrokenPipeError:

@@ -45,34 +45,29 @@ class TolerancePolicy:
             if not (0.0 < v < 1.0):
                 raise InputError(f"tolerance {name}={v!r} must lie strictly in (0, 1)")
 
-    @staticmethod
-    def _gap(values) -> tuple[float, float]:
-        """(max - min, max |values|) of a sample; (0.0, 0.0) if empty."""
-        v = np.asarray(values, dtype=float)
-        if v.size == 0:
-            return 0.0, 0.0
-        hi, lo = v.max(), v.min()
-        return float(hi - lo), float(max(hi, -lo))
-
-    def all_close(self, values) -> bool:
-        """True when max - min <= rel * max |values|: every pairwise gap is
-        within rel of the sample's own scale, with no absolute floor.  An
-        empty or all-zero sample is close."""
-        gap, scale = self._gap(values)
-        return gap <= self.rel * scale
+    def all_close(self, values):
+        """True when :meth:`spread` is at most rel: every pairwise gap is
+        within rel of the sample's own scale, with no absolute floor (a bool,
+        or a bool array over a stack of samples).  An empty or all-zero
+        sample is close; one with a non-finite entry, spread NaN, is not."""
+        return self.spread(values) <= self.rel
 
     def spread(self, values):
         """Relative spread (max - min) / max |values| of a sample, a float,
         or of each row of a stack of samples (2 or more axes, rows along the
-        last), an array; 0.0 for an empty or all-zero sample."""
-        v = np.atleast_1d(np.asarray(values, dtype=float))
+        last), an array; 0.0 for an empty or all-zero sample and NaN for one
+        with a non-finite entry."""
+        v = np.asarray(values, dtype=float)
         if v.size == 0:
             return 0.0
+        if v.ndim <= 1:  # one sample, on Python floats
+            hi, lo = float(v.max()), float(v.min())
+            scale = max(hi, -lo)
+            return 0.0 if scale == 0.0 else (hi - lo) / scale
         hi, lo = v.max(axis=-1), v.min(axis=-1)
         scale = np.maximum(hi, -lo)
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(scale > 0.0, (hi - lo) / scale, 0.0)
-        return float(r) if v.ndim == 1 else r
+            return np.where(scale == 0.0, 0.0, (hi - lo) / scale)
 
 
 DEFAULT_POLICY = TolerancePolicy()

@@ -448,7 +448,7 @@ def _sample_rows(d: int, kind: str, k: int, rng: np.random.Generator) -> np.ndar
     block = ceil(2.0 * k / (1.0 - (d + 1) * margin) ** d)
     got = 0
     while got < k:
-        rows = rng.dirichlet(_dirichlet_weights(d + 1), size=block)
+        rows = rng.dirichlet(np.ones(d + 1), size=block)
         hit = rows.compress(rows.min(axis=1) >= margin, axis=0)[: k - got]
         out[got:got + len(hit)] = hit
         got += len(hit)
@@ -459,9 +459,3 @@ def _acute_margin(d: int) -> float:
     """The least coordinate of an acute tuple from :func:`_sample_rows`."""
     return min(0.01, 2.0 / (d + 1) ** 2)
 
-
-@lru_cache(maxsize=64)
-def _dirichlet_weights(n: int) -> np.ndarray:
-    """Read-only vector of n ones, the weights of the uniform Dirichlet draw
-    in :func:`_sample_rows`; built once per n and shared."""
-    return sx._read_only(np.ones(n))

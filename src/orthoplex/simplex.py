@@ -78,8 +78,9 @@ def from_vertices(dim, vertices, policy: TolerancePolicy = DEFAULT_POLICY) -> Si
     """Validate and build a Simplex from dim+1 coordinate vectors, stored as
     a C-contiguous copy so that results do not depend on the input's layout.
 
-    Degeneracy is decided on the eigenvalue ratio of the edge-vector Gram
-    matrix, so the test is invariant under similarity.
+    Degeneracy is decided by :func:`_from_vertex_rows`, the decision of a
+    stack, on the eigenvalue ratio of the edge-vector Gram matrix, so the
+    test is invariant under similarity.
     """
     if not _is_int(dim) or dim < 1:
         raise InputError(f"dimension must be an integer >= 1, got {dim!r}")
@@ -91,14 +92,7 @@ def from_vertices(dim, vertices, policy: TolerancePolicy = DEFAULT_POLICY) -> Si
         raise InputError(
             f"expected {dim + 1} vertices of length {dim}, got array of shape {arr.shape}"
         )
-    (degenerate,), (ratio,) = _degeneracy(arr, policy)
-    if degenerate:
-        raise DegenerateSimplexError(
-            f"vertices are affinely dependent (eigenvalue ratio {ratio:.3e})",
-            eigen_ratio=ratio,
-        )
-    arr.flags.writeable = False
-    return Simplex(dim=dim, vertices=arr)
+    return _from_vertex_rows(dim, arr, policy)
 
 
 # the range of edge Gram eigenvalues that :func:`_degeneracy` accepts: in it,
@@ -146,18 +140,20 @@ def _degeneracy(vertices: np.ndarray, policy: TolerancePolicy):
 
 def _from_vertex_rows(dim: int, vertices: np.ndarray, policy: TolerancePolicy,
                       drop_from: int | None = None) -> Simplex:
-    """:func:`from_vertices` on each simplex of the float stack ``vertices``
-    (k, dim+1, dim), at one :func:`_degeneracy` call: one read-only stack of
-    the rows, in row order.  The first degenerate row raises what
-    ``from_vertices`` raises on it, unless its index is at least
-    ``drop_from``: those degenerate rows are left out."""
-    degenerate, _ = _degeneracy(vertices, policy)
-    fixed = len(degenerate) if drop_from is None else drop_from
-    if any(degenerate[:fixed]):
-        from_vertices(dim, vertices[degenerate.index(True)], policy)  # raises
-    kept = vertices[~np.array(degenerate, dtype=bool)]  # a C-contiguous copy
-    kept.flags.writeable = False
-    return Simplex(dim=dim, vertices=kept)
+    """The read-only simplex of the float vertex array ``vertices`` (dim+1, dim),
+    which it keeps, or one read-only stack of the rows of ``vertices``
+    (k, dim+1, dim), a copy in row order, at one :func:`_degeneracy` call.
+    The first degenerate row raises DegenerateSimplexError, unless its index
+    is at least ``drop_from``: those degenerate rows are left out."""
+    degenerate, ratio = _degeneracy(vertices, policy)
+    if True in degenerate[:drop_from]:
+        r = ratio[degenerate.index(True)]
+        raise DegenerateSimplexError(
+            f"vertices are affinely dependent (eigenvalue ratio {r:.3e})", eigen_ratio=r)
+    if vertices.ndim == 3:
+        vertices = vertices[~np.array(degenerate, dtype=bool)]  # a C-contiguous copy
+    vertices.flags.writeable = False
+    return Simplex(dim=dim, vertices=vertices)
 
 
 def _read_only(value):
@@ -269,12 +265,10 @@ def _pair_index(n: int):
     return _read_only(np.nonzero(r[:, None] < r))
 
 
-def _squares(x):
-    """x ** 2 by Python's float power, of a number or of each entry of an
-    array (whose last bit can differ from numpy's x * x): a stack's entries
-    are the bits of each simplex's own ``x ** 2``."""
-    if isinstance(x, float):
-        return x**2
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x ** 2 by Python's float power of each entry of an array (whose last
+    bit can differ from numpy's x * x): a stack's entries are the bits of
+    each simplex's own ``x ** 2``."""
     return np.array([v**2 for v in x.tolist()])
 
 
@@ -287,8 +281,14 @@ def _sq_norms(v: np.ndarray):
     return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
 
 
-# the most values one slice holds: of pair differences, face centroids, queued residuals
+# the most values one slice holds: of pair differences, face centroids,
+# facet projections, queued residuals
 _SLICE_VALUES = 1 << 14
+
+
+def _slice_step(size: int) -> int:
+    """Rows of ``size`` values each that one slice holds, one at least."""
+    return max(1, _SLICE_VALUES // size)
 
 
 @_per_simplex
@@ -309,7 +309,7 @@ def _pair_rows(vertices: np.ndarray) -> np.ndarray:
     points = vertices.reshape(-1, d)
     first = np.arange(0, len(points), n)[:, None]  # the row of each set's vertex 0
     at_i, at_j = (first + i).ravel(), (first + j).ravel()
-    out, step = np.empty(at_i.shape), max(1, _SLICE_VALUES // d)
+    out, step = np.empty(at_i.shape), _slice_step(d)
     for a in range(0, len(out), step):
         at = slice(a, a + step)
         out[at] = _sq_norms(points.take(at_i[at], axis=0) - points.take(at_j[at], axis=0))

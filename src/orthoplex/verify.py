@@ -365,8 +365,14 @@ def _check_equivalences(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
     # implementations (the equivalence implications alone are blind to
     # mutations that preserve symmetric fixtures)
     vertex_dists = sx._row_norms(s.vertices - c[:, None])
-    facets = s.vertices[:, sx.facet_indices(s)]
-    facet_dists = sx._row_norms(i[:, None] - sx.project_to_affine_hull(i[:, None], facets))
+    # the incenter projected onto every facet, in slices of samples whose
+    # (n, d, d) facet arrays hold at most _SLICE_VALUES values
+    facet_dists, step = np.empty(s.vertices.shape[:-1]), sx._slice_step(s.n * s.dim**2)
+    for r in range(0, len(i), step):
+        rows = slice(r, r + step)
+        facets = s.vertices[rows][:, sx.facet_indices(s)]
+        facet_dists[rows] = sx._row_norms(
+            i[rows, None] - sx.project_to_affine_hull(i[rows, None], facets))
 
     # facet volume i = d V |n_i|: the spread of |n_i| (shape_predicates' equiareal rule)
     areas_spread = pol.spread(sx._frame(s)[3])
@@ -538,7 +544,7 @@ def _check_euler_feuerbach(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
     # slices of samples whose face arrays hold at most _SLICE_VALUES values
     spheres, radii, _ = centers._sphere_rows(s, True)
     _, level, starts = _face_table(s.n)
-    worst, step = np.empty_like(radii), max(1, sx._SLICE_VALUES // (len(level) * d))
+    worst, step = np.empty_like(radii), sx._slice_step(len(level) * d)
     for r in range(0, len(radii), step):
         rows = slice(r, r + step)
         dists = sx._row_norms(_face_centroids(s.vertices[rows]) - spheres[rows, level])

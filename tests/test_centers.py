@@ -254,6 +254,17 @@ class TestFeuerbachSpheres:
             assert got.radius == want.radius
             assert got.max_residual == want.max_residual
 
+    def test_segment_has_its_facet_sphere(self):
+        """A 1-simplex is orthocentric but has no level below its facets:
+        its one sphere, through its two vertices, is centered at its midpoint."""
+        seg = sx.face(op.regular(3, 1.0), (0, 1))
+        (sphere,) = op.feuerbach_spheres(seg)
+        assert sphere.k == 0
+        assert sphere.center.tolist() == [0.5] and sphere.radius == 0.5
+        single = op.feuerbach_sphere(seg, 0)
+        assert np.array_equal(single.center, sphere.center) and single.radius == sphere.radius
+        assert single.max_residual == sphere.max_residual <= 1e-12
+
     def test_general_simplex_only_facet_sphere(self):
         rng = np.random.default_rng(6)
         s = op.from_vertices(4, rng.normal(size=(5, 4)))

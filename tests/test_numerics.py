@@ -56,6 +56,20 @@ class TestTolerancePolicy:
         assert p.all_close([0.0, 0.0, -0.0]) is True
         assert p.spread([0.0, 0.0]) == 0.0
 
+    def test_non_finite_sample_is_never_close(self):
+        p = TolerancePolicy()
+        assert np.isnan(p.spread([np.nan, 1.0])) and isinstance(p.spread([np.nan, 1.0]), float)
+        for bad in ([np.inf, 1.0], [np.nan, 1.0], [-np.inf, 1.0], [np.inf, np.inf]):
+            assert np.isnan(p.spread(bad))
+            assert p.all_close(bad) is False
+
+    def test_non_finite_row_of_a_stack(self):
+        p = TolerancePolicy()
+        rows = np.array([[2.0, -3.0, 2.5], [1.0, np.nan, 1.0], [0.0, 0.0, 0.0], [4.0, 4.0, 4.0]])
+        got = p.spread(rows)
+        assert np.isnan(got[1]) and not np.isnan(got[[0, 2, 3]]).any()
+        assert got[[0, 2, 3]].tolist() == [p.spread(rows[i]) for i in (0, 2, 3)]
+
     @pytest.mark.parametrize("scale", [1e-200, 1e-6, 1.0, 1e6, 1e200])
     def test_scale_free(self, scale):
         p = TolerancePolicy(rel=1e-3)

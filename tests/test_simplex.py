@@ -723,7 +723,6 @@ INDEX_TABLES = {
         sx._facet_table,
         lambda n: np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None]),
     ),
-    "off_diagonal": (centers._off_diagonal, lambda n: np.flatnonzero(~np.eye(n, dtype=bool))),
     "pose_mask": (oc._pose_mask, lambda n: np.tri(n, n - 1, -1, dtype=bool)),
     "face_table": (
         vf._face_table,
@@ -741,7 +740,6 @@ INDEX_TABLES = {
 FROM_SIMPLEX = {
     "pair_index": lambda s: sx._pair_index(s.n),
     "facet_indices": sx.facet_indices,
-    "off_diagonal": lambda s: centers._off_diagonal(s.n),
     "pose_mask": lambda s: oc._pose_mask(s.n),
     "face_table": lambda s: vf._face_table(s.n),
 }
@@ -773,6 +771,22 @@ class TestIndexTables:
     @pytest.mark.parametrize("name", INDEX_TABLES)
     def test_cache_is_bounded(self, name):
         assert INDEX_TABLES[name][0].cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_monge_gram_reads_the_off_diagonal_entries_in_row_order(self, n):
+        """sigma and the spread of ``centers._monge_gram``, read from a strided
+        view of the Gram matrix, equal the bits of a gather of the
+        off-diagonal entries in row order, on one simplex and on a stack."""
+        rng = np.random.default_rng(n)
+        rows = rng.normal(size=(4, n, n - 1))
+        stack = sx._from_vertex_rows(n - 1, rows, op.DEFAULT_POLICY)
+        for s in (op.from_vertices(n - 1, rows[0]), stack):
+            _, gram, sigma, spread = centers._monge_gram(s)
+            off = gram.reshape(gram.shape[:-2] + (-1,)).take(
+                np.flatnonzero(~np.eye(n, dtype=bool)), axis=-1)
+            want = off.sum(axis=-1) / off.shape[-1]
+            assert np.array_equal(sigma, want)
+            assert np.array_equal(spread, np.abs(off - np.asarray(want)[..., None]).max(axis=-1))
 
 
 def gram_loop_facet_volumes(s):
@@ -896,6 +910,22 @@ class TestDegeneracyBlock:
             op.from_vertices(3, stack[2])
         assert str(block_err.value) == str(one_err.value)
         assert block_err.value.eigen_ratio == one_err.value.eigen_ratio == 0.0
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_a_degenerate_row_raises_from_one_eigensolve(self, d, policy, monkeypatch):
+        """The stack raises from the ratio it already has, with the message
+        and ratio ``from_vertices`` gives that row alone."""
+        stack = near_cut_block(d, np.random.default_rng(10 + d), policy)
+        degenerate, _ = sx._degeneracy(stack, policy)
+        with pytest.raises(DegenerateSimplexError) as one_err:
+            op.from_vertices(d, stack[degenerate.index(True)])
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        with pytest.raises(DegenerateSimplexError) as block_err:
+            sx._from_vertex_rows(d, stack, policy)
+        assert len(calls) == 1
+        assert str(block_err.value) == str(one_err.value)
+        assert block_err.value.eigen_ratio == one_err.value.eigen_ratio
 
     @pytest.mark.parametrize("bad, message", [
         (np.inf, "must be finite"),

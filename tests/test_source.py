@@ -24,9 +24,9 @@ def test_no_assert_statement(path):
 def test_simplices_are_built_only_where_validated():
     """Every simplex the package returns passed the one degeneracy rule:
     ``Simplex(...)`` (or ``sx.Simplex(...)``) is called only in
-    ``simplex.from_vertices``, in ``simplex._from_vertex_rows``, which runs
-    the same rule on a stack of vertex arrays, and, for stacks of simplices
-    already validated, in ``simplex._stack``."""
+    ``simplex._from_vertex_rows``, which decides one simplex or a stack of
+    vertex arrays for ``from_vertices`` and for verify, and, for stacks of
+    simplices already validated, in ``simplex._stack``."""
     callers = set()
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -38,5 +38,29 @@ def test_simplices_are_built_only_where_validated():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)
                 ):
                     callers.add((path.name, fn.name))
-    assert callers == {("simplex.py", "from_vertices"), ("simplex.py", "_from_vertex_rows"),
-                       ("simplex.py", "_stack")}
+    assert callers == {("simplex.py", "_from_vertex_rows"), ("simplex.py", "_stack")}
+
+
+def test_every_cache_is_bounded():
+    """A cache holds its tables for the life of the process, so each
+    ``functools.lru_cache`` in the package takes a finite integer
+    ``maxsize`` and none is ``functools.cache``, which has no bound."""
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in fn.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "id", getattr(target, "attr", None))
+                if name not in ("lru_cache", "cache"):
+                    continue
+                found.append(f"{path.name}:{fn.name}")
+                size = None
+                if isinstance(dec, ast.Call) and name == "lru_cache":
+                    size = dec.args[0] if dec.args else next(
+                        (k.value for k in dec.keywords if k.arg == "maxsize"), None)
+                assert isinstance(size, ast.Constant) and type(size.value) is int \
+                    and size.value > 0, f"unbounded cache on {found[-1]}"
+    assert found

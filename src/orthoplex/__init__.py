@@ -62,25 +62,30 @@ from .orthocentric import (
     restrict_to_face,
     sample_params,
 )
-from .families import (
-    EquiradialSolution,
-    EquiradialSpec,
-    KiteMetrics,
-    KiteSpec,
-    RectMetrics,
-    RectSpec,
-    RegularMetrics,
-    equiradial_admissible,
-    equiradial_general,
-    equiradial_kite,
-    kite,
-    kite_metrics,
-    lift_to_rectangular,
-    rect_metrics,
-    rectangular,
-    regular,
-    regular_metrics,
-)
-from .verify import SuiteConfig, SuiteResult, VerificationReport, run_all
+
+# families and verify load on first use (PEP 562): `import orthoplex` and
+# `orthoplex analyze` need neither.  A lookup stores nothing here, so a
+# rebinding of a module's name shows through the package.
+_LAZY = {**dict.fromkeys([
+    "families", "EquiradialSolution", "EquiradialSpec", "KiteMetrics", "KiteSpec",
+    "RectMetrics", "RectSpec", "RegularMetrics", "equiradial_admissible",
+    "equiradial_general", "equiradial_kite", "kite", "kite_metrics",
+    "lift_to_rectangular", "rect_metrics", "rectangular", "regular", "regular_metrics",
+], "families"), **dict.fromkeys(
+    ["verify", "SuiteConfig", "SuiteResult", "VerificationReport", "run_all"], "verify")}
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module = import_module(f"{__name__}.{_LAZY[name]}")
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"

@@ -27,10 +27,8 @@ import sys
 from .errors import InputError, OrthoplexError
 from .numerics import TolerancePolicy, _json_default
 from . import centers
-from . import families
 from . import orthocentric as oc
 from . import simplex as sx
-from . import verify as vf
 
 __all__ = ["main", "simplex_to_doc", "simplex_from_doc", "analysis_doc"]
 
@@ -104,6 +102,7 @@ def analysis_doc(s: sx.Simplex, policy: TolerancePolicy) -> dict:
 
 
 def _cmd_construct(args, policy: TolerancePolicy) -> int:
+    from . import families  # families and verify load only where a command runs them
     kind = args.kind
     if kind == "regular":
         _need(args, "dim", "edge")
@@ -160,7 +159,7 @@ def _read_doc(path: str | None) -> dict:
         return json.loads(raw)
     except UnicodeDecodeError as exc:
         raise OrthoplexError(f"input is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested past the parser's depth
         raise OrthoplexError(f"malformed JSON input: {exc}") from exc
 
 
@@ -171,6 +170,7 @@ def _cmd_analyze(args, policy: TolerancePolicy) -> int:
 
 
 def _cmd_lift_rect(args, policy: TolerancePolicy) -> int:
+    from . import families
     t = simplex_from_doc(_read_doc(args.input), policy)
     spec, lifted = families.lift_to_rectangular(t, policy)
     print(json.dumps({"legs": list(spec.legs)}), file=sys.stderr)
@@ -179,6 +179,7 @@ def _cmd_lift_rect(args, policy: TolerancePolicy) -> int:
 
 
 def _cmd_verify(args, policy: TolerancePolicy) -> int:
+    from . import verify as vf
     names = vf.SUITE_NAMES if args.suite == "all" else (args.suite,)
     config = vf.SuiteConfig(
         suites=names,

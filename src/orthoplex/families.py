@@ -136,8 +136,10 @@ class KiteSpec:
     def __post_init__(self):
         if not sx._is_int(self.d) or self.d < 3:
             raise InputError(f"kites need an integer dimension >= 3, got {self.d!r}")
-        if not (self.s > 0 and self.t > 0):
-            raise InputError("kite edges must be positive")
+        if not (0 < self.s < math.inf and 0 < self.t < math.inf
+                and self.eccentricity * self.eccentricity < math.inf):
+            raise InputError(f"kite edges must be finite and positive with a finite squared "
+                             f"ratio, got s={self.s!r}, t={self.t!r}")
         lo = (self.d - 1) / (2.0 * self.d)
         if self.eccentricity**2 <= lo:
             raise DegenerateKiteError(

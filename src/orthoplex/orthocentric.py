@@ -274,7 +274,8 @@ def _ldl_pose(a: np.ndarray, sigma) -> np.ndarray:
     before = np.empty(t.shape)  # t_{k-1}
     before[..., 0] = 1.0
     before[..., 1:] = t[..., :-1]
-    root = np.sqrt(-sigma * t / (head * before))
+    with np.errstate(over="ignore"):  # a huge sigma poses inf, which from_vertices rejects
+        root = np.sqrt(-sigma * t / (head * before))
     pts = np.where(_pose_mask(d + 1), (-(head / t) * root)[..., None, :], 0.0)
     pts.reshape(pts.shape[:-2] + (-1,))[..., :: d + 1] = root  # the diagonal
     return pts

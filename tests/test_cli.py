@@ -106,6 +106,13 @@ class TestConstruct:
         assert code == 1
         assert "inadmissible" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("apex", ["1e308", "inf"])
+    def test_kite_edge_out_of_range_exits_1(self, capsys, apex):
+        code, out, err = run_cli(capsys, "construct", "kite", "--dim", "3",
+                                 "--base-edge", "1", "--apex-edge", apex)
+        assert code == 1 and out == ""
+        assert "kite edges" in json.loads(err)["error"]
+
 
 class TestAnalyze:
     def test_rect_3_4(self, capsys, monkeypatch):
@@ -171,6 +178,15 @@ class TestAnalyze:
         code, _, err = run_json(capsys, "analyze", stdin="{not json", monkeypatch=monkeypatch)
         assert code == 1
         assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize("command", ["analyze", "lift-rect"])
+    def test_deeply_nested_json_exit_1(self, capsys, monkeypatch, command):
+        """Nesting beyond the parser's recursion limit is malformed input,
+        not a RecursionError traceback."""
+        code, out, err = run_json(capsys, command, stdin="[" * 100000, monkeypatch=monkeypatch)
+        assert code == 1 and out is None
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"].startswith("malformed JSON input")
 
     @pytest.mark.parametrize("command", ["analyze", "lift-rect"])
     def test_non_utf8_file_exit_1(self, capsys, tmp_path, command):

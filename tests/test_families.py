@@ -100,6 +100,19 @@ class TestKite:
         with pytest.raises(DegenerateKiteError):
             op.KiteSpec(4, 1.0, math.sqrt(3 / 8))  # eps^2 exactly (d-1)/(2d)
 
+    @pytest.mark.parametrize("s, t", [
+        (1.0, 1e200), (1.0, 1e308), (1e-200, 1e200), (1.0, math.inf), (math.inf, 1.0),
+        (math.nan, 1.0), (1.0, math.nan), (0.0, 1.0), (1.0, -1.0),
+    ])
+    def test_edges_must_be_finite_with_a_finite_squared_ratio(self, s, t):
+        """Rejected as InputError, as regular_metrics rejects s, where the
+        eccentricity's square used to raise OverflowError."""
+        with pytest.raises(InputError, match="kite edges"):
+            op.KiteSpec(3, s, t)
+
+    def test_finite_squared_ratio_accepted(self):
+        assert op.KiteSpec(3, 1.0, 1e154).eccentricity ** 2 == pytest.approx(1e308)
+
 
 class TestEquiradialKite:
     def test_d5_shape(self):

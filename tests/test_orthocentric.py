@@ -229,6 +229,13 @@ class TestConstruct:
         with pytest.raises(ParametrizationError, match="scale"):
             op.construct([0.4, 0.3, 0.2, 0.1], scale)
 
+    @pytest.mark.parametrize("bary", [[0.25] * 4, [1.6, -0.2, -0.2, -0.2]])
+    def test_overflowing_scale_rejected_without_a_warning(self, bary):
+        """A finite scale whose pose overflows meets from_vertices' one
+        finiteness rule; the overflow warns nowhere (an error in this suite)."""
+        with pytest.raises(InputError, match="must be finite"):
+            op.construct(bary, 1e308)
+
     def test_exact_zero_rejected_without_a_vanishing_test(self):
         # the subset-sum margin and the sign count cover an exact zero
         with pytest.raises(ParametrizationError, match="subset sum"):

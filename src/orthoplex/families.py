@@ -136,10 +136,12 @@ class KiteSpec:
     def __post_init__(self):
         if not sx._is_int(self.d) or self.d < 3:
             raise InputError(f"kites need an integer dimension >= 3, got {self.d!r}")
+        # kite_metrics' core 2 eps^2 d - (d-1) and twice it must be finite
         if not (0 < self.s < math.inf and 0 < self.t < math.inf
-                and self.eccentricity * self.eccentricity < math.inf):
-            raise InputError(f"kite edges must be finite and positive with a finite squared "
-                             f"ratio, got s={self.s!r}, t={self.t!r}")
+                and self.eccentricity * self.eccentricity < math.inf
+                and 4.0 * self.eccentricity**2 * int(self.d) < math.inf):
+            raise InputError(f"kite edges must be finite and positive with 4 d (t/s)^2 "
+                             f"finite, got s={self.s!r}, t={self.t!r}")
         lo = (self.d - 1) / (2.0 * self.d)
         if self.eccentricity**2 <= lo:
             raise DegenerateKiteError(
@@ -168,13 +170,16 @@ class KiteMetrics:
 def kite(spec: KiteSpec, policy: TolerancePolicy = DEFAULT_POLICY) -> sx.Simplex:
     """Coordinates of the kite: regular base centered at the origin of the
     first d-1 axes, apex on the last axis at the closed-form height."""
-    d, s = spec.d, spec.s
-    base = _regular(d - 1, float(s))
-    h = kite_metrics(spec, policy).altitude
+    return sx.from_vertices(spec.d, _kite_pose(spec), policy)
+
+
+def _kite_pose(spec: KiteSpec) -> np.ndarray:
+    """The vertices of :func:`kite`, before the degeneracy decision."""
+    d = spec.d
     verts = np.zeros((d + 1, d))
-    verts[:d, : d - 1] = base
-    verts[d, d - 1] = h
-    return sx.from_vertices(d, verts, policy)
+    verts[:d, : d - 1] = _regular(d - 1, float(spec.s))
+    verts[d, d - 1] = kite_metrics(spec).altitude
+    return verts
 
 
 def kite_metrics(spec: KiteSpec, policy: TolerancePolicy = DEFAULT_POLICY) -> KiteMetrics:
@@ -439,13 +444,21 @@ def equiradial_general(
     d: int, m: int, branch: int, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> tuple[sx.Simplex, EquiradialSolution]:
     """Construct one of the two non-similar equiradial simplices with
-    coordinate pattern (a x m, b x n).
-
-    Solves Q(Z) for xi and eta (branch swaps the assignment), recovers
-    x = xi/(1-n) - m and y = eta/(1-m) - n, and embeds the all-positive
-    parameter vector (-1/x repeated m times, -1/y repeated n times) at
-    unit obtuseness scale.  The m-group occupies the first vertex indices.
+    coordinate pattern (a x m, b x n): ``orthocentric.construct`` of the
+    tuple of :func:`_equiradial_solution` at unit obtuseness scale.  The
+    m-group occupies the first vertex indices.
     """
+    bary, sol = _equiradial_solution(d, m, branch, policy)
+    return oc.construct(bary, scale=1.0, policy=policy), sol
+
+
+def _equiradial_solution(d: int, m: int, branch: int,
+                         policy: TolerancePolicy) -> tuple[np.ndarray, EquiradialSolution]:
+    """(bary, solution) of :func:`equiradial_general`, before any pose:
+    solves Q(Z) for xi and eta (branch swaps the assignment), recovers
+    x = xi/(1-n) - m and y = eta/(1-m) - n, checks the solution's identities
+    at ``policy.rel``, and gives the all-positive tuple (-1/x repeated m
+    times, -1/y repeated n times)."""
     spec = EquiradialSpec(d=d, m=m, branch=branch)
     n = spec.n
     mn = m * n
@@ -478,5 +491,4 @@ def equiradial_general(
                 f"at rel={policy.rel:g}"
             )
 
-    bary = np.concatenate([np.full(m, a), np.full(n, b)])
-    return oc.construct(bary, scale=1.0, policy=policy), sol
+    return np.concatenate([np.full(m, a), np.full(n, b)]), sol

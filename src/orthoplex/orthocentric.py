@@ -233,32 +233,26 @@ def construct(
     the closed-form LDL^T factorization of the Gram matrix (no eigensolve):
     orthocenter at the origin, vertex matrix lower triangular with positive
     diagonal, so the first vertex lies on the positive first axis (canonical
-    pose) and output is reproducible.  ``from_vertices`` makes the one
-    degeneracy decision.
+    pose) and output is reproducible.  The pose is the one-row call of
+    :func:`_pose_rows`; ``from_vertices`` makes the one degeneracy decision.
     """
     a = np.asarray(bary, dtype=float)
     if a.ndim != 1 or a.size < 3:
         raise ParametrizationError("need at least 3 barycentric coordinates (d >= 2)")
     if not 0 < scale < np.inf:
         raise ParametrizationError(f"scale must be a positive number, got {scale!r}")
-    sigma = scale if _validate_bary(a, policy) else -scale
-    return sx.from_vertices(a.size - 1, _ldl_pose(a, sigma), policy)
+    return sx.from_vertices(a.size - 1, _pose_rows(a, scale, policy), policy)
 
 
-def _pose_rows(bary: np.ndarray, scale: float, policy: TolerancePolicy) -> np.ndarray:
-    """The vertices (k, d+1, d) that :func:`construct` poses for each row of
-    ``bary`` (k, d+1), bit for bit, after one barycentric test (the first
-    row that fails raises what its ``construct`` would), before the
-    degeneracy decision, which ``simplex._from_vertex_rows`` makes for the
-    whole stack."""
-    sigma = np.where(_validate_bary(bary, policy), scale, -scale)
-    return _ldl_pose(bary, sigma[:, None])
-
-
-def _ldl_pose(a: np.ndarray, sigma) -> np.ndarray:
-    """Vertices about the orthocenter whose Gram matrix is sigma (J - diag(1/a)),
-    read off its LDL^T factorization in O(d^2); for a stack of tuples ``a``
-    (..., d+1), ``sigma`` is a number or an array (..., 1).
+def _pose_rows(a: np.ndarray, scale: float, policy: TolerancePolicy) -> np.ndarray:
+    """The vertices (..., d+1, d) that :func:`construct` poses for each tuple
+    of ``a`` (..., d+1), one tuple or a stack (k, d+1), after one barycentric
+    test (the first row that fails raises what its ``construct`` would),
+    before the degeneracy decision, which ``simplex._from_vertex_rows``
+    makes for the whole stack; each row has the bits it would have alone.
+    The pose has the Gram matrix
+    sigma (J - diag(1/a)) about the orthocenter, read off its LDL^T
+    factorization in O(d^2).
 
     With t_k = sum_{j>k} a_j and t_{-1} = 1, column k (k < d) has the pivot
     p_k = -sigma t_k / (a_k t_{k-1}) > 0, entry sqrt(p_k) on the diagonal and
@@ -267,6 +261,7 @@ def _ldl_pose(a: np.ndarray, sigma) -> np.ndarray:
     An obtuse tuple's suffix sums before its positive entry would cancel, so
     there t_k = 1 - sum_{j<=k} a_j, a sum of positive terms.
     """
+    sigma = np.where(_validate_bary(a, policy), scale, -scale)[..., None]
     d = a.shape[-1] - 1
     head = a[..., :d]
     t = a[..., ::-1].cumsum(-1)[..., -2::-1]
@@ -389,21 +384,18 @@ def _lambda_rows(sigma, bary: np.ndarray) -> np.ndarray:
 
 def orthocentric_system_check(points, policy: TolerancePolicy = DEFAULT_POLICY) -> bool:
     """True when the d+2 points form an orthocentric system: each point is
-    the orthocenter of the simplex spanned by the other d+1."""
+    the orthocenter of the simplex spanned by the other d+1.  The d+2
+    simplices are decided as one stack, row i omitting point i, so a
+    degenerate one raises DegenerateSimplexError whatever the others hold."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] != pts.shape[1] + 2:
         raise InputError(f"need d+2 points in d-space, got shape {pts.shape}")
     d = pts.shape[1]
     diam = float(np.sqrt(sx._pair_rows(pts).max()))
-    for omit in range(d + 2):
-        rest = np.delete(pts, omit, axis=0)
-        s = sx.from_vertices(d, rest, policy)  # degenerate subset raises
-        if not is_orthocentric(s, policy):
-            return False
-        h = centers.monge_point(s)
-        if np.linalg.norm(h - pts[omit]) > policy.rel * diam:
-            return False
-    return True
+    s = sx._from_vertex_rows(d, pts[sx._facet_table(d + 2)], policy)
+    if not all(is_orthocentric(s, policy)):
+        return False
+    return bool(all(np.sqrt(sx._sq_norms(centers.monge_point(s) - pts)) <= policy.rel * diam))
 
 
 def sample_params(d: int, kind: str, seed: int) -> OrthoParams:

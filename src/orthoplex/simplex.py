@@ -247,14 +247,9 @@ def volume(s: Simplex) -> float:
     from ``slogdet`` (``det`` is sign * exp(log|det|) from the same LU),
     out of float range by :func:`_factorial_quotient`."""
     d = s.dim
-
-    def quotient(logdet: float) -> float:
-        return _factorial_quotient(d, lambda: exp(logdet) / factorial(d), logdet - lgamma(d + 1))
-
-    logdets = np.linalg.slogdet(_frame(s)[1])[1].tolist()  # a float on one simplex
-    if isinstance(logdets, float):
-        return quotient(logdets)
-    return np.array([quotient(x) for x in logdets])
+    logdets = np.linalg.slogdet(_frame(s)[1])[1]  # 0-d on one simplex
+    return np.reshape([_factorial_quotient(d, lambda: exp(x) / factorial(d), x - lgamma(d + 1))
+                       for x in np.ravel(logdets).tolist()], logdets.shape)
 
 
 @lru_cache(maxsize=64)

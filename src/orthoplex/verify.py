@@ -322,11 +322,12 @@ def suite_center_equivalences(config: SuiteConfig) -> SuiteResult:
     pol = config.policy
     for d in range(config.d_min, config.d_max + 1):
         rng = np.random.default_rng(_sub_seed(config, 1, d))
-        fixtures = _family_fixtures(d, rng, pol)
+        fixtures = _family_fixtures(d, rng)
         if d >= 3 and families.equiradial_admissible(d, 2):
             for branch in (1, 2):
                 try:
-                    fixtures.append(families.equiradial_general(d, 2, branch, pol)[0].vertices)
+                    bary = families._equiradial_solution(d, 2, branch, pol)[0]
+                    fixtures.append(oc._pose_rows(bary, 1.0, pol))
                 except OrthoplexError as exc:  # an admissible pair must build
                     rec.check("admissible equiradial fixture builds", 1.0, 0.5,
                               d=d, m=2, branch=branch, error=f"{type(exc).__name__}: {exc}")
@@ -336,21 +337,15 @@ def suite_center_equivalences(config: SuiteConfig) -> SuiteResult:
     return rec.result()
 
 
-def _family_fixtures(d: int, rng, policy: TolerancePolicy) -> list[np.ndarray]:
+def _family_fixtures(d: int, rng) -> list[np.ndarray]:
     """The vertex arrays of the regular d-simplex of edge 1, of a rectangular
     one with legs drawn from ``rng`` and, for d >= 4, of the equiradial
-    kite; the block's degeneracy decision validates the rectangular one."""
+    kite, all posed and not yet decided: the block's degeneracy decision
+    is their only one."""
     fixtures = [families._regular(d, 1.0), families._rect_pose(rng.uniform(0.5, 2.0, size=d))]
     if d >= 4:
-        fixtures.append(_equiradial_kite(d, policy))
+        fixtures.append(families._kite_pose(families.equiradial_kite(d)))
     return fixtures
-
-
-@lru_cache(maxsize=16)
-def _equiradial_kite(d: int, policy: TolerancePolicy) -> np.ndarray:
-    """The read-only vertex rows of the equiradial kite of dimension d,
-    built once per (d, policy)."""
-    return families.kite(families.equiradial_kite(d), policy).vertices
 
 
 def _check_equivalences(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
@@ -448,20 +443,17 @@ def _separated_samples(d: int, per_kind: int, rng, pol: TolerancePolicy) -> np.n
     (:func:`orthocentric._sample_rows`) and poses and filters them as one
     block, so a rejected row is replaced by the next rows of the same
     stream."""
-    kinds = (oc.ACUTE, oc.OBTUSE)
-    rounds, accepted = [], {kind: [] for kind in kinds}  # rows of all rounds in turn
+    acute, obtuse = [], []  # the accepted rows of each kind, in stream order
     while True:
-        need = [per_kind - len(accepted[kind]) for kind in kinds]
+        need = [per_kind - len(acute), per_kind - len(obtuse)]
         if not any(need):
-            return np.concatenate(rounds)[accepted[oc.ACUTE] + accepted[oc.OBTUSE]]
-        bary = np.concatenate([oc._sample_rows(d, kind, k, rng) for kind, k in zip(kinds, need)])
-        first = sum(map(len, rounds))
-        rounds.append(oc._pose_rows(bary, 1.0, pol))
-        keep = ~(pol.spread(np.sqrt(sx._pair_rows(rounds[-1]))) < 0.01)
-        labels = [kind for kind, k in zip(kinds, need) for _ in range(k)]
-        for row, (kind, kept) in enumerate(zip(labels, keep.tolist()), first):
-            if kept:
-                accepted[kind].append(row)
+            return np.array(acute + obtuse)
+        bary = np.concatenate([oc._sample_rows(d, kind, k, rng)
+                               for kind, k in zip((oc.ACUTE, oc.OBTUSE), need)])
+        rows = oc._pose_rows(bary, 1.0, pol)
+        keep = ~(pol.spread(np.sqrt(sx._pair_rows(rows))) < 0.01)
+        acute += list(rows[:need[0]][keep[:need[0]]])
+        obtuse += list(rows[need[0]:][keep[need[0]:]])
 
 
 def _check_separation(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy, prefix: str = "",
@@ -489,7 +481,7 @@ def suite_euler_feuerbach(config: SuiteConfig) -> SuiteResult:
     pol = config.policy
     for d in range(config.d_min, config.d_max + 1):
         rng = np.random.default_rng(_sub_seed(config, 3, d))
-        fixtures = np.array(_family_fixtures(d, rng, pol))
+        fixtures = np.array(_family_fixtures(d, rng))
         per_kind = max(1, _per_dim(config) // 2)
         bary = np.concatenate([oc._sample_rows(d, kind, per_kind, rng)
                                for kind in (oc.ACUTE, oc.OBTUSE)])
@@ -565,7 +557,6 @@ def _check_euler_feuerbach(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
 
     sigma, rectangular, _, bary = oc._param_rows(s, pol)
     skew = ~rectangular  # lambda exists
-    oc._validate_bary(bary[skew], pol)
     lam = np.ones((len(s.vertices), d + 2))
     lam[skew] = oc._lambda_rows(sigma[skew], bary[skew])
     # sum 1/lam = (1 - sum a) / sigma against sum |1/lam| = (1 + sum |a|) / |sigma|

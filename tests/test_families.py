@@ -111,7 +111,22 @@ class TestKite:
             op.KiteSpec(3, s, t)
 
     def test_finite_squared_ratio_accepted(self):
-        assert op.KiteSpec(3, 1.0, 1e154).eccentricity ** 2 == pytest.approx(1e308)
+        """The largest ratios whose 4 d eps^2 is finite are accepted, and every
+        closed form of their metrics is a positive finite number."""
+        for d, t in ((3, 1e153), (3, 3.8e153), (10, 2.1e153), (np.int64(4), 1e153)):
+            m = op.kite_metrics(op.KiteSpec(d, 1.0, t))
+            assert all(math.isfinite(getattr(m, name)) and getattr(m, name) > 0 for name in
+                       ("circumradius", "inradius", "altitude", "volume"))
+
+    @pytest.mark.parametrize("d, t", [(3, 1e154), (3, 5.4e153), (3, 3.9e153), (10, 2.2e153),
+                                      (np.int64(4), 1e154)])
+    def test_overflowing_core_rejected(self, d, t):
+        """A finite eps^2 whose 4 d eps^2 overflows is rejected: kite_metrics
+        would give a zero circumradius (2 (2 eps^2 d - (d-1)) overflows, as at
+        t = 5.4e153), and from 2 eps^2 d on also a NaN inradius and the
+        largest float as volume; kite() of these specs raises too."""
+        with pytest.raises(InputError, match=r"kite edges .* 4 d \(t/s\)\^2 finite"):
+            op.KiteSpec(d, 1.0, t)
 
 
 class TestEquiradialKite:

@@ -590,6 +590,42 @@ class TestOrthocentricSystem:
         with pytest.raises(InputError):
             op.orthocentric_system_check(np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_subsets_decided_as_one_stack(self, monkeypatch, d):
+        """The d+2 simplices take one eigensolve, one residual table and one
+        Monge table, built on one stack whose row i omits point i."""
+        s = op.construct(op.sample_params(d, "obtuse", 1).bary, 1.0)
+        pts = np.vstack([s.vertices, op.monge_point(s)])
+        calls = {"eigvalsh": [], "residual": [], "monge": []}
+        for module, name, key in ((np.linalg, "eigvalsh", "eigvalsh"),
+                                  (sx, "edge_perpendicularity_residual", "residual"),
+                                  (centers, "monge_point", "monge")):
+            def counting(a, *args, _real=getattr(module, name), _key=key, **kwargs):
+                calls[_key].append(np.shape(a) if _key == "eigvalsh" else a.vertices.copy())
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(sx, "from_vertices", None)  # no subset is built alone
+        assert op.orthocentric_system_check(pts)
+        assert calls["eigvalsh"] == [(d + 2, d, d)]
+        assert [v.tolist() for v in calls["residual"]] == [[
+            np.delete(pts, i, axis=0).tolist() for i in range(d + 2)]]
+        assert len(calls["monge"]) == 1 and np.array_equal(calls["monge"][0],
+                                                           calls["residual"][0])
+
+    @pytest.mark.parametrize("degenerate", [0, 3])
+    def test_degenerate_subset_raises_whatever_the_others_hold(self, degenerate):
+        """Subset 0 is not orthocentric about its omitted point (a moved
+        orthocenter), and the subset omitting point ``degenerate`` is flat:
+        the flat one raises, where a loop over the subsets would have
+        returned False before reaching subset 3."""
+        s = op.construct([0.5, 0.3, 0.2], 1.0)
+        pts = np.vstack([s.vertices, op.monge_point(s) + 0.05])
+        rest = np.delete(np.arange(4), degenerate)
+        pts[rest[2]] = (pts[rest[0]] + pts[rest[1]]) / 2.0  # three collinear points
+        with pytest.raises(op.DegenerateSimplexError):
+            op.orthocentric_system_check(pts)
+
 
 class TestSampleParams:
     @pytest.mark.parametrize("d", [2, 3, 5])

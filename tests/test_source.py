@@ -64,3 +64,16 @@ def test_every_cache_is_bounded():
                 assert isinstance(size, ast.Constant) and type(size.value) is int \
                     and size.value > 0, f"unbounded cache on {found[-1]}"
     assert found
+
+
+def test_verify_builds_no_simplex_outside_its_blocks():
+    """Every simplex verify checks is decided once, in its block's one
+    ``simplex._from_vertex_rows`` call: ``verify.py`` calls none of the
+    one-simplex builders, which would decide a fixture a second time."""
+    builders = {"from_vertices", "construct", "kite", "equiradial_general", "regular",
+                "rectangular", "face"}
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert called & builders == set()
+    assert "_from_vertex_rows" in called

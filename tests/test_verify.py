@@ -104,20 +104,34 @@ class TestSuites:
         assert result.passed and result.samples >= 1
 
     def test_admissible_equiradial_fixture_that_fails_to_build_fails(self, monkeypatch):
-        real = families.equiradial_general
+        """A fault in the equiradial solution fails the suite naming it, and
+        the fixtures that do build join their block as posed rows: the suite
+        builds no simplex outside its block stacks."""
+        real = families._equiradial_solution
         built = []
 
-        def failing(d, m, branch, policy=DEFAULT_POLICY):
+        def failing(d, m, branch, policy):
             built.append((d, m, branch))
             if d == 9:
                 raise op.ParametrizationError("injected fault")
             return real(d, m, branch, policy)
 
-        monkeypatch.setattr(families, "equiradial_general", failing)
+        monkeypatch.setattr(families, "_equiradial_solution", failing)
+        monkeypatch.setattr(sx, "from_vertices", None)  # verify must not call it
+        heads = []
+        real_rows = sx._from_vertex_rows
+
+        def rows(dim, vertices, policy, drop_from=None):
+            heads.append((dim, drop_from))
+            return real_rows(dim, vertices, policy, drop_from)
+
+        monkeypatch.setattr(sx, "_from_vertex_rows", rows)
         result = vf.suite_center_equivalences(
             SuiteConfig(suites=("centers",), samples=2, seed=0, d_min=2, d_max=10))
-        # only the admissible pairs (9, 2) and (10, 2) are attempted
+        # only the admissible pairs (9, 2) and (10, 2) are attempted; the two
+        # d = 10 fixtures lead that block after the regular, rectangular and kite rows
         assert built == [(9, 2, 1), (9, 2, 2), (10, 2, 1), (10, 2, 2)]
+        assert heads == [(2, 2), (3, 2)] + [(d, 3) for d in range(4, 10)] + [(10, 5)]
         assert not result.passed
         ce = result.counterexample
         assert ce["check"] == "admissible equiradial fixture builds"
@@ -380,27 +394,32 @@ class TestBlockFill:
     def test_each_regular_simplex_is_built_once(self, monkeypatch):
         """All four suites at d 2..6 ask for the regular coordinates many
         times (the family fixtures, the perturbation bases, the kite bases)
-        and compute each distinct one once, and each equiradial kite once;
-        no ``regular``, ``RectSpec`` or one-row ``rect_metrics`` call is
-        made."""
+        and compute each distinct one once.  The equiradial kite of each
+        d >= 4 is posed in both suites that use it, as rows of their blocks:
+        no simplex is built outside a block, so no ``regular``, ``kite``,
+        ``equiradial_general``, ``construct`` or ``from_vertices`` call is
+        made, nor any ``RectSpec`` or one-row ``rect_metrics`` call."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("verify must not call this")
 
-        for name in ("regular", "RectSpec", "rect_metrics"):
-            monkeypatch.setattr(families, name, forbidden)
+        for module, name in ((families, "regular"), (families, "kite"),
+                             (families, "equiradial_general"), (families, "RectSpec"),
+                             (families, "rect_metrics"), (oc, "construct"),
+                             (sx, "from_vertices")):
+            monkeypatch.setattr(module, name, forbidden)
         asked, real = [], families._regular
         monkeypatch.setattr(families, "_regular", lambda *a: asked.append(a) or real(*a))
-        kites, real_kite = [], families.kite
-        monkeypatch.setattr(families, "kite", lambda *a: kites.append(a[0].d) or real_kite(*a))
+        kites, real_kite = [], families._kite_pose
+        monkeypatch.setattr(families, "_kite_pose",
+                            lambda spec: kites.append(spec.d) or real_kite(spec))
         real.cache_clear()
-        vf._equiradial_kite.cache_clear()
         assert run_all(SuiteConfig(d_min=2, d_max=6)).passed
         built = real.cache_info()
         assert sorted(set(asked)) == [(d, 1.0) for d in range(2, 7)]
         assert built.misses == built.currsize == 5 and len(asked) > 5
-        # the equiradial kite of each d >= 4, in both suites that use it, is built once
-        assert kites == [4, 5, 6] and vf._equiradial_kite.cache_info().hits == 3
+        # center_equivalences, then euler_feuerbach, pose the kite of each d >= 4
+        assert kites == [4, 5, 6] * 2
 
     @pytest.mark.parametrize("suite, check", [
         ("center_equivalences", "_check_equivalences"),
@@ -770,10 +789,10 @@ class TestStreamOrder:
 
 class TestBlockCounts:
     """Each (suite, d) block is built with one stacked eigensolve and draws
-    from one generator: counts, not timings.  Every other eigensolve is a
-    family fixture's own ``from_vertices`` (built once per process), and
-    verify calls neither ``face``, ``params_of`` nor ``sample_params`` per
-    sample."""
+    from one generator: counts, not timings.  Verify makes no other
+    eigensolve, at any d: the family fixtures are rows of their blocks.  It
+    calls neither ``from_vertices``, ``face``, ``params_of`` nor
+    ``sample_params``."""
 
     def counted(self, monkeypatch, suite, samples):
         calls = {"stacked": 0, "single": 0, "from_vertices": 0, "face": 0, "params_of": 0,
@@ -794,10 +813,9 @@ class TestBlockCounts:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
-        families._regular.cache_clear()  # every count starts from empty fixture caches
-        vf._equiradial_kite.cache_clear()
+        families._regular.cache_clear()  # every count starts from an empty fixture cache
         result = vf.run_all(SuiteConfig(suites=(suite,), samples=samples, seed=3,
-                                        d_min=2, d_max=5)).suites[0]
+                                        d_min=2, d_max=10)).suites[0]
         assert result.passed
         monkeypatch.undo()
         return calls
@@ -841,18 +859,18 @@ class TestBlockCounts:
         assert singles(60) == singles(240)
 
     @pytest.mark.parametrize("suite, blocks", [
-        ("center_equivalences", {"stacked": 4}),
-        ("regularity", {"stacked": 4}),
-        ("euler_feuerbach", {"stacked": 4}),
-        ("rectangular", {"stacked": 4}),
+        ("center_equivalences", {"stacked": 9}),
+        ("regularity", {"stacked": 9}),
+        ("euler_feuerbach", {"stacked": 9}),
+        ("rectangular", {"stacked": 9}),
     ])
     def test_one_eigensolve_per_block(self, monkeypatch, suite, blocks):
+        """At d 2..10, the kite (d >= 4) and equiradial (d = 9, 10) fixtures
+        included: one stacked eigensolve and one generator per block, and
+        nothing else."""
         few = self.counted(monkeypatch, suite, 12)
         many = self.counted(monkeypatch, suite, 40)
         assert few == many  # nothing is built per sample
-        # one generator per (suite, d) block, and no tuple drawn from its own seed
-        want = {"stacked": 0, "face": 0, "params_of": 0, "sub_seed": 4, "sample_params": 0}
-        want.update(blocks)
-        assert {k: few[k] for k in want} == want
-        # every unstacked eigensolve is a fixture's own from_vertices call
-        assert few["single"] == few["from_vertices"]
+        want = {"single": 0, "from_vertices": 0, "face": 0, "params_of": 0, "sub_seed": 9,
+                "sample_params": 0}
+        assert few == {**want, **blocks}

@@ -23,11 +23,12 @@ class NotPSDError(NumericError):
 
 
 class DegenerateSimplexError(InputError):
-    """Vertices are affinely dependent (within tolerance)."""
+    """Vertices are affinely dependent (within tolerance): ``thickness`` is
+    the relative thickness min h_i / diam that the degeneracy rule read."""
 
-    def __init__(self, message, eigen_ratio=None):
+    def __init__(self, message, thickness=None):
         super().__init__(message)
-        self.eigen_ratio = eigen_ratio
+        self.thickness = thickness
 
 
 class NotOrthocentricError(InputError):

@@ -200,7 +200,7 @@ def kite_metrics(spec: KiteSpec, policy: TolerancePolicy = DEFAULT_POLICY) -> Ki
     eq_target = (d - 2) / d
     scale2 = max(e2, 1.0)
     return KiteMetrics(
-        circumradius=s * e2 * math.sqrt(d / (2.0 * core)),
+        circumradius=s * (e2 * math.sqrt(d / (2.0 * core))),  # finite wherever R is
         inradius=s
         * math.sqrt(core)
         / (math.sqrt(2.0) * (math.sqrt(d) + d * math.sqrt(2.0 * e2 * (d - 1) - (d - 2)))),

@@ -32,8 +32,10 @@ class TolerancePolicy:
 
     rel        relative tolerance: every comparison is scaled by the
                quantity it judges, with no absolute floor
-    rank_cut   eigenvalue ratio (lambda / lambda_max) below which an
-               eigenvalue counts as zero in rank decisions
+    rank_cut   the eigenvalue ratio lambda / lambda_max at or below which
+               :func:`gram_embed` counts an eigenvalue as zero, and the
+               (min h_i / diam)^2 at or below which ``from_vertices``
+               calls a simplex degenerate
     """
 
     rel: float = 1e-9

@@ -11,6 +11,7 @@ Vertex indices are 0-based everywhere.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from math import exp, factorial, inf, isfinite, lgamma, log
@@ -19,7 +20,7 @@ from sys import float_info
 
 import numpy as np
 
-from .errors import DegenerateSimplexError, InputError, NumericError
+from .errors import DegenerateSimplexError, InputError
 from .numerics import DEFAULT_POLICY, TolerancePolicy
 
 __all__ = [
@@ -79,8 +80,8 @@ def from_vertices(dim, vertices, policy: TolerancePolicy = DEFAULT_POLICY) -> Si
     a C-contiguous copy so that results do not depend on the input's layout.
 
     Degeneracy is decided by :func:`_from_vertex_rows`, the decision of a
-    stack, on the eigenvalue ratio of the edge-vector Gram matrix, so the
-    test is invariant under similarity.
+    stack, on the relative thickness min h_i / diam, so the test is
+    invariant under similarity and under a change of vertex order.
     """
     if not _is_int(dim) or dim < 1:
         raise InputError(f"dimension must be an integer >= 1, got {dim!r}")
@@ -95,65 +96,56 @@ def from_vertices(dim, vertices, policy: TolerancePolicy = DEFAULT_POLICY) -> Si
     return _from_vertex_rows(dim, arr, policy)
 
 
-# the range of edge Gram eigenvalues that :func:`_degeneracy` accepts: in it,
-# squared lengths, their sums and 1/h^2 for every altitude h are normal floats
-_GRAM_MIN, _GRAM_MAX = 1e-280, 1e280
-
-
-def _degeneracy(vertices: np.ndarray, policy: TolerancePolicy):
-    """(degenerate, ratio), lists over the simplices of the vertex arrays
-    ``vertices`` (..., n, d) in row order (one entry for one simplex): the
-    one rule of :func:`from_vertices`.  ratio is lambda_min / lambda_max of
-    the edge-vector Gram matrix, 0.0 where lambda_max <= 0, and a simplex is
-    degenerate where it is at most ``policy.rank_cut``.  A stack takes one
-    Gram product and one eigensolve, each simplex the bits it would take
-    alone in the same memory layout; the two float operations per simplex
-    run on Python floats.
-    Non-finite coordinates, or edge inner products that overflow, anywhere
-    in the stack raise InputError, and so does a simplex that is not
-    degenerate but has an eigenvalue outside [_GRAM_MIN, _GRAM_MAX]:
-    squared lengths, their sums and 1/h^2 for each altitude h must stay
-    normal floats for the analysis to be finite and exact to rounding."""
-    with np.errstate(over="ignore", invalid="ignore"):  # the isfinite test below decides
-        edges = vertices[..., :-1, :] - vertices[..., -1:, :]
-        g = edges @ edges.swapaxes(-1, -2)
-    # a coordinate that is not finite leaves the Gram diagonal so too
-    if not np.isfinite(g).all():
-        if not np.isfinite(vertices).all():
-            raise InputError("vertex coordinates must be finite")
-        raise InputError("vertex coordinates are too large: edge inner products overflow")
-    try:
-        vals = np.linalg.eigvalsh(g).reshape(-1, g.shape[-1])  # ascending
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"symmetric eigensolve failed to converge: {exc}") from exc
-    low, top = vals[:, 0].tolist(), vals[:, -1].tolist()
-    ratio = [lo / hi if hi > 0 else 0.0 for lo, hi in zip(low, top)]
-    degenerate = [r <= policy.rank_cut for r in ratio]
-    if not (_GRAM_MIN <= min(low) and max(top) <= _GRAM_MAX):
-        for lo, hi, bad in zip(low, top, degenerate):
-            if not (bad or _GRAM_MIN <= lo and hi <= _GRAM_MAX):
-                raise InputError(
-                    f"simplex scale out of range: edge Gram eigenvalues {lo:.3e} to {hi:.3e} "
-                    f"must lie within [{_GRAM_MIN:g}, {_GRAM_MAX:g}]")
-    return degenerate, ratio
+# the scale domain of :func:`_from_vertex_rows`: every squared edge length and
+# 1/h^2 for every altitude h lie in it, so their sums stay normal floats
+_SCALE_MIN, _SCALE_MAX = 1e-280, 1e280
 
 
 def _from_vertex_rows(dim: int, vertices: np.ndarray, policy: TolerancePolicy,
                       drop_from: int | None = None) -> Simplex:
     """The read-only simplex of the float vertex array ``vertices`` (dim+1, dim),
     which it keeps, or one read-only stack of the rows of ``vertices``
-    (k, dim+1, dim), a copy in row order, at one :func:`_degeneracy` call.
-    The first degenerate row raises DegenerateSimplexError, unless its index
-    is at least ``drop_from``: those degenerate rows are left out."""
-    degenerate, ratio = _degeneracy(vertices, policy)
-    if True in degenerate[:drop_from]:
-        r = ratio[degenerate.index(True)]
-        raise DegenerateSimplexError(
-            f"vertices are affinely dependent (eigenvalue ratio {r:.3e})", eigen_ratio=r)
+    (k, dim+1, dim), a copy in row order, under the one degeneracy rule:
+    t^2 <= ``policy.rank_cut`` for the relative thickness t = min h_i / diam,
+    t^2 = 1 / (max |n_i|^2 max E) from the memoized pair table and
+    :func:`_frame` (one LU per stack; 0 for an exactly singular edge
+    matrix), whatever the vertex order or similarity.  Non-finite
+    coordinates or overflowing squared edges anywhere in the stack raise
+    InputError, as does a simplex that is not degenerate but has a squared
+    edge or altitude outside [_SCALE_MIN, _SCALE_MAX].  Then the first
+    degenerate row raises DegenerateSimplexError, unless its index is at
+    least ``drop_from``: those degenerate rows are left out."""
     if vertices.ndim == 3:
-        vertices = vertices[~np.array(degenerate, dtype=bool)]  # a C-contiguous copy
+        vertices = vertices.copy()
     vertices.flags.writeable = False
-    return Simplex(dim=dim, vertices=vertices)
+    s = Simplex(dim=dim, vertices=vertices)
+    with np.errstate(all="ignore"):  # the tests below decide every non-finite value
+        top = _pairs(s).max(axis=-1)
+        if not np.isfinite(top).all():
+            if not np.isfinite(vertices).all():
+                raise InputError("vertex coordinates must be finite")
+            raise InputError("vertex coordinates are too large: squared edge lengths overflow")
+        # |n_i| diam rather than |n_i|, which overflows at the small end of the domain
+        t = np.ravel(1.0 / _row_norms(_frame(s)[2] * np.sqrt(top)[..., None, None]).max(axis=-1))
+        t[np.isnan(t)] = 0.0  # an exactly singular edge matrix
+        top = np.ravel(top)
+        degenerate = t * t <= policy.rank_cut
+        low = t * t * top  # the least squared altitude
+        out = ~(degenerate | (top <= _SCALE_MAX) & (low >= _SCALE_MIN))
+    if out.any():
+        at = out.argmax()
+        raise InputError(
+            f"simplex scale out of range: squared edge lengths up to {top[at]:.3e} and "
+            f"squared altitudes down to {low[at]:.3e} "
+            f"must lie within [{_SCALE_MIN:g}, {_SCALE_MAX:g}]")
+    bad = degenerate.tolist()
+    if True in bad[:drop_from]:
+        r = float(t[bad.index(True)])
+        raise DegenerateSimplexError(
+            f"vertices are affinely dependent (relative thickness {r:.3e})", thickness=r)
+    if True in bad:
+        return _from_vertex_rows(dim, vertices[~degenerate], policy)
+    return s
 
 
 def _read_only(value):
@@ -370,8 +362,11 @@ def _frame(s: Simplex):
     e = v[at_rest] - v[at_b][..., None, :]
     try:
         inv = np.linalg.inv(e)
-    except np.linalg.LinAlgError as exc:  # unreachable for a valid simplex
-        raise NumericError(f"edge matrix is singular: {exc}") from exc
+    except np.linalg.LinAlgError:  # a zero pivot: the singular rows stay NaN, degenerate
+        inv = np.full(e.shape, np.nan)
+        for r in np.ndindex(e.shape[:-2]):
+            with suppress(np.linalg.LinAlgError):
+                inv[r] = np.linalg.inv(e[r])
     normals = np.empty(v.shape)
     normals[at_rest] = inv.swapaxes(-1, -2)
     normals[at_b] = -inv.sum(axis=-1)

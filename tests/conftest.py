@@ -16,3 +16,23 @@ def random_rotation(d: int, rng) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def count_inverses(monkeypatch) -> list:
+    """Patch ``np.linalg`` for the rest of a test: ``inv`` appends the shape
+    of each argument to the list returned here, and every eigensolve and
+    ``svd`` raises."""
+    shapes = []
+    real = np.linalg.inv
+
+    def inv(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no eigensolve or SVD is made here")
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    return shapes

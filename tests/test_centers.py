@@ -103,6 +103,10 @@ class TestMongePoint:
         oracle = classical_orthocenter(*v)
         assert np.allclose(op.monge_point(s), oracle, atol=1e-10)
 
+    def test_segment_has_no_monge_point(self):
+        with pytest.raises(op.InputError, match="dimension >= 2"):
+            op.monge_point(op.from_vertices(1, [[0.0], [2.0]]))
+
     def test_regular_is_centroid(self):
         s = op.regular(4, 1.0)
         assert np.allclose(op.monge_point(s), op.centroid(s), atol=1e-12)

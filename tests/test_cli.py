@@ -16,7 +16,7 @@ import orthoplex as op
 from orthoplex import centers
 from orthoplex import cli
 from orthoplex import simplex as sx
-from conftest import random_rotation
+from conftest import count_inverses, random_rotation
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +123,20 @@ class TestAnalyze:
         assert a["centers"]["circumradius"] == pytest.approx(2.5)
         assert a["orthocentric"] is True
         assert a["ortho_params"]["class"].startswith("rectangular")
+
+    def test_orthocentric_at_a_loose_tolerance_without_parameters(self, capsys, monkeypatch):
+        """At --tol 0.5 this Gaussian 5-simplex passes the orthocentricity
+        test, but its Monge barycentrics fail the sign pattern: the document
+        has no parameters and still has its Euler block."""
+        doc = {"dim": 5, "vertices": [
+            [0.781, 0.264, -0.314, 1.458, 1.96], [1.802, 1.315, 0.357, -1.208, -0.004],
+            [0.656, -1.288, 0.395, 0.43, 0.696], [-1.184, -0.662, -0.436, -1.17, 1.739],
+            [-0.496, 0.329, -0.259, 1.583, 1.32], [0.633, -2.204, 0.052, 0.684, 1.004]]}
+        code, a, _ = run_json(capsys, "analyze", "--tol", "0.5", "--json", stdin=json.dumps(doc),
+                              monkeypatch=monkeypatch)
+        assert code == 0 and a["orthocentric"] is True and a["ortho_params"] is None
+        assert a["euler"] is not None and set(a["euler"]) == {
+            "coincident", "collinearity_residual", "ratio"}
 
     @pytest.mark.parametrize("d, edge", [(60, "1e-6"), (170, "1"), (171, "1"), (200, "1")])
     def test_regular_inradius_without_the_volume(self, capsys, monkeypatch, d, edge):
@@ -584,7 +598,9 @@ class TestWorkPerAnalysis:
 
     @pytest.mark.parametrize("d", [4, 8])
     def test_pair_table_and_volumes_built_once(self, monkeypatch, d):
-        s = op.construct(op.sample_params(d, "acute", d).bary, 1.0)
+        """Counted over the build and the analysis: the build's degeneracy
+        decision makes the pair table and the frame that the analysis reads."""
+        bary = op.sample_params(d, "acute", d).bary
         builds = []
 
         def building(simplex, _build=sx._pairs.__wrapped__):
@@ -592,18 +608,36 @@ class TestWorkPerAnalysis:
             return _build(simplex)
 
         monkeypatch.setattr(sx, "_pairs", sx._per_simplex(building))
-        calls = dict.fromkeys(("det", "slogdet", "inv", "solve"), 0)
+        calls = dict.fromkeys(("det", "slogdet", "solve"), 0)
         for name in calls:
             def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
+        inverses = count_inverses(monkeypatch)
+        s = op.construct(bary, 1.0)
         cli.analysis_doc(s, op.TolerancePolicy())
         # one pair table; one log-determinant for the volume, one inverse for
-        # the edge frame, which every center and facet quantity reads
+        # the edge frame, which the decision and every center and facet
+        # quantity read; no eigensolve
         assert len(builds) == 1 and builds[0] is s
-        assert calls == {"det": 0, "slogdet": 1, "inv": 1, "solve": 0}
+        assert calls == {"det": 0, "slogdet": 1, "solve": 0} and inverses == [(d, d)]
+
+    @pytest.mark.parametrize("kind", ["acute", "obtuse", "gaussian"])
+    @pytest.mark.parametrize("d", [2, 5, 10])
+    def test_one_inverse_from_document_to_analysis(self, monkeypatch, kind, d):
+        """Reading a document and analysing it factors the simplex once:
+        the frame its degeneracy decision reads; no eigensolve or SVD."""
+        if kind == "gaussian":
+            v = np.random.default_rng(d).normal(size=(d + 1, d))
+        else:
+            v = op.construct(op.sample_params(d, kind, d).bary, 1.0).vertices
+        doc, pol = {"dim": d, "vertices": v.tolist()}, op.TolerancePolicy()
+        inverses = count_inverses(monkeypatch)
+        out = cli.analysis_doc(cli.simplex_from_doc(doc, pol), pol)
+        # every triangle is orthocentric
+        assert out["orthocentric"] == (kind != "gaussian" or d == 2) and inverses == [(d, d)]
 
     @pytest.mark.parametrize("kind", ["acute", "obtuse"])
     def test_no_face_enumeration(self, monkeypatch, kind):

@@ -96,6 +96,13 @@ class TestKite:
         for d, t in [(3, 0.8), (4, 1.3), (6, 0.95)]:
             assert op.is_orthocentric(op.kite(op.KiteSpec(d, 1.0, t)))
 
+    def test_large_base_edge_keeps_a_finite_circumradius(self):
+        """R = s eps^2 sqrt(d / (2 core)) is about 5e304 here, where s eps^2
+        alone (1e310) is no float: the small factor is taken first."""
+        big = op.kite_metrics(op.KiteSpec(3, 1e300, 1e305)).circumradius
+        unit = op.kite_metrics(op.KiteSpec(3, 1.0, 1e5)).circumradius
+        assert big == pytest.approx(1e300 * unit, rel=1e-12)
+
     def test_degenerate_kite_rejected(self):
         with pytest.raises(DegenerateKiteError):
             op.KiteSpec(4, 1.0, math.sqrt(3 / 8))  # eps^2 exactly (d-1)/(2d)
@@ -194,6 +201,15 @@ class TestRectangular:
             else:
                 assert not p.rectangular
                 assert np.all(p.bary > 0)  # interior orthocenter
+
+    def test_spec_needs_one_leg_per_dimension(self):
+        with pytest.raises(InputError, match="need 3 legs, got 2"):
+            op.RectSpec(3, (1.0, 2.0))
+
+    @pytest.mark.parametrize("leg", [-1.0, math.inf, 0.0, math.nan])
+    def test_spec_legs_positive_and_finite(self, leg):
+        with pytest.raises(InputError, match="legs must be positive and finite"):
+            op.RectSpec(3, (1.0, leg, 2.0))
 
     def test_metrics_3_4(self):
         m = op.rect_metrics(op.RectSpec(2, (3.0, 4.0)))

@@ -17,7 +17,7 @@ from orthoplex import (
 from orthoplex import centers, cli, numerics
 from orthoplex import orthocentric as oc
 from orthoplex import simplex as sx
-from conftest import random_rotation
+from conftest import count_inverses, random_rotation
 
 
 def gram_form(a, sigma):
@@ -283,24 +283,25 @@ class TestConstruct:
         pol = op.TolerancePolicy(rel=1e-12, rank_cut=1e-3)
         with pytest.raises(DegenerateSimplexError, match="affinely dependent") as info:
             op.construct([1e-4, 0.5, 0.5 - 1e-4], 1.0, pol)
-        assert info.value.eigen_ratio < pol.rank_cut
+        assert info.value.thickness ** 2 <= pol.rank_cut
 
     def test_full_rank_embedding_can_still_be_degenerate(self):
-        """The parameter Gram matrix has full rank 4 here, but the edge-vector
-        Gram matrix of the constructed vertices has eigenvalue ratio 2.3e-11,
-        below rank_cut: from_vertices' eigenvalue test is what rejects it."""
+        """The parameter Gram matrix has full rank 4 here, but the constructed
+        vertices have relative thickness 4.6e-6, below sqrt(rank_cut):
+        from_vertices' thickness test is what rejects it."""
         bary = [
             -0.39402046949341246, -9.077039410674308, -2.0998658645398247e-09,
             -1.112645077196455e-06, 10.471060994912662,
         ]
         with pytest.raises(DegenerateSimplexError, match="affinely dependent") as info:
             op.construct(bary, 1.0)
-        assert info.value.eigen_ratio < op.TolerancePolicy().rank_cut
+        assert info.value.thickness == pytest.approx(4.6e-6, rel=0.01)
 
     @staticmethod
     def _assert_gram_matches_form(a, scale):
+        """On the pose ``construct`` decides, also where it refuses it."""
         sign = 1 if np.count_nonzero(a > 0) == 1 else -1
-        v = op.construct(a, scale).vertices
+        v = oc._pose_rows(a, scale, op.DEFAULT_POLICY)
         want = gram_form(a, sign * scale)
         err = float(np.max(np.abs(v @ v.T - want)))
         assert err <= 10 * a.size * np.finfo(float).eps * float(np.max(np.abs(want))), a
@@ -341,21 +342,18 @@ class TestConstruct:
 
     def test_no_eigensolve_or_qr_in_construct(self, monkeypatch):
         """construct reads the vertices off the LDL^T factors; the one
-        eigensolve on its path is from_vertices' values-only degeneracy test."""
+        factorisation on its path is the frame that from_vertices decides by."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("construct must not call this")
 
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(numerics, "sym_eigen", forbidden)
         monkeypatch.setattr(numerics, "gram_embed", forbidden)
-        monkeypatch.setattr(np.linalg, "eigh", forbidden)
         monkeypatch.setattr(np.linalg, "qr", forbidden)
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(g) or eigvalsh(g))
+        calls = count_inverses(monkeypatch)
         for kind in ("acute", "obtuse"):
             op.construct(op.sample_params(7, kind, 3).bary, 2.0)
-        assert len(calls) == 2
+        assert calls == [(7, 7)] * 2
 
     def test_scale_sets_obtuseness_magnitude(self):
         p = op.params_of(op.construct([0.25, 0.25, 0.25, 0.25], 2.5))
@@ -579,6 +577,20 @@ class TestOrthocentricSystem:
         h = op.monge_point(s) + np.array([0.05, 0.0])
         assert not op.orthocentric_system_check(np.vstack([s.vertices, h]))
 
+    def test_moved_orthocenter_fails_on_its_subsets(self, monkeypatch):
+        """At d = 3 a subset need not be orthocentric: with H moved by 1e-3,
+        only the simplex without it is, and the check returns False from
+        that test, before any Monge point is compared."""
+        s = op.construct([0.2, 0.3, 0.1, 0.4], 1.0)
+        pts = np.vstack([s.vertices, op.monge_point(s) + 1e-3])
+        decided = []
+        real = oc.is_orthocentric
+        monkeypatch.setattr(oc, "is_orthocentric", lambda t, p: decided.append(real(t, p))
+                            or decided[-1])
+        monkeypatch.setattr(centers, "monge_point", None)
+        assert op.orthocentric_system_check(pts) is False
+        assert np.asarray(decided[0]).tolist() == [False] * 4 + [True]
+
     @pytest.mark.parametrize("d", range(2, 7))
     def test_constructed_plus_orthocenter(self, d):
         p = op.sample_params(d, "acute", d)
@@ -592,22 +604,22 @@ class TestOrthocentricSystem:
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_subsets_decided_as_one_stack(self, monkeypatch, d):
-        """The d+2 simplices take one eigensolve, one residual table and one
+        """The d+2 simplices take one inverse, one residual table and one
         Monge table, built on one stack whose row i omits point i."""
         s = op.construct(op.sample_params(d, "obtuse", 1).bary, 1.0)
         pts = np.vstack([s.vertices, op.monge_point(s)])
-        calls = {"eigvalsh": [], "residual": [], "monge": []}
-        for module, name, key in ((np.linalg, "eigvalsh", "eigvalsh"),
-                                  (sx, "edge_perpendicularity_residual", "residual"),
+        calls = {"residual": [], "monge": []}
+        for module, name, key in ((sx, "edge_perpendicularity_residual", "residual"),
                                   (centers, "monge_point", "monge")):
             def counting(a, *args, _real=getattr(module, name), _key=key, **kwargs):
-                calls[_key].append(np.shape(a) if _key == "eigvalsh" else a.vertices.copy())
+                calls[_key].append(a.vertices.copy())
                 return _real(a, *args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
         monkeypatch.setattr(sx, "from_vertices", None)  # no subset is built alone
+        inverses = count_inverses(monkeypatch)
         assert op.orthocentric_system_check(pts)
-        assert calls["eigvalsh"] == [(d + 2, d, d)]
+        assert inverses == [(d + 2, d, d)]
         assert [v.tolist() for v in calls["residual"]] == [[
             np.delete(pts, i, axis=0).tolist() for i in range(d + 2)]]
         assert len(calls["monge"]) == 1 and np.array_equal(calls["monge"][0],

@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -14,11 +14,20 @@ from orthoplex import centers, cli, families, numerics
 from orthoplex import orthocentric as oc
 from orthoplex import simplex as sx
 from orthoplex import verify as vf
-from conftest import random_rotation
+from conftest import count_inverses, random_rotation
 
 
 def right_corner(*legs):
     return op.rectangular(op.RectSpec(len(legs), tuple(float(b) for b in legs)))
+
+
+def hull_thickness(pts):
+    """min h_i / diam of the points ``pts`` (m, d), h_i the distance from
+    point i to the affine hull of the others by a least-squares projection:
+    a reference that shares no code with the frame."""
+    h = [np.linalg.norm(p - sx.project_to_affine_hull(p, np.delete(pts, i, axis=0)))
+         for i, p in enumerate(pts)]
+    return min(h) / np.linalg.norm(pts[:, None] - pts, axis=-1).max()
 
 
 class TestFromVertices:
@@ -27,9 +36,10 @@ class TestFromVertices:
         assert s.dim == 3 and s.n == 4
 
     def test_collinear_degenerate(self):
+        """An exactly singular edge matrix has relative thickness 0."""
         with pytest.raises(DegenerateSimplexError) as err:
             op.from_vertices(2, [[0, 0], [1, 1], [2, 2]])
-        assert err.value.eigen_ratio is not None
+        assert err.value.thickness == 0.0
 
     def test_wrong_cardinality_and_nan(self):
         with pytest.raises(InputError):
@@ -54,26 +64,25 @@ class TestFromVertices:
         with pytest.raises(InputError, match="overflow"):
             op.from_vertices(2, [[0.0, 0.0], [1e200, 0.0], [0.0, 1e200]])
 
-    def test_values_only_eigensolve(self, monkeypatch):
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("from_vertices reads eigenvalues only")
-
-        monkeypatch.setattr(numerics, "sym_eigen", forbidden)
-        monkeypatch.setattr(np.linalg, "eigh", forbidden)
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(g) or eigvalsh(g))
+    def test_one_inverse_and_no_eigensolve(self, monkeypatch):
+        """The decision reads the frame it builds: one inverse, kept for the
+        analysis, and no eigensolve."""
+        calls = count_inverses(monkeypatch)
         s = op.from_vertices(4, np.random.default_rng(8).normal(size=(5, 4)))
-        assert s.dim == 4 and len(calls) == 1
+        assert s.dim == 4 and calls == [(4, 4)]
+        sx.facet_volumes(s), centers.circumcenter(s)
+        assert calls == [(4, 4)]
 
-    def test_eigensolve_failure_is_a_numeric_error(self, monkeypatch):
-        def diverging(g):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", diverging)
-        with pytest.raises(NumericError, match="failed to converge"):
-            op.from_vertices(2, [[0, 0], [1, 0], [0, 1]])
+    @pytest.mark.parametrize("vertices", [
+        [[0, 0], [1, 0], [2, 0]],  # collinear
+        [[0, 0], [1, 0], [1, 0]],  # two equal vertices
+        [[3, 1], [3, 1], [3, 1]],  # all equal
+    ])
+    def test_singular_edge_matrix_is_degenerate(self, vertices):
+        """LAPACK's zero pivot is the degenerate verdict, with no LinAlgError,
+        NumericError or RuntimeWarning (warnings are errors here)."""
+        with pytest.raises(DegenerateSimplexError, match="relative thickness 0.000e"):
+            op.from_vertices(2, vertices)
 
     def test_vertices_read_only(self):
         s = op.from_vertices(2, [[0, 0], [1, 0], [0, 1]])
@@ -167,28 +176,23 @@ class TestFace:
 
     @pytest.mark.parametrize("index_set", [(0, 1), (0, 2, 3), (0, 1, 2, 3), (1, 2, 3, 4, 5)])
     def test_one_eigensolve_per_face(self, monkeypatch, index_set):
-        """The one eigensolve is ``from_vertices``' values-only degeneracy test."""
+        """The name is kept from the eigenvalue rule.  The one factorisation
+        is now the frame's inverse, which ``from_vertices`` decides the face
+        by, and any eigensolve fails the test; a face is embedded by a QR."""
         rng = np.random.default_rng(3)
         s = op.from_vertices(5, rng.normal(size=(6, 5)))
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a face is not embedded by an eigendecomposition")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-        monkeypatch.setattr(np.linalg, "eigh", forbidden)
-        monkeypatch.setattr(numerics, "sym_eigen", forbidden)
+        calls = count_inverses(monkeypatch)
         f = op.face(s, index_set)
-        assert len(calls) == 1
+        assert calls == [(len(index_set) - 1,) * 2]
         assert f.dim == len(index_set) - 1 and not f.vertices.flags.writeable
         want = np.linalg.norm(s.vertices[index_set[0]] - s.vertices[index_set[-1]])
         assert np.linalg.norm(f.vertices[0] - f.vertices[-1]) == pytest.approx(want, rel=1e-12)
 
     def test_thin_faces_pass_from_vertices(self):
         """``from_vertices`` makes the one degeneracy decision: with rank_cut
-        within a factor 10^0.2 of a face's own eigenvalue ratio, every face
-        returned is a valid simplex of its dimension, and both outcomes occur."""
+        within a factor 10^0.2 of a face's own squared relative thickness,
+        every face returned is a valid simplex of its dimension, and both
+        outcomes occur."""
         rng = np.random.default_rng(0)
         returned = rejected = 0
         for _ in range(200):
@@ -196,9 +200,8 @@ class TestFace:
             k = int(rng.integers(2, d + 1))
             s = op.from_vertices(d, rng.normal(size=(d + 1, d)) * 10 ** rng.uniform(-3, 3))
             idx = tuple(rng.permutation(d + 1)[: k + 1].tolist())
-            e = s.vertices[list(idx[:-1])] - s.vertices[idx[-1]]
-            vals = np.linalg.eigvalsh(e @ e.T)
-            cut = min(0.9, vals[0] / vals[-1] * 10 ** rng.uniform(-0.2, 0.2))
+            t = hull_thickness(s.vertices[list(idx)])
+            cut = min(0.9, t * t * 10 ** rng.uniform(-0.2, 0.2))
             pol = op.TolerancePolicy(rank_cut=cut)
             try:
                 f = op.face(s, idx, pol)
@@ -846,28 +849,40 @@ class TestPairAndFacetTables:
 
 
 def one_by_one(d, stack):
-    """(degenerate, eigen ratio or None, vertices or None) of ``from_vertices``
+    """(degenerate, thickness or None, vertices or None) of ``from_vertices``
     on each simplex of ``stack``, called one at a time."""
     out = []
     for verts in stack:
         try:
             s = op.from_vertices(d, verts)
         except DegenerateSimplexError as exc:
-            out.append((True, exc.eigen_ratio, None))
+            out.append((True, exc.thickness, None))
         else:
             out.append((False, None, s.vertices))
     return out
 
 
-def near_cut_block(d, rng, policy):
-    """Simplices whose edge Gram matrix has eigenvalue ratio rank_cut * 10^u,
-    u from -0.2 to 0.2: rounding puts some on each side of the cut."""
-    stack = []
-    for u in np.linspace(-0.2, 0.2, 41):
-        lam = np.geomspace(1.0, policy.rank_cut * 10.0**u, d)
-        edges = random_rotation(d, rng) @ np.diag(np.sqrt(lam)) @ random_rotation(d, rng)
-        stack.append(np.vstack([edges, np.zeros(d)]) + rng.normal(size=d))
-    return np.array(stack)
+def frame_thickness(s):
+    """min h_i / diam of a simplex, read from its frame."""
+    return 1.0 / (sx._frame(s)[3].max() * sx.diameter(s))
+
+
+def squashed(d, seed, factors):
+    """One Gaussian d-simplex under a similarity, both drawn from ``seed``,
+    its last axis squashed by each of ``factors`` before the rotation."""
+    rng = np.random.default_rng(seed)
+    base, q, shift = rng.normal(size=(d + 1, d)), random_rotation(d, rng), rng.normal(size=d)
+    return np.array([(base * np.append(np.ones(d - 1), f)) @ q + shift for f in factors])
+
+
+def near_cut_block(d, seed, policy):
+    """Simplices of relative thickness sqrt(rank_cut) 10^u, u from -0.2 to
+    0.2: squashing one axis by f makes t linear in f to O(f^2), and
+    rounding puts some on each side of the cut."""
+    probe = 1e-3
+    t = frame_thickness(op.from_vertices(d, squashed(d, seed, [probe])[0]))
+    return squashed(d, seed, probe * np.sqrt(policy.rank_cut) / t
+                    * 10.0 ** np.linspace(-0.2, 0.2, 41))
 
 
 class TestDegeneracyBlock:
@@ -875,17 +890,14 @@ class TestDegeneracyBlock:
     ``from_vertices`` does alone."""
 
     def agree(self, d, stack, policy):
-        degenerate, ratio = sx._degeneracy(stack, policy)
         kept = sx._from_vertex_rows(d, stack.copy(), policy, drop_from=0)
         want = one_by_one(d, stack)
-        assert degenerate == [bad for bad, _, _ in want]
-        assert [r for r, (bad, _, _) in zip(ratio, want) if bad] == [r for bad, r, _ in want if bad]
         good = [v for bad, _, v in want if not bad]
         assert kept.dim == d and kept.vertices.shape == (len(good), d + 1, d)
         assert not kept.vertices.flags.writeable and kept.vertices.flags.c_contiguous
         for got, v in zip(kept.vertices, good):
             assert np.array_equal(got, v)
-        return degenerate
+        return [bad for bad, _, _ in want]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     def test_random_input(self, d, policy):
@@ -896,36 +908,57 @@ class TestDegeneracyBlock:
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_ratios_near_the_cut(self, d, policy):
-        degenerate = self.agree(d, near_cut_block(d, np.random.default_rng(10 + d), policy), policy)
+        degenerate = self.agree(d, near_cut_block(d, 10 + d, policy), policy)
         assert any(degenerate) and not all(degenerate)
 
     def test_all_equal_vertices(self, policy):
         stack = np.random.default_rng(1).normal(size=(4, 4, 3))
-        stack[2] = 7.5  # lambda_max = 0
+        stack[2] = 7.5  # every edge is 0
         assert self.agree(3, stack, policy) == [False, False, True, False]
-        assert sx._degeneracy(stack, policy)[1][2] == 0.0
         with pytest.raises(DegenerateSimplexError) as block_err:
             sx._from_vertex_rows(3, stack, policy)
         with pytest.raises(DegenerateSimplexError) as one_err:
             op.from_vertices(3, stack[2])
         assert str(block_err.value) == str(one_err.value)
-        assert block_err.value.eigen_ratio == one_err.value.eigen_ratio == 0.0
+        assert block_err.value.thickness == one_err.value.thickness == 0.0
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_a_degenerate_row_raises_from_one_eigensolve(self, d, policy, monkeypatch):
-        """The stack raises from the ratio it already has, with the message
-        and ratio ``from_vertices`` gives that row alone."""
-        stack = near_cut_block(d, np.random.default_rng(10 + d), policy)
-        degenerate, _ = sx._degeneracy(stack, policy)
+        """The stack raises from the thickness it already has, with the
+        message and thickness ``from_vertices`` gives that row alone.  The
+        name is kept from the eigenvalue rule: the one factorisation is now
+        the frame's inverse, and any eigensolve fails the test."""
+        stack = near_cut_block(d, 10 + d, policy)
+        first = [bad for bad, _, _ in one_by_one(d, stack)].index(True)
         with pytest.raises(DegenerateSimplexError) as one_err:
-            op.from_vertices(d, stack[degenerate.index(True)])
-        calls, eigvalsh = [], np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+            op.from_vertices(d, stack[first])
+        calls = count_inverses(monkeypatch)
         with pytest.raises(DegenerateSimplexError) as block_err:
             sx._from_vertex_rows(d, stack, policy)
-        assert len(calls) == 1
+        assert calls == [stack.shape[:1] + (d, d)]
         assert str(block_err.value) == str(one_err.value)
-        assert block_err.value.eigen_ratio == one_err.value.eigen_ratio
+        assert block_err.value.thickness == one_err.value.thickness
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_exactly_singular_row(self, d, at, policy, monkeypatch):
+        """A zero pivot in the stacked LU inverts the stack row by row: the
+        singular row is dropped past ``drop_from`` and raises before it;
+        the other rows keep their bits, and no LinAlgError, NumericError or
+        RuntimeWarning escapes."""
+        stack = np.random.default_rng(d).normal(size=(5, d + 1, d))
+        stack[at, :, 0] = 0.0  # a zero column in every edge matrix of row ``at``
+        calls = count_inverses(monkeypatch)
+        kept = sx._from_vertex_rows(d, stack, policy, drop_from=at)
+        # the stack, its rows one by one, then the kept stack's own frame
+        assert calls == [(5, d, d)] + [(d, d)] * 5 + [(4, d, d)]
+        assert np.array_equal(kept.vertices, np.delete(stack, at, axis=0))
+        assert np.isfinite(sx._frame(kept)[2]).all()
+        for r, v in enumerate(np.delete(stack, at, axis=0)):
+            assert np.array_equal(sx._frame(kept)[2][r], sx._frame(op.from_vertices(d, v))[2])
+        with pytest.raises(DegenerateSimplexError, match="thickness 0.000e") as err:
+            sx._from_vertex_rows(d, stack, policy, drop_from=at + 1)
+        assert err.value.thickness == 0.0
 
     @pytest.mark.parametrize("bad, message", [
         (np.inf, "must be finite"),
@@ -940,10 +973,9 @@ class TestDegeneracyBlock:
             stack[1, 3, 0] = bad  # inf - inf in an edge
         with pytest.raises(InputError, match=message) as one_err:
             op.from_vertices(3, stack[1])
-        for call in (lambda: sx._degeneracy(stack, policy),
-                     lambda: sx._from_vertex_rows(3, stack, policy, drop_from=0)):
+        for drop_from in (None, 0):
             with pytest.raises(InputError) as block_err:
-                call()
+                sx._from_vertex_rows(3, stack, policy, drop_from)
             assert type(block_err.value) is type(one_err.value)
             assert str(block_err.value) == str(one_err.value)
 
@@ -984,10 +1016,10 @@ class TestPairRowSlices:
 
 
 class TestScaleDomain:
-    """A simplex whose edge Gram eigenvalues leave [1e-280, 1e280] raises
-    InputError naming that range: outside it a squared length, a squared-edge
-    sum or 1/h^2 for an altitude h leaves the normal floats.  Degenerate
-    simplices are judged degenerate first."""
+    """A simplex with a squared edge length or a squared altitude outside
+    [1e-280, 1e280] raises InputError naming that range: outside it a
+    squared length, a squared-edge sum or 1/h^2 for an altitude h leaves
+    the normal floats.  Degenerate simplices are judged degenerate first."""
 
     @pytest.mark.parametrize("scale", [1e-141, 1e-150, 1e-156, 1e141, 1e150, 1e153])
     def test_out_of_range_scale_raises(self, scale, policy):
@@ -996,29 +1028,34 @@ class TestScaleDomain:
         with pytest.raises(InputError, match=r"scale out of range: .* must lie within "
                                              r"\[1e-280, 1e\+280\]") as one_err:
             op.from_vertices(3, stack[2])
-        for call in (lambda: sx._degeneracy(stack, policy),
-                     lambda: sx._from_vertex_rows(3, stack, policy, drop_from=0)):
+        for drop_from in (None, 0):
             with pytest.raises(InputError) as block_err:
-                call()
+                sx._from_vertex_rows(3, stack, policy, drop_from)
             assert type(block_err.value) is type(one_err.value)
             assert str(block_err.value) == str(one_err.value)
 
     @pytest.mark.parametrize("scale", [1e-138, 1e-100, 1e100, 1e138])
-    def test_in_range_scale_builds(self, scale, policy):
+    def test_in_range_scale_builds(self, scale):
         v = np.random.default_rng(3).normal(size=(4, 3))
-        s = op.from_vertices(3, v * scale)
-        (bad,), (ratio,) = sx._degeneracy(s.vertices, policy)
-        assert not bad and ratio == pytest.approx(sx._degeneracy(v, policy)[1][0], rel=1e-12)
+        s, unit = op.from_vertices(3, v * scale), op.from_vertices(3, v)
+        assert frame_thickness(s) == pytest.approx(frame_thickness(unit), rel=1e-12)
 
     def test_degenerate_rows_are_judged_degenerate(self, policy):
         stack = np.random.default_rng(4).normal(size=(3, 4, 3))
-        stack[1] = 1e-200  # lambda_max = 0: degenerate, not out of range
-        stack[2, 1] = stack[2, 0] * (1 + 1e-300)  # lambda_min ~ 0
-        assert sx._degeneracy(stack, policy)[0] == [False, True, True]
+        stack[1] = 1e-200  # every edge is 0: degenerate, not out of range
+        stack[2, 1] = stack[2, 0] * (1 + 1e-300)  # two equal vertices
         kept = sx._from_vertex_rows(3, stack, policy, drop_from=0)
         assert np.array_equal(kept.vertices, stack[:1])
-        with pytest.raises(DegenerateSimplexError):
-            sx._from_vertex_rows(3, stack, policy)
+        for rows in (stack, stack[1:2], stack[2:]):
+            with pytest.raises(DegenerateSimplexError):
+                sx._from_vertex_rows(3, rows, policy)
+
+    def test_degenerate_at_a_scale_out_of_range(self, policy):
+        """A thin simplex scaled out of the domain is still degenerate."""
+        thin = squashed(3, 5, [1e-7])[0]
+        for scale in (1e-150, 1e150):
+            with pytest.raises(DegenerateSimplexError):
+                op.from_vertices(3, thin * scale)
 
 
 class TestFacePoseBlock:
@@ -1058,3 +1095,100 @@ class TestFacePoseBlock:
             assert got.vertices.strides == want.vertices.strides
             assert np.array_equal(centers.monge_point(got), centers.monge_point(want))
             assert np.array_equal(centers.monge_point(stack)[r], centers.monge_point(want))
+
+
+# a 3-simplex of relative thickness 9.87e-6, just below the cut 1e-5 that
+# rank_cut 1e-10 sets: the edge Gram eigenvalue ratio accepted it in 6 of
+# its 24 vertex orders
+THIN_3 = [[-2.582017527046, 3.44214504992, -6.210986e-06],
+          [-0.053902025472, 0.511536419918, -2.0803255e-05],
+          [-0.228535367478, 0.425148735332, 1.3960012e-05],
+          [-1.159296726932, 0.83334259667, -2.9185611e-05]]
+
+
+def wide_obtuse_pose(d):
+    """The seed-31 wide obtuse tuple of dimension d (see
+    ``test_gram_matches_form_on_wide_obtuse_tuples``), posed: t is 2.3e-5 at
+    d = 16, 1.28e-5 at d = 31 and 6.7e-6 at d = 64."""
+    rng = np.random.default_rng(31)
+    for k in (3, 6, 9, 16, 31, 64):
+        a = np.append(-rng.uniform(100.0, 1000.0, size=k), 0.0)
+        a[0] = -0.05
+        a[-1] = 1.0 - a.sum()
+        if k == d:
+            return oc._pose_rows(a, 1.0, op.DEFAULT_POLICY)
+
+
+def similar(v, seed):
+    """``v`` under a seeded rotation, scale and translation."""
+    rng = np.random.default_rng(seed)
+    d = v.shape[1]
+    return v @ random_rotation(d, rng) * rng.uniform(0.01, 100.0) + rng.normal(size=d)
+
+
+class TestFrameRule:
+    """The degeneracy rule reads the frame's altitudes: one inverse per
+    decided stack and no eigensolve in any build, and the same verdict in
+    every vertex order and under similarity."""
+
+    @staticmethod
+    def verdicts(d, rows):
+        """The verdict on each of ``rows``, alone and as one stack."""
+        alone = [bad for bad, _, _ in one_by_one(d, rows)]
+        kept = sx._from_vertex_rows(d, np.array(rows), op.DEFAULT_POLICY, drop_from=0)
+        assert len(kept.vertices) == alone.count(False)
+        return alone
+
+    def test_thin_simplex_in_every_vertex_order(self):
+        v = np.array(THIN_3)
+        rows = [v[list(p)] for p in permutations(range(4))]
+        rows += [similar(r, seed) for seed, r in enumerate(rows)]
+        assert self.verdicts(3, rows) == [True] * 48
+
+    @pytest.mark.parametrize("d, refused", [(16, False), (31, False), (64, True)])
+    def test_wide_tuples_in_any_order(self, d, refused):
+        v = wide_obtuse_pose(d)
+        rng = np.random.default_rng(d)
+        rows = [v, v[::-1]] + [v[rng.permutation(d + 1)] for _ in range(10)]
+        rows += [similar(r, seed) for seed, r in enumerate(rows)]
+        assert self.verdicts(d, rows) == [refused] * 24
+
+    def test_gaussian_stack_in_any_order(self):
+        """40 Gaussian 6-simplices, 8 of them squashed to about the cut."""
+        rng = np.random.default_rng(12)
+        stack = rng.normal(size=(40, 7, 6))
+        stack[::5, :, -1] *= 10.0 ** rng.uniform(-6.5, -4.5, size=(8, 1))
+        want = self.verdicts(6, stack)
+        assert any(want) and not all(want)
+        for seed in range(5):
+            order = np.random.default_rng(seed).permutation(7)
+            assert self.verdicts(6, stack[:, order]) == want
+            assert self.verdicts(6, [similar(v, seed) for v in stack]) == want
+
+    @pytest.mark.parametrize("d", [400, 700, 1000])
+    def test_thick_gaussian_simplices_accepted_at_large_d(self, d):
+        """The eigenvalue ratio falls like cond(E)^2 and would refuse about
+        half of these near d = 1000; their t is about 3e-3."""
+        s = op.from_vertices(d, np.random.default_rng(d).normal(size=(d + 1, d)))
+        assert frame_thickness(s) > 1e-3
+
+    @pytest.mark.parametrize("name", ["from_vertices", "construct", "face", "regular", "kite",
+                                      "rectangular", "equiradial_general",
+                                      "lift_to_rectangular", "orthocentric_system_check"])
+    def test_one_inverse_per_build(self, monkeypatch, name):
+        s = op.construct(op.sample_params(5, "acute", 2).bary, 1.0)
+        pts = np.vstack([s.vertices, op.monge_point(s)])
+        build, shape = {
+            "from_vertices": (lambda: op.from_vertices(5, s.vertices), (5, 5)),
+            "construct": (lambda: op.construct(op.sample_params(5, "obtuse", 1).bary), (5, 5)),
+            "face": (lambda: op.face(s, (0, 2, 3, 5)), (3, 3)),
+            "regular": (lambda: op.regular(6, 1.5), (6, 6)),
+            "kite": (lambda: op.kite(op.equiradial_kite(6)), (6, 6)),
+            "rectangular": (lambda: op.rectangular(op.RectSpec(4, (1.0, 2.0, 0.5, 3.0))), (4, 4)),
+            "equiradial_general": (lambda: op.equiradial_general(9, 2, 1), (9, 9)),
+            "lift_to_rectangular": (lambda: op.lift_to_rectangular(s), (6, 6)),
+            "orthocentric_system_check": (lambda: op.orthocentric_system_check(pts), (7, 5, 5)),
+        }[name]
+        calls = count_inverses(monkeypatch)
+        build()
+        assert calls == [shape]

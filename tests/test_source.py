@@ -77,3 +77,21 @@ def test_verify_builds_no_simplex_outside_its_blocks():
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert called & builders == set()
     assert "_from_vertex_rows" in called
+
+
+def test_eigensolves_only_in_sym_eigen():
+    """No build or analysis path takes an eigensolve or an SVD: a call of
+    ``eig``, ``eigh``, ``eigvals``, ``eigvalsh`` or ``svd`` appears in the
+    package only in ``numerics.sym_eigen``, the public kernel."""
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                name = getattr(getattr(node, "func", None), "attr",
+                               getattr(getattr(node, "func", None), "id", None))
+                if isinstance(node, ast.Call) and (name or "").startswith(("eig", "svd")):
+                    found.append((path.name, fn.name, name))
+    assert found == [("numerics.py", "sym_eigen", "eigh")]

@@ -14,6 +14,7 @@ from orthoplex import DEFAULT_POLICY, TolerancePolicy, centers, cli, families
 from orthoplex import orthocentric as oc
 from orthoplex import simplex as sx
 from orthoplex import verify as vf
+from conftest import count_inverses
 
 
 SMALL = dict(samples=10, seed=42, d_min=2, d_max=4)
@@ -322,20 +323,21 @@ class TestRecorder:
     def test_rect_sample_builds_one_simplex(self, monkeypatch, d):
         """The rectangular stack of dimension m holds block m's simplices,
         then block m+1's hypotenuse facets and rejection simplex, from one
-        stacked QR and one stacked degeneracy test, with no
+        stacked QR and one stacked inverse, the frame the stack is decided
+        by, with no eigensolve and no
         ``from_vertices``, ``face`` or ``params_of`` call.  The checks and
         the lifts read those stacks and build nothing: the closed forms come
         from the legs arrays with no ``RectSpec`` or ``rect_metrics`` call,
         and each lift reads the legs of a whole stack without building the
         lifted simplices."""
         config = SuiteConfig(suites=("rect",), samples=8, seed=d, d_min=d, d_max=d + 1)
-        shapes = {"qr": [], "eigvalsh": []}
-        for name, seen in shapes.items():
-            def recording(a, *args, _real=getattr(np.linalg, name), _seen=seen, **kwargs):
-                _seen.append(np.shape(a))
-                return _real(a, *args, **kwargs)
+        shapes = {"qr": [], "inv": count_inverses(monkeypatch)}
 
-            monkeypatch.setattr(np.linalg, name, recording)
+        def recording(a, *args, _real=np.linalg.qr, **kwargs):
+            shapes["qr"].append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
         lifts, real_lift = [], families._lift_rows
 
         def lift_rows(t, policy):
@@ -355,8 +357,8 @@ class TestRecorder:
         assert result.passed and result.samples == 4 + 4 + (d >= 3) + 1
         low = [d - 1] if d >= 3 else []  # block d's facets, alone in the stack below it
         assert shapes["qr"] == [(4, m + 1, m) for m in low + [d]]
-        assert shapes["eigvalsh"] == [(4 + 1, m, m) for m in low] + [(4 + 4 + 1, d, d),
-                                                                     (4, d + 1, d + 1)]
+        assert shapes["inv"] == [(4 + 1, m, m) for m in low] + [(4 + 4 + 1, d, d),
+                                                                (4, d + 1, d + 1)]
         assert [m for m, _, _ in lifts] == low + [d]
         for m, legs, stuck in lifts:
             first = 0 if m < d else 4  # the facets follow the stack's own simplices
@@ -719,23 +721,27 @@ class TestStreamOrder:
 
     @pytest.mark.parametrize("j", [0, 3, 7, 9])
     def test_degenerate_draw_is_replaced_in_stream_order(self, j):
+        """Two vertices of draw j coincide or lie ``gap`` apart, an edge
+        matrix with a zero pivot or a thin simplex, and so do two of the
+        first draw that replaces it."""
         d, k = 3, 10
-        stream = np.random.default_rng(j).normal(size=(k + 3) * (d + 1) * d)
-        draws = stream.reshape(-1, d + 1, d)
-        draws[j, 1] = draws[j, 0]  # draw j is degenerate
-        draws[k, 3] = draws[k, 2]  # and so is the first draw that replaces it
+        for gap in (0.0, 1e-9):
+            stream = np.random.default_rng(j).normal(size=(k + 3) * (d + 1) * d)
+            draws = stream.reshape(-1, d + 1, d)
+            draws[j, 1] = draws[j, 0] + gap  # draw j is degenerate
+            draws[k, 3] = draws[k, 2] + gap  # and so is the first draw that replaces it
 
-        reference, rng = [], StreamRng(stream)
-        while len(reference) < k:  # the loop the block replaced
-            try:
-                reference.append(op.from_vertices(d, rng.normal(0.0, 1.0, size=(d + 1, d))))
-            except op.DegenerateSimplexError:
-                continue
-        block_rng = StreamRng(stream)
-        block = vf._random_simplices(d, k, block_rng, DEFAULT_POLICY)
-        assert block_rng.used == rng.used == (k + 2) * (d + 1) * d
-        assert block.dim == d
-        assert block.vertices.tolist() == [s.vertices.tolist() for s in reference]
+            reference, rng = [], StreamRng(stream)
+            while len(reference) < k:  # the loop the block replaced
+                try:
+                    reference.append(op.from_vertices(d, rng.normal(0.0, 1.0, size=(d + 1, d))))
+                except op.DegenerateSimplexError:
+                    continue
+            block_rng = StreamRng(stream)
+            block = vf._random_simplices(d, k, block_rng, DEFAULT_POLICY)
+            assert block_rng.used == rng.used == (k + 2) * (d + 1) * d
+            assert block.dim == d
+            assert block.vertices.tolist() == [s.vertices.tolist() for s in reference]
 
     @pytest.mark.parametrize("j", [0, 2, 3])
     def test_near_regular_attempt_is_replaced_in_attempt_order(self, monkeypatch, j):
@@ -788,22 +794,16 @@ class TestStreamOrder:
 
 
 class TestBlockCounts:
-    """Each (suite, d) block is built with one stacked eigensolve and draws
-    from one generator: counts, not timings.  Verify makes no other
-    eigensolve, at any d: the family fixtures are rows of their blocks.  It
-    calls neither ``from_vertices``, ``face``, ``params_of`` nor
-    ``sample_params``."""
+    """Each (suite, d) block is built with one stacked inverse, the frame it
+    is decided by, and draws from one generator: counts, not timings.
+    Verify makes no other inverse and no eigensolve, at any d: the family
+    fixtures are rows of their blocks.  It calls neither ``from_vertices``,
+    ``face``, ``params_of`` nor ``sample_params``."""
 
     def counted(self, monkeypatch, suite, samples):
-        calls = {"stacked": 0, "single": 0, "from_vertices": 0, "face": 0, "params_of": 0,
-                 "sub_seed": 0, "sample_params": 0}
-        real_eig = np.linalg.eigvalsh
-
-        def eigvalsh(a, *args, **kwargs):
-            calls["stacked" if np.ndim(a) == 3 else "single"] += 1
-            return real_eig(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        calls = {"from_vertices": 0, "face": 0, "params_of": 0, "sub_seed": 0,
+                 "sample_params": 0}
+        inverses = count_inverses(monkeypatch)
         for module, name, key in ((sx, "from_vertices", "from_vertices"), (sx, "face", "face"),
                                   (oc, "params_of", "params_of"),
                                   (vf, "_sub_seed", "sub_seed"),
@@ -818,7 +818,8 @@ class TestBlockCounts:
                                         d_min=2, d_max=10)).suites[0]
         assert result.passed
         monkeypatch.undo()
-        return calls
+        return {**calls, "stacked": sum(len(shape) == 3 for shape in inverses),
+                "single": sum(len(shape) == 2 for shape in inverses)}
 
     def test_one_flat_settle_per_suite(self, monkeypatch):
         """All suites at d 2..5 queue many checks per (suite, d) block and
@@ -866,8 +867,9 @@ class TestBlockCounts:
     ])
     def test_one_eigensolve_per_block(self, monkeypatch, suite, blocks):
         """At d 2..10, the kite (d >= 4) and equiradial (d = 9, 10) fixtures
-        included: one stacked eigensolve and one generator per block, and
-        nothing else."""
+        included: one stacked inverse and one generator per block, and
+        nothing else.  The name is kept from the eigenvalue rule: the count
+        is now of the frame's inverse, and any eigensolve fails the test."""
         few = self.counted(monkeypatch, suite, 12)
         many = self.counted(monkeypatch, suite, 40)
         assert few == many  # nothing is built per sample

@@ -9,6 +9,7 @@ coincides with the orthocenter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -129,33 +130,20 @@ def euler_line(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> Euler
     """Collinearity data for (circumcenter, centroid, orthocenter).
 
     ratio = |C - G| / |G - H|; the residual is the distance of G from the
-    line through C and H.  For a (near-)regular simplex the three points
-    coincide and the ratio degenerates.
+    line through C and H.  Where |H - C| is at most rel times the diameter
+    the three points coincide and the ratio degenerates.
     """
     if orthocenter(s, policy) is None:
         raise NotOrthocentricError("Euler line requires an orthocentric simplex")
-    apart, residual, ratio = _euler_terms(s, policy)
-    if not apart:
-        return EulerLineData(ratio=None, collinearity_residual=0.0, coincident=True)
-    return EulerLineData(ratio=float(ratio), collinearity_residual=float(residual),
-                         coincident=False)
-
-
-def _euler_terms(s: sx.Simplex, policy: TolerancePolicy):
-    """(apart, residual, ratio) of :func:`euler_line` on one simplex or each
-    of a stack, with H the Monge point: apart is False where |H - C| is at
-    most rel times the diameter (the line degenerates); residual and ratio
-    are nan where H = C."""
     g, c, h = centroid(s), circumcenter(s)[0], monge_point(s)
-    ch = h - c
-    length = np.sqrt(sx._sq_norms(ch))
-    offset = g - c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = ch / length[..., None]
-        along = np.matmul(offset[..., None, :], u[..., :, None])[..., 0]  # offset . u, as a dot
-        residual = np.sqrt(sx._sq_norms(offset - along * u))
-        ratio = np.sqrt(sx._sq_norms(c - g)) / np.sqrt(sx._sq_norms(g - h))
-    return ~(length <= policy.rel * sx.diameter(s)), residual, ratio
+    ch, offset = h - c, g - c
+    length = math.sqrt(ch.dot(ch))
+    if length <= policy.rel * sx.diameter(s):
+        return EulerLineData(ratio=None, collinearity_residual=0.0, coincident=True)
+    u = ch / length
+    rest = offset - offset.dot(u) * u
+    return EulerLineData(ratio=math.sqrt(offset.dot(offset)) / math.sqrt((g - h).dot(g - h)),
+                         collinearity_residual=math.sqrt(rest.dot(rest)), coincident=False)
 
 
 @sx._per_simplex

@@ -1,10 +1,11 @@
-"""The fault table: each row injects one small fault into a geometry function
-by monkeypatching and names the suites, with the check labels, that catch
-it in ``run_all`` at seed 42, d 2..10.
+"""The fault table: each row injects one small fault into a geometry function,
+or spoils a fixture, by monkeypatching and names the suites, with the check
+labels, that catch it in ``run_all`` at seed 42, d 2..10.
 
 A fault moves a point by 1e-6 of the diameter (along the first axis) or
 scales a value by 1 + 1e-6, on the non-regular simplices only (edge
 lengths spreading by more than 1e-6) unless the row says "all input".  A
+spoilt fixture raises inside its block, which fails "block completes".  A
 fault that no suite catches yet is marked ``xfail(strict=True)`` with the
 ROADMAP item that is to catch it; the change that does must drop the mark.
 """
@@ -14,8 +15,9 @@ import json
 import numpy as np
 import pytest
 
-from orthoplex import DEFAULT_POLICY, SuiteConfig, centers, cli, run_all
+from orthoplex import DEFAULT_POLICY, SuiteConfig, centers, cli, families, run_all
 from orthoplex import simplex as sx
+from orthoplex import verify as vf
 
 EPS = 1e-6
 CONFIG = SuiteConfig(seed=42, d_max=10)
@@ -52,7 +54,28 @@ def first_level_grown(spheres):
     return centers_, radii, residuals
 
 
-# fault: (module, function, the faulty function of (real function, simplex))
+def first_level_moved(spheres, s):
+    """The mid-face spheres with the centre of level k = 0 moved, all input."""
+    centers_, radii, residuals = spheres
+    centers_ = centers_.copy()
+    centers_[..., 0, 0] += EPS * np.asarray(sx.diameter(s))
+    return centers_, radii, residuals
+
+
+def flattened(vertices):
+    """The vertex rows with their last coordinate dropped to 0: no volume."""
+    vertices = vertices.copy()
+    vertices[..., -1] = 0.0
+    return vertices
+
+
+def with_gaussian(fixtures, d):
+    """The fixtures and a Gaussian d-simplex, which for d >= 3 is not
+    orthocentric."""
+    return fixtures + [np.random.default_rng(d).normal(size=(d + 1, d))]
+
+
+# fault: (module, function, the faulty function of (real function, its arguments))
 FAULTS = {
     "incenter point": (centers, "incenter", lambda f, s: (moved(f(s)[0], s), f(s)[1])),
     "inradius": (centers, "incenter", lambda f, s: (f(s)[0], grown(f(s)[1], s))),
@@ -60,9 +83,14 @@ FAULTS = {
     "volume, all input": (sx, "volume", lambda f, s: f(s) * (1.0 + EPS)),
     "mid-face sphere radius k=0, all input":
         (centers, "_mid_face_spheres", lambda f, s: first_level_grown(f(s))),
+    "mid-face sphere centre k=0 moved, all input":
+        (centers, "_mid_face_spheres", lambda f, s: first_level_moved(f(s), s)),
     "circumcenter point": (centers, "circumcenter", lambda f, s: (moved(f(s)[0], s), f(s)[1])),
     "monge point": (centers, "monge_point", lambda f, s: moved(f(s), s)),
     "centroid": (centers, "centroid", lambda f, s: moved(f(s), s)),
+    "flattened kite fixture": (families, "_kite_pose", lambda f, spec: flattened(f(spec))),
+    "non-orthocentric euler fixture":
+        (vf, "_family_fixtures", lambda f, d, rng: with_gaussian(f(d, rng), d)),
     "facet 0 circumradius": (sx, "facet_circumradii", lambda f, s: first_grown(f(s), s)),
     "facet 0 squared-edge sum": (sx, "facet_sq_edge_sums", lambda f, s: first_grown(f(s), s)),
 }
@@ -79,11 +107,18 @@ CAUGHT = [
     ("volume, all input", {"rectangular": "legs volume"}),
     ("mid-face sphere radius k=0, all input",
      {"euler_feuerbach": "feuerbach k=0 equidistance"}),
+    ("mid-face sphere centre k=0 moved, all input",
+     {"euler_feuerbach": "feuerbach k=0 equidistance"}),
     ("circumcenter point", {"center_equivalences": "circumcenter equidistance contract",
                             "euler_feuerbach": "feuerbach k=0 equidistance",
                             "rectangular": "circumcenter midpoint form"}),
-    ("monge point", {"euler_feuerbach": "euler collinearity", "rectangular": "lift round trip"}),
-    ("centroid", {"euler_feuerbach": "vertex sum identity", "rectangular": "lift round trip"}),
+    ("monge point", {"euler_feuerbach": "feuerbach k=0 equidistance",
+                     "rectangular": "lift round trip"}),
+    ("centroid", {"euler_feuerbach": "feuerbach k=1 equidistance",
+                  "rectangular": "lift round trip"}),
+    ("flattened kite fixture", {"center_equivalences": "block completes",
+                                "euler_feuerbach": "block completes"}),
+    ("non-orthocentric euler fixture", {"euler_feuerbach": "block completes"}),
 ]
 
 UNCAUGHT = [
@@ -97,7 +132,7 @@ UNCAUGHT = [
 def inject(monkeypatch, fault):
     module, name, faulty = FAULTS[fault]
     real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda s: faulty(real, s))
+    monkeypatch.setattr(module, name, lambda *args: faulty(real, *args))
 
 
 def test_table_holds_every_fault():
@@ -128,13 +163,16 @@ def test_no_fault_makes_run_all_raise(monkeypatch, fault):
 
 @pytest.mark.parametrize("fault, check", [
     ("circumcenter point", "feuerbach k=0 equidistance"),
-    ("monge point", "euler collinearity"),
-    ("centroid", "vertex sum identity"),
+    ("monge point", "feuerbach k=0 equidistance"),
+    ("centroid", "feuerbach k=1 equidistance"),
+    ("flattened kite fixture", "block completes"),
+    ("non-orthocentric euler fixture", "block completes"),
 ])
 def test_center_fault_is_a_failed_euler_report(monkeypatch, capsys, fault, check):
     """The Euler suite once checked the orthocenter barycentrics it reads as
-    if they were input, so these faults exited 1 with an error line; now the
-    command prints one report that fails, and exits 2."""
+    if they were input, and a spoilt fixture raised out of its block, so
+    these faults exited 1 with an error line; now the command prints one
+    report that fails, and exits 2."""
     inject(monkeypatch, fault)
     code = cli.main(["verify", "--suite", "euler", "--dim-max", "10", "--json"])
     out, err = capsys.readouterr()

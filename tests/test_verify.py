@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import orthoplex as op
-from orthoplex import InputError, NumericError, SuiteConfig, run_all
+from orthoplex import InputError, SuiteConfig, run_all
 from orthoplex import DEFAULT_POLICY, TolerancePolicy, centers, cli, families
 from orthoplex import orthocentric as oc
 from orthoplex import simplex as sx
@@ -366,12 +366,44 @@ class TestRecorder:
             assert np.allclose(legs[first:first + 4], up, rtol=1e-12)
             assert len(stuck) == first + 4 + 1 and stuck[-1]
 
-    def test_non_orthocentric_euler_fixture_is_a_numeric_error(self):
+    def test_non_orthocentric_euler_fixture_fails_its_block(self):
+        """A fixture that is not orthocentric raises before the block queues
+        any check, and the guard records the raise as the block's failure."""
         rng = np.random.default_rng(6)
         s = op.from_vertices(4, rng.normal(size=(5, 4)))
-        with pytest.raises(NumericError, match="not orthocentric"):
-            vf._check_euler_feuerbach(vf._Recorder("euler_feuerbach"), sx._stack([s]),
-                                      DEFAULT_POLICY)
+        rec = vf._Recorder("euler_feuerbach")
+        with rec.guard("block completes", d=4):
+            vf._check_euler_feuerbach(rec, sx._stack([s]), DEFAULT_POLICY)
+        result = rec.result()
+        assert not result.passed and result.max_residual == 2.0
+        ce = result.counterexample
+        assert (ce["check"], ce["residual"], ce["allowed"]) == ("block completes", 1.0, 0.5)
+        assert ce["residuals"]["d"] == 4
+        assert ce["residuals"]["error"].startswith(
+            "NotOrthocentricError: edge perpendicularity residual")
+
+    @pytest.mark.parametrize("suite", vf.SUITE_NAMES)
+    def test_a_raise_fails_its_block_and_the_suite_goes_on(self, monkeypatch, suite):
+        """An error raised while one block is built fails that block with the
+        error named, and the later blocks still run; the failed block's
+        samples are not counted."""
+        config = SuiteConfig(suites=(suite,), samples=16, seed=3, d_min=2, d_max=5)
+        clean = run_all(config).suites[0]
+        real, built = sx._from_vertex_rows, []
+
+        def rows(dim, vertices, policy, drop_from=None):
+            built.append(dim)
+            if dim == 3:
+                raise op.DegenerateSimplexError("injected")
+            return real(dim, vertices, policy, drop_from)
+
+        monkeypatch.setattr(sx, "_from_vertex_rows", rows)
+        result = run_all(config).suites[0]
+        assert built[-1] == 5 and not result.passed and result.max_residual == 2.0
+        assert 0 < result.samples < clean.samples
+        assert result.counterexample == {
+            "check": "block completes", "residual": 1.0, "allowed": 0.5,
+            "residuals": {"d": 3, "error": "DegenerateSimplexError: injected"}}
 
 
 class TestBlockFill:
@@ -682,6 +714,67 @@ class TestReciprocalLambdaSum:
         rec = vf._Recorder("euler_feuerbach")
         vf._check_euler_feuerbach(rec, sx._stack([s]), DEFAULT_POLICY)
         assert rec.result().counterexample["check"] == "reciprocal lambda sum"
+
+
+class TestCheckSet:
+    """The checks each suite queues in a default run at d 2..10, pinned so
+    that adding or dropping a check shows in this test's diff.  The guard
+    labels ("block completes", "admissible equiradial fixture builds") are
+    queued only on a failure, so a passing run holds none of them."""
+
+    PAIRS = ("centroid-circumcenter", "centroid-incenter", "centroid-monge",
+             "circumcenter-incenter", "circumcenter-monge", "incenter-monge")
+    SUITE_CHECKS = {
+        "center_equivalences": {
+            "circumcenter equidistance contract",
+            "incenter facet-distance contract",
+            "incenter=centroid => equiareal",
+            "equiareal => incenter=centroid",
+            "centroid=circumcenter => well-distributed edges",
+            "well-distributed edges => centroid=circumcenter",
+            "circumcenter=incenter => equiradial",
+            "circumcenter=incenter => interior",
+            "equiradial and interior => circumcenter=incenter",
+        },
+        "regularity": {
+            *(f"separated: {pair}" for pair in PAIRS),
+            "near-regular separation bounded by perturbation",
+            "separations shrink with the perturbation",
+        },
+        "euler_feuerbach": {
+            *(f"feuerbach k={k} equidistance" for k in range(10)),
+            "feuerbach k=0 radius is circumradius",
+            "altitude feet on facet-centroid sphere",
+            "reciprocal lambda sum",
+            "lambda pairwise distances",
+        },
+        "rectangular": {
+            "legs volume",
+            "hypotenuse facet volume",
+            "corner altitude",
+            "leg inradius",
+            "incenter equals (r, ..., r)",
+            "leg circumradius",
+            "circumcenter midpoint form",
+            "hypotenuse orthocenter",
+            *(f"rect separated: {pair}" for pair in PAIRS),
+            "rect circumcenter barycentrics (1/2, ..., 1/2, (2-d)/2)",
+            "lift round trip",
+            "lift must reject non-negative obtuseness",
+        },
+    }
+
+    def test_each_suite_queues_the_pinned_checks(self, monkeypatch):
+        queued = {}
+        real = vf._Recorder.check
+
+        def check(rec, label, *args, **kwargs):
+            queued.setdefault(rec.name, set()).add(label)
+            return real(rec, label, *args, **kwargs)
+
+        monkeypatch.setattr(vf._Recorder, "check", check)
+        assert run_all(SuiteConfig(seed=42, d_max=10)).passed
+        assert queued == self.SUITE_CHECKS
 
 
 GOLDEN = Path(__file__).parent / "data" / "verify_golden.json"

@@ -63,7 +63,12 @@ def simplex_from_doc(doc: dict, policy: TolerancePolicy) -> sx.Simplex:
     dim = doc["dim"]
     if not isinstance(dim, int) or dim < 2:
         raise OrthoplexError(f"'dim' must be an integer >= 2, got {dim!r}")
-    return sx.from_vertices(dim, doc["vertices"], policy)
+    vertices = doc["vertices"]
+    rows = [row for row in vertices if type(row) is list] if type(vertices) is list else []
+    if not {type(x) for row in rows for x in row} <= {int, float}:  # a bool is not a JSON number
+        bad = next(x for row in rows for x in row if type(x) not in (int, float))
+        raise InputError(f"coordinate {bad!r} is not a JSON number")
+    return sx.from_vertices(dim, vertices, policy)
 
 
 def analysis_doc(s: sx.Simplex, policy: TolerancePolicy) -> dict:

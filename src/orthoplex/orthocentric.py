@@ -295,6 +295,7 @@ def edge_and_altitude_data(
 
     and cross-check each against direct coordinate computation.
     """
+    _check_dims(p, s)
     if p.rectangular:
         raise RectangularParamsError(
             "edge/altitude formulas are undefined for rectangular parameters"
@@ -330,6 +331,12 @@ def edge_and_altitude_data(
     )
 
 
+def _check_dims(p: OrthoParams, s: sx.Simplex):
+    """Raise InputError unless ``p`` and ``s`` have one dimension."""
+    if p.dim != s.dim:
+        raise InputError(f"parameters of dimension {p.dim} with a simplex of dimension {s.dim}")
+
+
 def restrict_to_face(p: OrthoParams, index_set) -> OrthoParams:
     """Shape parameters of the face on the given vertex indices:
     a'_j = a_j / s and sigma' = sigma / s with s the selected coordinate sum."""
@@ -355,6 +362,7 @@ def circum_data(p: OrthoParams, s: sx.Simplex) -> CircumData:
 
     The circumcenter is interior exactly when all a_i lie in (0, 1/(d-1)).
     """
+    _check_dims(p, s)
     if p.rectangular:
         raise RectangularParamsError("parameter circumdata is undefined for rectangular input")
     h = centers.monge_point(s)
@@ -388,8 +396,8 @@ def orthocentric_system_check(points, policy: TolerancePolicy = DEFAULT_POLICY) 
     simplices are decided as one stack, row i omitting point i, so a
     degenerate one raises DegenerateSimplexError whatever the others hold."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] != pts.shape[1] + 2:
-        raise InputError(f"need d+2 points in d-space, got shape {pts.shape}")
+    if pts.ndim != 2 or pts.shape[0] != pts.shape[1] + 2 or pts.shape[1] < 2:
+        raise InputError(f"need d+2 points in d-space, d >= 2, got shape {pts.shape}")
     d = pts.shape[1]
     diam = float(np.sqrt(sx._pair_rows(pts).max()))
     s = sx._from_vertex_rows(d, pts[sx._facet_table(d + 2)], policy)

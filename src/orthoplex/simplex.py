@@ -87,7 +87,7 @@ def from_vertices(dim, vertices, policy: TolerancePolicy = DEFAULT_POLICY) -> Si
         raise InputError(f"dimension must be an integer >= 1, got {dim!r}")
     try:
         arr = np.array(vertices, dtype=float, order="C")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # a huge integer overflows
         raise InputError(f"vertices are not a numeric array: {exc}") from exc
     if arr.ndim != 2 or arr.shape != (dim + 1, dim):
         raise InputError(
@@ -250,13 +250,6 @@ def _pair_index(n: int):
     (``combinations`` order); built once per n and shared."""
     r = np.arange(n)
     return _read_only(np.nonzero(r[:, None] < r))
-
-
-def _squares(x: np.ndarray) -> np.ndarray:
-    """x ** 2 by Python's float power of each entry of an array (whose last
-    bit can differ from numpy's x * x): a stack's entries are the bits of
-    each simplex's own ``x ** 2``."""
-    return np.array([v**2 for v in x.tolist()])
 
 
 def _sq_norms(v: np.ndarray):

@@ -159,12 +159,11 @@ class _Recorder:
     ``simplex._SLICE_VALUES`` residual values, the one slice budget.  A
     settle brings each check's allowance and premise to its residual's shape
     once and evaluates the whole queue in one flat pass (one ratio array, one
-    max, one violation test); the first violation of each check holding one
-    goes, in queue order, to the counterexample locator.  The counterexample
-    is the violation a loop over the blocks, then their samples, would meet
-    first: in the earliest block, the earliest sample, then the earliest
-    check in code order, then the earliest value.  Queued arrays are fresh
-    or read-only tables, so nothing changes before the settle.
+    max, one violation test).  The counterexample is the first violation in
+    queue order: the earliest block, then the earliest check in code order,
+    then that check's earliest sample and value; a later settle only raises
+    ``max_residual``.  Queued arrays are fresh or read-only tables, so
+    nothing changes before the settle.
     """
 
     def __init__(self, name: str):
@@ -172,7 +171,6 @@ class _Recorder:
         self.samples = 0
         self._max_ratio = 0.0
         self._counterexample: dict | None = None
-        self._first = None  # (block vertices, sample index) of the counterexample
         self._queue = []
         self._queued = 0  # residual values in the queue
         self._t0 = time.perf_counter()
@@ -229,24 +227,17 @@ class _Recorder:
             top = float(ratio.max())
             # NaN on either side: infinite, and a violation below
             self._max_ratio = max(self._max_ratio, top if top == top else np.inf)
-        bad = np.flatnonzero(bad)
-        if bad.size:  # the checks holding a violation, in queue order, and the first of each
-            checks, first = np.unique(np.searchsorted(ends, bad, side="right"), return_index=True)
-            for j, flat in zip(checks.tolist(), bad[first].tolist()):
-                at = np.unravel_index(flat - ends[j] + residuals[j].size, residuals[j].shape)
-                self._locate(queue[j], at, float(res[flat]), float(alw[flat]))
+        if self._counterexample is None and bad.any():  # the first violation in queue order
+            flat = int(bad.argmax())
+            j = int(np.searchsorted(ends, flat, side="right"))
+            at = np.unravel_index(flat - ends[j] + residuals[j].size, residuals[j].shape)
+            self._locate(queue[j], at, float(res[flat]), float(alw[flat]))
 
     def _locate(self, entry, at: tuple, residual: float, allowed: float):
-        """Record the violation at index ``at`` of one queued check, its
-        first, unless the counterexample already held is met first by a
-        loop over the samples."""
+        """Record the violation at index ``at`` of one queued check as the
+        counterexample."""
         label, _, _, vertices, _, extra = entry
-        sample = at[: vertices.ndim - 2] if vertices is not None else ()
-        if self._counterexample is not None and not (
-            vertices is self._first[0] and sample < self._first[1]
-        ):
-            return
-        payload = {
+        self._counterexample = {
             "check": label,
             "residual": residual,
             "allowed": allowed,
@@ -256,12 +247,10 @@ class _Recorder:
             },
         }
         if vertices is not None:
-            payload["simplex"] = {
+            self._counterexample["simplex"] = {
                 "dim": vertices.shape[-1],
-                "vertices": vertices[sample].tolist(),
+                "vertices": vertices[at[: vertices.ndim - 2]].tolist(),
             }
-        self._counterexample = payload
-        self._first = (vertices, sample)
 
     def result(self) -> SuiteResult:
         self._settle()
@@ -558,11 +547,11 @@ def _check_euler_feuerbach(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
     inv = 1.0 / lam
     rec.check("reciprocal lambda sum", np.abs(inv.sum(axis=-1)),
               pol.rel * np.abs(inv).sum(axis=-1), s, premise=skew)
-    pts = np.concatenate((centers.monge_point(s)[:, None], s.vertices), axis=1)
+    got = sx._pair_rows(np.concatenate((centers.monge_point(s)[:, None], s.vertices), axis=1))
     a, b = sx._pair_index(d + 2)
-    got = ((pts[:, a] - pts[:, b]) ** 2).sum(axis=-1)
+    diam = sx.diameter(s)
     rec.check("lambda pairwise distances", np.abs(lam[:, a] + lam[:, b] - got),
-              pol.rel * sx._squares(sx.diameter(s)), s, premise=skew,
+              pol.rel * (diam * diam), s, premise=skew,
               pair=np.broadcast_to(np.stack((a, b), axis=-1), got.shape + (2,)))
 
 
@@ -575,42 +564,44 @@ def suite_rectangular(config: SuiteConfig) -> SuiteResult:
     centers, hypotenuse-facet lift round trips, and rejection of lifts from
     non-negative obtuseness.
 
-    Every block is drawn first, each from its own generator
-    (:func:`_rect_draw`), and dropped once its own stack is built.  The
-    stack of dimension m holds block m's rectangular simplices, then block
-    m+1's hypotenuse facets (opposite the corner, its last vertex, from one
-    stacked QR) and rejection simplex: one degeneracy decision and one set
-    of tables per dimension, freed before the next stack is built.  Block
-    m+1's lift is read from stack m and checked once its own checks are queued."""
+    Each block is drawn from its own generator (:func:`_rect_draw`), block
+    m+1 when the stack of dimension m is built.  That stack holds block m's
+    rectangular simplices, then block m+1's hypotenuse facets (opposite the
+    corner, its last vertex, from one stacked QR) and rejection simplex: one
+    degeneracy decision and one set of tables per dimension, freed before
+    the next stack is built.  Block m's closed-form checks are queued first,
+    then block m+1's lift checks, whose simplices are those facet and
+    rejection rows of stack m.  The stacks start at m = 2: a d = 2 facet is
+    a segment, below the lift's domain."""
     rec = _Recorder("rectangular")
     pol = config.policy
-    blocks = {d: _rect_draw(config, d) for d in range(config.d_min, config.d_max + 1)}
-    lifts = {}
-    for m in range(max(2, config.d_min - 1), config.d_max + 1):
-        legs, rejects = blocks.pop(m, (np.empty((0, m)), None))
+    low = max(2, config.d_min - 1)
+    legs, rejects = _rect_draw(config, low) if low == config.d_min else (np.empty((0, low)), None)
+    for m in range(low, config.d_max + 1):
+        up = _rect_draw(config, m + 1) if m < config.d_max else None
         with rec.guard("block completes", d=m):
             rows = [families._rect_pose(legs)]
-            if m + 1 in blocks:
-                up, up_rejects = blocks[m + 1]
-                rows += [sx._face_pose(families._rect_pose(up)[:, :-1]),
-                         oc._pose_rows(up_rejects, 1.0, pol)]
+            if up is not None:
+                rows += [sx._face_pose(families._rect_pose(up[0])[:, :-1]),
+                         oc._pose_rows(up[1], 1.0, pol)]
             s = sx._from_vertex_rows(m, np.concatenate(rows), pol)
             del rows  # a copy of the stack's vertices
             if m >= config.d_min:
                 rec.samples += len(legs) + (0 if rejects is None else len(rejects))
                 _check_rectangular(rec, legs, s, pol)
-            if m in lifts:  # a d = 2 facet is a segment, below the lift's domain
-                lifted, rejected, stuck = lifts.pop(m)
-                rec.check("lift round trip", np.abs(lifted - legs).max(axis=-1),
-                          10 * pol.rel * legs.max(axis=-1), s, legs=legs, lifted=lifted)
-                rec.check("lift must reject non-negative obtuseness",
-                          np.where(stuck, 0.0, 1.0), 0.5, rejected)
-            if m + 1 in blocks:
+            if up is not None:
                 lifted, stuck = families._lift_rows(s, pol)
-                end = len(legs) + len(up)
-                lifts[m + 1] = (lifted[len(legs):end], sx._stack([s], np.arange(end, len(stuck))),
-                                stuck[end:])
+                k, end = len(legs), len(legs) + len(up[0])
+                lifted = lifted[k:end]
+                rec.check("lift round trip", np.abs(lifted - up[0]).max(axis=-1),
+                          10 * pol.rel * up[0].max(axis=-1), sx._stack([s], np.arange(k, end)),
+                          legs=up[0], lifted=lifted)
+                rec.check("lift must reject non-negative obtuseness",
+                          np.where(stuck[end:], 0.0, 1.0), 0.5,
+                          sx._stack([s], np.arange(end, len(stuck))))
             del s  # its tables go before the next stack is built
+        if up is not None:
+            legs, rejects = up
     return rec.result()
 
 
@@ -644,7 +635,7 @@ def _check_rectangular(rec: _Recorder, legs: np.ndarray, s: sx.Simplex, pol: Tol
               np.abs(i - m.inradius[:, None]).max(axis=-1), pol.rel * diam, s)
     center, radius = centers.circumcenter(s)
     c, big_r = center[:k], radius[:k]
-    rec.check("leg circumradius", np.abs(m.r_squared - sx._squares(big_r)),
+    rec.check("leg circumradius", np.abs(m.r_squared - big_r * big_r),
               pol.rel * m.r_squared, s)
     rec.check("circumcenter midpoint form",
               np.sqrt(sx._sq_norms(c - m.circumcenter)), pol.rel * diam, s)

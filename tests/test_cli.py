@@ -228,6 +228,38 @@ class TestAnalyze:
         assert code == 1 and out is None
         assert message in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("command", ["analyze", "lift-rect"])
+    def test_integer_beyond_float_range_exit_1(self, capsys, monkeypatch, command):
+        """A JSON integer too large for a float is bad input, reported as one
+        error line rather than an OverflowError traceback."""
+        text = '{"dim": 2, "vertices": [[0, 0], [1%s, 0], [0, 1]]}' % ("0" * 400)
+        code, out, err = run_json(capsys, command, stdin=text, monkeypatch=monkeypatch)
+        assert code == 1 and out is None
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"].startswith("vertices are not a numeric array")
+
+    @pytest.mark.parametrize("vertices, named", [
+        ([["0", "0"], ["1", "0"], ["0", "1"]], "'0'"),
+        ([[0, 0], [" 1 ", 0], [0, 1]], "' 1 '"),
+        ([[True, False], [False, True], [False, False]], "True"),
+        ([[0, 0], [1, 0], [0, False]], "False"),
+    ], ids=["strings", "padded-string", "booleans", "one-boolean"])
+    def test_coordinate_that_is_not_a_number_exit_1(self, capsys, monkeypatch, vertices, named):
+        doc = {"dim": 2, "vertices": vertices}
+        with pytest.raises(op.InputError, match=f"coordinate {named} is not a JSON number"):
+            cli.simplex_from_doc(doc, op.DEFAULT_POLICY)
+        code, out, err = run_json(capsys, "analyze", stdin=json.dumps(doc),
+                                  monkeypatch=monkeypatch)
+        assert code == 1 and out is None
+        assert json.loads(err)["error"] == f"coordinate {named} is not a JSON number"
+
+    def test_integer_and_float_coordinates_are_read(self):
+        ints = cli.simplex_from_doc({"dim": 2, "vertices": [[0, 0], [3, 0], [0, 4]]},
+                                    op.DEFAULT_POLICY)
+        floats = cli.simplex_from_doc({"dim": 2, "vertices": [[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]},
+                                      op.DEFAULT_POLICY)
+        assert ints.vertices.tolist() == floats.vertices.tolist()
+
     def test_nan_rejected(self, capsys, monkeypatch):
         doc = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, None]]}
         code, _, err = run_json(capsys, "analyze", stdin=json.dumps(doc), monkeypatch=monkeypatch)

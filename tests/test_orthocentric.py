@@ -431,6 +431,12 @@ class TestEdgeAltitudeData:
         with pytest.raises(NotOrthocentricError, match="formula check failed"):
             op.edge_and_altitude_data(wrong, s)
 
+    def test_dimension_mismatch_rejected(self):
+        p = op.params_of(op.construct([0.5, 0.3, 0.2], 1.0))
+        s = op.construct([0.4, 0.3, 0.2, 0.1], 1.0)
+        with pytest.raises(InputError, match="dimension 2 with a simplex of dimension 3"):
+            op.edge_and_altitude_data(p, s)
+
 
 # int() truncation accepted the first four as (0, 1, 2); the next two are out of range or
 # repeated; the last two are not iterable
@@ -479,6 +485,12 @@ class TestRestrictToFace:
 
 
 class TestCircumData:
+    def test_dimension_mismatch_rejected(self):
+        p = op.params_of(op.construct([0.5, 0.3, 0.2], 1.0))
+        s = op.construct([0.4, 0.3, 0.2, 0.1], 1.0)
+        with pytest.raises(InputError, match="dimension 2 with a simplex of dimension 3"):
+            op.circum_data(p, s)
+
     def test_equilateral(self):
         s = op.construct([1 / 3, 1 / 3, 1 / 3], 1.0)
         cd = op.circum_data(op.params_of(s), s)
@@ -601,6 +613,11 @@ class TestOrthocentricSystem:
     def test_shape_guard(self):
         with pytest.raises(InputError):
             op.orthocentric_system_check(np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("points", [[[0.0], [1.0], [3.0]], np.empty((2, 0))])
+    def test_dimension_below_two_rejected_up_front(self, points):
+        with pytest.raises(InputError, match=r"need d\+2 points in d-space, d >= 2"):
+            op.orthocentric_system_check(points)
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_subsets_decided_as_one_stack(self, monkeypatch, d):

@@ -95,3 +95,24 @@ def test_eigensolves_only_in_sym_eigen():
                 if isinstance(node, ast.Call) and (name or "").startswith(("eig", "svd")):
                     found.append((path.name, fn.name, name))
     assert found == [("numerics.py", "sym_eigen", "eigh")]
+
+
+def test_every_private_helper_has_a_caller():
+    """Each module-level private function and class is referenced (a name,
+    an attribute or an import) somewhere in the package outside its own
+    body, so a helper goes with its last caller.  Names are matched across
+    modules, not resolved."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in MODULES]
+    helpers = [(path.name, node) for path, tree in zip(MODULES, trees) for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    refs = [(node, getattr(node, "id", None) or getattr(node, "attr", None)
+             or getattr(node, "name", None))
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))]
+    unused = []
+    for module, helper in helpers:
+        inside = {id(node) for node in ast.walk(helper)}
+        if not any(name == helper.name and id(node) not in inside for node, name in refs):
+            unused.append(f"{module}:{helper.name}")
+    assert len(helpers) > 50 and unused == []

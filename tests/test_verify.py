@@ -212,7 +212,7 @@ class TestRecorder:
         {("first", 0): 3.0},
         {("first", 2): 3.0},
         {("first", 4): 3.0},
-        {("first", 3): 3.0, ("second", 1, 2): 5.0},  # a later check of an earlier sample
+        {("first", 3): 3.0, ("second", 1, 2): 5.0},  # the earlier check, at a later sample
         {("first", 1): 9.0, ("second", 4, 0): 2.0},  # sample 1 is outside the premise
         {("second", 2, 1): float("nan"), ("first", 3): 2.0},
         {("zero", 3): 0.5},  # 0 / 0 passes at sample 1, 0.5 / 0 fails at 3
@@ -227,8 +227,9 @@ class TestRecorder:
     ])
     def test_block_equals_check_per_sample(self, monkeypatch, faults):
         """Checks over two stacked blocks, settled in one flat pass, record
-        the largest ratio and the counterexample of the same checks made
-        sample by sample, each settled on its own."""
+        the largest ratio and the counterexample of a settle after every
+        check: the same checks made value by value in queue order (check,
+        then sample, then value), each settled on its own."""
         rng = np.random.default_rng(8)
         block = [op.from_vertices(3, rng.normal(size=(4, 3))) for _ in range(5)]
         s = sx._stack(block)
@@ -268,18 +269,40 @@ class TestRecorder:
         for j, t in enumerate(block):
             if premise[j]:
                 one("first", first[j], 1.0, t, value=first[j], k=7)
+        for j, t in enumerate(block):
             for p in range(3):
                 one("second", second[j, p], 1.0, t, pair=(int(a[p]), int(b[p])))
+        for j, t in enumerate(block):
             one("zero", zero[j], zero_allowed[j], t)
         for j, t in enumerate(other):
             if third_premise[j]:
                 one("third", third[j], 1.0, t, value=third[j])
+        for j, t in enumerate(other):
             for p in range(2):
                 one("fourth", fourth[j, p], fourth_allowed[j, p], t, column=p)
         looped = looped.result()
         assert blocked.max_residual == looped.max_residual
         assert repr(blocked.counterexample) == repr(looped.counterexample)
         assert (blocked.counterexample is None) == (not faults)
+
+    @pytest.mark.parametrize("settle", [False, True])
+    def test_an_earlier_check_beats_an_earlier_sample(self, settle):
+        """The counterexample is the first violation in queue order: a check
+        queued earlier wins at a later sample over a later check at sample
+        0, whether or not a settle falls between them; the later settle
+        still raises the largest ratio."""
+        rng = np.random.default_rng(3)
+        s = sx._stack([op.from_vertices(2, rng.normal(size=(3, 2))) for _ in range(4)])
+        rec = vf._Recorder("x")
+        rec.check("earlier", np.array([0.1, 0.2, 0.3, 2.0]), 1.0, s, sample=np.arange(4))
+        if settle:
+            rec._settle()
+        rec.check("later", np.array([3.0, 0.1, 0.1, 0.1]), 1.0, s, sample=np.arange(4))
+        result = rec.result()
+        assert result.max_residual == 3.0
+        assert result.counterexample == {
+            "check": "earlier", "residual": 2.0, "allowed": 1.0, "residuals": {"sample": 3},
+            "simplex": {"dim": 2, "vertices": s.vertices[3].tolist()}}
 
     @pytest.mark.parametrize("field, check", [("incenter", "rect separated"),
                                               ("circumcenter", "rect circumcenter barycentrics")])
@@ -482,25 +505,26 @@ class TestBlockFill:
 class TestSuiteQueue:
     """A suite queues the checks of all its blocks and settles them at its
     end, or earlier once the queue outgrows its budget; the counterexample
-    is still the violation a loop over the blocks, then their samples,
-    meets first, and each block's stack is freed once its checks are
-    queued."""
+    is still the first violation in queue order, and each block's stack is
+    freed once its checks are queued."""
 
     RECT = dict(suites=("rect",), samples=12, seed=4, d_min=3, d_max=5)
 
     @pytest.mark.parametrize("main, lift, want", [
-        ((3, 2), (4, 0), ("legs volume", 3, 2)),  # the earlier block
+        ((3, 2), (4, 0), ("legs volume", 3, 2)),  # block 3's closed forms, then block 4's lift
         ((5, 0), (4, 3), ("lift round trip", 4, 3)),  # the lift of the earlier block
-        ((4, 2), (4, 1), ("lift round trip", 4, 1)),  # the earlier sample of one block
-        ((4, 1), (4, 1), ("legs volume", 4, 1)),  # the earlier check of one sample
-        ((4, 0), (3, 2), ("lift round trip", 3, 2)),  # block d_min, lifted from its own stack
+        ((4, 2), (4, 1), ("lift round trip", 4, 1)),  # a block's lift, before its closed forms
+        ((4, 1), (4, 1), ("lift round trip", 4, 1)),  # the same, at one sample
+        ((4, 0), (3, 2), ("lift round trip", 3, 2)),  # block d_min, lifted from stack d_min - 1
     ])
     def test_faults_in_two_dimensions(self, monkeypatch, main, lift, want):
         """A wrong closed-form volume for sample j of block d (``main`` =
         (d, j)) and wrong lifted legs for sample j' of block d' (``lift``):
         block d' is lifted from the stack of dimension d'-1, where block
-        d'-1's own simplices come first.  The report names the violation
-        that settling each block on its own named."""
+        d'-1's own simplices come first, and its lift checks are queued after
+        block d'-1's closed-form checks.  The report names the first
+        violation in that order; a lift failure shows the (d'-1)-dimensional
+        hypotenuse facet it was lifted from."""
         config = SuiteConfig(**self.RECT)
         k = vf._per_dim(config)
         real_rows, real_lift = families._rect_rows, families._lift_rows
@@ -527,9 +551,14 @@ class TestSuiteQueue:
         ce = result.counterexample
         assert not result.passed and ce["check"] == check
         legs = vf._rect_draw(config, d)[0]
-        assert ce["simplex"] == {"dim": d, "vertices": families._rect_pose(legs)[j].tolist()}
+        poses = families._rect_pose(legs)
         if check == "lift round trip":
+            facets = sx._face_pose(poses[:, :-1])
+            assert ce["simplex"] == {"dim": d - 1, "vertices": facets[j].tolist()}
             assert ce["residuals"]["legs"] == legs[j].tolist()
+            assert ce["residuals"]["lifted"] == pytest.approx(1.5 * legs[j], rel=1e-12)
+        else:
+            assert ce["simplex"] == {"dim": d, "vertices": poses[j].tolist()}
 
     @pytest.mark.parametrize("suite, check", [
         ("center_equivalences", "_check_equivalences"),

@@ -40,7 +40,7 @@ def _policy_from_env(tol: float | None = None) -> TolerancePolicy:
             try:
                 tol = float(env)
             except ValueError as exc:
-                raise OrthoplexError(f"ORTHOPLEX_TOL={env!r} is not a number") from exc
+                raise InputError(f"ORTHOPLEX_TOL={env!r} is not a number") from exc
     return TolerancePolicy(rel=tol) if tol is not None else TolerancePolicy()
 
 
@@ -59,10 +59,10 @@ def simplex_to_doc(s: sx.Simplex, label: str | None = None) -> dict:
 
 def simplex_from_doc(doc: dict, policy: TolerancePolicy) -> sx.Simplex:
     if not isinstance(doc, dict) or "dim" not in doc or "vertices" not in doc:
-        raise OrthoplexError("document must carry 'dim' and 'vertices'")
+        raise InputError("document must carry 'dim' and 'vertices'")
     dim = doc["dim"]
     if not isinstance(dim, int) or dim < 2:
-        raise OrthoplexError(f"'dim' must be an integer >= 2, got {dim!r}")
+        raise InputError(f"'dim' must be an integer >= 2, got {dim!r}")
     vertices = doc["vertices"]
     rows = [row for row in vertices if type(row) is list] if type(vertices) is list else []
     if not {type(x) for row in rows for x in row} <= {int, float}:  # a bool is not a JSON number
@@ -144,14 +144,14 @@ def _cmd_construct(args, policy: TolerancePolicy) -> int:
 def _need(args, *names):
     for name in names:
         if getattr(args, name) is None:
-            raise OrthoplexError(f"construct {args.kind} requires --{name.replace('_', '-')}")
+            raise InputError(f"construct {args.kind} requires --{name.replace('_', '-')}")
 
 
 def _floats(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise OrthoplexError(f"could not parse float list {text!r}") from exc
+        raise InputError(f"could not parse float list {text!r}") from exc
 
 
 def _read_doc(path: str | None) -> dict:
@@ -163,9 +163,9 @@ def _read_doc(path: str | None) -> dict:
                 raw = fh.read()
         return json.loads(raw)
     except UnicodeDecodeError as exc:
-        raise OrthoplexError(f"input is not UTF-8 text: {exc}") from exc
+        raise InputError(f"input is not UTF-8 text: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # nested past the parser's depth
-        raise OrthoplexError(f"malformed JSON input: {exc}") from exc
+        raise InputError(f"malformed JSON input: {exc}") from exc
 
 
 def _cmd_analyze(args, policy: TolerancePolicy) -> int:

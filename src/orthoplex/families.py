@@ -114,11 +114,13 @@ def regular_metrics(d: int, s: float) -> RegularMetrics:
 
 def _power_volume(d: int, s: float, c: float) -> float:
     """s^d sqrt(c / 2^d) / d!, the regular and kite volumes."""
-    return sx._factorial_quotient(
-        d,
-        lambda: float(s) ** d * math.sqrt(c / 2.0**d) / math.factorial(d),
-        d * math.log(s) + (math.log(c) - d * math.log(2.0)) / 2.0 - math.lgamma(d + 1),
-    )
+    try:
+        numerator = float(s) ** d * math.sqrt(c / 2.0**d)
+    except OverflowError:
+        numerator = math.inf
+    return float(sx._factorial_quotient(
+        d, numerator, 1.0,
+        d * math.log(s) + (math.log(c) - d * math.log(2.0)) / 2.0 - math.lgamma(d + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +324,10 @@ def _rect_rows(legs: np.ndarray) -> RectMetrics:
         w = inv2_terms / inv2[:, None]
         r_squared = ((b / long[:, None]) ** 2).sum(axis=-1) / 4.0 * long * long
         return RectMetrics(
-            volume=_quotient_rows(d, prod, 1.0, lambda r: log_prod[r] - math.lgamma(d + 1)),
-            hyp_volume=_quotient_rows(
-                d - 1, prod, root / short, lambda r: log_prod[r] - math.lgamma(d)
-                + math.log(root[r]) - math.log(short[r])),
+            volume=sx._factorial_quotient(d, prod, 1.0, log_prod - math.lgamma(d + 1)),
+            hyp_volume=sx._factorial_quotient(
+                d - 1, prod, root / short,
+                log_prod - math.lgamma(d) + np.log(root) - np.log(short)),
             altitude=short / root,
             inradius=short / ((short[:, None] / b).sum(axis=-1) + root),
             r_squared=np.minimum(r_squared, sx._FLOAT_MAX),
@@ -334,17 +336,6 @@ def _rect_rows(legs: np.ndarray) -> RectMetrics:
                                      short[:, None] / b * (short / inv2)[:, None]),
             hyp_orthocenter_bary=w,
         )
-
-
-def _quotient_rows(k: int, prod: np.ndarray, factor, log_value) -> np.ndarray:
-    """``simplex._factorial_quotient`` of each row: prod / k! * factor where k!
-    and that are finite floats, else exp(log_value(r)), or the largest float."""
-    out = (prod / float(math.factorial(k)) * factor if k <= sx._MAX_FACTORIAL_DIM
-           else np.full(prod.shape, math.inf))
-    for r in np.flatnonzero(~np.isfinite(out)).tolist():
-        log = log_value(r)
-        out[r] = sx._FLOAT_MAX if log >= sx._LOG_FLOAT_MAX else math.exp(log)
-    return out
 
 
 def lift_to_rectangular(

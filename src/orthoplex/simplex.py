@@ -14,7 +14,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
-from math import exp, factorial, inf, isfinite, lgamma, log
+from math import exp, factorial, inf, lgamma, log
 from numbers import Integral
 from sys import float_info
 
@@ -218,19 +218,21 @@ _LOG_FLOAT_MAX = log(_FLOAT_MAX)
 _MAX_FACTORIAL_DIM = 170
 
 
-def _factorial_quotient(k: int, direct, log_value: float) -> float:
-    """A positive quotient by k! that never raises or warns: ``direct()``,
-    the formula as written, where k! and its result are finite floats;
-    otherwise exp(log_value), 0.0 where that underflows and the largest
-    float where it overflows (``log_value`` is the log of the quotient)."""
+def _factorial_quotient(k: int, numerators, factor, logs) -> np.ndarray:
+    """numerators / k! * factor entry by entry, an array of the shape of
+    ``logs``: the formula as written where k! and the quotient are finite
+    floats, elsewhere exp(logs) (``logs`` the log of each quotient), 0.0 where
+    that underflows and the largest float where it overflows.  This is the
+    one out-of-range rule of every volume; it never raises or warns."""
+    out = np.full(np.shape(logs), inf)
     if k <= _MAX_FACTORIAL_DIM:
-        try:
-            value = direct()
-        except OverflowError:
-            value = inf
-        if isfinite(value):
-            return value
-    return _FLOAT_MAX if log_value >= _LOG_FLOAT_MAX else exp(log_value)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[...] = numerators / float(factorial(k)) * factor
+    far = ~np.isfinite(out)
+    if far.any():
+        out[far] = [_FLOAT_MAX if x >= _LOG_FLOAT_MAX else exp(x)
+                    for x in np.asarray(logs)[far].tolist()]
+    return out
 
 
 @_per_simplex
@@ -240,8 +242,10 @@ def volume(s: Simplex) -> float:
     out of float range by :func:`_factorial_quotient`."""
     d = s.dim
     logdets = np.linalg.slogdet(_frame(s)[1])[1]  # 0-d on one simplex
-    return np.reshape([_factorial_quotient(d, lambda: exp(x) / factorial(d), x - lgamma(d + 1))
-                       for x in np.ravel(logdets).tolist()], logdets.shape)
+    # math.exp, not np.exp, for the bits of the formula; inf where it overflows
+    numerators = [exp(x) if x <= _LOG_FLOAT_MAX else inf for x in np.ravel(logdets).tolist()]
+    return _factorial_quotient(d, np.reshape(numerators, logdets.shape), 1.0,
+                               logdets - lgamma(d + 1))
 
 
 @lru_cache(maxsize=64)

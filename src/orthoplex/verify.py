@@ -506,27 +506,21 @@ def _face_table(n: int):
     return sx._read_only((weights, level, starts))
 
 
-def _face_centroids(vertices: np.ndarray) -> np.ndarray:
-    """Centroids of every k-face, k = 0..d-1, of the vertex rows (..., n, d)
-    in :func:`_face_table` row order, from one product per simplex: the
-    enumerated oracle the closed-form mid-face spheres are measured against."""
-    return _face_table(vertices.shape[-2])[0] @ vertices
-
-
 def _check_euler_feuerbach(rec: _Recorder, s: sx.Simplex, pol: TolerancePolicy):
     sigma, rectangular, _, bary = oc._param_rows(s, pol)  # a non-orthocentric row raises
     d = s.dim
     big_r = centers.circumcenter(s)[1]
 
-    # an orthocentric simplex has every sphere k = 0..d-1: row r of the face
-    # table is measured against the sphere of its level, worst per level, in
-    # slices of samples whose face arrays hold at most _SLICE_VALUES values
+    # an orthocentric simplex has every sphere k = 0..d-1: the centroid of face
+    # r, row r of the face table times the vertices (the enumerated oracle),
+    # is measured against the sphere of its level, worst per level, in slices
+    # of samples whose face arrays hold at most _SLICE_VALUES values
     spheres, radii, _ = centers._sphere_rows(s, True)
-    _, level, starts = _face_table(s.n)
+    weights, level, starts = _face_table(s.n)
     worst, step = np.empty_like(radii), sx._slice_step(len(level) * d)
     for r in range(0, len(radii), step):
         rows = slice(r, r + step)
-        dists = sx._row_norms(_face_centroids(s.vertices[rows]) - spheres[rows, level])
+        dists = sx._row_norms(weights @ s.vertices[rows] - spheres[rows, level])
         worst[rows] = np.maximum.reduceat(np.abs(dists - radii[rows, level]), starts, axis=-1)
     for k in range(d):
         rec.check(f"feuerbach k={k} equidistance", worst[:, k],

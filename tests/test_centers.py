@@ -282,11 +282,13 @@ class TestFeuerbachSpheres:
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_face_centroids_match_explicit_loop(self, d):
-        """verify's one-product oracle against one ``mean`` per face, within
-        n eps times the largest vertex norm (the sums differ in order)."""
+        """verify's one-product oracle, the face table's weights times the
+        vertices, against one ``mean`` per face, within n eps times the
+        largest vertex norm (the sums differ in order)."""
         rng = np.random.default_rng(d)
         s = op.from_vertices(d, 3.0 * rng.normal(size=(d + 1, d)) + 5.0)
-        got = np.split(vf._face_centroids(s.vertices), vf._face_table(s.n)[2][1:])
+        weights, _, starts = vf._face_table(s.n)
+        got = np.split(weights @ s.vertices, starts[1:])
         bound = s.n * np.finfo(float).eps * np.max(np.linalg.norm(s.vertices, axis=1))
         assert len(got) == d
         for k, rows in enumerate(got):

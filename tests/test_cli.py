@@ -293,6 +293,45 @@ class TestAnalyze:
         assert list(parsed.keys()) == sorted(parsed.keys())
 
 
+class TestInputErrors:
+    """Bad input to the CLI's helpers raises ``InputError``, so a library
+    caller that catches it sees every one; ``main`` still exits 1."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"dim": 2}, "'dim' and 'vertices'"),
+        ([[0, 0], [1, 0], [0, 1]], "'dim' and 'vertices'"),
+        ({"dim": 1, "vertices": [[0.0], [1.0]]}, "'dim' must be an integer >= 2"),
+        ({"dim": "2", "vertices": [[0, 0], [1, 0], [0, 1]]}, "'dim' must be an integer >= 2"),
+    ], ids=["no-vertices", "not-a-dict", "dim-one", "dim-string"])
+    def test_simplex_from_doc(self, doc, message):
+        with pytest.raises(op.InputError, match=message):
+            cli.simplex_from_doc(doc, op.DEFAULT_POLICY)
+
+    def test_tolerance_from_the_environment(self, monkeypatch):
+        monkeypatch.setenv("ORTHOPLEX_TOL", "abc")
+        with pytest.raises(op.InputError, match="ORTHOPLEX_TOL='abc' is not a number"):
+            cli._policy_from_env()
+
+    def test_missing_construct_option(self):
+        args = cli._PARSER.parse_args(["construct", "regular", "--dim", "3"])
+        with pytest.raises(op.InputError, match="construct regular requires --edge"):
+            cli._need(args, "dim", "edge")
+
+    def test_float_list(self):
+        with pytest.raises(op.InputError, match="could not parse float list '1,x'"):
+            cli._floats("1,x")
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"\xff\xfe{}", "input is not UTF-8 text"),
+        (b"{not json", "malformed JSON input"),
+    ], ids=["not-utf8", "malformed"])
+    def test_read_doc(self, tmp_path, raw, message):
+        path = tmp_path / "doc.json"
+        path.write_bytes(raw)
+        with pytest.raises(op.InputError, match=message):
+            cli._read_doc(str(path))
+
+
 class TestDump:
     DOC = {
         "array": np.array([[1.0, -0.1], [1e-300, np.inf]]),

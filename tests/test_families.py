@@ -334,6 +334,28 @@ class TestRectRows:
                 got = getattr(block, name)[r]
                 assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), (r, name)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d, leg, scales", [
+        (3, 1.0, (1.0, 1e103, 1e150, 1e-150)),  # in range; prod overflows, V does not; over; under
+        (171, 100.0, (1.0, 1e3, 1e-3)),  # 171! is no float: in range, over, under by the log
+    ])
+    def test_volumes_of_rows_in_and_out_of_range(self, d, leg, scales):
+        """A block whose volumes lie in float range, above it and below it:
+        each row's volume and hypotenuse volume are those of its legs alone,
+        and in range the volume is the product over d! as written."""
+        rng = np.random.default_rng(d)
+        rows = [scale * leg * rng.uniform(0.5, 1.5, size=d) for scale in scales]
+        block = fam._rect_rows(np.array(rows))
+        for r, legs in enumerate(rows):
+            want = op.rect_metrics(op.RectSpec(d, tuple(legs.tolist())))
+            assert block.volume[r].tobytes() == np.float64(want.volume).tobytes(), r
+            assert block.hyp_volume[r].tobytes() == np.float64(want.hyp_volume).tobytes(), r
+        assert 0.0 < block.volume[0] < sx._FLOAT_MAX
+        assert list(block.volume[-2:]) == [sx._FLOAT_MAX, 0.0]
+        if d <= 170:
+            assert block.volume[0] == math.prod(rows[0].tolist()) / math.factorial(d)
+            assert math.prod(rows[1].tolist()) == math.inf and block.volume[1] < sx._FLOAT_MAX
+
 
 class TestRegularCache:
     """``regular`` computes the coordinates of each (d, edge) once, read-only

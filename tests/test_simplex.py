@@ -138,6 +138,33 @@ class TestVolume:
         want = float(abs(np.linalg.det(sx._frame(s)[1]))) / math.factorial(d)
         assert op.volume(s) == want
 
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_one_quotient_call_per_stack(self, monkeypatch, k):
+        """The out-of-range rule runs once over the whole stack, not per row."""
+        calls = []
+        quotient = sx._factorial_quotient
+        monkeypatch.setattr(sx, "_factorial_quotient",
+                            lambda *args: calls.append(args) or quotient(*args))
+        rng = np.random.default_rng(k)
+        stack = sx._stack([op.from_vertices(4, rng.normal(size=(5, 4))) for _ in range(k)])
+        assert np.shape(sx.volume(stack)) == (k,) and len(calls) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_stack_mixing_ranges_keeps_each_row(self):
+        """d = 30 Gaussian simplices at scales 1 (in range), 1e10 (|det e|
+        overflows, the volume does not), 1e11 (overflows) and 1e-11
+        (underflows), stacked twice over: each row has the bits of its
+        simplex alone."""
+        rng = np.random.default_rng(30)
+        parts = [op.from_vertices(30, scale * rng.normal(size=(31, 30)))
+                 for _ in range(2) for scale in (1.0, 1e10, 1e11, 1e-11)]
+        got = sx.volume(sx._stack(parts))
+        want = [op.volume(s) for s in parts]
+        assert got.tobytes() == np.array(want).tobytes()
+        log_det = np.linalg.slogdet(sx._frame(parts[1])[1])[1]
+        assert log_det > math.log(sx._FLOAT_MAX) > math.log(want[1])
+        assert 0.0 < want[0] and want[2] == sx._FLOAT_MAX and want[3] == 0.0
+
 
 class TestFace:
     def test_facet_of_regular_is_regular(self):

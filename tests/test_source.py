@@ -116,3 +116,33 @@ def test_every_private_helper_has_a_caller():
         if not any(name == helper.name and id(node) not in inside for node, name in refs):
             unused.append(f"{module}:{helper.name}")
     assert len(helpers) > 50 and unused == []
+
+
+def test_no_raise_of_the_base_error():
+    """Each error the package raises is a subclass (``InputError``,
+    ``NumericError``, ...), so a caller that catches one kind sees all of
+    it: no ``raise`` names the base ``OrthoplexError``."""
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if "OrthoplexError" in (getattr(exc, "id", None), getattr(exc, "attr", None)):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_out_of_range_rule_only_in_simplex():
+    """Every volume leaves float range by ``simplex._factorial_quotient``, so
+    the rule's thresholds are named in no other module."""
+    names = {"_MAX_FACTORIAL_DIM", "_LOG_FLOAT_MAX"}
+    found = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) \
+                or getattr(node, "name", None)
+            if name in names:
+                found.add(path.name)
+    assert found == {"simplex.py"}

@@ -109,26 +109,28 @@ def _from_vertex_rows(dim: int, vertices: np.ndarray, policy: TolerancePolicy,
     t^2 <= ``policy.rank_cut`` for the relative thickness t = min h_i / diam,
     t^2 = 1 / (max |n_i|^2 max E) from the memoized pair table and
     :func:`_frame` (one LU per stack; 0 for an exactly singular edge
-    matrix), whatever the vertex order or similarity.  Non-finite
-    coordinates or overflowing squared edges anywhere in the stack raise
-    InputError, as does a simplex that is not degenerate but has a squared
-    edge or altitude outside [_SCALE_MIN, _SCALE_MAX].  Then the first
-    degenerate row raises DegenerateSimplexError, unless its index is at
-    least ``drop_from``: those degenerate rows are left out."""
+    matrix), whatever the vertex order or similarity, in one verdict over
+    the stack.  Only if it fails, non-finite coordinates or overflowing
+    squared edges anywhere raise InputError, as does a simplex not degenerate
+    but with a squared edge or altitude outside [_SCALE_MIN, _SCALE_MAX];
+    then the first degenerate row raises DegenerateSimplexError, unless its
+    index is at least ``drop_from``: those degenerate rows are left out."""
     if vertices.ndim == 3:
         vertices = vertices.copy()
     vertices.flags.writeable = False
     s = Simplex(dim=dim, vertices=vertices)
     with np.errstate(all="ignore"):  # the tests below decide every non-finite value
         top = _pairs(s).max(axis=-1)
+        # |n_i| diam rather than |n_i|, which overflows at the small end of the domain
+        t = 1.0 / _row_norms(_frame(s)[2] * np.sqrt(top)[..., None, None]).max(axis=-1)
+        if ((t * t > policy.rank_cut) & (top <= _SCALE_MAX) & (t * t * top >= _SCALE_MIN)).all():
+            return s  # NaN, from non-finite input or a singular edge matrix, fails this
         if not np.isfinite(top).all():
             if not np.isfinite(vertices).all():
                 raise InputError("vertex coordinates must be finite")
             raise InputError("vertex coordinates are too large: squared edge lengths overflow")
-        # |n_i| diam rather than |n_i|, which overflows at the small end of the domain
-        t = np.ravel(1.0 / _row_norms(_frame(s)[2] * np.sqrt(top)[..., None, None]).max(axis=-1))
+        t, top = np.ravel(t), np.ravel(top)
         t[np.isnan(t)] = 0.0  # an exactly singular edge matrix
-        top = np.ravel(top)
         degenerate = t * t <= policy.rank_cut
         low = t * t * top  # the least squared altitude
         out = ~(degenerate | (top <= _SCALE_MAX) & (low >= _SCALE_MIN))
@@ -219,19 +221,21 @@ _MAX_FACTORIAL_DIM = 170
 
 
 def _factorial_quotient(k: int, numerators, factor, logs) -> np.ndarray:
-    """numerators / k! * factor entry by entry, an array of the shape of
-    ``logs``: the formula as written where k! and the quotient are finite
-    floats, elsewhere exp(logs) (``logs`` the log of each quotient), 0.0 where
-    that underflows and the largest float where it overflows.  This is the
-    one out-of-range rule of every volume; it never raises or warns."""
-    out = np.full(np.shape(logs), inf)
+    """numerators / k! * factor entry by entry, of the shape of ``logs``:
+    the formula, as it stands when k! and every quotient are finite floats,
+    else exp(logs) (``logs`` the log of each quotient) where it is not: 0.0
+    on underflow, the largest float on overflow.  This is the one
+    out-of-range rule of every volume; it never raises or warns."""
+    quotient = inf
     if k <= _MAX_FACTORIAL_DIM:
         with np.errstate(over="ignore", invalid="ignore"):
-            out[...] = numerators / float(factorial(k)) * factor
+            quotient = numerators / float(factorial(k)) * factor
+        if np.isfinite(quotient).all():
+            return quotient
+    out = np.full(np.shape(logs), quotient)
     far = ~np.isfinite(out)
-    if far.any():
-        out[far] = [_FLOAT_MAX if x >= _LOG_FLOAT_MAX else exp(x)
-                    for x in np.asarray(logs)[far].tolist()]
+    out[far] = [_FLOAT_MAX if x >= _LOG_FLOAT_MAX else exp(x)
+                for x in np.asarray(logs)[far].tolist()]
     return out
 
 

@@ -501,6 +501,24 @@ class TestEquiradialGeneral:
         assert not op.equiradial_admissible(9, 3)
         assert op.equiradial_admissible(10, 2)
 
+    @pytest.mark.parametrize("d, m", [(9, 1), (9, 9), (10, 1), (10, 10), (15, 1), (15, 15)])
+    def test_m_outside_2_to_d_minus_1_raises(self, d, m):
+        with pytest.raises(InputError, match="2 <= m <= d-1"):
+            op.equiradial_admissible(d, m)
+
+    @pytest.mark.parametrize("branch", [1, 2])
+    @pytest.mark.parametrize("d, m", [(d, m) for d in range(9, 16) for m in range(3, d)
+                                      if op.equiradial_admissible(d, m)])
+    def test_groups_of_three_or_more(self, d, m, branch):
+        """Every admissible (d, m) with m >= 3 up to d = 15, (12, 3), (15, 4)
+        and the mirrors (d, d-1) of m = 2 among them."""
+        s, sol = op.equiradial_general(d, m, branch)
+        assert op.is_orthocentric(s)
+        radii = facet_circumradii(s)
+        assert (radii.max() - radii.min()) / radii.max() <= 1e-8
+        p = op.params_of(s)
+        assert p.bary.tolist() == pytest.approx([sol.a] * m + [sol.b] * (d + 1 - m), rel=1e-8)
+
     def test_admissibility_implies_d_at_least_9(self):
         for d in range(3, 9):
             for m in range(2, d):

@@ -491,6 +491,33 @@ class TestCircumData:
         with pytest.raises(InputError, match="dimension 2 with a simplex of dimension 3"):
             op.circum_data(p, s)
 
+    @pytest.mark.parametrize("other", [
+        lambda: op.regular(3, 2.0),  # another shape: r^2 4.208 where s has R^2 1.5
+        lambda: op.construct([0.4, 0.3, 0.2, 0.1], 2.0),  # the same shape at another scale
+        lambda: op.construct([0.1, 0.2, 0.3, 0.4], 1.0),  # the same values at other vertices
+    ], ids=["regular", "scaled", "permuted"])
+    def test_parameters_of_another_simplex_rejected(self, other):
+        p = op.params_of(op.construct([0.4, 0.3, 0.2, 0.1], 1.0))
+        with pytest.raises(InputError, match="do not match the simplex"):
+            op.circum_data(p, other())
+
+    def test_parameters_within_the_policy_accepted(self):
+        s = op.construct([0.4, 0.3, 0.2, 0.1], 1.0)
+        p = op.params_of(s)
+        near = dataclasses.replace(p, bary=p.bary + 1e-6)
+        with pytest.raises(InputError, match="do not match the simplex"):
+            op.circum_data(near, s)
+        loose = op.TolerancePolicy(rel=1e-5)
+        assert op.circum_data(near, s, loose).center.tolist() == op.circum_data(p, s).center.tolist()
+
+    @pytest.mark.parametrize("kind", ["acute", "obtuse"])
+    @pytest.mark.parametrize("d", [2, 5, 12])
+    def test_own_parameters_accepted(self, d, kind):
+        s = op.construct(op.sample_params(d, kind, d).bary, 3.0)
+        p = op.params_of(s)
+        cd = op.circum_data(p, s)
+        assert cd.r_squared == p.obtuseness / 4.0 * ((d - 1) ** 2 - float((1.0 / p.bary).sum()))
+
     def test_equilateral(self):
         s = op.construct([1 / 3, 1 / 3, 1 / 3], 1.0)
         cd = op.circum_data(op.params_of(s), s)

@@ -354,23 +354,22 @@ def restrict_to_face(p: OrthoParams, index_set) -> OrthoParams:
     return OrthoParams(dim=len(idx) - 1, bary=a, obtuseness=c, kind=kind)
 
 
-def circum_data(p: OrthoParams, s: sx.Simplex,
-                policy: TolerancePolicy = DEFAULT_POLICY) -> CircumData:
+def circum_data(p: OrthoParams, s: sx.Simplex) -> CircumData:
     """Circumcenter, squared circumradius and interiority from parameters:
 
         C = (A_1 + ... + A_{d+1}) / 2 - (d-1)/2 H
         4 R^2 / sigma = (d-1)^2 - sum 1/a_i
 
     The circumcenter is interior exactly when all a_i lie in (0, 1/(d-1)).
-    InputError unless ``p`` is within rel (sigma within rel * diam^2) of
-    what :func:`params_of` reads from ``s``.
+    InputError unless ``p`` is within the default rel (sigma within
+    rel * diam^2) of what :func:`params_of` reads from ``s``.
     """
     _check_dims(p, s)
     if p.rectangular:
         raise RectangularParamsError("parameter circumdata is undefined for rectangular input")
     h = centers.monge_point(s)
-    if (abs(p.obtuseness - centers._monge_gram(s)[2]) > policy.rel * sx.diameter(s) ** 2
-            or np.abs(p.bary - sx.barycentric(s, h)).max() > policy.rel):
+    if (abs(p.obtuseness - centers._monge_gram(s)[2]) > DEFAULT_POLICY.rel * sx.diameter(s) ** 2
+            or np.abs(p.bary - sx.barycentric(s, h)).max() > DEFAULT_POLICY.rel):
         raise InputError("parameters do not match the simplex: sigma or barycentrics differ")
     d = p.dim
     center = s.vertices.sum(axis=0) / 2.0 - (d - 1) / 2.0 * h

@@ -123,17 +123,18 @@ def _from_vertex_rows(dim: int, vertices: np.ndarray, policy: TolerancePolicy,
         top = _pairs(s).max(axis=-1)
         # |n_i| diam rather than |n_i|, which overflows at the small end of the domain
         t = 1.0 / _row_norms(_frame(s)[2] * np.sqrt(top)[..., None, None]).max(axis=-1)
-        if ((t * t > policy.rank_cut) & (top <= _SCALE_MAX) & (t * t * top >= _SCALE_MIN)).all():
+        low = t * t * top  # the least squared altitude
+        ok = (t * t > policy.rank_cut) & (top <= _SCALE_MAX) & (low >= _SCALE_MIN)
+        if ok.all():
             return s  # NaN, from non-finite input or a singular edge matrix, fails this
         if not np.isfinite(top).all():
             if not np.isfinite(vertices).all():
                 raise InputError("vertex coordinates must be finite")
             raise InputError("vertex coordinates are too large: squared edge lengths overflow")
-        t, top = np.ravel(t), np.ravel(top)
+        t, top, low = np.ravel(t), np.ravel(top), np.ravel(low)
         t[np.isnan(t)] = 0.0  # an exactly singular edge matrix
         degenerate = t * t <= policy.rank_cut
-        low = t * t * top  # the least squared altitude
-        out = ~(degenerate | (top <= _SCALE_MAX) & (low >= _SCALE_MIN))
+        out = ~(np.ravel(ok) | degenerate)  # in scale range unless degenerate
     if out.any():
         at = out.argmax()
         raise InputError(

@@ -501,14 +501,14 @@ class TestCircumData:
         with pytest.raises(InputError, match="do not match the simplex"):
             op.circum_data(p, other())
 
-    def test_parameters_within_the_policy_accepted(self):
+    def test_parameters_within_the_default_rel_accepted(self):
         s = op.construct([0.4, 0.3, 0.2, 0.1], 1.0)
         p = op.params_of(s)
-        near = dataclasses.replace(p, bary=p.bary + 1e-6)
+        far = dataclasses.replace(p, bary=p.bary + 1e-6)
         with pytest.raises(InputError, match="do not match the simplex"):
-            op.circum_data(near, s)
-        loose = op.TolerancePolicy(rel=1e-5)
-        assert op.circum_data(near, s, loose).center.tolist() == op.circum_data(p, s).center.tolist()
+            op.circum_data(far, s)
+        near = dataclasses.replace(p, bary=p.bary + op.DEFAULT_POLICY.rel / 10)
+        assert op.circum_data(near, s).center.tolist() == op.circum_data(p, s).center.tolist()
 
     @pytest.mark.parametrize("kind", ["acute", "obtuse"])
     @pytest.mark.parametrize("d", [2, 5, 12])

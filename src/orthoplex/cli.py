@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .errors import InputError, OrthoplexError
 from .numerics import TolerancePolicy, _json_default
@@ -260,9 +261,16 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+@lru_cache(maxsize=64)
+def _parse(argv: tuple) -> argparse.Namespace:
+    """Read-only: the parsed ``argv``, parsed once per distinct tuple and
+    shared.  A usage error or ``--help`` raises, so it is never kept."""
+    return _PARSER.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(tuple(sys.argv[1:] if argv is None else argv))
         code = args.func(args, _policy_from_env(args.tol))
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
         return code

@@ -1,5 +1,6 @@
 import ast
 import gc
+import io
 import itertools
 import json
 import math
@@ -580,6 +581,73 @@ class TestTolEnv:
         monkeypatch.setenv("ORTHOPLEX_TOL", "1e-2")
         code, a, _ = run_json(capsys, "analyze", stdin=json.dumps(doc), monkeypatch=monkeypatch)
         assert a["orthocentric"] is True
+
+
+class TestParseMemo:
+    """``main`` parses each distinct argv once and shares the Namespace; the
+    environment, the input and the output stay per call, and a usage error
+    or ``--help`` raises again on every call."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        cli._parse.cache_clear()
+        yield
+        cli._parse.cache_clear()
+
+    def test_repeated_analyze_is_identical(self, capsys, monkeypatch):
+        doc = json.dumps(cli.simplex_to_doc(op.construct([0.4, 0.3, 0.2, 0.1])))
+        outs = []
+        for _ in range(2):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+            code, out, err = run_cli(capsys, "analyze", "--json")
+            assert code == 0 and err == ""
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert cli._parse.cache_info().hits == 1
+
+    def test_environment_is_read_per_call(self, capsys, monkeypatch):
+        monkeypatch.delenv("ORTHOPLEX_TOL", raising=False)
+        TestTolEnv().test_env_loosens_orthocentric_test(capsys, monkeypatch)
+        assert cli._parse.cache_info().hits == 1  # the second verdict read the memo
+
+    def test_usage_error_repeats(self, capsys):
+        for _ in range(2):
+            code, out, err = run_cli(capsys, "analyze", "--bogus")
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and "unrecognized arguments" in json.loads(err)["error"]
+        assert cli._parse.cache_info().currsize == 0
+
+    def test_help_repeats(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["analyze", "--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: orthoplex analyze")
+
+    def test_default_argv_follows_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["orthoplex", "construct", "regular",
+                                          "--dim", "2", "--edge", "1", "--json"])
+        assert cli.main() == 0
+        first = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(sys, "argv", ["orthoplex", "construct", "regular",
+                                          "--dim", "3", "--edge", "1", "--json"])
+        assert cli.main() == 0
+        second = json.loads(capsys.readouterr().out)
+        assert (first["dim"], second["dim"]) == (2, 3)
+
+    @pytest.mark.parametrize("argv, stdin", [
+        (["construct", "rect", "--legs", "1,2,3", "--json"], None),
+        (["analyze", "--json"], cli.simplex_to_doc(op.construct([0.4, 0.35, 0.25]))),
+        (["lift-rect", "--json"], cli.simplex_to_doc(op.construct([0.4, 0.35, 0.25]))),
+        (["verify", "--suite", "rect", "--samples", "2", "--dim-max", "3", "--json"], None),
+    ], ids=["construct", "analyze", "lift-rect", "verify"])
+    def test_commands_leave_the_namespace_unchanged(self, capsys, monkeypatch, argv, stdin):
+        if stdin is not None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(stdin)))
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert vars(cli._parse(tuple(argv))) == vars(cli._PARSER.parse_args(argv))
+        assert cli._parse.cache_info().hits == 1
 
 
 class TestWorkPerAnalysis:

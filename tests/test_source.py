@@ -79,10 +79,9 @@ def test_verify_builds_no_simplex_outside_its_blocks():
     assert "_from_vertex_rows" in called
 
 
-def test_eigensolves_only_in_sym_eigen():
-    """No build or analysis path takes an eigensolve or an SVD: a call of
-    ``eig``, ``eigh``, ``eigvals``, ``eigvalsh`` or ``svd`` appears in the
-    package only in ``numerics.sym_eigen``, the public kernel."""
+def _calls(wanted):
+    """(module, function, name) of each call in the package whose function
+    or attribute name satisfies ``wanted``."""
     found = []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -92,9 +91,24 @@ def test_eigensolves_only_in_sym_eigen():
             for node in ast.walk(fn):
                 name = getattr(getattr(node, "func", None), "attr",
                                getattr(getattr(node, "func", None), "id", None))
-                if isinstance(node, ast.Call) and (name or "").startswith(("eig", "svd")):
+                if isinstance(node, ast.Call) and wanted(name or ""):
                     found.append((path.name, fn.name, name))
+    return found
+
+
+def test_eigensolves_only_in_sym_eigen():
+    """No build or analysis path takes an eigensolve or an SVD: a call of
+    ``eig``, ``eigh``, ``eigvals``, ``eigvalsh`` or ``svd`` appears in the
+    package only in ``numerics.sym_eigen``, the public kernel."""
+    found = _calls(lambda name: name.startswith(("eig", "svd")))
     assert found == [("numerics.py", "sym_eigen", "eigh")]
+
+
+def test_argv_parsed_only_in_the_memo():
+    """The CLI parses an argv once per distinct tuple: a call of
+    ``parse_args`` appears in the package only in ``cli._parse``, the
+    memoized parse that ``main`` reads."""
+    assert _calls(lambda name: name == "parse_args") == [("cli.py", "_parse", "parse_args")]
 
 
 def test_every_private_helper_has_a_caller():

@@ -42,7 +42,7 @@ _CENTER_PAIRS = tuple(combinations(CENTER_NAMES, 2))
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CenterReport:
     centroid: np.ndarray
     circumcenter: np.ndarray
@@ -54,7 +54,7 @@ class CenterReport:
     coincident_pairs: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeuerbachSphere:
     k: int
     center: np.ndarray

@@ -25,8 +25,10 @@ import os
 import sys
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import InputError, OrthoplexError
-from .numerics import TolerancePolicy, _json_default
+from .numerics import TolerancePolicy
 from . import centers
 from . import orthocentric as oc
 from . import simplex as sx
@@ -43,6 +45,14 @@ def _policy_from_env(tol: float | None = None) -> TolerancePolicy:
             except ValueError as exc:
                 raise InputError(f"ORTHOPLEX_TOL={env!r} is not a number") from exc
     return TolerancePolicy(rel=tol) if tol is not None else TolerancePolicy()
+
+
+def _json_default(obj):
+    """``default`` hook for ``json.dumps``: numpy arrays become lists and
+    numpy scalars Python scalars (``np.float64`` is a ``float`` already)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dump(doc, compact: bool = False) -> str:

@@ -249,7 +249,7 @@ class RectSpec:
             raise InputError("legs must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RectMetrics:
     volume: float
     hyp_volume: float

@@ -142,30 +142,3 @@ def gram_embed(g: SymMatrix, policy: TolerancePolicy = DEFAULT_POLICY) -> np.nda
     keep = vals > cut
     pts = vecs[:, keep] * np.sqrt(np.clip(vals[keep], 0.0, None))
     return pts
-
-
-def _plain(obj):
-    """``obj`` with numpy arrays and scalars turned into Python lists and
-    scalars, recursing into dicts, lists and tuples (tuples become lists),
-    so the result is JSON-plain (for the verify reports)."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
-def _json_default(obj):
-    """``default`` hook for ``json.dumps``: numpy arrays become lists and
-    numpy scalars Python scalars (``np.float64`` is a ``float`` already)."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -62,7 +62,7 @@ RECTANGULAR = "rectangular"
 is_orthocentric = centers.is_orthocentric
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthoParams:
     """Shape parameters: orthocenter barycentrics plus obtuseness.
 
@@ -89,7 +89,7 @@ class OrthoParams:
         return self.kind == RECTANGULAR
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LambdaParams:
     """Distance parameters of the orthocentric system {H, A_1..A_{d+1}}:
     every squared mutual distance is a sum of two of them and their
@@ -103,19 +103,19 @@ class LambdaParams:
         return np.concatenate(([self.lam_h], self.lam))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AltitudeData:
     feet: np.ndarray     # row i: foot of the perpendicular from vertex i
     lengths: np.ndarray  # altitude lengths h_i
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeAltitudeData:
     altitudes: AltitudeData
     sq_edges: np.ndarray  # (d+1) x (d+1) squared-edge table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircumData:
     """Circumcenter location and squared radii from the shape parameters."""
 

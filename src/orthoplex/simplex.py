@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Simplex:
     """d+1 affinely independent vertices in d-space (d >= 1).
 

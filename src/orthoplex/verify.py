@@ -25,7 +25,7 @@ from itertools import accumulate, combinations
 import numpy as np
 
 from .errors import InputError, OrthoplexError
-from .numerics import DEFAULT_POLICY, TolerancePolicy, _plain
+from .numerics import DEFAULT_POLICY, TolerancePolicy
 from . import centers
 from . import families
 from . import orthocentric as oc
@@ -181,7 +181,10 @@ class _Recorder:
         (and the premise) are arrays over the block or numbers, a shorter
         shape standing for its leading axes.  An array in ``extra`` is read
         at the violation's index, on as many axes as it has; any other
-        value is the same for every sample."""
+        value is the same for every sample.  An extra is a numpy array or
+        scalar, a Python number, bool or string, or a tuple or flat list of
+        numbers, so that the report reads it by ``tolist()`` (a tuple
+        becomes a list) and stays JSON-plain."""
         vertices = None if simplex is None else simplex.vertices
         self._queue.append((label, residual, allowed, vertices, premise, extra))
         self._queued += np.size(residual)
@@ -242,7 +245,7 @@ class _Recorder:
             "residual": residual,
             "allowed": allowed,
             "residuals": {
-                k: _plain(v[at[: v.ndim]] if isinstance(v, np.ndarray) else v)
+                k: (v[at[: v.ndim]] if isinstance(v, np.ndarray) else np.asarray(v)).tolist()
                 for k, v in extra.items()
             },
         }

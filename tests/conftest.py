@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import orthoplex as op
 from orthoplex import TolerancePolicy
+from orthoplex import simplex as sx
 
 
 @pytest.fixture
@@ -36,3 +38,12 @@ def count_inverses(monkeypatch) -> list:
     for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, forbidden)
     return shapes
+
+
+def facet_circumradii(s) -> np.ndarray:
+    """The circumradius of each facet of ``s``, facet i opposite vertex i,
+    from the facet re-embedded as a simplex of its own: an oracle for the
+    closed forms."""
+    return np.array(
+        [op.circumcenter(sx.face(s, sx.facet_indices(s)[i]))[1] for i in range(s.n)]
+    )

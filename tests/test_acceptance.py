@@ -16,16 +16,11 @@ import orthoplex as op
 from orthoplex import cli
 from orthoplex import simplex as sx
 from orthoplex import verify as vf
+from conftest import facet_circumradii
 
 
 def announce(number, text):
     print(f"ACCEPTANCE {number}: PASS - {text}")
-
-
-def facet_circumradii(s):
-    return np.array(
-        [op.circumcenter(sx.face(s, sx.facet_indices(s)[i]))[1] for i in range(s.n)]
-    )
 
 
 def orthocentric_fixtures(d_max=6):

@@ -19,12 +19,7 @@ from orthoplex import (
 from orthoplex import cli
 from orthoplex import families as fam
 from orthoplex import simplex as sx
-
-
-def facet_circumradii(s):
-    return np.array(
-        [op.circumcenter(sx.face(s, sx.facet_indices(s)[i]))[1] for i in range(s.n)]
-    )
+from conftest import facet_circumradii
 
 
 class TestRegular:

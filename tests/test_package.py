@@ -1,6 +1,6 @@
 """The package namespace: which modules ``import orthoplex`` and each
-subcommand load, and the names served from ``families`` and ``verify``
-on first use."""
+subcommand load, the names served from ``families`` and ``verify`` on
+first use, and the equality of the result types."""
 
 import json
 import os
@@ -111,3 +111,38 @@ def test_dir_and_star_import_list_every_name():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         op.no_such_name
+
+
+BARY = [0.1, 0.2, 0.3, 0.4]  # an acute orthocentric 3-simplex
+
+
+def built(f):
+    """``f`` of a freshly built simplex and its parameters."""
+    s = op.construct(BARY)
+    return f(s, op.params_of(s))
+
+
+# every result type with an array field, each from a fresh build
+RESULTS = {
+    "Simplex": lambda: op.construct(BARY),
+    "OrthoParams": lambda: built(lambda s, p: p),
+    "LambdaParams": lambda: built(lambda s, p: op.lambda_params(p)),
+    "AltitudeData": lambda: built(lambda s, p: op.edge_and_altitude_data(p, s).altitudes),
+    "EdgeAltitudeData": lambda: built(lambda s, p: op.edge_and_altitude_data(p, s)),
+    "CircumData": lambda: built(lambda s, p: op.circum_data(p, s)),
+    "CenterReport": lambda: op.center_report(op.construct(BARY)),
+    "FeuerbachSphere": lambda: op.feuerbach_sphere(op.construct(BARY), 1),
+    "RectMetrics": lambda: op.rect_metrics(op.RectSpec(3, (1.0, 2.0, 3.0))),
+}
+
+
+@pytest.mark.parametrize("name", list(RESULTS))
+def test_results_compare_by_identity(name):
+    """A result is a value of its own: equal-valued results compare unequal
+    and hash apart, and none of ``==``, ``!=`` and ``hash`` raises on the
+    arrays they hold."""
+    a, b = RESULTS[name](), RESULTS[name]()
+    assert type(a).__name__ == type(b).__name__ == name and a is not b
+    assert a == a and not a != a
+    assert not a == b and a != b
+    assert len({a, b}) == 2

@@ -160,3 +160,32 @@ def test_out_of_range_rule_only_in_simplex():
             if name in names:
                 found.add(path.name)
     assert found == {"simplex.py"}
+
+
+def test_array_dataclasses_compare_by_identity():
+    """A generated ``__eq__`` compares arrays, which raises on ``==``, and
+    its ``__hash__`` hashes them, which raises too: each frozen dataclass
+    with a field annotated ``np.ndarray`` (alone or in a union) declares
+    ``eq=False``, so ``==`` and ``hash`` are the object's own."""
+    holders, unguarded = set(), []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for dec in cls.decorator_list:
+                name = getattr(getattr(dec, "func", None), "id", None)
+                if not (isinstance(dec, ast.Call) and name == "dataclass"):
+                    continue
+                kw = {k.arg: getattr(k.value, "value", None) for k in dec.keywords}
+                arrays = any(getattr(node, "attr", None) == "ndarray"
+                             for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+                             for node in ast.walk(stmt.annotation))
+                if kw.get("frozen") is True and arrays:
+                    holders.add(cls.name)
+                    if kw.get("eq") is not False:
+                        unguarded.append(f"{path.name}:{cls.name}")
+    assert holders >= {"Simplex", "CenterReport", "FeuerbachSphere", "OrthoParams",
+                       "LambdaParams", "AltitudeData", "EdgeAltitudeData", "CircumData",
+                       "RectMetrics"}
+    assert unguarded == []

@@ -290,19 +290,36 @@ class TestRecorder:
         """The counterexample is the first violation in queue order: a check
         queued earlier wins at a later sample over a later check at sample
         0, whether or not a settle falls between them; the later settle
-        still raises the largest ratio."""
+        still raises the largest ratio.  The report's payload is JSON-plain:
+        its extras (a numpy scalar, an array row, a tuple, a string) dump
+        with no ``default`` hook, and every leaf is a Python scalar."""
         rng = np.random.default_rng(3)
         s = sx._stack([op.from_vertices(2, rng.normal(size=(3, 2))) for _ in range(4)])
         rec = vf._Recorder("x")
-        rec.check("earlier", np.array([0.1, 0.2, 0.3, 2.0]), 1.0, s, sample=np.arange(4))
+        rec.check("earlier", np.array([0.1, 0.2, 0.3, 2.0]), 1.0, s, sample=np.arange(4),
+                  row=np.arange(8.0).reshape(4, 2), scale=np.float64(0.5), pair=(1, 2),
+                  name="text")
         if settle:
             rec._settle()
         rec.check("later", np.array([3.0, 0.1, 0.1, 0.1]), 1.0, s, sample=np.arange(4))
         result = rec.result()
         assert result.max_residual == 3.0
         assert result.counterexample == {
-            "check": "earlier", "residual": 2.0, "allowed": 1.0, "residuals": {"sample": 3},
+            "check": "earlier", "residual": 2.0, "allowed": 1.0,
+            "residuals": {"sample": 3, "row": [6.0, 7.0], "scale": 0.5, "pair": [1, 2],
+                          "name": "text"},
             "simplex": {"dim": 2, "vertices": s.vertices[3].tolist()}}
+        payload = vf.VerificationReport(False, 0, (result,)).to_json_dict()
+        json.dumps(payload)
+
+        def leaves(x):
+            if isinstance(x, dict):
+                return [y for v in x.values() for y in leaves(v)]
+            if isinstance(x, list):
+                return [y for v in x for y in leaves(v)]
+            return [x]
+
+        assert {type(x) for x in leaves(payload)} <= {int, float, bool, str, type(None)}
 
     @pytest.mark.parametrize("field, check", [("incenter", "rect separated"),
                                               ("circumcenter", "rect circumcenter barycentrics")])

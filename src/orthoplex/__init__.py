@@ -49,7 +49,6 @@ from .orthocentric import (
     ACUTE,
     OBTUSE,
     RECTANGULAR,
-    AltitudeData,
     LambdaParams,
     OrthoParams,
     circum_data,

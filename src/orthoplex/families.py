@@ -78,6 +78,7 @@ def regular(d: int, s: float, policy: TolerancePolicy = DEFAULT_POLICY) -> sx.Si
     """
     if not sx._is_int(d) or d < 1:
         raise InputError(f"dimension must be an integer >= 1, got {d!r}")
+    sx._check_size("dimension", d, d)
     if not (0 < s < math.inf):
         raise InputError(f"edge length must be positive and finite, got {s}")
     return sx.from_vertices(d, _regular(int(d), float(s)), policy)
@@ -138,6 +139,7 @@ class KiteSpec:
     def __post_init__(self):
         if not sx._is_int(self.d) or self.d < 3:
             raise InputError(f"kites need an integer dimension >= 3, got {self.d!r}")
+        sx._check_size("dimension", self.d, self.d)
         # kite_metrics' core 2 eps^2 d - (d-1) and twice it must be finite
         if not (0 < self.s < math.inf and 0 < self.t < math.inf
                 and self.eccentricity * self.eccentricity < math.inf
@@ -374,21 +376,21 @@ def _lift_rows(t: sx.Simplex, policy: TolerancePolicy):
 # generalized-kite equiradial family
 
 
-def _admissibility_sides(d: int, m: int) -> tuple[int, float]:
-    """(m (d+1-m), ((d^2 - 3d + 4) / (2 (d-2)))^2) for integers 2 <= m <= d-1."""
+def _discriminant(d: int, m: int) -> int:
+    """(d^2 - 3d + 4)^2 - 4 m n (d-2)^2, n = d+1-m, integers 2 <= m <= d-1: the
+    exact discriminant of Q (:class:`EquiradialSolution`), positive exactly
+    when m n < ((d^2 - 3d + 4) / (2 (d-2)))^2, the paper's bound."""
     if not (sx._is_int(d) and sx._is_int(m) and 2 <= m <= d - 1):
         raise InputError(f"need integers 2 <= m <= d-1, got m={m!r}, d={d!r}")
-    n = d + 1 - m
-    bound = ((d * d - 3 * d + 4) / (2.0 * (d - 2))) ** 2
-    return m * n, bound
+    d, m = int(d), int(m)
+    return (d * d - 3 * d + 4) ** 2 - 4 * m * (d + 1 - m) * (d - 2) ** 2
 
 
 def equiradial_admissible(d: int, m: int) -> bool:
-    """Existence test for the two-group equiradial family:
-    m (d+1-m) < ((d^2 - 3d + 4) / (2 (d-2)))^2 (strict; equality never
-    occurs).  Admissibility forces d >= 9."""
-    lhs, rhs = _admissibility_sides(d, m)
-    return lhs < rhs
+    """Existence test for the two-group equiradial family: a positive
+    :func:`_discriminant` (the bound is strict and equality never occurs).
+    Admissibility forces d >= 9."""
+    return _discriminant(d, m) > 0
 
 
 @dataclass(frozen=True)
@@ -403,12 +405,14 @@ class EquiradialSpec:
     def __post_init__(self):
         if not (sx._is_int(self.branch) and self.branch in (1, 2)):
             raise InputError(f"branch must be the integer 1 or 2, got {self.branch!r}")
-        lhs, rhs = _admissibility_sides(self.d, self.m)
-        if not lhs < rhs:
+        admissible = _discriminant(self.d, self.m) > 0
+        sx._check_size("dimension", self.d, self.d)
+        if not admissible:
+            rhs = ((self.d**2 - 3 * self.d + 4) / (2.0 * (self.d - 2))) ** 2
             raise AdmissibilityError(
                 f"(d, m) = ({self.d}, {self.m}) inadmissible: "
-                f"m(d+1-m) = {lhs} >= {rhs:.6f}",
-                lhs=lhs,
+                f"m(d+1-m) = {self.m * self.n} >= {rhs:.6f}",
+                lhs=self.m * self.n,
                 rhs=rhs,
             )
 
@@ -452,12 +456,8 @@ def _equiradial_solution(d: int, m: int, branch: int,
     times, -1/y repeated n times)."""
     spec = EquiradialSpec(d=d, m=m, branch=branch)
     n = spec.n
-    mn = m * n
-    p = d * d - 3 * d + 4 - 2 * mn
-    q = mn * (mn - d)
-    disc = p * p - 4.0 * q
-    if not disc > 0:
-        raise NumericError(f"admissibility guarantees distinct real roots, got disc={disc}")
+    p = d * d - 3 * d + 4 - 2 * m * n
+    disc = _discriminant(d, m)  # p^2 - 4 mn (mn - d), positive for an admissible spec
     root_hi = (p + math.sqrt(disc)) / 2.0
     root_lo = (p - math.sqrt(disc)) / 2.0
     xi, eta = (root_hi, root_lo) if branch == 1 else (root_lo, root_hi)

@@ -18,7 +18,7 @@ of the coordinates, and the vertices are read off that factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
 
@@ -37,7 +37,6 @@ from . import simplex as sx
 __all__ = [
     "OrthoParams",
     "LambdaParams",
-    "AltitudeData",
     "EdgeAltitudeData",
     "CircumData",
     "ACUTE",
@@ -64,29 +63,46 @@ is_orthocentric = centers.is_orthocentric
 
 @dataclass(frozen=True, eq=False)
 class OrthoParams:
-    """Shape parameters: orthocenter barycentrics plus obtuseness.
+    """Shape parameters, the paper's (a, sigma): orthocenter barycentrics
+    plus obtuseness.  Everything else is read from them."""
 
-    ``kind`` is one of ``acute`` / ``obtuse`` / ``rectangular``;
-    ``rect_vertex`` holds the right-angle vertex index (0-based) in the
-    rectangular case and is None otherwise.
-    """
-
-    dim: int
     bary: np.ndarray
     obtuseness: float
-    kind: str
-    rect_vertex: int | None = None
+
+    @property
+    def dim(self) -> int:
+        return len(self.bary) - 1
+
+    @property
+    def rectangular(self) -> bool:
+        return self.obtuseness == 0
+
+    @property
+    def kind(self) -> str:
+        return RECTANGULAR if self.rectangular else ACUTE if self.obtuseness < 0 else OBTUSE
+
+    @property
+    def rect_vertex(self) -> int | None:
+        """The right-angle vertex (0-based) when rectangular, else None."""
+        return int(np.argmax(self.bary)) if self.rectangular else None
 
     @property
     def klass(self) -> str:
         """Class label: 'acute', 'obtuse', or 'rectangular-at-<k>'."""
-        if self.kind == RECTANGULAR:
-            return f"rectangular-at-{self.rect_vertex}"
-        return self.kind
+        return f"rectangular-at-{self.rect_vertex}" if self.rectangular else self.kind
 
-    @property
-    def rectangular(self) -> bool:
-        return self.kind == RECTANGULAR
+    def face_r_squared(self, index_set) -> float:
+        """Squared circumradius of the face on the given vertex indices:
+        4 R_F^2 / sigma = (k-1)^2 / s - sum_{i in I} 1/a_i, s = sum_{i in I} a_i."""
+        if self.rectangular:
+            raise RectangularParamsError("face circumradii are undefined for rectangular input")
+        idx = sx._check_indices(self.dim + 1, index_set)
+        if not idx:
+            raise InputError("a face needs at least one vertex")
+        k = len(idx) - 1
+        s = float(self.bary[list(idx)].sum())
+        inv = float(np.sum(1.0 / self.bary[list(idx)]))
+        return self.obtuseness / 4.0 * ((k - 1) ** 2 / s - inv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,37 +120,19 @@ class LambdaParams:
 
 
 @dataclass(frozen=True, eq=False)
-class AltitudeData:
-    feet: np.ndarray     # row i: foot of the perpendicular from vertex i
-    lengths: np.ndarray  # altitude lengths h_i
-
-
-@dataclass(frozen=True, eq=False)
 class EdgeAltitudeData:
-    altitudes: AltitudeData
+    feet: np.ndarray      # row i: foot of the perpendicular from vertex i
+    lengths: np.ndarray   # altitude lengths h_i
     sq_edges: np.ndarray  # (d+1) x (d+1) squared-edge table
 
 
 @dataclass(frozen=True, eq=False)
 class CircumData:
-    """Circumcenter location and squared radii from the shape parameters."""
+    """Circumcenter location and squared radius from the shape parameters."""
 
     center: np.ndarray
     r_squared: float
     interior: bool
-    _params: OrthoParams = field(repr=False)
-
-    def face_r_squared(self, index_set) -> float:
-        """Squared circumradius of the face on the given vertex indices:
-        4 R_F^2 / sigma = (k-1)^2 / s - sum_{i in I} 1/a_i, s = sum_{i in I} a_i."""
-        p = self._params
-        idx = sx._check_indices(p.dim + 1, index_set)
-        if not idx:
-            raise InputError("a face needs at least one vertex")
-        k = len(idx) - 1
-        s = float(p.bary[list(idx)].sum())
-        inv = float(np.sum(1.0 / p.bary[list(idx)]))
-        return p.obtuseness / 4.0 * ((k - 1) ** 2 / s - inv)
 
 
 def _validate_bary(a: np.ndarray, policy: TolerancePolicy):
@@ -215,11 +213,9 @@ def params_of(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> OrthoP
     if rectangular:
         bary = np.zeros(s.n)
         bary[corner] = 1.0
-        return OrthoParams(
-            dim=s.dim, bary=bary, obtuseness=0.0, kind=RECTANGULAR, rect_vertex=int(corner)
-        )
+        return OrthoParams(bary=bary, obtuseness=0.0)
     _validate_bary(bary, policy)
-    return OrthoParams(dim=s.dim, bary=bary, obtuseness=c, kind=ACUTE if c < 0 else OBTUSE)
+    return OrthoParams(bary=bary, obtuseness=c)
 
 
 def construct(
@@ -326,9 +322,7 @@ def edge_and_altitude_data(
     if np.abs(lengths - sx._row_norms(s.vertices - feet)).max() > tol:
         raise NotOrthocentricError("altitude-length formula check failed")
 
-    return EdgeAltitudeData(
-        altitudes=AltitudeData(feet=feet, lengths=lengths), sq_edges=sq_edges
-    )
+    return EdgeAltitudeData(feet=feet, lengths=lengths, sq_edges=sq_edges)
 
 
 def _check_dims(p: OrthoParams, s: sx.Simplex):
@@ -349,9 +343,7 @@ def restrict_to_face(p: OrthoParams, index_set) -> OrthoParams:
     if s == 0.0:
         raise ParametrizationError(f"coordinate sum over face {idx} vanishes")
     a = p.bary[list(idx)] / s
-    c = p.obtuseness / s
-    kind = ACUTE if c < 0 else OBTUSE
-    return OrthoParams(dim=len(idx) - 1, bary=a, obtuseness=c, kind=kind)
+    return OrthoParams(bary=a, obtuseness=p.obtuseness / s)
 
 
 def circum_data(p: OrthoParams, s: sx.Simplex) -> CircumData:
@@ -375,7 +367,7 @@ def circum_data(p: OrthoParams, s: sx.Simplex) -> CircumData:
     center = s.vertices.sum(axis=0) / 2.0 - (d - 1) / 2.0 * h
     r2 = p.obtuseness / 4.0 * ((d - 1) ** 2 - float((1.0 / p.bary).sum()))
     interior = bool((p.bary > 0).all() and (p.bary < 1.0 / (d - 1)).all())
-    return CircumData(center=center, r_squared=r2, interior=interior, _params=p)
+    return CircumData(center=center, r_squared=r2, interior=interior)
 
 
 def lambda_params(p: OrthoParams) -> LambdaParams:
@@ -424,7 +416,7 @@ def sample_params(d: int, kind: str, seed: int) -> OrthoParams:
     code = 0 if kind == ACUTE else 1
     rng = np.random.default_rng(np.random.SeedSequence([17, d, code, int(seed)]))
     bary = _sample_rows(d, kind, 1, rng)[0].copy()
-    return OrthoParams(dim=d, bary=bary, obtuseness=1.0 if kind == OBTUSE else -1.0, kind=kind)
+    return OrthoParams(bary=bary, obtuseness=1.0 if kind == OBTUSE else -1.0)
 
 
 def _sample_rows(d: int, kind: str, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -146,9 +146,7 @@ def _from_vertex_rows(dim: int, vertices: np.ndarray, policy: TolerancePolicy,
         r = float(t[bad.index(True)])
         raise DegenerateSimplexError(
             f"vertices are affinely dependent (relative thickness {r:.3e})", thickness=r)
-    if True in bad:
-        return _from_vertex_rows(dim, vertices[~degenerate], policy)
-    return s
+    return _from_vertex_rows(dim, vertices[~degenerate], policy)  # each row not ok is degenerate
 
 
 def _read_only(value):
@@ -449,6 +447,15 @@ def _face_pose(pts: np.ndarray) -> np.ndarray:
 def _is_int(x) -> bool:
     """True for an integer (numpy integers too), not a bool."""
     return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _check_size(name: str, value: int, dim: int, count: int = 1):
+    """InputError, naming the size ``name`` = ``value``, unless ``count``
+    squared-edge tables of ``dim``-simplices fit numpy's largest array."""
+    limit = np.iinfo(np.intp).max // 8  # floats: numpy needs the byte count in an intp
+    if int(count) * (int(dim) + 1) ** 2 > limit:
+        raise InputError(f"{name} {value} is too large: its arrays would exceed "
+                         f"numpy's largest, {limit} floats")
 
 
 def _check_indices(n: int, index_set) -> tuple[int, ...]:

@@ -87,6 +87,7 @@ class SuiteConfig:
             raise InputError(
                 f"need 2 <= d_min <= d_max <= 10, got [{self.d_min}, {self.d_max}]"
             )
+        sx._check_size("samples", self.samples, self.d_max, self.samples)
         if not self.policy.rel >= _REL_FLOOR:
             raise InputError(f"tolerance rel={self.policy.rel!r} must be at least "
                              f"{_REL_FLOOR:g}, below which the checks fail on round-off")

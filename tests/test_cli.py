@@ -539,6 +539,34 @@ class TestUsageErrors:
         assert code == 0 and err == ""
         assert doc["vertices"] == op.construct([-0.25, -0.25, 1.5]).vertices.tolist()
 
+    @pytest.mark.parametrize("argv, name", [
+        (["construct", "regular", "--dim", str(10**20), "--edge", "1"], "dimension"),
+        (["construct", "kite", "--dim", str(10**20), "--base-edge", "1", "--apex-edge", "1"],
+         "dimension"),
+        (["construct", "equiradial", "--dim", str(10**80), "--m", "2"], "dimension"),
+        (["verify", "--samples", str(10**30)], "samples"),
+    ])
+    def test_size_beyond_numpy_arrays_exits_1(self, capsys, argv, name):
+        """Refused before any array is made (numpy raised ValueError or the
+        discriminant OverflowError before)."""
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"].startswith(f"{name} 1000")
+        assert "exceed numpy's largest" in err
+
+    def test_size_limit_is_numpy_largest_array(self):
+        """One squared-edge table of dimension d needs (d+1)^2 floats."""
+        limit = np.iinfo(np.intp).max // 8
+        edge = math.isqrt(limit)
+        sx._check_size("dimension", edge - 1, edge - 1)
+        with pytest.raises(op.InputError, match=f"dimension {edge} is too large"):
+            sx._check_size("dimension", edge, edge)
+        with pytest.raises(op.InputError, match="samples"):
+            sx._check_size("samples", limit // 121 + 1, 10, limit // 121 + 1)
+        with pytest.raises(ValueError):  # what numpy raises past the limit, allocating nothing
+            np.empty(limit + 1)
+
     @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["construct", "-h"]])
     def test_help_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

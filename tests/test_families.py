@@ -2,6 +2,7 @@ import decimal
 import gc
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -513,6 +514,15 @@ class TestEquiradialGeneral:
         assert (radii.max() - radii.min()) / radii.max() <= 1e-8
         p = op.params_of(s)
         assert p.bary.tolist() == pytest.approx([sol.a] * m + [sol.b] * (d + 1 - m), rel=1e-8)
+
+    def test_admissibility_is_the_paper_bound_in_rationals(self):
+        """m (d+1-m) < ((d^2 - 3d + 4) / (2 (d-2)))^2, read exactly, decides
+        every (d, m) of 3 <= d <= 399 as the discriminant does."""
+        wrong = [(d, m) for d in range(3, 400)
+                 for bound in [Fraction(d * d - 3 * d + 4, 2 * (d - 2)) ** 2]
+                 for m in range(2, d)
+                 if op.equiradial_admissible(d, m) != (m * (d + 1 - m) < bound)]
+        assert wrong == []
 
     def test_admissibility_implies_d_at_least_9(self):
         for d in range(3, 9):

@@ -69,6 +69,39 @@ class TestIsOrthocentric:
         assert not op.is_orthocentric(op.from_vertices(4, v))
 
 
+class TestOrthoParams:
+    """The record is the paper's pair (a, sigma); the rest is read from it."""
+
+    def test_fields_are_bary_and_obtuseness(self):
+        assert [f.name for f in dataclasses.fields(op.OrthoParams)] == ["bary", "obtuseness"]
+
+    @pytest.mark.parametrize("bary, sigma, want", [
+        ([0.4, 0.3, 0.2, 0.1], -1.0, (3, op.ACUTE, None, "acute", False)),
+        ([-0.5, -0.5, 2.0], 2.5, (2, op.OBTUSE, None, "obtuse", False)),
+        ([0.0, 0.0, 1.0, 0.0, 0.0], 0.0, (4, op.RECTANGULAR, 2, "rectangular-at-2", True)),
+    ], ids=["acute", "obtuse", "rectangular"])
+    def test_derived_from_the_pair(self, bary, sigma, want):
+        p = op.OrthoParams(np.array(bary), sigma)
+        assert (p.dim, p.kind, p.rect_vertex, p.klass, p.rectangular) == want
+
+    @pytest.mark.parametrize("d", [3, 4, 7])
+    def test_built_records_agree(self, d):
+        for kind in ("acute", "obtuse"):
+            p = op.sample_params(d, kind, d)
+            q = op.params_of(op.construct(p.bary, 1.0))
+            assert (p.dim, p.kind, q.dim, q.kind) == (d, kind, d, kind)
+            assert op.restrict_to_face(q, range(d)).dim == d - 1
+        corner = op.params_of(op.rectangular(op.RectSpec(d, (1.0,) * d)))
+        assert (corner.dim, corner.klass) == (d, f"rectangular-at-{d}")
+
+    @pytest.mark.parametrize("call", [op.edge_and_altitude_data, op.circum_data])
+    def test_bary_length_must_match_the_simplex(self, call):
+        p = op.OrthoParams(np.full(5, 0.2), -1.0)
+        s = op.construct([0.4, 0.3, 0.2, 0.1], 1.0)
+        with pytest.raises(InputError, match="dimension 4 with a simplex of dimension 3"):
+            call(p, s)
+
+
 class TestParamsOf:
     def test_equilateral_side_sqrt6(self):
         s = op.regular(2, math.sqrt(6.0))
@@ -378,7 +411,7 @@ class TestEdgeAltitudeData:
     def test_worked_altitude(self):
         s = op.construct([0.4, 0.3, 0.2, 0.1], 1.0)
         data = op.edge_and_altitude_data(op.params_of(s), s)
-        assert data.altitudes.lengths[0] ** 2 == pytest.approx(25 / 6, rel=1e-9)
+        assert data.lengths[0] ** 2 == pytest.approx(25 / 6, rel=1e-9)
 
     def test_equilateral_vertex_distances(self):
         s = op.construct([1 / 3, 1 / 3, 1 / 3], 1.0)
@@ -390,15 +423,15 @@ class TestEdgeAltitudeData:
         data = op.edge_and_altitude_data(op.params_of(s), s)
         h = op.monge_point(s)
         # B_i - H = -(A_i - H)/2 for uniform coordinates
-        assert np.allclose(data.altitudes.feet - h, -(s.vertices - h) / 2, atol=1e-12)
+        assert np.allclose(data.feet - h, -(s.vertices - h) / 2, atol=1e-12)
 
     def test_feet_lie_on_facets(self):
         s = op.construct([0.4, 0.3, 0.2, 0.1], 1.0)
         data = op.edge_and_altitude_data(op.params_of(s), s)
         for i in range(s.n):
             pts = s.vertices[list(sx.facet_indices(s)[i])]
-            proj = sx.project_to_affine_hull(data.altitudes.feet[i], pts)
-            assert np.allclose(proj, data.altitudes.feet[i], atol=1e-10)
+            proj = sx.project_to_affine_hull(data.feet[i], pts)
+            assert np.allclose(proj, data.feet[i], atol=1e-10)
 
     def test_rectangular_rejected(self):
         s = op.rectangular(op.RectSpec(3, (1.0, 1.0, 1.0)))
@@ -417,6 +450,30 @@ class TestEdgeAltitudeData:
             monkeypatch.setattr(sx, "altitude_feet", lambda simplex, feet=feet: feet)
             with pytest.raises(NotOrthocentricError, match="altitude-foot formula check failed"):
                 op.edge_and_altitude_data(p, s)
+
+    def test_edge_formula_rejects_a_simplex_that_is_not_orthocentric(self):
+        """a = c / (c - |A_i - H|^2), c the mean off-diagonal Monge Gram
+        entry, meets the vertex formula of a Gaussian simplex exactly; its
+        squared edges are not -c (1/a_i + 1/a_j)."""
+        s = op.from_vertices(4, np.random.default_rng(7).normal(size=(5, 4)))
+        _, gram, c = centers._monge_gram(s)[:3]
+        p = op.OrthoParams(c / (c - gram.diagonal()), c)
+        with pytest.raises(NotOrthocentricError, match="squared-edge formula check failed"):
+            op.edge_and_altitude_data(p, s)
+
+    def test_altitude_length_is_the_most_sensitive_to_a_small_coordinate(self):
+        """Moving a_0 = 0.1 by 5e-9 keeps the vertex and edge residuals within
+        rel diam^2 and the foot within rel diam; the altitude length, which
+        moves 1 / (2 a_0) times as far as the foot, leaves rel diam.  (The
+        obtuseness alone cannot get there: the edge check bounds its
+        relative error by rel, and h_i moves by half of that.)"""
+        s = op.construct([0.1, 0.001, 0.002, 0.897], 1.0)
+        p = op.params_of(s)
+        op.edge_and_altitude_data(p, s)
+        bary = p.bary.copy()
+        bary[0] -= 5e-9
+        with pytest.raises(NotOrthocentricError, match="altitude-length formula check failed"):
+            op.edge_and_altitude_data(op.OrthoParams(bary, p.obtuseness), s)
 
     @pytest.mark.parametrize("scale", [10.0**-k for k in range(0, 17, 2)])
     @pytest.mark.parametrize("kind", ["acute", "obtuse"])
@@ -478,8 +535,7 @@ class TestRestrictToFace:
         assert np.array_equal(op.restrict_to_face(p, np.array([0, 1, 2])).bary, want.bary)
 
     def test_vanishing_face_sum_rejected(self):
-        p = op.OrthoParams(dim=3, bary=np.array([0.5, -0.5, 0.0, 1.0]),
-                           obtuseness=1.0, kind=op.OBTUSE)
+        p = op.OrthoParams(bary=np.array([0.5, -0.5, 0.0, 1.0]), obtuseness=1.0)
         with pytest.raises(ParametrizationError, match="vanishes"):
             op.restrict_to_face(p, (0, 1, 2))
 
@@ -527,7 +583,7 @@ class TestCircumData:
         assert cd.r_squared == pytest.approx(big_r**2, rel=1e-9)
 
     def test_interiority_threshold_d4(self):
-        p_in = op.OrthoParams(4, np.full(5, 0.2), -1.0, op.ACUTE)
+        p_in = op.OrthoParams(np.full(5, 0.2), -1.0)
         s_in = op.construct(p_in.bary, 1.0)
         assert op.circum_data(op.params_of(s_in), s_in).interior
         bary = np.array([0.4, 0.15, 0.15, 0.15, 0.15])  # 0.4 > 1/3
@@ -536,21 +592,20 @@ class TestCircumData:
 
     def test_face_circumradius_against_coordinates(self):
         s = op.construct([0.4, 0.3, 0.2, 0.1], 1.0)
-        cd = op.circum_data(op.params_of(s), s)
-        got = cd.face_r_squared((0, 1, 2))
+        got = op.params_of(s).face_r_squared((0, 1, 2))
         assert got == pytest.approx(2.430555555555556, rel=1e-9)
         _, r = op.circumcenter(sx.face(s, (0, 1, 2)))
         assert got == pytest.approx(r**2, rel=1e-9)
 
     def test_empty_face_rejected(self):
         s = op.construct([0.4, 0.3, 0.2, 0.1], 1.0)
-        cd = op.circum_data(op.params_of(s), s)
+        p = op.params_of(s)
         with pytest.raises(InputError):
-            cd.face_r_squared(())
+            p.face_r_squared(())
         for bad in BAD_INDEX_SETS:
             with pytest.raises(InputError):
-                cd.face_r_squared(bad)
-        assert cd.face_r_squared(np.array([0, 1, 2])) == cd.face_r_squared((0, 1, 2))
+                p.face_r_squared(bad)
+        assert p.face_r_squared(np.array([0, 1, 2])) == p.face_r_squared((0, 1, 2))
 
 
 class TestRectangularParams:
@@ -558,7 +613,8 @@ class TestRectangularParams:
         lambda p, s: op.restrict_to_face(p, (0, 1, 2)),
         lambda p, s: op.circum_data(p, s),
         lambda p, s: op.lambda_params(p),
-    ], ids=["restrict_to_face", "circum_data", "lambda_params"])
+        lambda p, s: p.face_r_squared((0, 1, 2)),
+    ], ids=["restrict_to_face", "circum_data", "lambda_params", "face_r_squared"])
     def test_rejected(self, call):
         s = op.rectangular(op.RectSpec(3, (1.0, 2.0, 3.0)))
         p = op.params_of(s)

@@ -127,7 +127,6 @@ RESULTS = {
     "Simplex": lambda: op.construct(BARY),
     "OrthoParams": lambda: built(lambda s, p: p),
     "LambdaParams": lambda: built(lambda s, p: op.lambda_params(p)),
-    "AltitudeData": lambda: built(lambda s, p: op.edge_and_altitude_data(p, s).altitudes),
     "EdgeAltitudeData": lambda: built(lambda s, p: op.edge_and_altitude_data(p, s)),
     "CircumData": lambda: built(lambda s, p: op.circum_data(p, s)),
     "CenterReport": lambda: op.center_report(op.construct(BARY)),

@@ -186,6 +186,6 @@ def test_array_dataclasses_compare_by_identity():
                     if kw.get("eq") is not False:
                         unguarded.append(f"{path.name}:{cls.name}")
     assert holders >= {"Simplex", "CenterReport", "FeuerbachSphere", "OrthoParams",
-                       "LambdaParams", "AltitudeData", "EdgeAltitudeData", "CircumData",
+                       "LambdaParams", "EdgeAltitudeData", "CircumData",
                        "RectMetrics"}
     assert unguarded == []

@@ -133,17 +133,22 @@ def euler_line(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> Euler
     line through C and H.  Where |H - C| is at most rel times the diameter
     the three points coincide and the ratio degenerates.
     """
-    if orthocenter(s, policy) is None:
+    if not is_orthocentric(s, policy):
         raise NotOrthocentricError("Euler line requires an orthocentric simplex")
+    return EulerLineData(**_euler_fields(s, policy))
+
+
+def _euler_fields(s: sx.Simplex, policy: TolerancePolicy) -> dict:
+    """The fields of :func:`euler_line` of an orthocentric ``s``, by name."""
     g, c, h = centroid(s), circumcenter(s)[0], monge_point(s)
     ch, offset = h - c, g - c
     length = math.sqrt(ch.dot(ch))
     if length <= policy.rel * sx.diameter(s):
-        return EulerLineData(ratio=None, collinearity_residual=0.0, coincident=True)
+        return {"ratio": None, "collinearity_residual": 0.0, "coincident": True}
     u = ch / length
     rest = offset - offset.dot(u) * u
-    return EulerLineData(ratio=math.sqrt(offset.dot(offset)) / math.sqrt((g - h).dot(g - h)),
-                         collinearity_residual=math.sqrt(rest.dot(rest)), coincident=False)
+    return {"ratio": math.sqrt(offset.dot(offset)) / math.sqrt((g - h).dot(g - h)),
+            "collinearity_residual": math.sqrt(rest.dot(rest)), "coincident": False}
 
 
 @sx._per_simplex
@@ -305,18 +310,14 @@ def _center_distances(s: sx.Simplex) -> np.ndarray:
 def center_report(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> CenterReport:
     """All centers plus the coincidence pairs among
     {centroid, circumcenter, incenter, monge} at threshold rel * diameter."""
-    c, big_r = circumcenter(s)
-    i, small_r = incenter(s)
+    return CenterReport(**_center_fields(s, is_orthocentric(s, policy), policy))
+
+
+def _center_fields(s: sx.Simplex, orthocentric: bool, policy: TolerancePolicy) -> dict:
+    """The fields of :func:`center_report` by name; no orthocenter unless ``orthocentric``."""
+    (c, big_r), (i, small_r), monge = circumcenter(s), incenter(s), monge_point(s)
     limit = policy.rel * sx.diameter(s)
-    return CenterReport(
-        centroid=centroid(s),
-        circumcenter=c,
-        circumradius=big_r,
-        incenter=i,
-        inradius=small_r,
-        monge=monge_point(s),
-        orthocenter=orthocenter(s, policy),
-        coincident_pairs=tuple(
-            pair for pair, dist in zip(_CENTER_PAIRS, _center_distances(s)) if dist <= limit
-        ),
-    )
+    pairs = tuple(p for p, x in zip(_CENTER_PAIRS, _center_distances(s).tolist()) if x <= limit)
+    return {"centroid": centroid(s), "circumcenter": c, "circumradius": big_r, "incenter": i,
+            "inradius": small_r, "monge": monge, "orthocenter": monge if orthocentric else None,
+            "coincident_pairs": pairs}

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, OrthoplexError
-from .numerics import TolerancePolicy
+from .numerics import DEFAULT_POLICY, TolerancePolicy
 from . import centers
 from . import orthocentric as oc
 from . import simplex as sx
@@ -44,7 +44,7 @@ def _policy_from_env(tol: float | None = None) -> TolerancePolicy:
                 tol = float(env)
             except ValueError as exc:
                 raise InputError(f"ORTHOPLEX_TOL={env!r} is not a number") from exc
-    return TolerancePolicy(rel=tol) if tol is not None else TolerancePolicy()
+    return TolerancePolicy(rel=tol) if tol is not None else DEFAULT_POLICY
 
 
 def _json_default(obj):
@@ -55,10 +55,12 @@ def _json_default(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+_ENCODERS = {False: json.JSONEncoder(sort_keys=True, indent=2, default=_json_default),
+             True: json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_json_default)}
+
+
 def _dump(doc, compact: bool = False) -> str:
-    if compact:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_json_default)
-    return json.dumps(doc, sort_keys=True, indent=2, default=_json_default)
+    return _ENCODERS[compact].encode(doc)
 
 
 def simplex_to_doc(s: sx.Simplex, label: str | None = None) -> dict:
@@ -83,33 +85,32 @@ def simplex_from_doc(doc: dict, policy: TolerancePolicy) -> sx.Simplex:
 
 
 def analysis_doc(s: sx.Simplex, policy: TolerancePolicy) -> dict:
-    """Full analysis: centers, shape predicates, orthocentric parameters
-    when applicable, Euler-line and mid-face sphere data, facet radii."""
-    found = dict(vars(centers.center_report(s, policy)))
-    pairs = found.pop("coincident_pairs")
+    """Full analysis: centers, shape predicates, orthocentric parameters when applicable,
+    Euler-line and mid-face sphere data, facet radii, under one orthocentricity verdict."""
+    orthocentric = centers.is_orthocentric(s, policy)
+    found = centers._center_fields(s, orthocentric, policy)
+    _, radii, residuals = centers._sphere_rows(s, orthocentric)
     doc = {
         "dim": s.dim,
         "volume": sx.volume(s),
         "diameter": sx.diameter(s),
         "centers": found,
-        "coincident_pairs": [list(p) for p in pairs],
-        "shape": dict(vars(sx.shape_predicates(s, policy))),
+        "coincident_pairs": [list(p) for p in found.pop("coincident_pairs")],
+        "shape": sx._shape_fields(s, policy),
         "facet_circumradii": sx.facet_circumradii(s),
-        "orthocentric": found["orthocenter"] is not None,
+        "orthocentric": orthocentric,
         "ortho_params": None,
         "euler": None,
-        "feuerbach": [
-            {"k": sphere.k, "radius": sphere.radius, "max_residual": sphere.max_residual}
-            for sphere in centers.feuerbach_spheres(s, policy)
-        ],
+        "feuerbach": [{"k": k, "radius": r, "max_residual": x} for k, r, x in
+                      zip(range(s.dim - len(radii), s.dim), radii.tolist(), residuals.tolist())],
     }
-    if found["orthocenter"] is not None:
+    if orthocentric:
         try:
-            p = oc.params_of(s, policy)
+            p = oc._params(*oc._orthocentric_param_rows(s, policy), policy)
             doc["ortho_params"] = {"bary": p.bary, "obtuseness": p.obtuseness, "class": p.klass}
         except InputError:
             pass  # parametrization degenerate at the active tolerance
-        doc["euler"] = dict(vars(centers.euler_line(s, policy)))
+        doc["euler"] = centers._euler_fields(s, policy)
     return doc
 
 

@@ -94,13 +94,14 @@ class OrthoParams:
     def face_r_squared(self, index_set) -> float:
         """Squared circumradius of the face on the given vertex indices:
         4 R_F^2 / sigma = (k-1)^2 / s - sum_{i in I} 1/a_i, s = sum_{i in I} a_i."""
-        if self.rectangular:
-            raise RectangularParamsError("face circumradii are undefined for rectangular input")
+        _closed_form(self, "face circumradii")
         idx = sx._check_indices(self.dim + 1, index_set)
         if not idx:
             raise InputError("a face needs at least one vertex")
         k = len(idx) - 1
         s = float(self.bary[list(idx)].sum())
+        if s == 0.0:
+            raise ParametrizationError(f"coordinate sum over face {idx} vanishes")
         inv = float(np.sum(1.0 / self.bary[list(idx)]))
         return self.obtuseness / 4.0 * ((k - 1) ** 2 / s - inv)
 
@@ -189,6 +190,11 @@ def _param_rows(s: sx.Simplex, policy: TolerancePolicy):
         raise NotOrthocentricError(
             f"edge perpendicularity residual {residual:.3e} exceeds tolerance {policy.rel:g}"
         )
+    return _orthocentric_param_rows(s, policy)
+
+
+def _orthocentric_param_rows(s: sx.Simplex, policy: TolerancePolicy):
+    """:func:`_param_rows` of ``s`` already decided orthocentric."""
     sigma = centers._monge_gram(s)[2]
     bary = sx.barycentric(s, centers.monge_point(s))
     rectangular = np.abs(bary).min(axis=-1) <= policy.rel
@@ -209,9 +215,13 @@ def params_of(s: sx.Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> OrthoP
     :func:`construct` asks of a tuple; so that margin never leaves an
     orthocentric simplex without parameters.
     """
-    c, rectangular, corner, bary = _param_rows(s, policy)
+    return _params(*_param_rows(s, policy), policy)
+
+
+def _params(c, rectangular, corner, bary, policy: TolerancePolicy) -> OrthoParams:
+    """:func:`params_of` from the :func:`_param_rows` of one simplex."""
     if rectangular:
-        bary = np.zeros(s.n)
+        bary = np.zeros(len(bary))
         bary[corner] = 1.0
         return OrthoParams(bary=bary, obtuseness=0.0)
     _validate_bary(bary, policy)
@@ -292,10 +302,7 @@ def edge_and_altitude_data(
     and cross-check each against direct coordinate computation.
     """
     _check_dims(p, s)
-    if p.rectangular:
-        raise RectangularParamsError(
-            "edge/altitude formulas are undefined for rectangular parameters"
-        )
+    _closed_form(p, "edge/altitude formulas")
     rel_h, gram = centers._monge_gram(s)[:2]
     a = p.bary
     c = p.obtuseness
@@ -331,6 +338,14 @@ def _check_dims(p: OrthoParams, s: sx.Simplex):
         raise InputError(f"parameters of dimension {p.dim} with a simplex of dimension {s.dim}")
 
 
+def _closed_form(p: OrthoParams, what: str):
+    """Raise unless the closed forms ``what`` are defined at ``p``: not rectangular, no a_i 0."""
+    if p.rectangular:
+        raise RectangularParamsError(f"{what} are undefined for rectangular parameters")
+    if 0.0 in p.bary:
+        raise ParametrizationError(f"coordinate {list(p.bary).index(0.0)} vanishes")
+
+
 def restrict_to_face(p: OrthoParams, index_set) -> OrthoParams:
     """Shape parameters of the face on the given vertex indices:
     a'_j = a_j / s and sigma' = sigma / s with s the selected coordinate sum."""
@@ -357,8 +372,7 @@ def circum_data(p: OrthoParams, s: sx.Simplex) -> CircumData:
     rel * diam^2) of what :func:`params_of` reads from ``s``.
     """
     _check_dims(p, s)
-    if p.rectangular:
-        raise RectangularParamsError("parameter circumdata is undefined for rectangular input")
+    _closed_form(p, "circumcenter formulas")
     h = centers.monge_point(s)
     if (abs(p.obtuseness - centers._monge_gram(s)[2]) > DEFAULT_POLICY.rel * sx.diameter(s) ** 2
             or np.abs(p.bary - sx.barycentric(s, h)).max() > DEFAULT_POLICY.rel):
@@ -373,8 +387,7 @@ def circum_data(p: OrthoParams, s: sx.Simplex) -> CircumData:
 def lambda_params(p: OrthoParams) -> LambdaParams:
     """Distance parameters lam_H = sigma, lam_i = -sigma / a_i for the
     orthocentric system {H, A_1..A_{d+1}}."""
-    if p.rectangular:
-        raise RectangularParamsError("lambda parameters are undefined for rectangular input")
+    _closed_form(p, "lambda parameters")
     values = _lambda_rows(p.obtuseness, p.bary)
     return LambdaParams(lam_h=float(values[0]), lam=values[1:])
 

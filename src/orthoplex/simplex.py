@@ -14,7 +14,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
-from math import exp, factorial, inf, lgamma, log
+from math import exp, factorial, inf, isfinite, lgamma, log
 from numbers import Integral
 from sys import float_info
 
@@ -125,7 +125,7 @@ def _from_vertex_rows(dim: int, vertices: np.ndarray, policy: TolerancePolicy,
         t = 1.0 / _row_norms(_frame(s)[2] * np.sqrt(top)[..., None, None]).max(axis=-1)
         low = t * t * top  # the least squared altitude
         ok = (t * t > policy.rank_cut) & (top <= _SCALE_MAX) & (low >= _SCALE_MIN)
-        if ok.all():
+        if ok if vertices.ndim == 2 else ok.all():  # one simplex: one numpy bool
             return s  # NaN, from non-finite input or a singular edge matrix, fails this
         if not np.isfinite(top).all():
             if not np.isfinite(vertices).all():
@@ -153,16 +153,12 @@ def _read_only(value):
     """``value``, an array, a number or a tuple of them, as a table stores
     it: every array read-only, every numpy scalar (or 0-d array) the Python
     number it holds."""
-    stored = []
-    for item in value if type(value) is tuple else (value,):
-        if type(item) is np.ndarray and item.ndim:
-            item.flags.writeable = False
-        elif isinstance(item, np.floating):
-            item = float(item)
-        elif isinstance(item, (np.integer, np.ndarray)):
-            item = item.item()
-        stored.append(item)
-    return tuple(stored) if type(value) is tuple else stored[0]
+    if type(value) is tuple:
+        return tuple(map(_read_only, value))
+    if type(value) is np.ndarray and value.ndim:
+        value.setflags(write=False)
+        return value
+    return value.item() if isinstance(value, (np.generic, np.ndarray)) else value
 
 
 def _per_simplex(fn):
@@ -225,6 +221,9 @@ def _factorial_quotient(k: int, numerators, factor, logs) -> np.ndarray:
     else exp(logs) (``logs`` the log of each quotient) where it is not: 0.0
     on underflow, the largest float on overflow.  This is the one
     out-of-range rule of every volume; it never raises or warns."""
+    if np.ndim(logs) == 0:  # one quotient, of Python floats
+        q = numerators / float(factorial(k)) * factor if k <= _MAX_FACTORIAL_DIM else inf
+        return q if isfinite(q) else (_FLOAT_MAX if logs >= _LOG_FLOAT_MAX else exp(logs))
     quotient = inf
     if k <= _MAX_FACTORIAL_DIM:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -244,11 +243,14 @@ def volume(s: Simplex) -> float:
     from ``slogdet`` (``det`` is sign * exp(log|det|) from the same LU),
     out of float range by :func:`_factorial_quotient`."""
     d = s.dim
-    logdets = np.linalg.slogdet(_frame(s)[1])[1]  # 0-d on one simplex
-    # math.exp, not np.exp, for the bits of the formula; inf where it overflows
-    numerators = [exp(x) if x <= _LOG_FLOAT_MAX else inf for x in np.ravel(logdets).tolist()]
-    return _factorial_quotient(d, np.reshape(numerators, logdets.shape), 1.0,
-                               logdets - lgamma(d + 1))
+    logdets = np.linalg.slogdet(_frame(s)[1])[1]  # a numpy scalar on one simplex
+    numerators = _exp(logdets) if logdets.ndim == 0 else np.fromiter(map(_exp, logdets), float)
+    return _factorial_quotient(d, numerators, 1.0, logdets - lgamma(d + 1))
+
+
+def _exp(x: float) -> float:
+    """math.exp, not np.exp, for the bits of the formula; inf where it overflows."""
+    return exp(x) if x <= _LOG_FLOAT_MAX else inf
 
 
 @lru_cache(maxsize=64)
@@ -501,12 +503,15 @@ def shape_predicates(s: Simplex, policy: TolerancePolicy = DEFAULT_POLICY) -> Sh
     |n_i|, to which facet volume i = d V |n_i| is proportional, so it holds
     also where V is out of float range.
     """
-    return ShapeFlags(
-        is_regular=policy.all_close(edge_lengths(s)),
-        is_equiareal=policy.all_close(_frame(s)[3]),
-        is_equiradial=policy.all_close(facet_circumradii(s)),
-        has_well_distributed_edges=policy.all_close(facet_sq_edge_sums(s)),
-    )
+    return ShapeFlags(**_shape_fields(s, policy))
+
+
+def _shape_fields(s: Simplex, policy: TolerancePolicy) -> dict:
+    """The flags of :func:`shape_predicates`, by name."""
+    return {"is_regular": policy.all_close(edge_lengths(s)),
+            "is_equiareal": policy.all_close(_frame(s)[3]),
+            "is_equiradial": policy.all_close(facet_circumradii(s)),
+            "has_well_distributed_edges": policy.all_close(facet_sq_edge_sums(s))}
 
 
 @_per_simplex

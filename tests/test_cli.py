@@ -685,9 +685,10 @@ class TestParseMemo:
 
 
 class TestWorkPerAnalysis:
-    """Gate on work done, not on time: orthocentricity is decided once per
-    center report, params_of and Euler line, never once per sphere, and
-    each decision reads the one squared-edge misfit of the simplex."""
+    """Gate on work done, not on time: a document takes one orthocentricity
+    decision, center_report, params_of and euler_line one each, never one
+    per sphere, and each decision reads the one squared-edge misfit of the
+    simplex."""
 
     @staticmethod
     def record(monkeypatch, module, name):
@@ -727,9 +728,13 @@ class TestWorkPerAnalysis:
         p = op.sample_params(d, kind, d)
         s = op.construct(p.bary, 1.0)
         read, builds = self.misfits(monkeypatch, s)
-        # the center report, params_of and the Euler line decide, and so
-        # does feuerbach_spheres, which the document reads its spheres from
-        assert len(read) == 3 + 1
+        # the document decides once, for its centers, parameters, Euler
+        # line and spheres alike
+        assert len(read) == 1
+        # the three public calls it stands for decide once each
+        for call in (op.center_report, op.params_of, op.euler_line):
+            call(s)
+        assert len(read) == 1 + 3
         # the misfit is computed once, the other decisions read it back
         assert builds == [s] and all(m is read[0] for m in read)
 
@@ -737,8 +742,8 @@ class TestWorkPerAnalysis:
         rng = np.random.default_rng(8)
         s = op.from_vertices(8, rng.normal(size=(9, 8)))
         read, builds = self.misfits(monkeypatch, s)
-        # the center report decides, and feuerbach_spheres reads its misfit back
-        assert len(read) == 1 + 1 and builds == [s] and read[1] is read[0]
+        # the document decides once, for its centers and its one sphere
+        assert len(read) == 1 and builds == [s]
 
     @pytest.mark.parametrize("orthocentric", [True, False])
     def test_circumcenter_solved_once(self, monkeypatch, orthocentric):
@@ -829,6 +834,57 @@ class TestWorkPerAnalysis:
         doc = cli.analysis_doc(s, op.TolerancePolicy())
         assert len(doc["feuerbach"]) == 8
         assert calls == []
+
+
+def drift_fixtures():
+    """(name, simplex) of every kind the document treats apart."""
+    rng = np.random.default_rng(40)
+    for kind in ("acute", "obtuse"):
+        yield kind, op.construct(op.sample_params(6, kind, 6).bary, 1.0)
+    yield "rectangular", op.rectangular(op.RectSpec(4, (1.0, 2.0, 0.5, 3.0)))
+    yield "gaussian", op.from_vertices(7, rng.normal(size=(8, 7)))
+    yield "triangle", op.from_vertices(2, rng.normal(size=(3, 2)))
+
+
+class TestDocumentMatchesPublicCalls:
+    """analysis_doc reads the per-simplex tables directly; every field it
+    writes equals what the public call for that field returns on a fresh
+    simplex of the same vertices, so the two cannot drift apart."""
+
+    @staticmethod
+    def same(got, want):
+        """Equal bit for bit, and None only where ``want`` is None."""
+        if want is None:
+            return got is None
+        return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("name", ["acute", "obtuse", "rectangular", "gaussian", "triangle"])
+    def test_fields(self, name):
+        s = dict(drift_fixtures())[name]
+        policy = op.TolerancePolicy()
+        doc = cli.analysis_doc(s, policy)
+        t = op.from_vertices(s.dim, s.vertices)  # an empty memo
+        report = vars(op.center_report(t, policy))
+        assert doc["coincident_pairs"] == [list(p) for p in report.pop("coincident_pairs")]
+        assert doc["centers"].keys() == report.keys()
+        for key, want in report.items():
+            assert self.same(doc["centers"][key], want), key
+        assert doc["shape"] == vars(op.shape_predicates(t, policy))
+        assert self.same(doc["facet_circumradii"], sx.facet_circumradii(t))
+        assert (doc["volume"], doc["diameter"]) == (op.volume(t), sx.diameter(t))
+        spheres = op.feuerbach_spheres(t, policy)
+        assert doc["feuerbach"] == [{"k": sp.k, "radius": sp.radius,
+                                     "max_residual": sp.max_residual} for sp in spheres]
+        orthocentric = op.is_orthocentric(t, policy)
+        assert doc["orthocentric"] is orthocentric is (name != "gaussian")
+        if not orthocentric:
+            assert doc["ortho_params"] is doc["euler"] is None
+            return
+        p = op.params_of(t, policy)
+        assert doc["ortho_params"]["class"] == p.klass
+        assert self.same(doc["ortho_params"]["bary"], p.bary)
+        assert self.same(doc["ortho_params"]["obtuseness"], p.obtuseness)
+        assert doc["euler"] == vars(op.euler_line(t, policy))
 
 
 class TestLargeDimensionAnalysis:

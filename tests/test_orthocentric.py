@@ -623,6 +623,26 @@ class TestRectangularParams:
             call(p, s)
 
 
+class TestInadmissibleRecords:
+    """A hand-built record on which a closed form divides by zero raises
+    ParametrizationError, not ZeroDivisionError or numpy's RuntimeWarning
+    (an error under this suite's warning filter)."""
+
+    def test_face_r_squared_over_a_vanishing_face_sum(self):
+        p = op.OrthoParams(np.array([0.5, -0.5, 1.0]), -1.0)
+        with pytest.raises(ParametrizationError, match=r"sum over face \(0, 1\) vanishes"):
+            p.face_r_squared((0, 1))
+
+    def test_lambda_params_with_a_zero_coordinate(self):
+        with pytest.raises(ParametrizationError, match="coordinate 1 vanishes"):
+            op.lambda_params(op.OrthoParams(np.array([0.5, 0.0, 0.5]), -1.0))
+
+    def test_edge_and_altitude_data_with_a_zero_coordinate(self):
+        p = op.OrthoParams(np.array([0.4, 0.3, 0.0, 0.3]), -1.0)
+        with pytest.raises(ParametrizationError, match="coordinate 2 vanishes"):
+            op.edge_and_altitude_data(p, op.construct([0.4, 0.3, 0.2, 0.1], 1.0))
+
+
 class TestLambdaParams:
     def test_equilateral_values(self):
         lam = op.lambda_params(op.params_of(op.construct([1 / 3] * 3, 1.0)))

@@ -1219,3 +1219,72 @@ class TestFrameRule:
         calls = count_inverses(monkeypatch)
         build()
         assert calls == [shape]
+
+
+def gate(d, rows):
+    """(error type, message, thickness) of the degeneracy gate on ``rows``,
+    one simplex (d+1, d) or a stack, or None when it accepts them."""
+    try:
+        sx._from_vertex_rows(d, np.array(rows, dtype=float), op.DEFAULT_POLICY)
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "thickness", None)
+    return None
+
+
+class TestOneSimplexVerdict:
+    """The gate decides one simplex on numpy scalars and a stack on arrays:
+    each row the stack tests above feed it gets, alone, the verdict and
+    error it gets as a one-row stack, and a whole stack raises what its
+    first refused row raises alone."""
+
+    @staticmethod
+    def agree(d, rows):
+        """The outcome of each of ``rows`` alone, checked as above."""
+        out = [gate(d, v) for v in rows]
+        assert out == [gate(d, [v]) for v in rows]
+        assert gate(d, rows) == next((o for o in out if o), None)
+        return out
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.inf, "must be finite"),
+        (-np.inf, "must be finite"),
+        (np.nan, "must be finite"),
+        (1e200, "squared edge lengths overflow"),
+    ])
+    def test_non_finite_and_overflowing(self, bad, message):
+        rows = np.random.default_rng(2).normal(size=(3, 4, 3))
+        rows[1, 2, 0] = bad
+        if bad == np.inf:
+            rows[1, 3, 0] = bad  # inf - inf in an edge
+        out = self.agree(3, rows)
+        assert out[0] is out[2] is None and out[1][0] is InputError and message in out[1][1]
+
+    @pytest.mark.parametrize("scale", [1e-156, 1e-141, 1e-138, 1e138, 1e141, 1e153])
+    def test_scale_domain(self, scale):
+        rows = np.random.default_rng(3).normal(size=(4, 4, 3))
+        rows[2] *= scale
+        out = self.agree(3, rows)
+        assert out[:2] + out[3:] == [None] * 3
+        if abs(math.log10(scale)) < 140:
+            assert out[2] is None
+        else:
+            assert out[2][0] is InputError and "scale out of range" in out[2][1]
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_exactly_singular(self, d):
+        rows = np.random.default_rng(d).normal(size=(5, d + 1, d))
+        rows[0, :, 0] = 0.0  # a zero column in the edge matrix
+        rows[2] = 7.5  # every edge is 0
+        rows[4, 1] = rows[4, 0]  # two equal vertices
+        out = self.agree(d, rows)
+        assert [o and o[0] for o in out] == [DegenerateSimplexError, None] * 2 + [
+            DegenerateSimplexError]
+        assert out[0][2] == out[2][2] == 0.0
+        assert TestFrameRule.verdicts(d, rows) == [o is not None for o in out]
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_near_the_cut(self, d):
+        rows = near_cut_block(d, 10 + d, op.DEFAULT_POLICY)
+        out = self.agree(d, rows)
+        assert {o and o[0] for o in out} == {None, DegenerateSimplexError}
+        assert TestFrameRule.verdicts(d, rows) == [o is not None for o in out]
